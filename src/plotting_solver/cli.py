@@ -3,12 +3,18 @@
 Exit codes, fixed for scripting sweeps:
 
 * 0   success (plan found / plan valid)
-* 1   I/O failure
-* 2   bad arguments, unparsable files, infeasible generator spec
+* 1   I/O failure, including malformed output from an external solver
+* 2   bad arguments, unparsable files, infeasible generator spec, an
+      external solver command that cannot be started
 * 3   oracle refused: instance above its capacity bound
 * 10  invalid plan
 * 20  no plan within the horizon bound (UNSAT)
 * 30  undecided (UNKNOWN)
+
+Each failure listed in ``FAILURES`` ends the command with one stderr line.
+``validate`` and ``trace`` both replay plans with
+:func:`plotting_solver.planner.replay`, which checks every transition with
+the constraint-case oracle.
 
 The ``PLOTTING_SOLVER`` environment variable, when set, supplies the default
 external solver command for ``solve``.
@@ -21,9 +27,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import engine, formats, generator, oracle, planner
+from . import cnf, formats, generator, oracle, planner
 from .encoder import PROGRESS_MODES, PROGRESS_WITNESS
-from .engine import Grid, Instance
+from .engine import Instance
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -36,10 +42,25 @@ EXIT_UNKNOWN = 30
 # Refuse breadth-first search when the potential state space passes this.
 ORACLE_CAPACITY_BITS = 48
 
+# Exceptions that end a command: exit code and the label of its stderr line.
+# The first matching entry wins, so subclasses come before their bases.
+FAILURES = (
+    (generator.InfeasibleSpecError, EXIT_USAGE, "infeasible"),
+    (oracle.CapacityExceededError, EXIT_CAPACITY, "capacity"),
+    (cnf.SpawnFailureError, EXIT_USAGE, "backend"),
+    (cnf.ParseFailureError, EXIT_IO, "backend"),
+    (OSError, EXIT_IO, "write failed"),
+    (ValueError, EXIT_USAGE, "error"),
+)
+
 
 def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        # An input file that cannot be read is a bad argument (exit 2).
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _load_instance(path: str, goal_flag) -> Instance:
@@ -59,46 +80,33 @@ def cmd_generate(args) -> int:
         mode = "all"
     elif args.canonical:
         mode = "canonical"
-    try:
-        spec = generator.GeneratorSpec(
-            height=args.height,
-            width=args.width,
-            colours=args.colours,
-            mode=mode,
-            seed=args.seed if args.seed is not None else 0,
-            require_all_colours=not args.allow_missing_colours,
-        )
-    except generator.InfeasibleSpecError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = generator.GeneratorSpec(
+        height=args.height,
+        width=args.width,
+        colours=args.colours,
+        mode=mode,
+        seed=args.seed if args.seed is not None else 0,
+        require_all_colours=not args.allow_missing_colours,
+    )
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        count = 0
-        if mode == "random":
-            instance = generator.random_instance(spec)
-            path = out_dir / f"instance_seed{spec.seed}.txt"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    count = 0
+    if mode == "random":
+        instance = generator.random_instance(spec)
+        path = out_dir / f"instance_seed{spec.seed}.txt"
+        path.write_text(formats.write_instance(instance))
+        count = 1
+    else:
+        for idx, instance in enumerate(generator.enumerate_instances(spec), 1):
+            path = out_dir / f"instance_{idx:05d}.txt"
             path.write_text(formats.write_instance(instance))
-            count = 1
-        else:
-            for idx, instance in enumerate(generator.enumerate_instances(spec), 1):
-                path = out_dir / f"instance_{idx:05d}.txt"
-                path.write_text(formats.write_instance(instance))
-                count = idx
-    except OSError as exc:
-        print(f"write failed: {exc}", file=sys.stderr)
-        return EXIT_IO
+            count = idx
     print(count)
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    try:
-        instance = _load_instance(args.instance, args.goal)
-    except (OSError, formats.FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    instance = _load_instance(args.instance, args.goal)
     backend: planner.Backend = planner.INTERNAL_BACKEND
     if args.backend is not None:
         if args.backend == "internal":
@@ -106,17 +114,12 @@ def cmd_solve(args) -> int:
         elif args.backend.startswith("external:"):
             backend = args.backend[len("external:") :]
         else:
-            print(f"error: bad --backend {args.backend!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"bad --backend {args.backend!r}")
     elif os.environ.get("PLOTTING_SOLVER"):
         backend = os.environ["PLOTTING_SOLVER"]
 
     if args.emit_cnf is not None:
-        try:
-            Path(args.emit_cnf).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            print(f"cannot create {args.emit_cnf}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        Path(args.emit_cnf).mkdir(parents=True, exist_ok=True)
 
     result = planner.solve(
         instance,
@@ -139,29 +142,9 @@ def cmd_solve(args) -> int:
     return EXIT_UNKNOWN
 
 
-def _replay(instance: Instance, hand0: int, plan, on_state=None):
-    """Replay, returning (ok, failed_step, reason, final_grid)."""
-    grid, hand = instance.grid, hand0
-    if on_state is not None:
-        on_state(0, grid, hand)
-    for idx, shot in enumerate(plan, start=1):
-        try:
-            out = engine.apply_shot(grid, hand, shot)
-        except engine.ShotError as exc:
-            return False, idx, f"step {idx}: {type(exc).__name__}: {exc}", grid
-        grid, hand = out.next_grid, out.next_hand
-        if on_state is not None:
-            on_state(idx, grid, hand)
-    return True, None, None, grid
-
-
 def cmd_validate(args) -> int:
-    try:
-        instance = _load_instance(args.instance, args.goal)
-        hand0, plan = formats.parse_plan(_read(args.plan))
-    except (OSError, formats.FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    instance = _load_instance(args.instance, args.goal)
+    hand0, plan = formats.parse_plan(_read(args.plan))
     report = planner.validate_plan(instance, hand0, plan)
     if report.ok:
         print(f"valid: {report.final_blocks} blocks remain, goal {instance.goal}")
@@ -184,49 +167,33 @@ def _colour_char(v: int) -> str:
 
 
 def cmd_trace(args) -> int:
+    instance = formats.parse_instance(_read(args.instance))
+    hand0, plan = formats.parse_plan(_read(args.plan))
     try:
-        instance = formats.parse_instance(_read(args.instance))
-        hand0, plan = formats.parse_plan(_read(args.plan))
-    except (OSError, formats.FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    def show(step: int, grid: Grid, hand: int) -> None:
-        print(f"step {step}  hand {_colour_char(hand)}")
-        for row in grid.cells:
-            print("".join(_colour_char(v) for v in row))
-
-    ok, failed_step, reason, _ = _replay(instance, hand0, plan, on_state=show)
-    if not ok:
-        print(reason, file=sys.stderr)
+        for step, grid, hand in planner.replay(instance.grid, hand0, plan):
+            print(f"step {step}  hand {_colour_char(hand)}")
+            for row in grid.cells:
+                print("".join(_colour_char(v) for v in row))
+    except planner.ReplayError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_INVALID_PLAN
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    try:
-        instance = _load_instance(args.instance, args.goal)
-    except (OSError, formats.FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    instance = _load_instance(args.instance, args.goal)
     cells = instance.grid.height * instance.grid.width
     colours = instance.colour_count
     potential_bits = cells * (colours + 1).bit_length()
     if potential_bits > ORACLE_CAPACITY_BITS:
-        print(
-            f"capacity: {cells} cells with {colours} colours is above the "
-            "breadth-first search bound",
-            file=sys.stderr,
+        raise oracle.CapacityExceededError(
+            f"{cells} cells with {colours} colours is above the "
+            "breadth-first search bound"
         )
-        return EXIT_CAPACITY
     max_steps = args.max_steps
     if max_steps is None:
         max_steps = instance.block_total - instance.goal
-    try:
-        best = oracle.bfs_optimal(instance, max_steps)
-    except oracle.CapacityExceededError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+    best = oracle.bfs_optimal(instance, max_steps)
     if best is None:
         print("NONE")
         return EXIT_UNSAT
@@ -290,7 +257,14 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_oracle)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        for kind, code, label in FAILURES:
+            if isinstance(exc, kind):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ class ParseFailureError(RuntimeError):
 class Gate(Enum):
     AND = "and"
     OR = "or"
-    IFF = "iff"
 
 
 class CnfFormula:
@@ -125,14 +124,6 @@ def reify(formula: CnfFormula, gate: Gate, inputs: Sequence[int]) -> int:
         formula.add_clause((-z,) + tuple(inputs))
         for lit in inputs:
             formula.add_clause((z, -lit))
-    elif gate is Gate.IFF:
-        if len(inputs) != 2:
-            raise ValueError("iff gates take exactly two inputs")
-        a, b = inputs
-        formula.add_clause((-z, -a, b))
-        formula.add_clause((-z, a, -b))
-        formula.add_clause((z, a, b))
-        formula.add_clause((z, -a, -b))
     else:
         raise TypeError(f"unknown gate {gate!r}")
     return z

@@ -3,9 +3,10 @@
 :func:`check_transition` evaluates the full state-and-action constraint case
 analysis directly on a candidate transition, one predicate per rule case.
 :func:`enumerate_successors` exhaustively searches the candidate space per
-shot, and :func:`bfs_optimal` is a breadth-first optimal planner. All three
-are written independently of :mod:`plotting_solver.engine` so the two can be
-played against each other.
+shot. These two are written independently of the transition rules in
+:mod:`plotting_solver.engine`, sharing only its data types, so the two can
+be played against each other. :func:`bfs_optimal` is a breadth-first optimal
+planner that searches with :func:`plotting_solver.engine.apply_shot`.
 
 Convention used throughout: any atom that refers to a cell outside the grid
 evaluates to False, for both equality and inequality atoms. Quantifications
@@ -18,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from . import engine
 from .engine import (
     ColShot,
     Grid,
@@ -446,8 +448,6 @@ def bfs_optimal(
 
     Raises :class:`CapacityExceededError` past ``state_cap`` visited states.
     """
-    from . import engine
-
     if instance.goal is None:
         raise ValueError("instance has no goal")
     goal = instance.goal
@@ -468,8 +468,7 @@ def _bfs_from(
     max_steps: int,
     state_cap: int,
 ) -> Optional[tuple[int, tuple[Shot, ...]]]:
-    from . import engine
-
+    shots = _all_shots(grid)
     start = (grid.cells, hand0)
     parents: dict = {start: None}
     frontier = [start]
@@ -480,8 +479,11 @@ def _bfs_from(
         for state in frontier:
             g = Grid(state[0])
             hand = state[1]
-            for shot in engine.legal_shots(g, hand):
-                out = engine.apply_shot(g, hand, shot)
+            for shot in shots:
+                try:
+                    out = engine.apply_shot(g, hand, shot)
+                except engine.ShotError:
+                    continue
                 nxt = (out.next_grid.cells, out.next_hand)
                 if nxt in parents:
                     continue

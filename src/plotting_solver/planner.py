@@ -12,10 +12,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from . import cnf, encoder, engine, oracle
-from .engine import Instance, Shot
+from .engine import Grid, Instance, Shot
 
 Backend = Union[str, Sequence[str]]
 
@@ -53,22 +53,32 @@ class PlanResult:
         return self.status == "found"
 
 
-def validate_plan(
-    instance: Instance, hand0: int, plan: Sequence[Shot]
-) -> ValidationReport:
-    """Replay ``plan`` through the engine, oracle-checking every step."""
-    if instance.goal is None:
-        raise ValueError("instance has no goal")
-    grid, hand = instance.grid, hand0
-    for idx, shot in enumerate(plan, start=1):
+class ReplayError(Exception):
+    """A plan step that the engine or the constraint-case checker refused."""
+
+    def __init__(self, step: int, reason: str):
+        super().__init__(f"step {step}: {reason}")
+        self.step = step  # 1-based index of the refused shot
+        self.reason = reason
+
+
+def replay(
+    grid: Grid, hand0: int, plan: Sequence[Shot]
+) -> Iterator[tuple[int, Grid, int]]:
+    """Yield ``(step, grid, hand)`` from step 0 through the plan.
+
+    Every shot is applied by the engine and the transition is then checked
+    by the constraint-case oracle; the first shot that either refuses raises
+    :class:`ReplayError` naming its step, after the states before it were
+    yielded.
+    """
+    hand = hand0
+    yield 0, grid, hand
+    for step, shot in enumerate(plan, start=1):
         try:
             out = engine.apply_shot(grid, hand, shot)
         except engine.ShotError as exc:
-            return ValidationReport(
-                ok=False,
-                failed_step=idx,
-                reason=f"{type(exc).__name__}: {exc}",
-            )
+            raise ReplayError(step, f"{type(exc).__name__}: {exc}") from exc
         cand = oracle.TransitionCandidate(
             prev_grid=grid,
             prev_hand=hand,
@@ -78,12 +88,24 @@ def validate_plan(
             wall_fall=out.wall_fall,
         )
         if not oracle.check_transition(cand):
-            return ValidationReport(
-                ok=False,
-                failed_step=idx,
-                reason="transition rejected by the constraint-case checker",
+            raise ReplayError(
+                step, "transition rejected by the constraint-case checker"
             )
         grid, hand = out.next_grid, out.next_hand
+        yield step, grid, hand
+
+
+def validate_plan(
+    instance: Instance, hand0: int, plan: Sequence[Shot]
+) -> ValidationReport:
+    """Replay ``plan`` through the engine, oracle-checking every step."""
+    if instance.goal is None:
+        raise ValueError("instance has no goal")
+    try:
+        for _, grid, _ in replay(instance.grid, hand0, plan):
+            pass
+    except ReplayError as exc:
+        return ValidationReport(ok=False, failed_step=exc.step, reason=exc.reason)
     blocks = engine.block_count(grid)
     met = engine.is_goal(grid, instance.goal)
     return ValidationReport(
@@ -123,9 +145,18 @@ def solve(
     satisfiable horizon, NoPlanWithinBound when every horizon up to the
     bound is unsatisfiable, and Unknown when some horizon below the first
     satisfiable one was undecided (minimality would be unproven).
+
+    Raises :class:`ValueError` for a missing goal, a ``fixed_hand`` outside
+    the instance's colours or a negative ``max_steps``.
     """
     if instance.goal is None:
         raise ValueError("instance has no goal")
+    if fixed_hand is not None and not 1 <= fixed_hand <= instance.colour_count:
+        raise ValueError(
+            f"initial hand {fixed_hand} outside 1..{instance.colour_count}"
+        )
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max steps {max_steps} is below 0")
     if engine.is_goal(instance.grid, instance.goal):
         return PlanResult(
             status="found", horizon=0, hand0=fixed_hand or 1, plan=(), max_steps=0

@@ -1,7 +1,9 @@
 import shlex
 import sys
 
-from plotting_solver import cli
+import pytest
+
+from plotting_solver import cli, oracle
 from plotting_solver.formats import parse_instance, parse_plan, write_instance
 from plotting_solver.engine import Grid, Instance
 
@@ -24,6 +26,11 @@ def write_plan_file(tmp_path, text, name="plan.txt"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def assert_one_line_failure(err):
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
 
 
 class TestGenerate:
@@ -185,6 +192,24 @@ class TestSolve:
         code, _, _ = run(["solve", "--instance", str(bad), "--goal", "0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--hand", "7"], 2),
+            (["--max-steps", "-3"], 2),
+            (["--backend", "external:/nonexistent/solver"], 2),
+            (["--backend", "external:echo s SATISFIABLE"], 1),
+        ],
+        ids=["hand-outside-colours", "negative-max-steps", "spawn", "parse"],
+    )
+    def test_failure_is_one_line_with_exit_code(self, tmp_path, capsys, flags, code):
+        inst = write_inst(tmp_path, [[1, 2], [2, 1]])
+        got, stdout, err = run(
+            ["solve", "--instance", inst, "--goal", "0", *flags], capsys
+        )
+        assert got == code and stdout == ""
+        assert_one_line_failure(err)
+
 
 class TestValidate:
     def test_null_move_names_the_step(self, tmp_path, capsys):
@@ -242,6 +267,18 @@ class TestTrace:
         assert code == 10
         assert "step 0" in stdout and "step 2" in stdout
         assert "step 3" in err
+
+    def test_transition_checker_rejection_names_the_step(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(oracle, "check_transition", lambda cand: False)
+        inst = write_inst(tmp_path, [[1, 1], [1, 1]])
+        plan = write_plan_file(tmp_path, "plotting-plan v1\nhand 1\nrow 2\n")
+        code, stdout, err = run(["trace", "--instance", inst, "--plan", plan], capsys)
+        assert code == 10
+        assert stdout == "step 0  hand 1\n11\n11\n"
+        assert "step 1" in err and "constraint-case checker" in err
+        assert_one_line_failure(err)
 
 
 class TestOracleCommand:

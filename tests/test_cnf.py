@@ -89,14 +89,6 @@ class TestReify:
             out = dpll_solve(trial)
             assert out.is_sat and out.model[z]
 
-    def test_iff_of_two_asserted_trues(self):
-        f, (x, y) = formula_with_vars(2)
-        z = reify(f, Gate.IFF, [x, y])
-        f.add_clause((x,))
-        f.add_clause((y,))
-        out = dpll_solve(f)
-        assert out.is_sat and out.model[z]
-
     @settings(max_examples=60, deadline=None)
     @given(
         gate=st.sampled_from([Gate.AND, Gate.OR]),

@@ -1,8 +1,17 @@
+import itertools
 import random
+
+import pytest
 
 from plotting_solver.engine import ColShot, Grid, Instance, RowShot
 from plotting_solver.oracle import bfs_optimal
-from plotting_solver.planner import INTERNAL_BACKEND, solve, validate_plan
+from plotting_solver.planner import (
+    INTERNAL_BACKEND,
+    ReplayError,
+    replay,
+    solve,
+    validate_plan,
+)
 
 from conftest import random_full_grid
 
@@ -22,6 +31,13 @@ class TestSolve:
         assert res.found and res.horizon == 2
         assert res.horizon_statuses == ((1, "unsat"), (2, "sat"))
         assert validate_plan(inst, res.hand0, res.plan).ok
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"fixed_hand": 7}, {"fixed_hand": 0}, {"max_steps": -3}]
+    )
+    def test_bad_arguments_rejected_before_goal_check(self, kwargs):
+        with pytest.raises(ValueError):
+            solve(Instance(g([[1, 2], [2, 1]]), 4), **kwargs)
 
     def test_wildcard_initial_hand(self):
         res = solve(Instance(g([[2]]), 0))
@@ -85,6 +101,16 @@ class TestSolve:
         header = (tmp_path / "phi_1.cnf").read_text().splitlines()[0]
         assert header.startswith("p cnf ")
         assert int(header.split()[2]) >= 27
+
+
+class TestReplay:
+    def test_yields_from_step_zero_then_names_the_refused_step(self):
+        grid = g([[1, 1], [1, 1]])
+        states = replay(grid, 1, [RowShot(2), RowShot(1), RowShot(1)])
+        assert [step for step, _, _ in itertools.islice(states, 3)] == [0, 1, 2]
+        with pytest.raises(ReplayError) as info:
+            next(states)
+        assert info.value.step == 3 and "NullMove" in info.value.reason
 
 
 class TestValidatePlan:
