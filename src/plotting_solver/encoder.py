@@ -7,15 +7,18 @@ the step's state variables, reified case by case, so unconstrained values
 cannot leak: cells keep their values unless a rule case says otherwise.
 
 Variable allocation is deterministic: step 0 grid cells (row major, value
-0..K per cell) then the step-0 hand, then for each step the fired-row group,
-fired-column group, wall-fall group, grid and hand. Auxiliary (gate)
-variables all come after the primary groups, so DIMACS output is byte-stable
-for a given instance and options.
+0..K per cell) and the step-0 hand come first. Each step then follows in
+turn: its primary groups (fired row, fired column, wall fall, grid, hand),
+then the auxiliary (gate) variables of its transition rules. The goal's
+counter variables come last, so DIMACS output is byte-stable for a given
+instance and options. The steps depend only on the grid's shape and the
+progress style, so each is emitted once per shape and shared by every
+horizon (see :class:`_Chain`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
@@ -54,63 +57,53 @@ class EncodeOptions:
 
 @dataclass(frozen=True)
 class VarMap:
-    """Deterministic mapping from (step, state variable, value) to var ids."""
+    """Deterministic mapping from (step, state variable, value) to var ids.
+
+    ``state_bases[t]`` is the first id of step ``t``'s grid group, which the
+    step's hand group follows. From step 1 on, the step's fired-row,
+    fired-column and wall-fall groups come just before its grid.
+    """
 
     height: int
     width: int
     colours: int
-    steps: int
+    state_bases: tuple[int, ...]
+
+    @property
+    def steps(self) -> int:
+        return len(self.state_bases) - 1
 
     @property
     def _grid_block(self) -> int:
         return self.height * self.width * (self.colours + 1)
 
     @property
-    def _step0_block(self) -> int:
+    def _state_block(self) -> int:
         return self._grid_block + self.colours
 
     @property
-    def _step_block(self) -> int:
-        return (
-            (self.height + 1)
-            + (self.width + 1)
-            + (self.height + 1)
-            + self._grid_block
-            + self.colours
-        )
+    def _shot_block(self) -> int:
+        return (self.height + 1) + (self.width + 1) + (self.height + 1)
 
     @property
     def primary_count(self) -> int:
-        return self._step0_block + self.steps * self._step_block
-
-    def _step_base(self, step: int) -> int:
-        return 1 + self._step0_block + (step - 1) * self._step_block
+        return (self.steps + 1) * self._state_block + self.steps * self._shot_block
 
     def grid_var(self, step: int, row: int, col: int, value: int) -> int:
         offset = ((row - 1) * self.width + (col - 1)) * (self.colours + 1) + value
-        if step == 0:
-            return 1 + offset
-        return (
-            self._step_base(step)
-            + (self.height + 1)
-            + (self.width + 1)
-            + (self.height + 1)
-            + offset
-        )
+        return self.state_bases[step] + offset
 
     def hand_var(self, step: int, colour: int) -> int:
-        if step == 0:
-            return 1 + self._grid_block + (colour - 1)
-        return self._step_base(step) + self._step_block - self.colours + (colour - 1)
+        return self.state_bases[step] + self._grid_block + (colour - 1)
 
     def row_shot_var(self, step: int, value: int) -> int:
-        return self._step_base(step) + value
+        return self.state_bases[step] - self._shot_block + value
 
     def col_shot_var(self, step: int, value: int) -> int:
-        return self._step_base(step) + (self.height + 1) + value
+        return self.state_bases[step] - self._shot_block + (self.height + 1) + value
 
     def wall_fall_var(self, step: int, value: int) -> int:
-        return self._step_base(step) + (self.height + 1) + (self.width + 1) + value
+        return self.state_bases[step] - (self.height + 1) + value
 
 
 @dataclass(frozen=True)
@@ -333,13 +326,6 @@ class _Builder:
         return self.memo[key]
 
 
-@dataclass(frozen=True)
-class _Template:
-    var_count: int
-    clauses: tuple[tuple[int, ...], ...]
-    varmap: VarMap
-
-
 def encode(
     instance: Instance, options: EncodeOptions
 ) -> tuple[CnfFormula, VarMap]:
@@ -357,74 +343,84 @@ def encode(
     if fixed is not None and not 1 <= fixed <= colours:
         raise ValueError(f"initial hand {fixed} outside 1..{colours}")
 
-    goal_empties = instance.block_total - instance.goal
-    template = _build_template(
-        instance.grid.height,
-        instance.grid.width,
-        colours,
-        options.steps,
-        goal_empties,
-        options.progress_encoding,
-    )
+    height, width = instance.grid.height, instance.grid.width
+    chain = _chain(height, width, colours, options.progress_encoding)
+    try:
+        var_count, clause_count, varmap = chain.grow(options.steps)
+    except BaseException:
+        _chain.cache_clear()  # a half-emitted step must not be reused
+        raise
     formula = CnfFormula()
-    formula.var_count = template.var_count
-    formula.clauses = list(template.clauses)
-    varmap = template.varmap
-    for r in range(1, instance.grid.height + 1):
-        for c in range(1, instance.grid.width + 1):
+    formula.var_count = var_count
+    formula.clauses = chain.formula.clauses[:clause_count]
+    goal_empties = instance.block_total - instance.goal
+    if goal_empties > 0:
+        at_least_k(
+            formula,
+            [
+                varmap.grid_var(options.steps, r, c, EMPTY)
+                for r in range(1, height + 1)
+                for c in range(1, width + 1)
+            ],
+            goal_empties,
+        )
+    for r in range(1, height + 1):
+        for c in range(1, width + 1):
             formula.add_clause((varmap.grid_var(0, r, c, instance.grid.at(r, c)),))
     if fixed is not None:
         formula.add_clause((varmap.hand_var(0, fixed),))
     return formula, varmap
 
 
-@lru_cache(maxsize=None)
-def _build_template(
-    height: int,
-    width: int,
-    colours: int,
-    steps: int,
-    goal_empties: int,
-    progress: str,
-) -> _Template:
-    varmap = VarMap(height, width, colours, steps)
-    f = CnfFormula()
-    f.alloc_block(varmap.primary_count)
-    b = _Builder(f, varmap)
+class _Chain:
+    """The one-hot groups and transition rules of steps 0, 1, 2, ... for
+    one grid shape and progress style, each step emitted once.
 
-    for t in range(0, steps + 1):
-        for r in range(1, height + 1):
-            for c in range(1, width + 1):
-                exactly_one(
-                    f, [varmap.grid_var(t, r, c, v) for v in range(colours + 1)]
-                )
-        exactly_one(f, [varmap.hand_var(t, v) for v in range(1, colours + 1)])
-    for s in range(1, steps + 1):
-        exactly_one(f, [varmap.row_shot_var(s, v) for v in range(height + 1)])
-        exactly_one(f, [varmap.col_shot_var(s, v) for v in range(width + 1)])
-        exactly_one(f, [varmap.wall_fall_var(s, v) for v in range(height + 1)])
+    ``ends[s]`` is the ``(var_count, clause_count, VarMap)`` reached at the
+    end of step ``s``; the formula for horizon ``s`` starts with exactly
+    that many variables and clauses.
+    """
 
-    if goal_empties > 0:
-        at_least_k(
-            f,
-            [
-                varmap.grid_var(steps, r, c, EMPTY)
-                for r in range(1, height + 1)
-                for c in range(1, width + 1)
-            ],
-            goal_empties,
-        )
+    def __init__(self, height: int, width: int, colours: int, progress: str):
+        self.formula = CnfFormula()
+        varmap = VarMap(height, width, colours, state_bases=())
+        self.builder = _Builder(self.formula, varmap)
+        self.progress = progress
+        self.ends: list[tuple[int, int, VarMap]] = []
 
-    for s in range(1, steps + 1):
-        _emit_step(b, s, progress)
+    def grow(self, steps: int) -> tuple[int, int, VarMap]:
+        """Append steps up to ``steps``; return the end of that step."""
+        f, b = self.formula, self.builder
+        while len(self.ends) <= steps:
+            s, vm = len(self.ends), b.vm
+            if s > 0:
+                f.alloc_block(vm._shot_block)
+            base = f.alloc_block(vm._state_block)
+            b.vm = vm = replace(vm, state_bases=vm.state_bases + (base,))
+            for r in range(1, vm.height + 1):
+                for c in range(1, vm.width + 1):
+                    exactly_one(
+                        f, [vm.grid_var(s, r, c, v) for v in range(vm.colours + 1)]
+                    )
+            exactly_one(f, [vm.hand_var(s, v) for v in range(1, vm.colours + 1)])
+            if s > 0:
+                _emit_step(b, s, self.progress)
+            self.ends.append((f.var_count, len(f.clauses), vm))
+        return self.ends[steps]
 
-    return _Template(f.var_count, tuple(f.clauses), varmap)
+
+# Only the latest shape's chain is kept: a solve probes its horizons in order
+# on one shape, and a chain per shape seen would grow without bound.
+_chain = lru_cache(maxsize=1)(_Chain)
 
 
 def _emit_step(b: _Builder, s: int, progress: str) -> None:
     vm = b.vm
     H, W = vm.height, vm.width
 
+    exactly_one(b.f, [vm.row_shot_var(s, v) for v in range(H + 1)])
+    exactly_one(b.f, [vm.col_shot_var(s, v) for v in range(W + 1)])
+    exactly_one(b.f, [vm.wall_fall_var(s, v) for v in range(H + 1)])
     # one axis fired per step
     b.f.add_clause((vm.row_shot_var(s, 0), vm.col_shot_var(s, 0)))
     b.f.add_clause((-vm.row_shot_var(s, 0), -vm.col_shot_var(s, 0)))

@@ -446,10 +446,13 @@ def bfs_optimal(
     plans go to the smaller initial hand, and within one search to
     breadth-first visit order with rows expanded before columns.
 
-    Raises :class:`CapacityExceededError` past ``state_cap`` visited states.
+    Raises :class:`CapacityExceededError` past ``state_cap`` visited states
+    and :class:`ValueError` for a missing goal or a negative ``max_steps``.
     """
     if instance.goal is None:
         raise ValueError("instance has no goal")
+    if max_steps < 0:
+        raise ValueError(f"max steps {max_steps} is below 0")
     goal = instance.goal
     if is_goal(instance.grid, goal):
         return OptimalPlan(0, 1, ())
@@ -471,13 +474,12 @@ def _bfs_from(
     shots = _all_shots(grid)
     start = (grid.cells, hand0)
     parents: dict = {start: None}
-    frontier = [start]
+    frontier = [(start, grid)]
     depth = 0
     while frontier and depth < max_steps:
         depth += 1
         next_frontier = []
-        for state in frontier:
-            g = Grid(state[0])
+        for state, g in frontier:
             hand = state[1]
             for shot in shots:
                 try:
@@ -500,6 +502,6 @@ def _bfs_from(
                         plan.append(used)
                     plan.reverse()
                     return depth, tuple(plan)
-                next_frontier.append(nxt)
+                next_frontier.append((nxt, out.next_grid))
         frontier = next_frontier
     return None

@@ -309,6 +309,15 @@ class TestOracleCommand:
         assert code == 20
         assert stdout.strip() == "NONE"
 
+    def test_negative_max_steps_exits_2(self, tmp_path, capsys):
+        inst = write_inst(tmp_path, [[1, 1], [1, 1]])
+        code, stdout, err = run(
+            ["oracle", "--instance", inst, "--goal", "0", "--max-steps", "-3"],
+            capsys,
+        )
+        assert code == 2 and stdout == ""
+        assert_one_line_failure(err)
+
     def test_capacity_refusal_on_9x9(self, tmp_path, capsys):
         rows = [[(r + c) % 3 + 1 for c in range(9)] for r in range(9)]
         inst = write_inst(tmp_path, rows)

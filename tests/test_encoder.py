@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from plotting_solver import encoder
 from plotting_solver.cnf import dimacs_text, dpll_solve
 from plotting_solver.encoder import (
     PROGRESS_CARDINALITY,
+    PROGRESS_MODES,
     PROGRESS_WITNESS,
     EncodeOptions,
     InvalidHorizonError,
@@ -110,6 +112,76 @@ class TestEncodeExamples:
         assert dimacs_text(encode(inst, opts)[0]) == dimacs_text(
             encode(inst, opts)[0]
         )
+
+
+class TestSharedSteps:
+    """Horizons of one grid shape share the steps ``encode`` emitted for
+    earlier calls; none of that may show in a formula."""
+
+    GRID = g([[1, 2, 1], [2, 1, 2]])
+    OTHER = Instance(g([[1, 2], [2, 2], [1, 1]]), 0)
+
+    @pytest.mark.parametrize("mode", PROGRESS_MODES)
+    def test_formula_does_not_depend_on_earlier_calls(self, mode):
+        inst = Instance(self.GRID, 1)
+
+        def text(steps, instance=inst):
+            opts = EncodeOptions(steps=steps, progress_encoding=mode)
+            return dimacs_text(encode(instance, opts)[0])
+
+        encoder._chain.cache_clear()
+        cold = text(3)
+        encoder._chain.cache_clear()
+        for lower in (1, 2):
+            text(lower)
+        assert text(3) == cold
+        text(3, self.OTHER)
+        assert text(3) == cold
+        text(5)
+        assert text(3) == cold
+
+    def test_returned_formula_is_not_changed_by_later_calls(self):
+        inst = Instance(self.GRID, 1)
+        formula, _ = encode(inst, EncodeOptions(steps=2))
+        before = dimacs_text(formula)
+        encode(inst, EncodeOptions(steps=4))
+        encode(inst, EncodeOptions(steps=1, fixed_initial_hand=2))
+        encode(self.OTHER, EncodeOptions(steps=2))
+        assert dimacs_text(formula) == before
+        formula.add_clause((1,))
+        assert dimacs_text(encode(inst, EncodeOptions(steps=2))[0]) == before
+
+    def test_interrupted_growth_is_not_reused(self, monkeypatch):
+        inst = Instance(self.GRID, 1)
+        encoder._chain.cache_clear()
+        cold = dimacs_text(encode(inst, EncodeOptions(steps=3))[0])
+        encoder._chain.cache_clear()
+        emit_step = encoder._emit_step
+
+        def interrupted(b, s, progress):
+            if s == 2:
+                raise KeyboardInterrupt
+            emit_step(b, s, progress)
+
+        monkeypatch.setattr(encoder, "_emit_step", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            encode(inst, EncodeOptions(steps=3))
+        monkeypatch.setattr(encoder, "_emit_step", emit_step)
+        assert dimacs_text(encode(inst, EncodeOptions(steps=3))[0]) == cold
+
+    def test_each_horizon_extends_the_one_before(self):
+        inst = Instance(self.GRID, 1)
+        # at goal = blocks there is no goal counter, so only the six step-0
+        # unit clauses follow the steps
+        no_goal = Instance(self.GRID, 6)
+        for steps in range(1, 5):
+            plain = encode(no_goal, EncodeOptions(steps=steps))[0].clauses
+            shared, tail = plain[:-6], plain[-6:]
+            this = encode(inst, EncodeOptions(steps=steps))[0].clauses
+            longer = encode(inst, EncodeOptions(steps=steps + 1))[0].clauses
+            assert this[: len(shared)] == shared
+            assert this[-6:] == tail
+            assert longer[: len(shared)] == shared
 
 
 class TestDecode:

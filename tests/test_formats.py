@@ -95,3 +95,50 @@ def test_bad_instances_rejected(text):
 def test_bad_plans_rejected(text):
     with pytest.raises(FormatError):
         parse_plan(text)
+
+
+# Written files with a few words or lines replaced, dropped or inserted
+# reach every parser branch; arbitrary text rarely gets past the header.
+_WORDS = st.one_of(
+    st.sampled_from(
+        ["plotting-instance", "plotting-plan", "v1", "size", "goal", "grid",
+         "hand", "row", "col", "0", "1", "2", "-1", "10", "1.5", "x", ""]
+    ),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def damaged_files(draw):
+    text = draw(
+        st.one_of(
+            st.builds(write_instance, instances()),
+            plans().map(lambda plan: write_plan(*plan)),
+        )
+    )
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        # edit the words of line ``at``, or of a new line inserted there;
+        # a line left with no words is dropped by the parsers
+        at = draw(st.integers(0, len(lines)))
+        insert = at == len(lines) or draw(st.booleans())
+        words = [] if insert else lines[at].split()
+        k = draw(st.integers(0, len(words)))
+        words[k : k + draw(st.integers(0, 1))] = draw(st.lists(_WORDS, max_size=3))
+        lines[at : at if insert else at + 1] = [" ".join(words)]
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(damaged_files(), st.text()))
+def test_parsers_return_a_value_or_raise_format_error(text):
+    try:
+        assert isinstance(parse_instance(text), Instance)
+    except FormatError:
+        pass
+    try:
+        hand, shots = parse_plan(text)
+        assert hand >= 1
+        assert all(isinstance(shot, (RowShot, ColShot)) for shot in shots)
+    except FormatError:
+        pass

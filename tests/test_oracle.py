@@ -191,6 +191,13 @@ class TestBfsOptimal:
         assert best is not None
         assert (best.length, best.hand0) == (1, 2)
 
+    def test_negative_max_steps_is_rejected(self):
+        # also before the goal-met shortcut: a negative bound is a caller
+        # error, not a claim that no plan exists
+        for goal in (0, 4):
+            with pytest.raises(ValueError, match="below 0"):
+                bfs_optimal(Instance(g([[1, 1], [1, 1]]), goal), -3)
+
     def test_proved_none(self):
         # hand colour is forced to useless values quickly on this grid
         assert bfs_optimal(Instance(g([[1, 2], [2, 1]]), 0), 4) is None
