@@ -6,59 +6,25 @@ independent constraint-case oracle and breadth-first planner
 bounded-horizon CNF encoder (:mod:`.encoder`), the horizon-iterating
 planner (:mod:`.planner`), an instance generator (:mod:`.generator`), file
 formats (:mod:`.formats`) and a command-line front end (:mod:`.cli`).
+The top level exports the entry points and the values they take, return
+and raise; every other name is imported from its submodule.
 """
 
-from .engine import (
-    ColShot,
-    Grid,
-    Instance,
-    NullMoveError,
-    OutOfRangeError,
-    RowShot,
-    Shot,
-    ShotError,
-    TransitionOutcome,
-    apply_shot,
-    block_count,
-    colour_sum,
-    is_goal,
-    legal_shots,
-    wall_fall,
-)
-from .oracle import (
-    CapacityExceededError,
-    OptimalPlan,
-    TransitionCandidate,
-    bfs_optimal,
-    check_transition,
-    enumerate_successors,
-)
+from .engine import ColShot, Grid, Instance, RowShot, Shot
+from .oracle import CapacityExceededError, OptimalPlan, bfs_optimal
 from .planner import PlanResult, ValidationReport, solve, validate_plan
 
 __all__ = [
-    "ColShot",
-    "Grid",
-    "Instance",
-    "NullMoveError",
-    "OutOfRangeError",
-    "RowShot",
-    "Shot",
-    "ShotError",
-    "TransitionOutcome",
-    "apply_shot",
-    "block_count",
-    "colour_sum",
-    "is_goal",
-    "legal_shots",
-    "wall_fall",
-    "CapacityExceededError",
-    "OptimalPlan",
-    "TransitionCandidate",
-    "bfs_optimal",
-    "check_transition",
-    "enumerate_successors",
-    "PlanResult",
-    "ValidationReport",
     "solve",
     "validate_plan",
+    "bfs_optimal",
+    "Grid",
+    "Instance",
+    "RowShot",
+    "ColShot",
+    "Shot",
+    "PlanResult",
+    "ValidationReport",
+    "OptimalPlan",
+    "CapacityExceededError",
 ]

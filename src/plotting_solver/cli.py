@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     p.add_argument("--max-steps", type=int)
     p.add_argument("--hand", type=int, help="pin the initial hand colour")
     p.add_argument("--emit-cnf", help="directory for per-horizon DIMACS files")
-    p.add_argument("--timeout", type=float, help="per-horizon seconds (external)")
+    p.add_argument("--timeout", type=float, help="per-horizon seconds")
     p.add_argument(
         "--progress",
         choices=PROGRESS_MODES,

@@ -2,9 +2,11 @@
 
 Literals are signed integers: variable ids start at 1 and ``-v`` is the
 negation of ``v``, as in DIMACS. The built-in :func:`dpll_solve` is a plain
-DPLL with two-watched-literal unit propagation, complete within its decision
-budget; :func:`external_solve` shells out to any solver that takes a DIMACS
-path argument and prints SAT-competition style ``s``/``v`` lines.
+DPLL with two-watched-literal unit propagation, complete unless its deadline
+passes; :func:`external_solve` shells out to any solver that takes a DIMACS
+path argument and prints SAT-competition style ``s``/``v`` lines. Both take
+a ``timeout`` in seconds and report an unknown outcome with reason
+``"timeout"`` when it runs out.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import shlex
 import subprocess
 import tempfile
+import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -205,14 +208,17 @@ def _verify_model(formula: CnfFormula, model: Sequence[bool]) -> bool:
     return True
 
 
-def dpll_solve(formula: CnfFormula, budget: Optional[int] = None) -> SatOutcome:
+def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutcome:
     """Complete DPLL with unit propagation and lowest-index-first branching.
 
     Branching always picks the lowest-index unassigned variable and tries
-    true before false, so results are deterministic. ``budget`` caps the
-    number of decisions; exceeding it yields an unknown outcome. Sat models
-    are re-verified against the clause list before being returned.
+    true before false, so results are deterministic. ``timeout`` seconds,
+    counted from entry, bound the search: the deadline is checked before
+    each decision, and once it has passed the outcome is unknown with
+    reason ``"timeout"``. Sat models are re-verified against the clause list
+    before being returned.
     """
+    deadline = None if timeout is None else time.monotonic() + timeout
     nvars = formula.var_count
     cls = [list(c) for c in formula.clauses]
     assign = bytearray(nvars + 1)  # 0 unset, 1 true, 2 false
@@ -279,7 +285,6 @@ def dpll_solve(formula: CnfFormula, budget: Optional[int] = None) -> SatOutcome:
     if not propagate(0):
         return SatOutcome.unsat()
 
-    decisions = 0
     # stack of (decided var, tried_negative_yet, trail length before decision)
     stack: list[tuple[int, bool, int]] = []
     next_var = 1
@@ -293,9 +298,8 @@ def dpll_solve(formula: CnfFormula, budget: Optional[int] = None) -> SatOutcome:
             if not _verify_model(formula, model):
                 raise RuntimeError("internal solver produced a bad model")
             return SatOutcome.sat(model)
-        if budget is not None and decisions >= budget:
-            return SatOutcome.unknown("decision budget exhausted")
-        decisions += 1
+        if deadline is not None and time.monotonic() >= deadline:
+            return SatOutcome.unknown("timeout")
         stack.append((next_var, False, len(trail)))
         assign[next_var] = 1
         trail.append(next_var)

@@ -85,10 +85,6 @@ class VarMap:
     def _shot_block(self) -> int:
         return (self.height + 1) + (self.width + 1) + (self.height + 1)
 
-    @property
-    def primary_count(self) -> int:
-        return (self.steps + 1) * self._state_block + self.steps * self._shot_block
-
     def grid_var(self, step: int, row: int, col: int, value: int) -> int:
         offset = ((row - 1) * self.width + (col - 1)) * (self.colours + 1) + value
         return self.state_bases[step] + offset

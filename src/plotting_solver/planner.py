@@ -9,6 +9,7 @@ before being reported.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -117,17 +118,6 @@ def validate_plan(
     )
 
 
-def _solve_formula(
-    formula: cnf.CnfFormula,
-    backend: Backend,
-    timeout: Optional[float],
-    dpll_budget: Optional[int],
-) -> cnf.SatOutcome:
-    if backend == INTERNAL_BACKEND:
-        return cnf.dpll_solve(formula, budget=dpll_budget)
-    return cnf.external_solve(formula, backend, timeout=timeout)
-
-
 def solve(
     instance: Instance,
     backend: Backend = INTERNAL_BACKEND,
@@ -136,7 +126,6 @@ def solve(
     *,
     fixed_hand: Optional[int] = None,
     progress_encoding: str = encoder.PROGRESS_WITNESS,
-    dpll_budget: Optional[int] = None,
     emit_cnf_dir: Optional[Union[str, os.PathLike]] = None,
 ) -> PlanResult:
     """Find a minimal-length plan for ``instance``.
@@ -145,9 +134,12 @@ def solve(
     satisfiable horizon, NoPlanWithinBound when every horizon up to the
     bound is unsatisfiable, and Unknown when some horizon below the first
     satisfiable one was undecided (minimality would be unproven).
+    ``per_horizon_timeout`` bounds each horizon's solver call on either
+    backend; a horizon that runs out is undecided.
 
     Raises :class:`ValueError` for a missing goal, a ``fixed_hand`` outside
-    the instance's colours or a negative ``max_steps``.
+    the instance's colours, a negative ``max_steps`` or a
+    ``per_horizon_timeout`` that is not a positive finite number.
     """
     if instance.goal is None:
         raise ValueError("instance has no goal")
@@ -157,6 +149,10 @@ def solve(
         )
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max steps {max_steps} is below 0")
+    if per_horizon_timeout is not None and not 0 < per_horizon_timeout < math.inf:
+        raise ValueError(
+            f"timeout {per_horizon_timeout} is not a positive finite number"
+        )
     if engine.is_goal(instance.grid, instance.goal):
         return PlanResult(
             status="found", horizon=0, hand0=fixed_hand or 1, plan=(), max_steps=0
@@ -168,6 +164,7 @@ def solve(
 
     statuses: list[tuple[int, str]] = []
     saw_unknown = False
+    trace = None
     for steps in range(1, bound + 1):
         options = encoder.EncodeOptions(
             steps=steps,
@@ -179,7 +176,12 @@ def solve(
             path = Path(emit_cnf_dir) / f"phi_{steps}.cnf"
             with open(path, "w") as fh:
                 cnf.write_dimacs(formula, fh)
-        outcome = _solve_formula(formula, backend, per_horizon_timeout, dpll_budget)
+        if backend == INTERNAL_BACKEND:
+            outcome = cnf.dpll_solve(formula, timeout=per_horizon_timeout)
+        else:
+            outcome = cnf.external_solve(
+                formula, backend, timeout=per_horizon_timeout
+            )
         if outcome.is_sat:
             statuses.append((steps, "sat"))
             trace = encoder.decode(outcome.model, varmap)
@@ -189,29 +191,23 @@ def solve(
                     f"decoded plan failed validation at horizon {steps}: "
                     f"{report.reason}"
                 )
-            if saw_unknown:
-                return PlanResult(
-                    status="unknown",
-                    max_steps=bound,
-                    horizon_statuses=tuple(statuses),
-                )
-            return PlanResult(
-                status="found",
-                horizon=steps,
-                hand0=trace.initial_hand,
-                plan=trace.shots,
-                max_steps=bound,
-                horizon_statuses=tuple(statuses),
-            )
+            break
         if outcome.is_unsat:
             statuses.append((steps, "unsat"))
         else:
             statuses.append((steps, f"unknown: {outcome.reason}"))
             saw_unknown = True
-    if saw_unknown:
+    if saw_unknown or trace is None:
         return PlanResult(
-            status="unknown", max_steps=bound, horizon_statuses=tuple(statuses)
+            status="unknown" if saw_unknown else "unsat",
+            max_steps=bound,
+            horizon_statuses=tuple(statuses),
         )
     return PlanResult(
-        status="unsat", max_steps=bound, horizon_statuses=tuple(statuses)
+        status="found",
+        horizon=len(statuses),
+        hand0=trace.initial_hand,
+        plan=trace.shots,
+        max_steps=bound,
+        horizon_statuses=tuple(statuses),
     )

@@ -9,6 +9,8 @@ from plotting_solver.engine import Grid, Instance
 
 from conftest import MINI_SOLVER_CMD
 
+MINI_BACKEND = "external:" + " ".join(shlex.quote(p) for p in MINI_SOLVER_CMD)
+
 
 def run(args, capsys):
     code = cli.main(args)
@@ -142,11 +144,19 @@ class TestSolve:
         assert code == 30 and stdout.splitlines()[0] == "UNKNOWN"
         assert "horizon 1" in err
 
+    def test_internal_timeout_exit_30(self, tmp_path, capsys):
+        inst = write_inst(tmp_path, [[1, 2], [2, 1]])
+        code, stdout, err = run(
+            ["solve", "--instance", inst, "--goal", "1", "--timeout", "1e-9"],
+            capsys,
+        )
+        assert code == 30 and stdout.splitlines()[0] == "UNKNOWN"
+        assert "horizon 1: unknown: timeout" in err.splitlines()
+
     def test_external_backend_via_flag(self, tmp_path, capsys):
         inst = write_inst(tmp_path, [[1, 1], [1, 1]])
-        backend = "external:" + " ".join(shlex.quote(p) for p in MINI_SOLVER_CMD)
         code, stdout, _ = run(
-            ["solve", "--instance", inst, "--goal", "0", "--backend", backend],
+            ["solve", "--instance", inst, "--goal", "0", "--backend", MINI_BACKEND],
             capsys,
         )
         assert code == 0
@@ -199,8 +209,15 @@ class TestSolve:
             (["--max-steps", "-3"], 2),
             (["--backend", "external:/nonexistent/solver"], 2),
             (["--backend", "external:echo s SATISFIABLE"], 1),
+            (["--backend", MINI_BACKEND, "--timeout", "nan"], 2),
+            (["--backend", MINI_BACKEND, "--timeout", "inf"], 2),
+            (["--backend", MINI_BACKEND, "--timeout", "0"], 2),
+            (["--backend", MINI_BACKEND, "--timeout", "-5"], 2),
         ],
-        ids=["hand-outside-colours", "negative-max-steps", "spawn", "parse"],
+        ids=[
+            "hand-outside-colours", "negative-max-steps", "spawn", "parse",
+            "timeout-nan", "timeout-inf", "timeout-zero", "timeout-negative",
+        ],
     )
     def test_failure_is_one_line_with_exit_code(self, tmp_path, capsys, flags, code):
         inst = write_inst(tmp_path, [[1, 2], [2, 1]])

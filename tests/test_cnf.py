@@ -1,5 +1,6 @@
 import itertools
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -216,9 +217,25 @@ class TestDpll:
         for a in lits[:3]:
             for b in lits[3:]:
                 f.add_clause((-a, -b))
-        out = dpll_solve(f, budget=1)
-        assert out.status == "unknown"
+        # the deadline passes before the first decision
+        out = dpll_solve(f, timeout=1e-9)
+        assert out.status == "unknown" and out.reason == "timeout"
         assert dpll_solve(f).is_unsat
+
+    def test_timeout_bounds_a_hard_refutation(self):
+        # 10 pigeons in 9 holes: DPLL needs exponentially many decisions
+        # (9 in 8 already takes seconds), so only the deadline ends the search
+        f = CnfFormula()
+        holes = [[f.new_var() for _ in range(9)] for _ in range(10)]
+        for pigeon in holes:
+            f.add_clause(pigeon)
+        for hole in zip(*holes):
+            for a, b in itertools.combinations(hole, 2):
+                f.add_clause((-a, -b))
+        start = time.monotonic()
+        out = dpll_solve(f, timeout=0.2)
+        assert out.status == "unknown" and out.reason == "timeout"
+        assert time.monotonic() - start < 5.0
 
     def test_single_block_single_step_encoding_is_sat(self):
         from plotting_solver.encoder import EncodeOptions, encode

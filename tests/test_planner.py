@@ -33,7 +33,16 @@ class TestSolve:
         assert validate_plan(inst, res.hand0, res.plan).ok
 
     @pytest.mark.parametrize(
-        "kwargs", [{"fixed_hand": 7}, {"fixed_hand": 0}, {"max_steps": -3}]
+        "kwargs",
+        [
+            {"fixed_hand": 7},
+            {"fixed_hand": 0},
+            {"max_steps": -3},
+            {"per_horizon_timeout": 0.0},
+            {"per_horizon_timeout": -5.0},
+            {"per_horizon_timeout": float("inf")},
+            {"per_horizon_timeout": float("nan")},
+        ],
     )
     def test_bad_arguments_rejected_before_goal_check(self, kwargs):
         with pytest.raises(ValueError):
@@ -62,9 +71,9 @@ class TestSolve:
         assert res.max_steps == 1
 
     def test_budget_starvation_reports_unknown(self):
-        res = solve(Instance(g([[1, 2], [2, 1]]), 1), dpll_budget=0)
+        res = solve(Instance(g([[1, 2], [2, 1]]), 1), per_horizon_timeout=1e-9)
         assert res.status == "unknown"
-        assert any("unknown" in status for _, status in res.horizon_statuses)
+        assert any(status == "unknown: timeout" for _, status in res.horizon_statuses)
 
     def test_minimality_matches_breadth_first(self):
         rng = random.Random(31)
