@@ -7,8 +7,12 @@ Example:
         --seeds 1 2 3 --goals 5 10 15 --backend "external:minisat" --timeout 60
 
 For every (seed, goal) pair the planner probes horizons 1..blocks-goal and
-the script prints each horizon's status and wall time, which makes the
-satisfiability flip at the minimal horizon easy to eyeball.
+the script prints the plan length found, the outcome, the total wall time
+of that one ``planner.solve`` call and, in the ``per_horizon`` column, each
+probed horizon's status, which makes the satisfiability flip at the minimal
+horizon easy to eyeball. A failure the command-line interface maps to an
+exit code (a rejected argument, a backend that cannot be started or gives
+malformed output) ends the sweep with its one stderr line and that code.
 """
 
 import argparse
@@ -18,8 +22,34 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from plotting_solver import planner
+from plotting_solver import cli, planner
 from plotting_solver.generator import GeneratorSpec, random_instance
+
+
+def sweep(args):
+    backend = args.backend
+    if backend.startswith("external:"):
+        backend = backend[len("external:") :]
+
+    print("seed goal horizon status time_s per_horizon")
+    for seed in args.seeds:
+        spec = GeneratorSpec(args.height, args.width, args.colours, seed=seed)
+        base = random_instance(spec)
+        for goal in args.goals:
+            instance = base.with_goal(goal)
+            t0 = time.perf_counter()
+            result = planner.solve(
+                instance,
+                backend=backend,
+                per_horizon_timeout=args.timeout,
+            )
+            elapsed = time.perf_counter() - t0
+            statuses = ",".join(st for _, st in result.horizon_statuses)
+            horizon = result.horizon if result.found else "-"
+            print(
+                f"{seed} {goal} {horizon} {result.status} "
+                f"{elapsed:.2f} {statuses}"
+            )
 
 
 def main():
@@ -32,31 +62,15 @@ def main():
     ap.add_argument("--backend", default="internal")
     ap.add_argument("--timeout", type=float, help="per-horizon seconds")
     args = ap.parse_args()
-
-    backend = args.backend
-    if backend.startswith("external:"):
-        backend = backend[len("external:") :]
-
-    print("seed goal horizon status time_s per_horizon")
-    for seed in args.seeds:
-        spec = GeneratorSpec(args.height, args.width, args.colours, seed=seed)
-        base = random_instance(spec)
-        for goal in args.goals:
-            instance = base.with_goal(goal)
-            t0 = time.time()
-            result = planner.solve(
-                instance,
-                backend=backend,
-                per_horizon_timeout=args.timeout,
-            )
-            elapsed = time.time() - t0
-            statuses = ",".join(st for _, st in result.horizon_statuses)
-            horizon = result.horizon if result.found else "-"
-            print(
-                f"{seed} {goal} {horizon} {result.status} "
-                f"{elapsed:.2f} {statuses}"
-            )
+    try:
+        sweep(args)
+    except Exception as exc:
+        code = cli.report_failure(exc)
+        if code is None:
+            raise
+        return code
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

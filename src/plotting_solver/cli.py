@@ -26,6 +26,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import cnf, formats, generator, oracle, planner
 from .encoder import PROGRESS_MODES, PROGRESS_WITNESS
@@ -52,6 +53,18 @@ FAILURES = (
     (OSError, EXIT_IO, "write failed"),
     (ValueError, EXIT_USAGE, "error"),
 )
+
+
+def report_failure(exc: Exception) -> Optional[int]:
+    """Print the stderr line of a failure in ``FAILURES``; its exit code.
+
+    Returns None, printing nothing, for an exception the table does not list.
+    """
+    for kind, code, label in FAILURES:
+        if isinstance(exc, kind):
+            print(f"{label}: {exc}", file=sys.stderr)
+            return code
+    return None
 
 
 def _read(path: str) -> str:
@@ -260,11 +273,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
-        for kind, code, label in FAILURES:
-            if isinstance(exc, kind):
-                print(f"{label}: {exc}", file=sys.stderr)
-                return code
-        raise
+        code = report_failure(exc)
+        if code is None:
+            raise
+        return code
 
 
 if __name__ == "__main__":

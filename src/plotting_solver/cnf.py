@@ -2,11 +2,14 @@
 
 Literals are signed integers: variable ids start at 1 and ``-v`` is the
 negation of ``v``, as in DIMACS. The built-in :func:`dpll_solve` is a plain
-DPLL with two-watched-literal unit propagation, complete unless its deadline
-passes; :func:`external_solve` shells out to any solver that takes a DIMACS
-path argument and prints SAT-competition style ``s``/``v`` lines. Both take
-a ``timeout`` in seconds and report an unknown outcome with reason
-``"timeout"`` when it runs out.
+DPLL, complete unless its deadline passes. Its unit propagation keeps every
+binary clause as two implications in per-literal lists (setting ``a`` true
+forces each literal listed under ``a``) and watches two literals of every
+longer clause; its assignment is one list indexed by signed literal, as are
+the implication and watch lists. :func:`external_solve` shells out to any
+solver that takes a DIMACS path argument and prints SAT-competition style
+``s``/``v`` lines. Both take a ``timeout`` in seconds and report an unknown
+outcome with reason ``"timeout"`` when it runs out.
 """
 
 from __future__ import annotations
@@ -43,7 +46,11 @@ class Gate(Enum):
 
 
 class CnfFormula:
-    """A clause database with sequential variable allocation."""
+    """A clause database with sequential variable allocation.
+
+    Every literal in ``clauses`` lies within ``±var_count``: ``add_clause``
+    checks it, and the solvers' literal-indexed lists rely on it.
+    """
 
     def __init__(self) -> None:
         self.var_count = 0
@@ -202,8 +209,17 @@ def dimacs_text(formula: CnfFormula) -> str:
 
 
 def _verify_model(formula: CnfFormula, model: Sequence[bool]) -> bool:
+    """Whether ``model`` (indexed by var id) satisfies every clause."""
+    n = formula.var_count
+    # truth[lit] for signed lit: -v wraps to index 2n + 1 - v
+    truth = [False]
+    truth += model[1 : n + 1]
+    truth += [not model[v] for v in range(n, 0, -1)]
     for clause in formula.clauses:
-        if not any(model[lit] if lit > 0 else not model[-lit] for lit in clause):
+        for lit in clause:
+            if truth[lit]:
+                break
+        else:
             return False
     return True
 
@@ -212,76 +228,88 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
     """Complete DPLL with unit propagation and lowest-index-first branching.
 
     Branching always picks the lowest-index unassigned variable and tries
-    true before false, so results are deterministic. ``timeout`` seconds,
-    counted from entry, bound the search: the deadline is checked before
-    each decision, and once it has passed the outcome is unknown with
-    reason ``"timeout"``. Sat models are re-verified against the clause list
-    before being returned.
+    true before false, backtracking chronologically. Unit propagation only
+    sets literals that every model extending the current assignment shares,
+    so the search meets the models in brute-force order: the model returned
+    is the first satisfying assignment when assignments are enumerated with
+    variable 1 most significant and true before false, and the outcome is
+    unsat exactly when no assignment satisfies the formula. ``timeout``
+    seconds, counted from entry, bound the search: the deadline is checked
+    before each decision, and once it has passed the outcome is unknown
+    with reason ``"timeout"``. Sat models are re-verified against the clause
+    list before being returned.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
     nvars = formula.var_count
-    cls = [list(c) for c in formula.clauses]
-    assign = bytearray(nvars + 1)  # 0 unset, 1 true, 2 false
-    watches: list[list[int]] = [[] for _ in range(2 * nvars + 2)]
+    # Lists indexed by signed literal: -v wraps to index 2 * nvars + 1 - v.
+    size = 2 * nvars + 1
+    is_true = [False] * size  # a variable is unassigned when both are False
+    implied: list[list[int]] = [[] for _ in range(size)]  # binary clauses
+    watches: list[list[list[int]]] = [[] for _ in range(size)]  # the rest
     units: list[int] = []
-    for ci, clause in enumerate(cls):
-        if len(clause) == 1:
+    for clause in formula.clauses:
+        if len(clause) == 2:
+            a, b = clause
+            implied[-a].append(b)
+            implied[-b].append(a)
+        elif len(clause) == 1:
             units.append(clause[0])
         else:
-            a, b = clause[0], clause[1]
-            watches[(a << 1) if a > 0 else ((-a) << 1) | 1].append(ci)
-            watches[(b << 1) if b > 0 else ((-b) << 1) | 1].append(ci)
+            c = list(clause)  # c[0] and c[1] are the watched literals
+            watches[c[0]].append(c)
+            watches[c[1]].append(c)
 
     trail: list[int] = []
 
-    def propagate(qhead: int) -> bool:
-        """Propagate from trail position ``qhead``; False on conflict."""
-        while qhead < len(trail):
-            lit = trail[qhead]
-            qhead += 1
-            neg = -lit
-            wl = watches[(neg << 1) if neg > 0 else ((-neg) << 1) | 1]
+    def propagate(head: int) -> bool:
+        """Propagate from trail position ``head``; False on conflict."""
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            for q in implied[lit]:
+                if not is_true[q]:
+                    if is_true[-q]:
+                        return False
+                    is_true[q] = True
+                    trail.append(q)
+            false_lit = -lit
+            ws = watches[false_lit]
             i = 0
-            while i < len(wl):
-                ci = wl[i]
-                c = cls[ci]
-                if c[0] == neg:
-                    c[0] = c[1]
-                    c[1] = neg
-                first = c[0]
-                fv = assign[first] if first > 0 else assign[-first]
-                if fv != 0 and (fv == 1) == (first > 0):
+            n = len(ws)
+            while i < n:
+                c = ws[i]
+                other = c[0]
+                if other == false_lit:
+                    other = c[1]
+                    c[0] = other
+                    c[1] = false_lit
+                if is_true[other]:
                     i += 1
                     continue
                 for k in range(2, len(c)):
                     lk = c[k]
-                    kv = assign[lk] if lk > 0 else assign[-lk]
-                    if kv == 0 or (kv == 1) == (lk > 0):
+                    if not is_true[-lk]:
                         c[1] = lk
-                        c[k] = neg
-                        watches[(lk << 1) if lk > 0 else ((-lk) << 1) | 1].append(ci)
-                        wl[i] = wl[-1]
-                        wl.pop()
+                        c[k] = false_lit
+                        watches[lk].append(c)
+                        n -= 1
+                        ws[i] = ws[n]
+                        ws.pop()
                         break
                 else:
-                    if fv != 0:
+                    if is_true[-other]:
                         return False
-                    if first > 0:
-                        assign[first] = 1
-                    else:
-                        assign[-first] = 2
-                    trail.append(first)
+                    is_true[other] = True
+                    trail.append(other)
                     i += 1
         return True
 
     for lit in units:
-        var = lit if lit > 0 else -lit
-        want = 1 if lit > 0 else 2
-        if assign[var] == 0:
-            assign[var] = want
-            trail.append(lit)
-        elif assign[var] != want:
+        if is_true[-lit]:
             return SatOutcome.unsat()
+        if not is_true[lit]:
+            is_true[lit] = True
+            trail.append(lit)
     if not propagate(0):
         return SatOutcome.unsat()
 
@@ -289,26 +317,24 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
     stack: list[tuple[int, bool, int]] = []
     next_var = 1
     while True:
-        while next_var <= nvars and assign[next_var] != 0:
+        while next_var <= nvars and (is_true[next_var] or is_true[-next_var]):
             next_var += 1
         if next_var > nvars:
-            model = tuple(
-                False if i == 0 else assign[i] == 1 for i in range(nvars + 1)
-            )
+            model = tuple(is_true[: nvars + 1])
             if not _verify_model(formula, model):
                 raise RuntimeError("internal solver produced a bad model")
             return SatOutcome.sat(model)
         if deadline is not None and time.monotonic() >= deadline:
             return SatOutcome.unknown("timeout")
         stack.append((next_var, False, len(trail)))
-        assign[next_var] = 1
+        is_true[next_var] = True
         trail.append(next_var)
         while not propagate(len(trail) - 1):
             # conflict: backtrack to the last decision with an untried polarity
             while stack and stack[-1][1]:
                 var, _, mark = stack.pop()
                 for lit in trail[mark:]:
-                    assign[lit if lit > 0 else -lit] = 0
+                    is_true[lit] = False
                 del trail[mark:]
                 if var < next_var:
                     next_var = var
@@ -316,12 +342,12 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
                 return SatOutcome.unsat()
             var, _, mark = stack.pop()
             for lit in trail[mark:]:
-                assign[lit if lit > 0 else -lit] = 0
+                is_true[lit] = False
             del trail[mark:]
             if var < next_var:
                 next_var = var
             stack.append((var, True, mark))
-            assign[var] = 2
+            is_true[-var] = True
             trail.append(-var)
 
 

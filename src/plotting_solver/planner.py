@@ -38,8 +38,8 @@ class ValidationReport:
 class PlanResult:
     """Found plan, proved absence within the bound, or unknown.
 
-    ``horizon_statuses`` records one entry per probed horizon:
-    ("sat" | "unsat" | "unknown: <reason>").
+    ``horizon_statuses`` records one ``(steps, status)`` pair per probed
+    horizon, in order, where status is "sat", "unsat" or "unknown: <reason>".
     """
 
     status: str  # "found" | "unsat" | "unknown"

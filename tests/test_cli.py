@@ -1,4 +1,5 @@
 import shlex
+import subprocess
 import sys
 
 import pytest
@@ -7,7 +8,7 @@ from plotting_solver import cli, oracle
 from plotting_solver.formats import parse_instance, parse_plan, write_instance
 from plotting_solver.engine import Grid, Instance
 
-from conftest import MINI_SOLVER_CMD
+from conftest import MINI_SOLVER_CMD, SCRIPTS_DIR
 
 MINI_BACKEND = "external:" + " ".join(shlex.quote(p) for p in MINI_SOLVER_CMD)
 
@@ -343,3 +344,27 @@ class TestOracleCommand:
         )
         assert code == 3
         assert "capacity" in err
+
+
+class TestSweepScript:
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--timeout", "0"], 2),
+            (["--backend", "external:/nonexistent/solver"], 2),
+        ],
+        ids=["timeout-zero", "spawn"],
+    )
+    def test_failure_is_one_line_with_exit_code(self, flags, code):
+        proc = subprocess.run(
+            [
+                sys.executable, str(SCRIPTS_DIR / "sweep.py"),
+                "--height", "2", "--width", "2", "--colours", "2",
+                "--seeds", "1", "--goals", "0", *flags,
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == code
+        assert_one_line_failure(proc.stderr)

@@ -13,6 +13,7 @@ from plotting_solver.cnf import (
     InfeasibleBoundError,
     ParseFailureError,
     SpawnFailureError,
+    _verify_model,
     at_least_k,
     dimacs_text,
     dpll_solve,
@@ -22,6 +23,30 @@ from plotting_solver.cnf import (
 )
 
 from conftest import MINI_SOLVER_CMD
+
+
+def satisfies(clauses, values):
+    """Clause-by-clause definition; ``values[v - 1]`` is variable v's value."""
+    return all(any(values[abs(l) - 1] == (l > 0) for l in c) for c in clauses)
+
+
+random_cnf = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.integers(-n, n).filter(bool), min_size=1, max_size=n),
+            max_size=16,
+        ),
+    )
+)
+
+
+def formula_from(n, clauses):
+    f = CnfFormula()
+    f.alloc_block(n)
+    for c in clauses:
+        f.add_clause(c)
+    return f
 
 
 def formula_with_vars(n):
@@ -282,6 +307,37 @@ class TestDpll:
         if out.is_sat:
             for c in clauses:
                 assert any(out.model[l] if l > 0 else not out.model[-l] for l in c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cnf=random_cnf)
+    def test_model_is_first_in_brute_force_order(self, cnf):
+        # variable 1 most significant, true before false
+        n, clauses = cnf
+        first = next(
+            (
+                bits
+                for bits in itertools.product([True, False], repeat=n)
+                if satisfies(clauses, bits)
+            ),
+            None,
+        )
+        out = dpll_solve(formula_from(n, clauses))
+        if first is None:
+            assert out.is_unsat
+        else:
+            assert out.is_sat and out.model == (False,) + first
+
+
+class TestVerifyModel:
+    @settings(max_examples=300, deadline=None)
+    @given(cnf=random_cnf, data=st.data())
+    def test_agrees_with_clause_by_clause_definition(self, cnf, data):
+        n, clauses = cnf
+        bits = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        f = formula_from(n, clauses)
+        want = satisfies(clauses, bits)
+        assert _verify_model(f, [False] + bits) == want
+        assert _verify_model(f, (False,) + tuple(bits)) == want
 
 
 class TestExternalSolve:
