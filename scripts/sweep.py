@@ -7,12 +7,15 @@ Example:
         --seeds 1 2 3 --goals 5 10 15 --backend "external:minisat" --timeout 60
 
 For every (seed, goal) pair the planner probes horizons 1..blocks-goal and
-the script prints the plan length found, the outcome, the total wall time
-of that one ``planner.solve`` call and, in the ``per_horizon`` column, each
-probed horizon's status, which makes the satisfiability flip at the minimal
-horizon easy to eyeball. A failure the command-line interface maps to an
-exit code (a rejected argument, a backend that cannot be started or gives
-malformed output) ends the sweep with its one stderr line and that code.
+the script prints one tab-separated line: the seed, the goal, the plan
+length found, the outcome, the total wall time of that one
+``planner.solve`` call and, in the ``per_horizon`` column, each probed
+horizon's status, comma-separated, which makes the satisfiability flip at
+the minimal horizon easy to eyeball. ``--backend`` takes ``internal`` or
+``external:CMD``, as ``plotting-solver solve`` does. A failure the
+command-line interface maps to an exit code (a rejected argument, a backend
+that cannot be started or gives malformed output) ends the sweep with its
+one stderr line and that code.
 """
 
 import argparse
@@ -27,11 +30,9 @@ from plotting_solver.generator import GeneratorSpec, random_instance
 
 
 def sweep(args):
-    backend = args.backend
-    if backend.startswith("external:"):
-        backend = backend[len("external:") :]
+    backend = cli.parse_backend(args.backend)
 
-    print("seed goal horizon status time_s per_horizon")
+    print("seed\tgoal\thorizon\tstatus\ttime_s\tper_horizon")
     for seed in args.seeds:
         spec = GeneratorSpec(args.height, args.width, args.colours, seed=seed)
         base = random_instance(spec)
@@ -47,8 +48,8 @@ def sweep(args):
             statuses = ",".join(st for _, st in result.horizon_statuses)
             horizon = result.horizon if result.found else "-"
             print(
-                f"{seed} {goal} {horizon} {result.status} "
-                f"{elapsed:.2f} {statuses}"
+                f"{seed}\t{goal}\t{horizon}\t{result.status}\t"
+                f"{elapsed:.2f}\t{statuses}"
             )
 
 

@@ -40,8 +40,10 @@ EXIT_INVALID_PLAN = 10
 EXIT_UNSAT = 20
 EXIT_UNKNOWN = 30
 
-# Refuse breadth-first search when the potential state space passes this.
-ORACLE_CAPACITY_BITS = 48
+# Refuse breadth-first search when the potential state space passes this:
+# 75 bits admits the paper's reference size (5x5, 3 colours: 25 cells of
+# 3 bits); bfs_optimal's state_cap still bounds the searches it admits.
+ORACLE_CAPACITY_BITS = 75
 
 # Exceptions that end a command: exit code and the label of its stderr line.
 # The first matching entry wins, so subclasses come before their bases.
@@ -118,16 +120,20 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def parse_backend(text: str) -> planner.Backend:
+    """The backend a ``--backend`` value names: internal or external:CMD."""
+    if text == "internal":
+        return planner.INTERNAL_BACKEND
+    if text.startswith("external:"):
+        return text[len("external:") :]
+    raise ValueError(f"bad --backend {text!r}")
+
+
 def cmd_solve(args) -> int:
     instance = _load_instance(args.instance, args.goal)
     backend: planner.Backend = planner.INTERNAL_BACKEND
     if args.backend is not None:
-        if args.backend == "internal":
-            backend = planner.INTERNAL_BACKEND
-        elif args.backend.startswith("external:"):
-            backend = args.backend[len("external:") :]
-        else:
-            raise ValueError(f"bad --backend {args.backend!r}")
+        backend = parse_backend(args.backend)
     elif os.environ.get("PLOTTING_SOLVER"):
         backend = os.environ["PLOTTING_SOLVER"]
 

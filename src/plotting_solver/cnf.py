@@ -19,7 +19,6 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Optional, Sequence, Union
 
@@ -38,11 +37,6 @@ class SpawnFailureError(RuntimeError):
 
 class ParseFailureError(RuntimeError):
     """The external solver produced malformed output."""
-
-
-class Gate(Enum):
-    AND = "and"
-    OR = "or"
 
 
 class CnfFormula:
@@ -121,21 +115,18 @@ def exactly_one(formula: CnfFormula, lits: Sequence[int]) -> None:
             formula.add_clause((-lits[i], -lits[j]))
 
 
-def reify(formula: CnfFormula, gate: Gate, inputs: Sequence[int]) -> int:
-    """Fresh literal equivalent to ``gate`` over ``inputs`` (full Tseitin)."""
+def and_gate(formula: CnfFormula, inputs: Sequence[int]) -> int:
+    """Fresh literal equivalent to the AND of ``inputs`` (full Tseitin).
+
+    An OR gate is the negation of an AND over the negated inputs, with the
+    same clauses, so this is the only gate the encoder needs.
+    """
     if not inputs:
-        raise EmptySelectionError("reify over no inputs")
+        raise EmptySelectionError("and_gate over no inputs")
     z = formula.new_var()
-    if gate is Gate.AND:
-        for lit in inputs:
-            formula.add_clause((-z, lit))
-        formula.add_clause((z,) + tuple(-lit for lit in inputs))
-    elif gate is Gate.OR:
-        formula.add_clause((-z,) + tuple(inputs))
-        for lit in inputs:
-            formula.add_clause((z, -lit))
-    else:
-        raise TypeError(f"unknown gate {gate!r}")
+    for lit in inputs:
+        formula.add_clause((-z, lit))
+    formula.add_clause((z,) + tuple(-lit for lit in inputs))
     return z
 
 
@@ -183,13 +174,7 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> None:
         registers[key] = z
         return z
 
-    top = geq(n, k)
-    if top is TRUE:
-        return
-    if top is FALSE:  # unreachable given the bound check above
-        formula.add_false()
-        return
-    formula.add_clause((top,))
+    formula.add_clause((geq(n, k),))  # 1 <= k <= n, so a literal
 
 
 def write_dimacs(formula: CnfFormula, sink: IO[str]) -> None:

@@ -5,6 +5,8 @@ fall) becomes a one-hot group of propositional variables per time step. The
 transition rules are emitted per step as if-and-only-if constraints between
 the step's state variables, reified case by case, so unconstrained values
 cannot leak: cells keep their values unless a rule case says otherwise.
+Every auxiliary variable is an AND gate; an OR over cases is the negation
+of the AND over the negated cases, so it shares that gate's clauses.
 
 Variable allocation is deterministic: step 0 grid cells (row major, value
 0..K per cell) and the step-0 hand come first. Each step then follows in
@@ -22,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .cnf import CnfFormula, Gate, at_least_k, exactly_one, reify
+from .cnf import CnfFormula, and_gate, at_least_k, exactly_one
 from .engine import ColShot, Grid, Instance, RowShot, Shot
 
 PROGRESS_WITNESS = "consumptionWitness"
@@ -130,7 +132,11 @@ Expr = Union[int, _Const]
 
 
 class _Builder:
-    """Constraint builder with constant folding and gate memoisation."""
+    """Constraint builder with constant folding and gate memoisation.
+
+    Every gate is an AND gate; an OR is the negation of the AND over its
+    negated terms.
+    """
 
     def __init__(self, formula: CnfFormula, varmap: VarMap) -> None:
         self.f = formula
@@ -147,46 +153,26 @@ class _Builder:
         return -t
 
     def conj(self, terms: Sequence[Expr]) -> Expr:
-        lits = []
+        lits = set()
         for t in terms:
             if t is FALSE:
                 return FALSE
-            if t is TRUE:
-                continue
-            lits.append(t)
-        lits = sorted(set(lits))
-        for lit in lits:
-            if -lit in lits:
-                return FALSE
+            if t is not TRUE:
+                if -t in lits:
+                    return FALSE
+                lits.add(t)
         if not lits:
             return TRUE
         if len(lits) == 1:
-            return lits[0]
-        key = ("and", tuple(lits))
+            return lits.pop()
+        inputs = tuple(sorted(lits))
+        key = ("and", inputs)
         if key not in self.memo:
-            self.memo[key] = reify(self.f, Gate.AND, lits)
+            self.memo[key] = and_gate(self.f, inputs)
         return self.memo[key]
 
     def disj(self, terms: Sequence[Expr]) -> Expr:
-        lits = []
-        for t in terms:
-            if t is TRUE:
-                return TRUE
-            if t is FALSE:
-                continue
-            lits.append(t)
-        lits = sorted(set(lits))
-        for lit in lits:
-            if -lit in lits:
-                return TRUE
-        if not lits:
-            return FALSE
-        if len(lits) == 1:
-            return lits[0]
-        key = ("or", tuple(lits))
-        if key not in self.memo:
-            self.memo[key] = reify(self.f, Gate.OR, lits)
-        return self.memo[key]
+        return self.neg(self.conj([self.neg(t) for t in terms]))
 
     def require(self, t: Expr) -> None:
         if t is TRUE:
@@ -222,22 +208,20 @@ class _Builder:
     def cell_empty(self, t: int, r: int, c: int) -> Expr:
         return self.cell(t, r, c, EMPTY)
 
+    def same(self, xs: Sequence[int], ys: Sequence[int]) -> Expr:
+        """Two one-hot groups, listed value by value, hold the same value."""
+        return self.disj([self.conj([x, y]) for x, y in zip(xs, ys)])
+
     def hand_cell_eq(self, hand_step: int, cell_step: int, r: int, c: int) -> Expr:
         """The hand at one step matches the cell's colour at another step."""
         if not self.in_range(r, c):
             return FALSE
         key = ("hce", hand_step, cell_step, r, c)
         if key not in self.memo:
-            self.memo[key] = self.disj(
-                [
-                    self.conj(
-                        [
-                            self.vm.hand_var(hand_step, v),
-                            self.vm.grid_var(cell_step, r, c, v),
-                        ]
-                    )
-                    for v in range(1, self.vm.colours + 1)
-                ]
+            values = range(1, self.vm.colours + 1)
+            self.memo[key] = self.same(
+                [self.vm.hand_var(hand_step, v) for v in values],
+                [self.vm.grid_var(cell_step, r, c, v) for v in values],
             )
         return self.memo[key]
 
@@ -255,20 +239,6 @@ class _Builder:
             )
         return self.memo[key]
 
-    def blocker(self, s: int, r: int, c: int) -> Expr:
-        """Cell is occupied and differs from the hand, before step ``s``."""
-        if not self.in_range(r, c):
-            return FALSE
-        key = ("blocker", s, r, c)
-        if key not in self.memo:
-            self.memo[key] = self.conj(
-                [
-                    self.neg(self.cell_empty(s - 1, r, c)),
-                    self.neg(self.prev_is_hand(s, r, c)),
-                ]
-            )
-        return self.memo[key]
-
     def cells_eq(
         self, t1: int, r1: int, c1: int, t2: int, r2: int, c2: int
     ) -> Expr:
@@ -277,33 +247,10 @@ class _Builder:
         a, b = sorted([(t1, r1, c1), (t2, r2, c2)])
         key = ("cellseq", a, b)
         if key not in self.memo:
-            self.memo[key] = self.disj(
-                [
-                    self.conj(
-                        [self.vm.grid_var(*a, v), self.vm.grid_var(*b, v)]
-                    )
-                    for v in range(0, self.vm.colours + 1)
-                ]
-            )
-        return self.memo[key]
-
-    def cells_neq(
-        self, t1: int, r1: int, c1: int, t2: int, r2: int, c2: int
-    ) -> Expr:
-        if not (self.in_range(r1, c1) and self.in_range(r2, c2)):
-            return FALSE
-        return self.neg(self.cells_eq(t1, r1, c1, t2, r2, c2))
-
-    def hand_eq(self, t1: int, t2: int) -> Expr:
-        key = ("handeq", t1, t2)
-        if key not in self.memo:
-            self.memo[key] = self.disj(
-                [
-                    self.conj(
-                        [self.vm.hand_var(t1, v), self.vm.hand_var(t2, v)]
-                    )
-                    for v in range(1, self.vm.colours + 1)
-                ]
+            values = range(0, self.vm.colours + 1)
+            self.memo[key] = self.same(
+                [self.vm.grid_var(*a, v) for v in values],
+                [self.vm.grid_var(*b, v) for v in values],
             )
         return self.memo[key]
 
@@ -464,7 +411,11 @@ def _emit_hand_rule(b: _Builder, s: int) -> None:
             for rv in range(0, H + 1)
         ]
     )
-    b.require_iff(b.hand_eq(s - 1, s), b.disj([down_column, through_row]))
+    hands = range(1, vm.colours + 1)
+    kept = b.same(
+        [vm.hand_var(s - 1, v) for v in hands], [vm.hand_var(s, v) for v in hands]
+    )
+    b.require_iff(kept, b.disj([down_column, through_row]))
 
 
 def _emit_wall_fall_rule(b: _Builder, s: int) -> None:
@@ -559,7 +510,7 @@ def _emit_cell_rules(b: _Builder, s: int, r: int, c: int) -> None:
             b.conj(
                 [
                     vm.row_shot_var(s, rv),
-                    b.disj([b.blocker(s, rv, cc) for cc in range(1, c + 1)]),
+                    b.disj([b.neg(b.clear(s, rv, cc)) for cc in range(1, c + 1)]),
                 ]
             )
         )
@@ -568,7 +519,7 @@ def _emit_cell_rules(b: _Builder, s: int, r: int, c: int) -> None:
         b.conj(
             [
                 vm.row_shot_var(s, r),
-                b.disj([b.blocker(s, r, cc) for cc in range(1, c)]),
+                b.disj([b.neg(b.clear(s, r, cc)) for cc in range(1, c)]),
             ]
         )
     )
@@ -590,8 +541,8 @@ def _emit_cell_rules(b: _Builder, s: int, r: int, c: int) -> None:
                     [
                         vm.row_shot_var(s, rv),
                         b.disj(
-                            [b.blocker(s, rv, cc) for cc in range(1, W + 1)]
-                            + [b.blocker(s, rr, W) for rr in range(rv, r)]
+                            [b.neg(b.clear(s, rv, cc)) for cc in range(1, W + 1)]
+                            + [b.neg(b.clear(s, rr, W)) for rr in range(rv, r)]
                         ),
                     ]
                 )
@@ -601,7 +552,7 @@ def _emit_cell_rules(b: _Builder, s: int, r: int, c: int) -> None:
         b.conj(
             [
                 vm.col_shot_var(s, c),
-                b.disj([b.blocker(s, rr, c) for rr in range(1, r)]),
+                b.disj([b.neg(b.clear(s, rr, c)) for rr in range(1, r)]),
             ]
         )
     )
@@ -648,7 +599,8 @@ def _emit_cell_rules(b: _Builder, s: int, r: int, c: int) -> None:
                     + [b.clear(s, rv, cc) for cc in range(1, c + 1)]
                     + [
                         b.cells_eq(s, r, c, s - 1, r - 1, c),
-                        b.cells_neq(s - 1, r - 1, c, s - 1, r, c),
+                        # TRUE off-grid, but r == 1 is FALSE above
+                        b.neg(b.cells_eq(s - 1, r - 1, c, s - 1, r, c)),
                     ]
                 )
             )
@@ -663,7 +615,8 @@ def _emit_cell_rules(b: _Builder, s: int, r: int, c: int) -> None:
                         b.fired_row_above(s, r - w),
                         FALSE if r - w < 1 else b.neg(b.cell_empty(s - 1, r - w, W)),
                         b.cells_eq(s, r, W, s - 1, r - w, W),
-                        b.cells_neq(s - 1, r - w, W, s - 1, r, W),
+                        # TRUE off-grid, but r - w < 1 is FALSE above
+                        b.neg(b.cells_eq(s - 1, r - w, W, s - 1, r, W)),
                     ]
                 )
             )

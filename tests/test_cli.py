@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from plotting_solver import cli, oracle
+from plotting_solver import cli, generator, oracle
 from plotting_solver.formats import parse_instance, parse_plan, write_instance
 from plotting_solver.engine import Grid, Instance
 
@@ -336,6 +336,17 @@ class TestOracleCommand:
         assert code == 2 and stdout == ""
         assert_one_line_failure(err)
 
+    def test_answers_the_reference_size(self, tmp_path, capsys):
+        # 5x5 with 3 colours: 75 bits of potential state
+        spec = generator.GeneratorSpec(5, 5, 3, seed=1)
+        instance = generator.random_instance(spec).with_goal(14)
+        path = tmp_path / "inst.txt"
+        path.write_text(write_instance(instance))
+        code, stdout, _ = run(["oracle", "--instance", str(path)], capsys)
+        best = oracle.bfs_optimal(instance, instance.block_total - 14)
+        assert code == 0
+        assert stdout.splitlines()[0] == str(best.length)
+
     def test_capacity_refusal_on_9x9(self, tmp_path, capsys):
         rows = [[(r + c) % 3 + 1 for c in range(9)] for r in range(9)]
         inst = write_inst(tmp_path, rows)
@@ -347,24 +358,42 @@ class TestOracleCommand:
 
 
 class TestSweepScript:
-    @pytest.mark.parametrize(
-        "flags, code",
-        [
-            (["--timeout", "0"], 2),
-            (["--backend", "external:/nonexistent/solver"], 2),
-        ],
-        ids=["timeout-zero", "spawn"],
-    )
-    def test_failure_is_one_line_with_exit_code(self, flags, code):
-        proc = subprocess.run(
-            [
-                sys.executable, str(SCRIPTS_DIR / "sweep.py"),
-                "--height", "2", "--width", "2", "--colours", "2",
-                "--seeds", "1", "--goals", "0", *flags,
-            ],
+    @staticmethod
+    def sweep(*flags):
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS_DIR / "sweep.py"), *flags],
             capture_output=True,
             text=True,
             timeout=60,
         )
+
+    @pytest.mark.parametrize(
+        "flags, code, message",
+        [
+            (["--timeout", "0"], 2, "error: "),
+            (["--backend", "external:/nonexistent/solver"], 2, "backend: "),
+            (["--backend", "foo"], 2, "error: bad --backend 'foo'"),
+        ],
+        ids=["timeout-zero", "spawn", "bad-backend"],
+    )
+    def test_failure_is_one_line_with_exit_code(self, flags, code, message):
+        proc = self.sweep(
+            "--height", "2", "--width", "2", "--colours", "2",
+            "--seeds", "1", "--goals", "0", *flags,
+        )
         assert proc.returncode == code
         assert_one_line_failure(proc.stderr)
+        assert proc.stderr.startswith(message)
+
+    def test_columns_are_tab_separated(self):
+        # every horizon times out, so each status reads "unknown: timeout"
+        proc = self.sweep(
+            "--height", "3", "--width", "3", "--colours", "2",
+            "--seeds", "1", "--goals", "3", "--timeout", "1e-9",
+        )
+        assert proc.returncode == 0
+        header, line = proc.stdout.splitlines()
+        assert header.split("\t")[-1] == "per_horizon"
+        fields = line.split("\t")
+        assert len(fields) == 6
+        assert fields[-1].split(",")[0] == "unknown: timeout"

@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 from plotting_solver.cnf import (
     CnfFormula,
     EmptySelectionError,
-    Gate,
     InfeasibleBoundError,
     ParseFailureError,
     SpawnFailureError,
     _verify_model,
+    and_gate,
     at_least_k,
     dimacs_text,
     dpll_solve,
     exactly_one,
     external_solve,
-    reify,
 )
 
 from conftest import MINI_SOLVER_CMD
@@ -92,7 +91,7 @@ class TestExactlyOne:
 class TestReify:
     def test_and_of_one_literal(self):
         f, (x,) = formula_with_vars(1)
-        z = reify(f, Gate.AND, [x])
+        z = and_gate(f, [x])
         assert len(f.clauses) == 2
         assert all(len(c) == 2 for c in f.clauses)
         # z tracks x in every model
@@ -104,37 +103,24 @@ class TestReify:
             out = dpll_solve(trial)
             assert out.is_sat and out.model[z] == val
 
-    def test_or_over_complementary_inputs_is_forced_true(self):
-        f, (x,) = formula_with_vars(1)
-        z = reify(f, Gate.OR, [x, -x])
-        for val in (False, True):
-            trial = CnfFormula()
-            trial.var_count = f.var_count
-            trial.clauses = list(f.clauses)
-            trial.add_clause((x if val else -x,))
-            out = dpll_solve(trial)
-            assert out.is_sat and out.model[z]
-
     @settings(max_examples=60, deadline=None)
     @given(
-        gate=st.sampled_from([Gate.AND, Gate.OR]),
         n=st.integers(1, 4),
         signs=st.lists(st.booleans(), min_size=4, max_size=4),
     )
-    def test_gate_semantics_by_brute_force(self, gate, n, signs):
+    def test_gate_semantics_by_brute_force(self, n, signs):
         f, base = formula_with_vars(n)
         lits = [v if s else -v for v, s in zip(base, signs)]
-        z = reify(f, gate, lits)
+        z = and_gate(f, lits)
         for bits in itertools.product([False, True], repeat=n):
             vals = [bits[abs(l) - 1] == (l > 0) for l in lits]
-            want = all(vals) if gate is Gate.AND else any(vals)
             trial = CnfFormula()
             trial.var_count = f.var_count
             trial.clauses = list(f.clauses)
             for var, bit in zip(base, bits):
                 trial.add_clause((var if bit else -var,))
             out = dpll_solve(trial)
-            assert out.is_sat and out.model[z] == want
+            assert out.is_sat and out.model[z] == all(vals)
 
 
 class TestAtLeastK:

@@ -2,16 +2,22 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plotting_solver import encoder
-from plotting_solver.cnf import dimacs_text, dpll_solve
+from plotting_solver.cnf import CnfFormula, dimacs_text, dpll_solve
 from plotting_solver.encoder import (
     PROGRESS_CARDINALITY,
     PROGRESS_MODES,
     PROGRESS_WITNESS,
+    FALSE,
+    TRUE,
     EncodeOptions,
     InvalidHorizonError,
     MalformedModelError,
+    VarMap,
+    _Builder,
     decode,
     encode,
 )
@@ -79,6 +85,45 @@ class TestVarMap:
         f, vm = encode(Instance(g([[1, 1], [1, 1]]), 1), EncodeOptions(steps=1))
         assert primary_ids(vm) == set(range(1, 28))
         assert f.var_count >= 27
+
+
+class TestBuilder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=st.lists(
+            st.sampled_from([TRUE, FALSE, 1, -1, 2, -2, 3, -3, 4, -4]),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @example(terms=[1, -1])
+    @example(terms=[2, 2, TRUE])
+    @example(terms=[-3, FALSE, 3, 4])
+    def test_conj_and_disj_are_and_and_or(self, terms):
+        f = CnfFormula()
+        f.alloc_block(4)
+        b = _Builder(f, VarMap(1, 1, 1, state_bases=()))
+        built = [(b.conj(terms), all), (b.disj(terms), any)]
+        # a second call goes through the memo and returns the same gate
+        assert [b.conj(terms), b.disj(terms)] == [t for t, _ in built]
+        for bits in itertools.product([False, True], repeat=4):
+            vals = [
+                t is TRUE if t in (TRUE, FALSE) else bits[abs(t) - 1] == (t > 0)
+                for t in terms
+            ]
+            trial = CnfFormula()
+            trial.var_count = f.var_count
+            trial.clauses = list(f.clauses)
+            for var, bit in enumerate(bits, 1):
+                trial.add_clause((var if bit else -var,))
+            out = dpll_solve(trial)
+            assert out.is_sat
+            for result, fn in built:
+                if result in (TRUE, FALSE):
+                    assert (result is TRUE) == fn(vals)
+                else:
+                    value = out.model[abs(result)] == (result > 0)
+                    assert value == fn(vals)
 
 
 class TestEncodeExamples:
