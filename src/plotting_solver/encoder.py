@@ -5,8 +5,14 @@ fall) becomes a one-hot group of propositional variables per time step. The
 transition rules are emitted per step as if-and-only-if constraints between
 the step's state variables, reified case by case, so unconstrained values
 cannot leak: cells keep their values unless a rule case says otherwise.
-Every auxiliary variable is an AND gate; an OR over cases is the negation
-of the AND over the negated cases, so it shares that gate's clauses.
+A rule "``a`` holds exactly when one of its cases does" is the clause
+``(¬a ∨ c1 ∨ … ∨ cn)`` plus ``(¬ci ∨ a)`` per case, with no variable for
+the OR. A case is an AND gate over literals (an OR inside a case is the
+negation of the AND over the negated terms). That two one-hot groups hold
+the same value is one literal with three clauses per value. Every
+auxiliary variable of a step is a function of lower-index state and action
+variables, which unit propagation fixes once those are set, so the DPLL
+solver, branching on the lowest index, never decides one.
 
 Variable allocation is deterministic: step 0 grid cells (row major, value
 0..K per cell) and the step-0 hand come first. Each step then follows in
@@ -134,8 +140,9 @@ Expr = Union[int, _Const]
 class _Builder:
     """Constraint builder with constant folding and gate memoisation.
 
-    Every gate is an AND gate; an OR is the negation of the AND over its
-    negated terms.
+    ``conj`` builds AND gates, and ``disj`` the negation of the AND over its
+    negated terms. ``same`` builds a one-hot equality literal.
+    ``require_any`` and ``require_iff_any`` emit clauses and no variable.
     """
 
     def __init__(self, formula: CnfFormula, varmap: VarMap) -> None:
@@ -174,26 +181,35 @@ class _Builder:
     def disj(self, terms: Sequence[Expr]) -> Expr:
         return self.neg(self.conj([self.neg(t) for t in terms]))
 
-    def require(self, t: Expr) -> None:
-        if t is TRUE:
-            return
-        if t is FALSE:
-            self.f.add_false()
-            return
-        self.f.add_clause((t,))
-
-    def require_iff(self, a: Expr, b: Expr) -> None:
-        if a is TRUE:
-            self.require(b)
-        elif a is FALSE:
-            self.require(self.neg(b))
-        elif b is TRUE:
-            self.require(a)
-        elif b is FALSE:
-            self.require(self.neg(a))
+    def require_any(self, terms: Sequence[Expr]) -> None:
+        """One clause: at least one of ``terms`` holds."""
+        lits: dict[int, None] = {}
+        for t in terms:
+            if t is TRUE:
+                return
+            if t is not FALSE:
+                if -t in lits:
+                    return
+                lits[t] = None
+        if lits:
+            self.f.add_clause(lits)
         else:
-            self.f.add_clause((-a, b))
-            self.f.add_clause((a, -b))
+            self.f.add_false()
+
+    def require_iff_any(self, a: Expr, cases: Sequence[Expr]) -> None:
+        """``a`` holds exactly when one of ``cases`` does, as plain clauses
+        ``(¬a ∨ c1 ∨ … ∨ cn)`` and ``(¬ci ∨ a)``, with no gate for the OR."""
+        lits: dict[int, None] = {}
+        for t in cases:
+            if t is FALSE:
+                continue
+            if t is TRUE or -t in lits:
+                self.require_any([a])
+                return
+            lits[t] = None
+        self.require_any([self.neg(a), *lits])
+        for t in lits:
+            self.require_any([-t, a])
 
     # -- atoms -------------------------------------------------------------
 
@@ -208,9 +224,22 @@ class _Builder:
     def cell_empty(self, t: int, r: int, c: int) -> Expr:
         return self.cell(t, r, c, EMPTY)
 
-    def same(self, xs: Sequence[int], ys: Sequence[int]) -> Expr:
-        """Two one-hot groups, listed value by value, hold the same value."""
-        return self.disj([self.conj([x, y]) for x, y in zip(xs, ys)])
+    def same(self, xs: Sequence[int], ys: Sequence[int]) -> int:
+        """Fresh literal ``e``: the groups, listed value by value, hold the
+        same value.
+
+        ``xs`` must be an exactly-one group; ``ys`` may be exactly-one or
+        at-most-one (then ``e`` is false when no ``y`` holds). Per value
+        ``v`` three clauses: ``(¬x_v ∨ ¬y_v ∨ e)``, ``(¬e ∨ ¬x_v ∨ y_v)``
+        and ``(¬e ∨ x_v ∨ ¬y_v)``; the third lets a known ``e`` and ``y_v``
+        fix ``x_v``, as the OR of pairwise ANDs it replaces did.
+        """
+        e = self.f.new_var()
+        for x, y in zip(xs, ys):
+            self.f.add_clause((-x, -y, e))
+            self.f.add_clause((-e, -x, y))
+            self.f.add_clause((-e, x, -y))
+        return e
 
     def hand_cell_eq(self, hand_step: int, cell_step: int, r: int, c: int) -> Expr:
         """The hand at one step matches the cell's colour at another step."""
@@ -392,30 +421,23 @@ def _emit_hand_rule(b: _Builder, s: int) -> None:
     """The hand keeps its colour exactly when the shot rebounds."""
     vm = b.vm
     H, W = vm.height, vm.width
-    down_column = b.disj(
-        [
-            b.conj(
-                [vm.col_shot_var(s, c)]
-                + [b.clear(s, rr, c) for rr in range(1, H + 1)]
-            )
-            for c in range(1, W + 1)
-        ]
-    )
-    through_row = b.disj(
-        [
-            b.conj(
-                [vm.row_shot_var(s, rv)]
-                + [b.clear(s, rv, cc) for cc in range(1, W + 1)]
-                + [b.clear(s, rr, W) for rr in range(rv + 1, H + 1)]
-            )
-            for rv in range(0, H + 1)
-        ]
-    )
+    down_column = [
+        b.conj([vm.col_shot_var(s, c)] + [b.clear(s, rr, c) for rr in range(1, H + 1)])
+        for c in range(1, W + 1)
+    ]
+    through_row = [
+        b.conj(
+            [vm.row_shot_var(s, rv)]
+            + [b.clear(s, rv, cc) for cc in range(1, W + 1)]
+            + [b.clear(s, rr, W) for rr in range(rv + 1, H + 1)]
+        )
+        for rv in range(0, H + 1)
+    ]
     hands = range(1, vm.colours + 1)
     kept = b.same(
         [vm.hand_var(s - 1, v) for v in hands], [vm.hand_var(s, v) for v in hands]
     )
-    b.require_iff(kept, b.disj([down_column, through_row]))
+    b.require_iff_any(kept, down_column + through_row)
 
 
 def _emit_wall_fall_rule(b: _Builder, s: int) -> None:
@@ -438,7 +460,7 @@ def _emit_wall_fall_rule(b: _Builder, s: int) -> None:
                     ]
                 )
             )
-        b.require_iff(vm.wall_fall_var(s, i), b.disj(cases))
+        b.require_iff_any(vm.wall_fall_var(s, i), cases)
 
 
 def _emit_cell_rules(b: _Builder, s: int, r: int, c: int) -> None:
@@ -500,7 +522,7 @@ def _emit_cell_rules(b: _Builder, s: int, r: int, c: int) -> None:
                     ]
                 )
             )
-    b.require_iff(b.cell_empty(s, r, c), b.disj(empty_cases))
+    b.require_iff_any(b.cell_empty(s, r, c), empty_cases)
 
     # -- the nine ways the cell keeps its value -----------------------------
     same_cases: list[Expr] = [b.cell_empty(s - 1, r, c)]
@@ -583,7 +605,7 @@ def _emit_cell_rules(b: _Builder, s: int, r: int, c: int) -> None:
                 )
             )
     same_now = b.cells_eq(s, r, c, s - 1, r, c)
-    b.require_iff(same_now, b.disj(same_cases))
+    b.require_iff_any(same_now, same_cases)
 
     # -- the five ways the cell changes to another colour --------------------
     change_cases: list[Expr] = []
@@ -669,7 +691,7 @@ def _emit_cell_rules(b: _Builder, s: int, r: int, c: int) -> None:
                 )
             )
     changed_now = b.conj([b.neg(same_now), b.neg(b.cell_empty(s, r, c))])
-    b.require_iff(changed_now, b.disj(change_cases))
+    b.require_iff_any(changed_now, change_cases)
 
 
 def _emit_sum_decrease(b: _Builder, s: int) -> None:
@@ -711,7 +733,7 @@ def _emit_sum_decrease(b: _Builder, s: int) -> None:
                 ]
             )
         )
-    b.require(b.disj(terms))
+    b.require_any(terms)
 
 
 def _one_hot_value(model, var_of, values, what: str) -> int:

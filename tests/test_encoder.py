@@ -55,19 +55,18 @@ def exists_plan_of_exact_length(instance, length):
 
 
 def primary_ids(vm):
-    """Every accessor id of a one-step 2x2 encoding."""
+    """Every accessor id: the state (grid, hand) and action (fired row,
+    fired column, wall fall) variables."""
     seen = set()
-    for t in (0, 1):
-        for r in (1, 2):
-            for c in (1, 2):
-                for v in range(vm.colours + 1):
-                    seen.add(vm.grid_var(t, r, c, v))
-        for colour in range(1, vm.colours + 1):
-            seen.add(vm.hand_var(t, colour))
-    for v in (0, 1, 2):
-        seen.add(vm.row_shot_var(1, v))
-        seen.add(vm.col_shot_var(1, v))
-        seen.add(vm.wall_fall_var(1, v))
+    for t in range(vm.steps + 1):
+        for r in range(1, vm.height + 1):
+            for c in range(1, vm.width + 1):
+                seen.update(vm.grid_var(t, r, c, v) for v in range(vm.colours + 1))
+        seen.update(vm.hand_var(t, v) for v in range(1, vm.colours + 1))
+    for s in range(1, vm.steps + 1):
+        seen.update(vm.row_shot_var(s, v) for v in range(vm.height + 1))
+        seen.update(vm.col_shot_var(s, v) for v in range(vm.width + 1))
+        seen.update(vm.wall_fall_var(s, v) for v in range(vm.height + 1))
     return seen
 
 
@@ -124,6 +123,58 @@ class TestBuilder:
                 else:
                     value = out.model[abs(result)] == (result > 0)
                     assert value == fn(vals)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ys_kind", ["exactly-one", "at-most-one"])
+    def test_same_is_one_hot_equality(self, n, ys_kind):
+        f = CnfFormula()
+        xs = list(range(1, n + 1))
+        ys = list(range(n + 1, 2 * n + 1))
+        f.alloc_block(2 * n)
+        e = _Builder(f, VarMap(1, 1, 1, state_bases=())).same(xs, ys)
+        y_values = range(n) if ys_kind == "exactly-one" else range(-1, n)
+        for x_value, y_value in itertools.product(range(n), y_values):
+            units = [x if i == x_value else -x for i, x in enumerate(xs)]
+            units += [y if i == y_value else -y for i, y in enumerate(ys)]
+            for e_lit in (e, -e):
+                trial = CnfFormula()
+                trial.var_count = f.var_count
+                trial.clauses = f.clauses + [(u,) for u in units + [e_lit]]
+                want = (e_lit > 0) == (x_value == y_value)
+                assert dpll_solve(trial).is_sat == want, (x_value, y_value, e_lit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.sampled_from([TRUE, FALSE, 5, -5]),
+        cases=st.lists(
+            st.sampled_from([TRUE, FALSE, 1, -1, 2, -2, 3, -3, 4, -4]),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @example(a=5, cases=[1, -1])
+    @example(a=5, cases=[2, 2, FALSE])
+    @example(a=-5, cases=[FALSE])
+    @example(a=TRUE, cases=[-3, 3])
+    def test_require_iff_any_is_iff_or(self, a, cases):
+        f = CnfFormula()
+        f.alloc_block(5)
+        _Builder(f, VarMap(1, 1, 1, state_bases=())).require_iff_any(a, cases)
+        # plain clauses: no variable beyond the five but add_false's own
+        assert f.var_count == 5 or f.clauses[-2:] == [(6,), (-6,)]
+
+        def value(t, bits):
+            return t is TRUE if t in (TRUE, FALSE) else bits[abs(t) - 1] == (t > 0)
+
+        for bits in itertools.product([False, True], repeat=5):
+            trial = CnfFormula()
+            trial.var_count = f.var_count
+            trial.clauses = list(f.clauses)
+            for var, bit in enumerate(bits, 1):
+                trial.add_clause((var if bit else -var,))
+            want = value(a, bits) == any(value(t, bits) for t in cases)
+            assert dpll_solve(trial).is_sat == want, bits
 
 
 class TestEncodeExamples:
@@ -231,6 +282,49 @@ class TestSharedSteps:
             assert this[: len(shared)] == shared
             assert this[-6:] == tail
             assert longer[: len(shared)] == shared
+
+
+class TestAuxiliaries:
+    """Every chain variable besides the state and action groups is a
+    function of those groups. Lowest-index DPLL then meets models in the
+    brute-force order of the state and action variables, so an encoder
+    change that keeps this and the groups' order keeps the plans."""
+
+    @pytest.mark.parametrize("mode", PROGRESS_MODES)
+    def test_auxiliaries_are_functions_of_state_and_actions(self, mode):
+        rng = random.Random(41)
+        checked = 0
+        for size, colours in itertools.product((2, 3), (2, 3)):
+            for _ in range(2):
+                grid = random_full_grid(rng, size, size, colours)
+                for steps in (1, 2, 3):
+                    # each step empties a cell, so this goal only asks for a
+                    # progressing plan, and the goal counter is still built
+                    inst = Instance(grid, size * size - steps)
+                    opts = EncodeOptions(steps=steps, progress_encoding=mode)
+                    f, vm = encode(inst, opts)
+                    out = dpll_solve(f)
+                    if not out.is_sat:
+                        continue
+                    # the goal counter's registers above the chain are free
+                    chain = encoder._chain(size, size, inst.colour_count, mode)
+                    chain_vars = chain.grow(steps)[0]
+                    primary = primary_ids(vm)
+                    trial = CnfFormula()
+                    trial.var_count = f.var_count
+                    trial.clauses = f.clauses + [
+                        (v if out.model[v] else -v,) for v in sorted(primary)
+                    ]
+                    trial.add_clause(
+                        [
+                            -v if out.model[v] else v
+                            for v in range(1, chain_vars + 1)
+                            if v not in primary
+                        ]
+                    )
+                    assert dpll_solve(trial).is_unsat, (grid.cells, steps)
+                    checked += 1
+        assert checked >= 18
 
 
 class TestDecode:
