@@ -6,7 +6,14 @@ DPLL, complete unless its deadline passes. Its unit propagation keeps every
 binary clause as two implications in per-literal lists (setting ``a`` true
 forces each literal listed under ``a``) and watches two literals of every
 longer clause; its assignment is one list indexed by signed literal, as are
-the implication and watch lists. :func:`external_solve` shells out to any
+the implication and watch lists. Those lists live in a :class:`ClauseIndex`
+that can be kept across calls: a formula that starts with the clauses of
+the one solved before reuses their entries, and only the clauses after the
+shared run are undone and indexed anew. This is sound because the search
+learns no clauses and two watched literals of a clause need no repair once
+every assignment is undone. Propagation takes set literals newest first,
+which reaches a conflict at the end of a chain of implications sooner and
+sets the same literals. :func:`external_solve` shells out to any
 solver that takes a DIMACS path argument and prints SAT-competition style
 ``s``/``v`` lines. Both take a ``timeout`` in seconds and report an unknown
 outcome with reason ``"timeout"`` when it runs out.
@@ -19,6 +26,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Optional, Sequence, Union
 
@@ -209,7 +217,109 @@ def _verify_model(formula: CnfFormula, model: Sequence[bool]) -> bool:
     return True
 
 
-def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutcome:
+class ClauseIndex:
+    """The propagation lists of the formula :func:`dpll_solve` last loaded.
+
+    Binary clauses are kept as two implications in per-literal lists
+    (setting ``a`` true forces each literal listed under ``a``), every
+    longer clause as a copy whose first two literals are watched, and unit
+    clauses apart. The implication and watch lists are indexed by signed
+    literal: ``-v`` wraps to index ``2 * var_count + 1 - v``.
+
+    Loading a formula keeps the entries of the longest run of leading
+    clauses that equal the last formula's, undoes the rest in reverse order
+    and indexes the new clauses, so formulas that extend one another, such
+    as the planner's horizons, index each shared clause once. Kept watches
+    need no repair: with nothing assigned, any two literals of a clause are
+    valid watches (Moskewicz et al., "Chaff", DAC 2001).
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every clause."""
+        self.var_count = 0
+        self.clauses: list[tuple[int, ...]] = []  # the clauses indexed, in order
+        self.implied: list[list[int]] = [[]]
+        self.watches: list[list[list[int]]] = [[]]
+        self.units: list[int] = []
+        self.long: list[list[int]] = []  # the watched copies, in clause order
+
+    def load(self, formula: CnfFormula) -> None:
+        """Index ``formula``'s clauses, keeping the leading run it shares
+        with the formula loaded before."""
+        old, new = self.clauses, formula.clauses
+        n = min(len(old), len(new))
+        keep = 0
+        # C-level slice comparison; an element-wise scan is several times slower
+        while keep < n and old[keep : keep + 1024] == new[keep : keep + 1024]:
+            keep += 1024
+        keep = min(keep, n)
+        while keep < n and old[keep] == new[keep]:
+            keep += 1
+
+        implied, watches, units, long = (
+            self.implied, self.watches, self.units, self.long
+        )
+        for clause in reversed(old[keep:]):
+            size = len(clause)
+            if size == 2:
+                implied[-clause[0]].pop()
+                implied[-clause[1]].pop()
+            elif size == 1:
+                units.pop()
+            else:
+                c = long.pop()
+                _unwatch(watches[c[0]], c)
+                _unwatch(watches[c[1]], c)
+        del old[keep:]
+
+        if formula.var_count != self.var_count:
+            _relay(implied, self.var_count, formula.var_count)
+            _relay(watches, self.var_count, formula.var_count)
+            self.var_count = formula.var_count
+
+        for clause in islice(new, keep, None):
+            size = len(clause)
+            if size == 2:
+                a, b = clause
+                implied[-a].append(b)
+                implied[-b].append(a)
+            elif size == 1:
+                units.append(clause[0])
+            else:
+                c = list(clause)  # c[0] and c[1] are the watched literals
+                long.append(c)
+                watches[c[0]].append(c)
+                watches[c[1]].append(c)
+        old += islice(new, keep, None)
+
+
+def _unwatch(ws: list[list[int]], c: list[int]) -> None:
+    """Remove the watched copy ``c`` itself, not an equal clause, from ``ws``."""
+    for i in range(len(ws) - 1, -1, -1):
+        if ws[i] is c:
+            ws[i] = ws[-1]
+            ws.pop()
+            return
+
+
+def _relay(lists: list, old_n: int, new_n: int) -> None:
+    """Re-lay literal-indexed ``lists`` from ``old_n`` to ``new_n``
+    variables, in place; the lists of variables above ``new_n`` must be
+    empty."""
+    if new_n > old_n:
+        lists[old_n + 1 : old_n + 1] = [[] for _ in range(2 * (new_n - old_n))]
+    else:
+        del lists[new_n + 1 : len(lists) - new_n]
+
+
+def dpll_solve(
+    formula: CnfFormula,
+    timeout: Optional[float] = None,
+    index: Optional[ClauseIndex] = None,
+) -> SatOutcome:
     """Complete DPLL with unit propagation and lowest-index-first branching.
 
     Branching always picks the lowest-index unassigned variable and tries
@@ -223,40 +333,51 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
     before each decision, and once it has passed the outcome is unknown
     with reason ``"timeout"``. Sat models are re-verified against the clause
     list before being returned.
+
+    The formula is loaded into ``index`` (a fresh :class:`ClauseIndex` when
+    it is None), which keeps the lists of the clauses this formula shares,
+    as a leading run, with the one solved before through the same index.
+    Pass one index to the solves of formulas that extend one another. If
+    loading or the search raises, the index is cleared.
+
+    Propagation takes set literals newest first, so it follows one chain of
+    implications to its end before the next; the conflicts of the planner's
+    goal counter, which comes last, are met sooner. Whether propagation
+    ends in a conflict, and the literals it sets when it does not, do not
+    depend on that order, so neither do the decisions or the model.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
+    if index is None:
+        index = ClauseIndex()
+    try:
+        index.load(formula)
+        return _search(formula, index, deadline)
+    except BaseException:
+        index.clear()  # a half-done load or watch move must not be reused
+        raise
+
+
+def _search(
+    formula: CnfFormula, index: ClauseIndex, deadline: Optional[float]
+) -> SatOutcome:
     nvars = formula.var_count
-    # Lists indexed by signed literal: -v wraps to index 2 * nvars + 1 - v.
-    size = 2 * nvars + 1
-    is_true = [False] * size  # a variable is unassigned when both are False
-    implied: list[list[int]] = [[] for _ in range(size)]  # binary clauses
-    watches: list[list[list[int]]] = [[] for _ in range(size)]  # the rest
-    units: list[int] = []
-    for clause in formula.clauses:
-        if len(clause) == 2:
-            a, b = clause
-            implied[-a].append(b)
-            implied[-b].append(a)
-        elif len(clause) == 1:
-            units.append(clause[0])
-        else:
-            c = list(clause)  # c[0] and c[1] are the watched literals
-            watches[c[0]].append(c)
-            watches[c[1]].append(c)
+    implied, watches = index.implied, index.watches
+    is_true = [False] * (2 * nvars + 1)  # unassigned when both are False
+    trail: list[int] = []  # every literal set, in order: the undo log
+    pending: list[int] = []  # set but not yet propagated, newest last
 
-    trail: list[int] = []
-
-    def propagate(head: int) -> bool:
-        """Propagate from trail position ``head``; False on conflict."""
-        while head < len(trail):
-            lit = trail[head]
-            head += 1
+    def propagate() -> bool:
+        """Propagate the pending literals, newest first; False on conflict."""
+        while pending:
+            lit = pending.pop()
             for q in implied[lit]:
                 if not is_true[q]:
                     if is_true[-q]:
+                        pending.clear()
                         return False
                     is_true[q] = True
                     trail.append(q)
+                    pending.append(q)
             false_lit = -lit
             ws = watches[false_lit]
             i = 0
@@ -283,19 +404,22 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
                         break
                 else:
                     if is_true[-other]:
+                        pending.clear()
                         return False
                     is_true[other] = True
                     trail.append(other)
+                    pending.append(other)
                     i += 1
         return True
 
-    for lit in units:
+    for lit in index.units:
         if is_true[-lit]:
             return SatOutcome.unsat()
         if not is_true[lit]:
             is_true[lit] = True
             trail.append(lit)
-    if not propagate(0):
+            pending.append(lit)
+    if not propagate():
         return SatOutcome.unsat()
 
     # stack of (decided var, tried_negative_yet, trail length before decision)
@@ -314,7 +438,8 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
         stack.append((next_var, False, len(trail)))
         is_true[next_var] = True
         trail.append(next_var)
-        while not propagate(len(trail) - 1):
+        pending.append(next_var)
+        while not propagate():
             # conflict: backtrack to the last decision with an untried polarity
             while stack and stack[-1][1]:
                 var, _, mark = stack.pop()
@@ -334,6 +459,7 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
             stack.append((var, True, mark))
             is_true[-var] = True
             trail.append(-var)
+            pending.append(-var)
 
 
 def external_solve(

@@ -7,7 +7,9 @@ the step's state variables, reified case by case, so unconstrained values
 cannot leak: cells keep their values unless a rule case says otherwise.
 A rule "``a`` holds exactly when one of its cases does" is the clause
 ``(¬a ∨ c1 ∨ … ∨ cn)`` plus ``(¬ci ∨ a)`` per case, with no variable for
-the OR. A case is an AND gate over literals (an OR inside a case is the
+the OR; where ``a`` is a conjunction, as in a cell's "changes colour" rule
+(neither the same value nor empty), those clauses are expanded and ``a``
+gets no variable either. A case is an AND gate over literals (an OR inside a case is the
 negation of the AND over the negated terms). That two one-hot groups hold
 the same value is one literal with three clauses per value. Every
 auxiliary variable of a step is a function of lower-index state and action
@@ -26,6 +28,7 @@ horizon (see :class:`_Chain`).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -316,15 +319,12 @@ def encode(
         raise ValueError(f"initial hand {fixed} outside 1..{colours}")
 
     height, width = instance.grid.height, instance.grid.width
-    chain = _chain(height, width, colours, options.progress_encoding)
-    try:
-        var_count, clause_count, varmap = chain.grow(options.steps)
-    except BaseException:
-        _chain.cache_clear()  # a half-emitted step must not be reused
-        raise
+    prefix = None
+    while prefix is None:  # None: another call's growth of this chain raised
+        chain = _chain(height, width, colours, options.progress_encoding)
+        prefix = chain.prefix(options.steps)
     formula = CnfFormula()
-    formula.var_count = var_count
-    formula.clauses = chain.formula.clauses[:clause_count]
+    formula.var_count, formula.clauses, varmap = prefix
     goal_empties = instance.block_total - instance.goal
     if goal_empties > 0:
         at_least_k(
@@ -350,7 +350,8 @@ class _Chain:
 
     ``ends[s]`` is the ``(var_count, clause_count, VarMap)`` reached at the
     end of step ``s``; the formula for horizon ``s`` starts with exactly
-    that many variables and clauses.
+    that many variables and clauses. A lock serialises growth, so threads
+    may encode horizons of one shape concurrently.
     """
 
     def __init__(self, height: int, width: int, colours: int, progress: str):
@@ -359,6 +360,23 @@ class _Chain:
         self.builder = _Builder(self.formula, varmap)
         self.progress = progress
         self.ends: list[tuple[int, int, VarMap]] = []
+        self.lock = threading.Lock()
+        self.broken = False  # a growth raised part-way through a step
+
+    def prefix(self, steps: int) -> Optional[tuple[int, list, VarMap]]:
+        """The variable count, clauses and VarMap of horizon ``steps``,
+        growing the chain as needed; None once a growth has raised."""
+        with self.lock:
+            if self.broken:
+                return None
+            try:
+                var_count, clause_count, varmap = self.grow(steps)
+            except BaseException:
+                # a half-emitted step must never be grown or sliced again
+                self.broken = True
+                _chain.cache_clear()
+                raise
+            return var_count, self.formula.clauses[:clause_count], varmap
 
     def grow(self, steps: int) -> tuple[int, int, VarMap]:
         """Append steps up to ``steps``; return the end of that step."""
@@ -690,8 +708,15 @@ def _emit_cell_rules(b: _Builder, s: int, r: int, c: int) -> None:
                     ]
                 )
             )
-    changed_now = b.conj([b.neg(same_now), b.neg(b.cell_empty(s, r, c))])
-    b.require_iff_any(changed_now, change_cases)
+    # the cell changes (neither keeps its value nor ends up empty) exactly
+    # when a change case holds, with no gate for "changes"; every case has
+    # a shot or wall-fall conjunct, so it is a literal or FALSE
+    empty_now = b.cell_empty(s, r, c)
+    b.require_any([same_now, empty_now, *change_cases])
+    for t in change_cases:
+        if t is not FALSE:
+            b.f.add_clause((-t, -same_now))
+            b.f.add_clause((-t, -empty_now))
 
 
 def _emit_sum_decrease(b: _Builder, s: int) -> None:

@@ -165,6 +165,7 @@ def solve(
     statuses: list[tuple[int, str]] = []
     saw_unknown = False
     trace = None
+    index = cnf.ClauseIndex()  # one per solve: horizons extend one another
     for steps in range(1, bound + 1):
         options = encoder.EncodeOptions(
             steps=steps,
@@ -177,7 +178,9 @@ def solve(
             with open(path, "w") as fh:
                 cnf.write_dimacs(formula, fh)
         if backend == INTERNAL_BACKEND:
-            outcome = cnf.dpll_solve(formula, timeout=per_horizon_timeout)
+            outcome = cnf.dpll_solve(
+                formula, timeout=per_horizon_timeout, index=index
+            )
         else:
             outcome = cnf.external_solve(
                 formula, backend, timeout=per_horizon_timeout

@@ -124,6 +124,7 @@ def _sweep_3x3_instance(cells):
     return cells, rows
 
 
+@pytest.mark.slow
 def test_criterion_2_planner_bfs_minimality():
     """Every canonical full 3x3 two-colour grid, every goal 0..8."""
     t0 = time.time()
@@ -222,6 +223,7 @@ def test_criterion_4_invariant_suite():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_horizon_bound():
     """Every Found horizon is at most blocks - goal."""
     t0 = time.time()

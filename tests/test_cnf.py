@@ -3,10 +3,11 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plotting_solver.cnf import (
+    ClauseIndex,
     CnfFormula,
     EmptySelectionError,
     InfeasibleBoundError,
@@ -121,6 +122,10 @@ class TestReify:
                 trial.add_clause((var if bit else -var,))
             out = dpll_solve(trial)
             assert out.is_sat and out.model[z] == all(vals)
+            # DPLL tries true first, so also check that z cannot take the
+            # wrong value
+            trial.add_clause((-z if all(vals) else z,))
+            assert dpll_solve(trial).is_unsat
 
 
 class TestAtLeastK:
@@ -312,6 +317,61 @@ class TestDpll:
             assert out.is_unsat
         else:
             assert out.is_sat and out.model == (False,) + first
+
+
+def same_outcome(out, want):
+    assert (out.status, out.model) == (want.status, want.model)
+
+
+class TestClauseIndex:
+    """One index reused across formulas gives each formula's fresh outcome."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.integers(0, 16), random_cnf, st.booleans()),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    # two equal clauses: retracting the second must unwatch its own copy,
+    # not the first's, whose watches the next solve then moves
+    @example(
+        steps=[
+            (0, (3, [[-1, 2, 3], [-1, 2, 3]]), False),
+            (1, (3, [[-2]]), False),
+            (0, (1, [[1]]), False),
+        ]
+    )
+    def test_matches_fresh_solves(self, steps):
+        # each formula keeps a random leading run of the one before, so the
+        # sequence grows, shrinks and changes var_count; some calls time out
+        index = ClauseIndex()
+        before: list = []
+        for keep, (n, tail), times_out in steps:
+            clauses = before[:keep] + [tuple(c) for c in tail]
+            n = max([n] + [abs(l) for c in clauses for l in c])
+            f = formula_from(n, clauses)
+            out = dpll_solve(f, timeout=1e-9 if times_out else None, index=index)
+            if out.status != "unknown":
+                same_outcome(out, dpll_solve(f))
+            before = clauses
+
+    def test_interrupted_load_is_not_reused(self):
+        class Interrupting(tuple):
+            def __len__(self):
+                raise KeyboardInterrupt
+
+        index = ClauseIndex()
+        first = formula_from(2, [(1, 2), (1, -2, 2)])
+        same_outcome(dpll_solve(first, index=index), dpll_solve(first))
+        cut = formula_from(2, [(1, 2), (-1,), (-2, -1), (1, 2, -1)])
+        cut.clauses.append(Interrupting((2, 1, -1)))
+        with pytest.raises(KeyboardInterrupt):
+            dpll_solve(cut, index=index)
+        for n, clauses in [(2, [(1, 2)]), (3, [(1, 2), (1, -2, 3)]), (1, [(1,)])]:
+            f = formula_from(n, clauses)
+            same_outcome(dpll_solve(f, index=index), dpll_solve(f))
 
 
 class TestVerifyModel:

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -123,6 +126,11 @@ class TestBuilder:
                 else:
                     value = out.model[abs(result)] == (result > 0)
                     assert value == fn(vals)
+                    # DPLL tries true first: the wrong value must be UNSAT
+                    wrong = CnfFormula()
+                    wrong.var_count = trial.var_count
+                    wrong.clauses = trial.clauses + [(-result if value else result,)]
+                    assert dpll_solve(wrong).is_unsat
 
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -268,6 +276,42 @@ class TestSharedSteps:
             encode(inst, EncodeOptions(steps=3))
         monkeypatch.setattr(encoder, "_emit_step", emit_step)
         assert dimacs_text(encode(inst, EncodeOptions(steps=3))[0]) == cold
+
+    def test_concurrent_encodes_match_serial(self):
+        # more threads than cores, each encoding a horizon of a fresh 4x4
+        # chain, switching threads as often as the interpreter allows
+        inst = Instance(g([[1, 2, 3, 1], [2, 3, 1, 2], [3, 1, 2, 3], [1, 2, 3, 1]]), 8)
+        threads = (os.cpu_count() or 1) + 2
+        horizons = [3 - i % 3 for i in range(threads)]
+        serial = {}
+        for steps in set(horizons):
+            encoder._chain.cache_clear()
+            serial[steps] = dimacs_text(encode(inst, EncodeOptions(steps=steps))[0])
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(3):
+                encoder._chain.cache_clear()
+                start = threading.Barrier(threads)
+                texts = [None] * threads
+
+                def work(i):
+                    start.wait(timeout=30)
+                    opts = EncodeOptions(steps=horizons[i])
+                    texts[i] = dimacs_text(encode(inst, opts)[0])
+
+                workers = [
+                    threading.Thread(target=work, args=(i,), daemon=True)
+                    for i in range(threads)
+                ]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=60)
+                assert not any(w.is_alive() for w in workers)
+                assert texts == [serial[h] for h in horizons]
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_each_horizon_extends_the_one_before(self):
         inst = Instance(self.GRID, 1)
