@@ -9,12 +9,23 @@ A rule "``a`` holds exactly when one of its cases does" is the clause
 ``(¬a ∨ c1 ∨ … ∨ cn)`` plus ``(¬ci ∨ a)`` per case, with no variable for
 the OR; where ``a`` is a conjunction, as in a cell's "changes colour" rule
 (neither the same value nor empty), those clauses are expanded and ``a``
-gets no variable either. A case is an AND gate over literals (an OR inside a case is the
-negation of the AND over the negated terms). That two one-hot groups hold
-the same value is one literal with three clauses per value. Every
-auxiliary variable of a step is a function of lower-index state and action
-variables, which unit propagation fixes once those are set, so the DPLL
-solver, branching on the lowest index, never decides one.
+gets no variable either. A case is an AND gate over literals (an OR inside
+a case is the negation of the AND over the negated terms). That two one-hot
+groups hold the same value is one literal with three clauses per value.
+
+A shot's travel is defined once, as its path: a row shot crosses its row
+left to right and then the last column below it, and a column shot crosses
+its column top down. Every rule reads the travel through two prefix
+literals per path cell ``k``, each one AND gate on the one before: "the
+first ``k`` cells are empty or of the hand's colour" (the shot got that far)
+and "one of the first ``k`` held the hand's colour" (it consumed
+something). A case reads a shot literal and a prefix literal, so a
+consumption, a stop or a swap at a cell is the same case for every shot
+that crosses the cell.
+
+Every auxiliary variable of a step is a function of lower-index state and
+action variables, which unit propagation fixes once those are set, so the
+DPLL solver, branching on the lowest index, never decides one.
 
 Variable allocation is deterministic: step 0 grid cells (row major, value
 0..K per cell) and the step-0 hand come first. Each step then follows in
@@ -146,6 +157,11 @@ class _Builder:
     ``conj`` builds AND gates, and ``disj`` the negation of the AND over its
     negated terms. ``same`` builds a one-hot equality literal.
     ``require_any`` and ``require_iff_any`` emit clauses and no variable.
+    ``path`` lists the cells a shot crosses, ``crossings`` the shots that
+    cross a cell, and ``path_clear`` and ``path_hit`` are the memoised
+    prefix literals over a path: ``path_clear(k)`` is
+    ``path_clear(k-1) ∧ clear(cell k)`` and ``path_hit(k)`` is
+    ``path_hit(k-1) ∨ prev_is_hand(cell k)``.
     """
 
     def __init__(self, formula: CnfFormula, varmap: VarMap) -> None:
@@ -211,8 +227,13 @@ class _Builder:
                 return
             lits[t] = None
         self.require_any([self.neg(a), *lits])
+        if a is TRUE:
+            return
         for t in lits:
-            self.require_any([-t, a])
+            if a is FALSE:
+                self.f.add_clause((-t,))
+            elif t != a:
+                self.f.add_clause((a,) if t == -a else (-t, a))
 
     # -- atoms -------------------------------------------------------------
 
@@ -268,6 +289,67 @@ class _Builder:
         if key not in self.memo:
             self.memo[key] = self.disj(
                 [self.cell_empty(s - 1, r, c), self.prev_is_hand(s, r, c)]
+            )
+        return self.memo[key]
+
+    # -- a shot's path -----------------------------------------------------
+
+    def shots(self) -> list[tuple[int, int]]:
+        """Every shot as ``(fired row, fired column)``, 0 on the axis not
+        fired, as in ``engine.shot_axes``: columns first, then rows."""
+        H, W = self.vm.height, self.vm.width
+        return [(0, c) for c in range(1, W + 1)] + [(rv, 0) for rv in range(1, H + 1)]
+
+    def fired(self, s: int, shot: tuple[int, int]) -> int:
+        rv, c = shot
+        return self.vm.row_shot_var(s, rv) if rv else self.vm.col_shot_var(s, c)
+
+    def path(self, shot: tuple[int, int]) -> list[tuple[int, int]]:
+        """The cells the shot crosses, in order: a row shot runs along its
+        row, then down the last column; a column shot runs down its column."""
+        key = ("path", shot)
+        if key not in self.memo:
+            (rv, c), H, W = shot, self.vm.height, self.vm.width
+            if rv:
+                cells = [(rv, cc) for cc in range(1, W + 1)]
+                cells += [(rr, W) for rr in range(rv + 1, H + 1)]
+            else:
+                cells = [(rr, c) for rr in range(1, H + 1)]
+            self.memo[key] = cells
+        return self.memo[key]
+
+    def crossings(self, r: int, c: int) -> list[tuple[tuple[int, int], int]]:
+        """Every ``(shot, k)`` whose path's ``k``-th cell is ``(r, c)``."""
+        if "crossings" not in self.memo:
+            table: dict = {}
+            for shot in self.shots():
+                for k, cell in enumerate(self.path(shot), 1):
+                    table.setdefault(cell, []).append((shot, k))
+            self.memo["crossings"] = table
+        return self.memo["crossings"][r, c]
+
+    def path_clear(self, s: int, shot: tuple[int, int], k: int) -> Expr:
+        """The first ``k`` cells of the shot's path are each ``clear``."""
+        if k == 0:
+            return TRUE
+        key = ("pclear", s, shot, k)
+        if key not in self.memo:
+            cell = self.path(shot)[k - 1]
+            self.memo[key] = self.conj(
+                [self.path_clear(s, shot, k - 1), self.clear(s, *cell)]
+            )
+        return self.memo[key]
+
+    def path_hit(self, s: int, shot: tuple[int, int], k: int) -> Expr:
+        """One of the first ``k`` cells of the shot's path holds the hand's
+        colour, at the step before ``s``."""
+        if k == 0:
+            return FALSE
+        key = ("phit", s, shot, k)
+        if key not in self.memo:
+            cell = self.path(shot)[k - 1]
+            self.memo[key] = self.disj(
+                [self.path_hit(s, shot, k - 1), self.prev_is_hand(s, *cell)]
             )
         return self.memo[key]
 
@@ -436,26 +518,18 @@ def _emit_step(b: _Builder, s: int, progress: str) -> None:
 
 
 def _emit_hand_rule(b: _Builder, s: int) -> None:
-    """The hand keeps its colour exactly when the shot rebounds."""
+    """The hand keeps its colour exactly when the shot rebounds: the shot's
+    whole path is clear."""
     vm = b.vm
-    H, W = vm.height, vm.width
-    down_column = [
-        b.conj([vm.col_shot_var(s, c)] + [b.clear(s, rr, c) for rr in range(1, H + 1)])
-        for c in range(1, W + 1)
-    ]
-    through_row = [
-        b.conj(
-            [vm.row_shot_var(s, rv)]
-            + [b.clear(s, rv, cc) for cc in range(1, W + 1)]
-            + [b.clear(s, rr, W) for rr in range(rv + 1, H + 1)]
-        )
-        for rv in range(0, H + 1)
+    rebounds = [
+        b.conj([b.fired(s, shot), b.path_clear(s, shot, len(b.path(shot)))])
+        for shot in b.shots()
     ]
     hands = range(1, vm.colours + 1)
     kept = b.same(
         [vm.hand_var(s - 1, v) for v in hands], [vm.hand_var(s, v) for v in hands]
     )
-    b.require_iff_any(kept, down_column + through_row)
+    b.require_iff_any(kept, rebounds)
 
 
 def _emit_wall_fall_rule(b: _Builder, s: int) -> None:
@@ -467,9 +541,11 @@ def _emit_wall_fall_rule(b: _Builder, s: int) -> None:
         for row in range(2, H + 1):
             cases.append(
                 b.conj(
-                    [vm.row_shot_var(s, row)]
-                    + [b.clear(s, row, cc) for cc in range(1, W + 1)]
-                    + [b.neg(b.cell_empty(s - 1, row - 1, W))]
+                    [
+                        vm.row_shot_var(s, row),
+                        b.path_clear(s, (row, 0), W),
+                        b.neg(b.cell_empty(s - 1, row - 1, W)),
+                    ]
                     + [b.prev_is_hand(s, rr, W) for rr in range(row, row + i)]
                     + [
                         TRUE
@@ -482,88 +558,89 @@ def _emit_wall_fall_rule(b: _Builder, s: int) -> None:
 
 
 def _emit_cell_rules(b: _Builder, s: int, r: int, c: int) -> None:
+    """The ways the cell ends up empty, keeps its value or changes colour."""
     vm = b.vm
     H, W = vm.height, vm.width
+    was_empty = b.cell_empty(s - 1, r, c)
+    above_empty = TRUE if r == 1 else b.cell_empty(s - 1, r - 1, c)
+    hand_here = b.prev_is_hand(s, r, c)
+    empty_cases: list[Expr] = [was_empty]
+    same_cases: list[Expr] = [was_empty]
+    change_cases: list[Expr] = []
 
-    # -- the six ways the cell ends up empty --------------------------------
-    empty_cases: list[Expr] = [b.cell_empty(s - 1, r, c)]
-    # consumed by a column shot with a clear path above
-    empty_cases.append(
-        b.conj(
-            [vm.col_shot_var(s, c), b.prev_is_hand(s, r, c)]
-            + [b.clear(s, rr, c) for rr in range(1, r)]
-        )
-    )
-    # consumed by a row shot with nothing above to fall in
-    empty_cases.append(
-        b.conj(
-            [
-                vm.row_shot_var(s, r),
-                b.prev_is_hand(s, r, c),
-                TRUE if r == 1 else b.cell_empty(s - 1, r - 1, c),
-            ]
-            + [b.clear(s, r, cc) for cc in range(1, c)]
-        )
-    )
-    if c == W:
-        # consumed by the drop of a wall shot, nothing above on the column
-        for rv in range(0, r):
-            empty_cases.append(
-                b.conj(
-                    [vm.row_shot_var(s, rv), b.prev_is_hand(s, r, W)]
-                    + [b.clear(s, rv, cc) for cc in range(1, W + 1)]
-                    + [b.clear(s, rr, W) for rr in range(rv + 1, r)]
-                    + [b.cell_empty(s - 1, rr, W) for rr in range(1, rv)]
-                )
-            )
-    # vacated: the block here fell into a consumption on a lower row
-    for rv in range(r + 1, H + 1):
-        empty_cases.append(
+    # a shot whose path crosses the cell, as its k-th cell
+    for shot, k in b.crossings(r, c):
+        fired, reached = b.fired(s, shot), b.path_clear(s, shot, k - 1)
+        rv = shot[0]
+        # consumed, with nothing above to fall in: along the fired row the
+        # cell above must be empty, down the wall the column above the fired
+        # row; a column shot moves nothing (range(1, 0) is empty)
+        if rv == r:
+            nothing_above = [above_empty]
+        else:
+            nothing_above = [b.cell_empty(s - 1, rr, W) for rr in range(1, rv)]
+        empty_cases.append(b.conj([fired, hand_here, reached, *nothing_above]))
+        # stopped before reaching the cell
+        same_cases.append(b.conj([fired, b.neg(reached)]))
+        # stopped at the cell, after consuming: it swaps with the hand
+        change_cases.append(
             b.conj(
                 [
-                    vm.row_shot_var(s, rv),
-                    TRUE if r == 1 else b.cell_empty(s - 1, r - 1, c),
+                    fired,
+                    reached,
+                    b.path_hit(s, shot, k - 1),
+                    b.hand_cell_eq(s, s - 1, r, c),
+                    b.hand_cell_eq(s - 1, s, r, c),
+                    b.neg(hand_here),
                 ]
-                + [b.clear(s, rv, cc) for cc in range(1, c + 1)]
             )
         )
-    if c == W:
-        # wall fall: whatever would land here is empty or above the grid;
-        # applies within the landing span (row < fired row + fall distance)
-        for w in range(1, H + 1):
-            empty_cases.append(
+    # a row shot at or below the cell, cleared up to this column
+    for rv in range(r, H + 1):
+        fired, passed = vm.row_shot_var(s, rv), b.path_clear(s, (rv, 0), c)
+        if rv > r:
+            # vacated: the block here fell into a consumption below
+            empty_cases.append(b.conj([fired, above_empty, passed]))
+            # the shot stopped before reaching this column
+            same_cases.append(b.conj([fired, b.neg(passed)]))
+        if c < W:
+            # the block above falls one cell, of the same colour or another;
+            # cells_eq is FALSE off-grid, and so is ¬above_empty for r == 1
+            fallen = b.cells_eq(s - 1, r - 1, c, s - 1, r, c)
+            same_cases.append(b.conj([fired, passed, fallen]))
+            change_cases.append(
                 b.conj(
                     [
-                        vm.wall_fall_var(s, w),
-                        b.fired_row_above(s, r - w),
-                        TRUE if r - w < 1 else b.cell_empty(s - 1, r - w, W),
+                        fired,
+                        b.neg(above_empty),
+                        passed,
+                        b.cells_eq(s, r, c, s - 1, r - 1, c),
+                        b.neg(fallen),
                     ]
                 )
             )
-    b.require_iff_any(b.cell_empty(s, r, c), empty_cases)
-
-    # -- the nine ways the cell keeps its value -----------------------------
-    same_cases: list[Expr] = [b.cell_empty(s - 1, r, c)]
-    # fired below, but the shot stopped before reaching this column
-    for rv in range(r + 1, H + 1):
-        same_cases.append(
-            b.conj(
-                [
-                    vm.row_shot_var(s, rv),
-                    b.disj([b.neg(b.clear(s, rv, cc)) for cc in range(1, c + 1)]),
-                ]
+    if c == W:
+        # a wall fall of w cells, landing within the span (row < fired row
+        # + w): empty when the source w rows above is empty or off-grid,
+        # else its block lands here, of the same colour or another
+        for w in range(1, H + 1):
+            fell, landing = vm.wall_fall_var(s, w), b.fired_row_above(s, r - w)
+            source_empty = TRUE if r - w < 1 else b.cell_empty(s - 1, r - w, W)
+            fallen = b.cells_eq(s - 1, r - w, W, s - 1, r, W)
+            empty_cases.append(b.conj([fell, landing, source_empty]))
+            same_cases.append(b.conj([fell, landing, fallen]))
+            change_cases.append(
+                b.conj(
+                    [
+                        fell,
+                        landing,
+                        b.neg(source_empty),
+                        b.cells_eq(s, r, W, s - 1, r - w, W),
+                        b.neg(fallen),
+                    ]
+                )
             )
-        )
-    # fired along this row, but something is in the way to the left
-    same_cases.append(
-        b.conj(
-            [
-                vm.row_shot_var(s, r),
-                b.disj([b.neg(b.clear(s, r, cc)) for cc in range(1, c)]),
-            ]
-        )
-    )
-    if c < W:
+    else:
         # fired along a row above; columns before the last are untouched
         same_cases.append(
             b.conj(
@@ -573,145 +650,18 @@ def _emit_cell_rules(b: _Builder, s: int, r: int, c: int) -> None:
                 ]
             )
         )
-    if c == W:
-        # fired along a row above, last column, but the travel stopped
-        for rv in range(1, r):
-            same_cases.append(
-                b.conj(
-                    [
-                        vm.row_shot_var(s, rv),
-                        b.disj(
-                            [b.neg(b.clear(s, rv, cc)) for cc in range(1, W + 1)]
-                            + [b.neg(b.clear(s, rr, W)) for rr in range(rv, r)]
-                        ),
-                    ]
-                )
-            )
-    # fired down this column, but something above is in the way
-    same_cases.append(
-        b.conj(
-            [
-                vm.col_shot_var(s, c),
-                b.disj([b.neg(b.clear(s, rr, c)) for rr in range(1, r)]),
-            ]
-        )
-    )
     # fired down a different column
     same_cases.append(
         b.conj([b.neg(vm.col_shot_var(s, 0)), b.neg(vm.col_shot_var(s, c))])
     )
-    if c < W:
-        # a same-coloured block falls here (single-cell fall)
-        for rv in range(r, H + 1):
-            same_cases.append(
-                b.conj(
-                    [vm.row_shot_var(s, rv)]
-                    + [b.clear(s, rv, cc) for cc in range(1, c + 1)]
-                    + [b.cells_eq(s - 1, r - 1, c, s - 1, r, c)]
-                )
-            )
-    if c == W:
-        # a same-coloured block lands here after a wall fall
-        for w in range(1, H + 1):
-            same_cases.append(
-                b.conj(
-                    [
-                        vm.wall_fall_var(s, w),
-                        b.fired_row_above(s, r - w),
-                        b.cells_eq(s - 1, r - w, W, s - 1, r, W),
-                    ]
-                )
-            )
+
+    empty_now = b.cell_empty(s, r, c)
+    b.require_iff_any(empty_now, empty_cases)
     same_now = b.cells_eq(s, r, c, s - 1, r, c)
     b.require_iff_any(same_now, same_cases)
-
-    # -- the five ways the cell changes to another colour --------------------
-    change_cases: list[Expr] = []
-    if c < W:
-        # a different-coloured block falls one cell
-        for rv in range(r, H + 1):
-            change_cases.append(
-                b.conj(
-                    [
-                        vm.row_shot_var(s, rv),
-                        FALSE if r == 1 else b.neg(b.cell_empty(s - 1, r - 1, c)),
-                    ]
-                    + [b.clear(s, rv, cc) for cc in range(1, c + 1)]
-                    + [
-                        b.cells_eq(s, r, c, s - 1, r - 1, c),
-                        # TRUE off-grid, but r == 1 is FALSE above
-                        b.neg(b.cells_eq(s - 1, r - 1, c, s - 1, r, c)),
-                    ]
-                )
-            )
-    if c == W:
-        # a different-coloured block lands here after a wall fall; the
-        # source cell wall_fall rows above must hold a block
-        for w in range(1, H + 1):
-            change_cases.append(
-                b.conj(
-                    [
-                        vm.wall_fall_var(s, w),
-                        b.fired_row_above(s, r - w),
-                        FALSE if r - w < 1 else b.neg(b.cell_empty(s - 1, r - w, W)),
-                        b.cells_eq(s, r, W, s - 1, r - w, W),
-                        # TRUE off-grid, but r - w < 1 is FALSE above
-                        b.neg(b.cells_eq(s - 1, r - w, W, s - 1, r, W)),
-                    ]
-                )
-            )
-    # swap with the hand where a row shot stopped
-    change_cases.append(
-        b.conj(
-            [vm.row_shot_var(s, r)]
-            + [b.clear(s, r, cc) for cc in range(1, c)]
-            + [
-                b.disj([b.prev_is_hand(s, r, cc) for cc in range(1, c)]),
-                b.hand_cell_eq(s, s - 1, r, c),
-                b.hand_cell_eq(s - 1, s, r, c),
-                b.neg(b.prev_is_hand(s, r, c)),
-            ]
-        )
-    )
-    # swap with the hand where a column shot stopped
-    change_cases.append(
-        b.conj(
-            [vm.col_shot_var(s, c)]
-            + [b.clear(s, rr, c) for rr in range(1, r)]
-            + [
-                b.disj([b.prev_is_hand(s, rr, c) for rr in range(1, r)]),
-                b.hand_cell_eq(s, s - 1, r, c),
-                b.hand_cell_eq(s - 1, s, r, c),
-                b.neg(b.prev_is_hand(s, r, c)),
-            ]
-        )
-    )
-    if c == W:
-        # swap with the hand where the drop of a wall shot stopped
-        for rv in range(0, r):
-            change_cases.append(
-                b.conj(
-                    [vm.row_shot_var(s, rv)]
-                    + [b.clear(s, rv, cc) for cc in range(1, W)]
-                    + [b.clear(s, rr, W) for rr in range(max(rv, 1), r)]
-                    + [
-                        b.disj(
-                            [b.prev_is_hand(s, rv, cc) for cc in range(1, W)]
-                            + [
-                                b.prev_is_hand(s, rr, W)
-                                for rr in range(max(rv, 1), r)
-                            ]
-                        ),
-                        b.hand_cell_eq(s, s - 1, r, W),
-                        b.hand_cell_eq(s - 1, s, r, W),
-                        b.neg(b.prev_is_hand(s, r, W)),
-                    ]
-                )
-            )
     # the cell changes (neither keeps its value nor ends up empty) exactly
     # when a change case holds, with no gate for "changes"; every case has
     # a shot or wall-fall conjunct, so it is a literal or FALSE
-    empty_now = b.cell_empty(s, r, c)
     b.require_any([same_now, empty_now, *change_cases])
     for t in change_cases:
         if t is not FALSE:

@@ -303,6 +303,7 @@ def _sample_formulas(count):
     return formulas
 
 
+@pytest.mark.slow
 def test_criterion_6_dimacs_conformance_and_solver_agreement():
     """Emitted DIMACS parses strictly; internal/external statuses agree."""
     t0 = time.time()

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plotting_solver import encoder
-from plotting_solver.cnf import CnfFormula, dimacs_text, dpll_solve
+from plotting_solver.cnf import CnfFormula, dimacs_text, dpll_solve, exactly_one
 from plotting_solver.encoder import (
     PROGRESS_CARDINALITY,
     PROGRESS_MODES,
@@ -25,8 +25,11 @@ from plotting_solver.encoder import (
     encode,
 )
 from plotting_solver.engine import (
+    ColShot,
     Grid,
     Instance,
+    NullMoveError,
+    RowShot,
     apply_shot,
     is_goal,
     legal_shots,
@@ -183,6 +186,63 @@ class TestBuilder:
                 trial.add_clause((var if bit else -var,))
             want = value(a, bits) == any(value(t, bits) for t in cases)
             assert dpll_solve(trial).is_sat == want, bits
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_path_prefixes_are_clear_and_hit(self, size):
+        # step-0 cells and a two-colour hand; path_clear(1, ...) and
+        # path_hit(1, ...) read them as the state before step 1
+        f = CnfFormula()
+        vm = VarMap(size, size, 2, state_bases=(f.alloc_block(size * size * 3 + 2),))
+        cells = [(r, c) for r in range(1, size + 1) for c in range(1, size + 1)]
+        for r, c in cells:
+            exactly_one(f, [vm.grid_var(0, r, c, v) for v in range(3)])
+        exactly_one(f, [vm.hand_var(0, 1), vm.hand_var(0, 2)])
+        b = _Builder(f, vm)
+        for shot in b.shots():
+            path = b.path(shot)
+            for k in range(1, len(path) + 1):
+                clear, hit = b.path_clear(1, shot, k), b.path_hit(1, shot, k)
+                # hand colour 1; each crossed cell is empty (0), the hand's
+                # colour (1) or another (2); cells off the prefix hold 2
+                for prefix in itertools.product(range(3), repeat=k):
+                    values = dict.fromkeys(cells, 2)
+                    values.update(zip(path, prefix))
+                    units = [(vm.hand_var(0, 1),)] + [
+                        (vm.grid_var(0, r, c, v),) for (r, c), v in values.items()
+                    ]
+                    wants = {clear: 2 not in prefix, hit: 1 in prefix}
+                    for lit, want in wants.items():
+                        # forced either way, only the defined value is SAT
+                        for forced in (lit, -lit):
+                            trial = CnfFormula()
+                            trial.var_count = f.var_count
+                            trial.clauses = f.clauses + units + [(forced,)]
+                            holds = (forced == lit) == want
+                            assert dpll_solve(trial).is_sat == holds, (shot, prefix)
+
+    def test_paths_are_what_the_engine_consumes(self):
+        for height, width in itertools.product(range(1, 5), repeat=2):
+            b = _Builder(CnfFormula(), VarMap(height, width, 1, state_bases=()))
+            grid = Grid.from_rows([[1] * width for _ in range(height)])
+            for rv, c in b.shots():
+                out = apply_shot(grid, 1, RowShot(rv) if rv else ColShot(c))
+                assert out.consumed == len(b.path((rv, c))), (height, width, rv, c)
+
+    def test_no_shot_consumes_more_than_height_plus_width_minus_one(self):
+        # the soundness of the implied bound on empties per step; a path
+        # is at most H + W - 1 cells long
+        b = _Builder(CnfFormula(), VarMap(3, 3, 3, state_bases=()))
+        assert max(len(b.path(shot)) for shot in b.shots()) == 5
+        shots = [RowShot(r) for r in range(1, 4)] + [ColShot(c) for c in range(1, 4)]
+        most = 0
+        for flat in itertools.product((1, 2, 3), repeat=9):
+            grid = Grid((flat[0:3], flat[3:6], flat[6:9]))
+            for hand, shot in itertools.product((1, 2, 3), shots):
+                try:
+                    most = max(most, apply_shot(grid, hand, shot).consumed)
+                except NullMoveError:
+                    pass
+        assert most == 5
 
 
 class TestEncodeExamples:
