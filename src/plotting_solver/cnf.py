@@ -440,22 +440,17 @@ def _search(
         trail.append(next_var)
         pending.append(next_var)
         while not propagate():
-            # conflict: backtrack to the last decision with an untried polarity
-            while stack and stack[-1][1]:
-                var, _, mark = stack.pop()
+            # conflict: undo decisions up to the newest with an untried polarity
+            tried = True
+            while tried:
+                if not stack:
+                    return SatOutcome.unsat()
+                var, tried, mark = stack.pop()
                 for lit in trail[mark:]:
                     is_true[lit] = False
                 del trail[mark:]
                 if var < next_var:
                     next_var = var
-            if not stack:
-                return SatOutcome.unsat()
-            var, _, mark = stack.pop()
-            for lit in trail[mark:]:
-                is_true[lit] = False
-            del trail[mark:]
-            if var < next_var:
-                next_var = var
             stack.append((var, True, mark))
             is_true[-var] = True
             trail.append(-var)

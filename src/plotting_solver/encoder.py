@@ -32,9 +32,11 @@ Variable allocation is deterministic: step 0 grid cells (row major, value
 turn: its primary groups (fired row, fired column, wall fall, grid, hand),
 then the auxiliary (gate) variables of its transition rules. The goal's
 counter variables come last, so DIMACS output is byte-stable for a given
-instance and options. The steps depend only on the grid's shape and the
-progress style, so each is emitted once per shape and shared by every
-horizon (see :class:`_Chain`).
+instance and options. :meth:`VarMap.groups` is the one list of a step's
+one-hot groups; the encoder emits an ``exactly_one`` over each and
+:func:`decode` reads each back. The steps depend only on the grid's shape
+and the progress style, so each is emitted once per shape and shared by
+every horizon (see :class:`_Chain`); one module lock guards that sharing.
 """
 
 from __future__ import annotations
@@ -122,6 +124,27 @@ class VarMap:
 
     def wall_fall_var(self, step: int, value: int) -> int:
         return self.state_bases[step] - (self.height + 1) + value
+
+    def groups(self, step: int) -> list[tuple[str, int, list[int]]]:
+        """The step's one-hot groups as ``(label, lowest value, ids)``, in the
+        order they are emitted: each cell (values 0..K, row major), the hand
+        (1..K), then from step 1 on the fired row (0..H), the fired column
+        (0..W) and the wall fall (0..H)."""
+        s, H, W, K = step, self.height, self.width, self.colours
+        groups = [
+            (f"grid({s},{r},{c})", 0, [self.grid_var(s, r, c, v) for v in range(K + 1)])
+            for r in range(1, H + 1)
+            for c in range(1, W + 1)
+        ]
+        groups.append((f"hand({s})", 1, [self.hand_var(s, v) for v in range(1, K + 1)]))
+        if s > 0:
+            rows, cols = range(H + 1), range(W + 1)
+            groups += [
+                (f"fired row({s})", 0, [self.row_shot_var(s, v) for v in rows]),
+                (f"fired col({s})", 0, [self.col_shot_var(s, v) for v in cols]),
+                (f"wall fall({s})", 0, [self.wall_fall_var(s, v) for v in rows]),
+            ]
+        return groups
 
 
 @dataclass(frozen=True)
@@ -283,14 +306,7 @@ class _Builder:
 
     def clear(self, s: int, r: int, c: int) -> Expr:
         """Cell is empty or matches the hand, at the step before ``s``."""
-        if not self.in_range(r, c):
-            return FALSE
-        key = ("clear", s, r, c)
-        if key not in self.memo:
-            self.memo[key] = self.disj(
-                [self.cell_empty(s - 1, r, c), self.prev_is_hand(s, r, c)]
-            )
-        return self.memo[key]
+        return self.disj([self.cell_empty(s - 1, r, c), self.prev_is_hand(s, r, c)])
 
     # -- a shot's path -----------------------------------------------------
 
@@ -373,14 +389,7 @@ class _Builder:
         values = [v for v in range(0, self.vm.height + 1) if v > threshold]
         if len(values) == self.vm.height + 1:
             return TRUE
-        if not values:
-            return FALSE
-        key = ("rowgt", s, threshold)
-        if key not in self.memo:
-            self.memo[key] = self.disj(
-                [self.vm.row_shot_var(s, v) for v in values]
-            )
-        return self.memo[key]
+        return self.disj([self.vm.row_shot_var(s, v) for v in values])
 
 
 def encode(
@@ -401,12 +410,16 @@ def encode(
         raise ValueError(f"initial hand {fixed} outside 1..{colours}")
 
     height, width = instance.grid.height, instance.grid.width
-    prefix = None
-    while prefix is None:  # None: another call's growth of this chain raised
-        chain = _chain(height, width, colours, options.progress_encoding)
-        prefix = chain.prefix(options.steps)
+    with _chain_lock:
+        try:
+            chain = _chain(height, width, colours, options.progress_encoding)
+            var_count, clause_count, varmap = chain.grow(options.steps)
+            clauses = chain.formula.clauses[:clause_count]
+        except BaseException:
+            _chain.cache_clear()  # a half-grown chain must never be reused
+            raise
     formula = CnfFormula()
-    formula.var_count, formula.clauses, varmap = prefix
+    formula.var_count, formula.clauses = var_count, clauses
     goal_empties = instance.block_total - instance.goal
     if goal_empties > 0:
         at_least_k(
@@ -430,10 +443,12 @@ class _Chain:
     """The one-hot groups and transition rules of steps 0, 1, 2, ... for
     one grid shape and progress style, each step emitted once.
 
+    Each step is an ``exactly_one`` over every group of
+    :meth:`VarMap.groups` followed by its transition rules (none at step 0).
     ``ends[s]`` is the ``(var_count, clause_count, VarMap)`` reached at the
     end of step ``s``; the formula for horizon ``s`` starts with exactly
-    that many variables and clauses. A lock serialises growth, so threads
-    may encode horizons of one shape concurrently.
+    that many variables and clauses. A chain is only read or grown under
+    ``_chain_lock``, which ``encode`` holds from the lookup to the slice.
     """
 
     def __init__(self, height: int, width: int, colours: int, progress: str):
@@ -442,23 +457,6 @@ class _Chain:
         self.builder = _Builder(self.formula, varmap)
         self.progress = progress
         self.ends: list[tuple[int, int, VarMap]] = []
-        self.lock = threading.Lock()
-        self.broken = False  # a growth raised part-way through a step
-
-    def prefix(self, steps: int) -> Optional[tuple[int, list, VarMap]]:
-        """The variable count, clauses and VarMap of horizon ``steps``,
-        growing the chain as needed; None once a growth has raised."""
-        with self.lock:
-            if self.broken:
-                return None
-            try:
-                var_count, clause_count, varmap = self.grow(steps)
-            except BaseException:
-                # a half-emitted step must never be grown or sliced again
-                self.broken = True
-                _chain.cache_clear()
-                raise
-            return var_count, self.formula.clauses[:clause_count], varmap
 
     def grow(self, steps: int) -> tuple[int, int, VarMap]:
         """Append steps up to ``steps``; return the end of that step."""
@@ -469,12 +467,8 @@ class _Chain:
                 f.alloc_block(vm._shot_block)
             base = f.alloc_block(vm._state_block)
             b.vm = vm = replace(vm, state_bases=vm.state_bases + (base,))
-            for r in range(1, vm.height + 1):
-                for c in range(1, vm.width + 1):
-                    exactly_one(
-                        f, [vm.grid_var(s, r, c, v) for v in range(vm.colours + 1)]
-                    )
-            exactly_one(f, [vm.hand_var(s, v) for v in range(1, vm.colours + 1)])
+            for _, _, ids in vm.groups(s):
+                exactly_one(f, ids)
             if s > 0:
                 _emit_step(b, s, self.progress)
             self.ends.append((f.var_count, len(f.clauses), vm))
@@ -484,15 +478,15 @@ class _Chain:
 # Only the latest shape's chain is kept: a solve probes its horizons in order
 # on one shape, and a chain per shape seen would grow without bound.
 _chain = lru_cache(maxsize=1)(_Chain)
+# Held across the lookup, the growth and the slice of a chain, so threads may
+# encode concurrently and a chain whose growth raised is dropped unseen.
+_chain_lock = threading.Lock()
 
 
 def _emit_step(b: _Builder, s: int, progress: str) -> None:
     vm = b.vm
     H, W = vm.height, vm.width
 
-    exactly_one(b.f, [vm.row_shot_var(s, v) for v in range(H + 1)])
-    exactly_one(b.f, [vm.col_shot_var(s, v) for v in range(W + 1)])
-    exactly_one(b.f, [vm.wall_fall_var(s, v) for v in range(H + 1)])
     # one axis fired per step
     b.f.add_clause((vm.row_shot_var(s, 0), vm.col_shot_var(s, 0)))
     b.f.add_clause((-vm.row_shot_var(s, 0), -vm.col_shot_var(s, 0)))
@@ -711,10 +705,10 @@ def _emit_sum_decrease(b: _Builder, s: int) -> None:
     b.require_any(terms)
 
 
-def _one_hot_value(model, var_of, values, what: str) -> int:
-    hits = [v for v in values if model[var_of(v)]]
+def _one_hot_value(model, label: str, low: int, ids: Sequence[int]) -> int:
+    hits = [v for v, x in enumerate(ids, low) if model[x]]
     if len(hits) != 1:
-        raise MalformedModelError(f"{what}: {len(hits)} values true")
+        raise MalformedModelError(f"{label}: {len(hits)} values true")
     return hits[0]
 
 
@@ -725,57 +719,21 @@ def decode(model: Sequence[bool], varmap: VarMap) -> DecodedTrace:
     exactly one shot axis is fired per step; a violation means the model did
     not come from a formula this encoder produced.
     """
-    grids = []
-    hands = []
+    H, W = varmap.height, varmap.width
+    grids, hands, shots, wall_falls = [], [], [], []
     for t in range(0, varmap.steps + 1):
-        rows = []
-        for r in range(1, varmap.height + 1):
-            row = []
-            for c in range(1, varmap.width + 1):
-                row.append(
-                    _one_hot_value(
-                        model,
-                        lambda v, t=t, r=r, c=c: varmap.grid_var(t, r, c, v),
-                        range(0, varmap.colours + 1),
-                        f"grid({t},{r},{c})",
-                    )
-                )
-            rows.append(tuple(row))
+        values = [_one_hot_value(model, *group) for group in varmap.groups(t)]
+        rows = (tuple(values[i : i + W]) for i in range(0, H * W, W))
         grids.append(Grid(tuple(rows)))
-        hands.append(
-            _one_hot_value(
-                model,
-                lambda v, t=t: varmap.hand_var(t, v),
-                range(1, varmap.colours + 1),
-                f"hand({t})",
-            )
-        )
-    shots: list[Shot] = []
-    wall_falls = []
-    for s in range(1, varmap.steps + 1):
-        rv = _one_hot_value(
-            model,
-            lambda v, s=s: varmap.row_shot_var(s, v),
-            range(0, varmap.height + 1),
-            f"fired row({s})",
-        )
-        cv = _one_hot_value(
-            model,
-            lambda v, s=s: varmap.col_shot_var(s, v),
-            range(0, varmap.width + 1),
-            f"fired col({s})",
-        )
-        if (rv > 0) == (cv > 0):
-            raise MalformedModelError(f"step {s}: fired rows and columns: {rv}, {cv}")
-        shots.append(RowShot(rv) if rv > 0 else ColShot(cv))
-        wall_falls.append(
-            _one_hot_value(
-                model,
-                lambda v, s=s: varmap.wall_fall_var(s, v),
-                range(0, varmap.height + 1),
-                f"wall fall({s})",
-            )
-        )
+        hands.append(values[H * W])
+        if t > 0:
+            rv, cv, fall = values[H * W + 1 :]
+            if (rv > 0) == (cv > 0):
+                raise MalformedModelError(
+                    f"step {t}: fired rows and columns: {rv}, {cv}"
+                )
+            shots.append(RowShot(rv) if rv > 0 else ColShot(cv))
+            wall_falls.append(fall)
     return DecodedTrace(
         initial_hand=hands[0],
         shots=tuple(shots),

@@ -130,10 +130,10 @@ def solve(
 ) -> PlanResult:
     """Find a minimal-length plan for ``instance``.
 
-    Probes horizons 1.. in order; the result is Found at the first
-    satisfiable horizon, NoPlanWithinBound when every horizon up to the
-    bound is unsatisfiable, and Unknown when some horizon below the first
-    satisfiable one was undecided (minimality would be unproven).
+    Probes horizons 1.. in order; the status is "found" at the first
+    satisfiable horizon, "unsat" when every horizon up to the bound is
+    unsatisfiable, and "unknown" when any probed horizon was undecided
+    (below a satisfiable one, minimality would be unproven).
     ``per_horizon_timeout`` bounds each horizon's solver call on either
     backend; a horizon that runs out is undecided.
 

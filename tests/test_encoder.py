@@ -1,8 +1,10 @@
 import itertools
 import os
 import random
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -281,6 +283,41 @@ class TestEncodeExamples:
             encode(inst, opts)[0]
         )
 
+    def test_dimacs_is_the_same_in_every_interpreter(self):
+        # the lowest-index DPLL plan depends on variable and clause order, so
+        # the text must not follow the interpreter's string hash seed
+        script = """if True:
+            import hashlib
+            from plotting_solver.cnf import dimacs_text
+            from plotting_solver.encoder import PROGRESS_MODES, EncodeOptions, encode
+            from plotting_solver.engine import Grid, Instance
+            digest = hashlib.sha256()
+            for rows, goal, steps in (
+                ([[1, 2], [2, 1]], 1, 2),
+                ([[1, 2, 3], [3, 1, 2]], 2, 3),
+                ([[2, 1, 1], [1, 2, 2], [1, 1, 2]], 4, 2),
+            ):
+                for mode in PROGRESS_MODES:
+                    opts = EncodeOptions(steps, progress_encoding=mode)
+                    f, _ = encode(Instance(Grid.from_rows(rows), goal), opts)
+                    digest.update(dimacs_text(f).encode())
+            print(digest.hexdigest())
+        """
+        package_root = str(Path(encoder.__file__).resolve().parents[1])
+        path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            ).stdout
+            for seed in ("0", "1")
+        }
+        assert len(digests) == 1 and len(digests.pop().strip()) == 64
+
 
 class TestSharedSteps:
     """Horizons of one grid shape share the steps ``encode`` emitted for
@@ -465,13 +502,45 @@ class TestDecode:
             )
             assert check_transition(cand)
 
-    def test_malformed_model_detected(self):
+    @pytest.mark.parametrize(
+        "true_values, message",
+        [
+            ({"cell": ()}, r"grid\(1,2,1\): 0 values true"),
+            ({"cell": (0, 1)}, r"grid\(1,2,1\): 2 values true"),
+            ({"hand": ()}, r"hand\(0\): 0 values true"),
+            ({"row": (0, 2)}, r"fired row\(1\): 2 values true"),
+            ({"col": ()}, r"fired col\(1\): 0 values true"),
+            ({"fall": (0, 1)}, r"wall fall\(1\): 2 values true"),
+            ({"row": (1,), "col": (1,)}, r"step 1: fired rows and columns: 1, 1"),
+            ({"row": (0,), "col": (0,)}, r"step 1: fired rows and columns: 0, 0"),
+        ],
+        ids=[
+            "cell-none",
+            "cell-two",
+            "hand",
+            "fired-row",
+            "fired-col",
+            "wall-fall",
+            "both-axes",
+            "neither-axis",
+        ],
+    )
+    def test_malformed_model_detected(self, true_values, message):
         inst = Instance(g([[1, 1], [1, 1]]), 1)
         f, vm = encode(inst, EncodeOptions(steps=1))
-        out = dpll_solve(f)
-        model = list(out.model)
-        model[vm.hand_var(0, 1)] = False  # break the hand one-hot group
-        with pytest.raises(MalformedModelError):
+        model = list(dpll_solve(f).model)
+        groups = {
+            "cell": (lambda v: vm.grid_var(1, 2, 1, v), range(0, 2)),
+            "hand": (lambda v: vm.hand_var(0, v), range(1, 2)),
+            "row": (lambda v: vm.row_shot_var(1, v), range(0, 3)),
+            "col": (lambda v: vm.col_shot_var(1, v), range(0, 3)),
+            "fall": (lambda v: vm.wall_fall_var(1, v), range(0, 3)),
+        }
+        for kind, values in true_values.items():
+            var, domain = groups[kind]
+            for v in domain:
+                model[var(v)] = v in values
+        with pytest.raises(MalformedModelError, match=message):
             decode(model, vm)
 
 
