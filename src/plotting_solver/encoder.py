@@ -2,26 +2,37 @@
 
 Every multi-valued quantity (grid cell, hand, fired row, fired column, wall
 fall) becomes a one-hot group of propositional variables per time step. The
-transition rules are emitted per step as if-and-only-if constraints between
-the step's state variables, reified case by case, so unconstrained values
-cannot leak: cells keep their values unless a rule case says otherwise.
-A rule "``a`` holds exactly when one of its cases does" is the clause
-``(¬a ∨ c1 ∨ … ∨ cn)`` plus ``(¬ci ∨ a)`` per case, with no variable for
-the OR; where ``a`` is a conjunction, as in a cell's "changes colour" rule
-(neither the same value nor empty), those clauses are expanded and ``a``
-gets no variable either. A case is an AND gate over literals (an OR inside
-a case is the negation of the AND over the negated terms). That two one-hot
-groups hold the same value is one literal with three clauses per value.
+transition is stated per shot, as successor clauses in the explanatory
+frame-axiom form (Kautz, McAllester & Selman, KR 1996): each clause
+``(¬fired ∨ guard… ∨ ¬src_v ∨ next_v)`` copies value ``v`` into a cell, or
+into the hand, from the source the fired shot selects there (the same cell,
+the cell above, a cell higher up the last column, the previous hand, or
+empty). Its guards are literals over the previous state, so a clause is
+satisfied by ``¬fired`` while its shot is not fired, and no gate has a shot
+input. A frame clause per cell and value keeps the cell when no shot that
+can touch it is fired. Implied clauses then read the previous state
+alone, so that what no shot can change is known before a shot is chosen:
+an emptiness clause per cell lists the ways the cell can become empty,
+which shows a goal counter the cells no shot can empty; a keep clause per
+cell and value keeps a cell that no shot can get to; and the hand keeps
+its colour only if some shot can rebound. Every gate is an AND over
+literals (an OR is the negation of the AND over the negated terms). That
+the hand and a cell hold the same colour is one literal with three clauses
+per colour.
 
 A shot's travel is defined once, as its path: a row shot crosses its row
 left to right and then the last column below it, and a column shot crosses
-its column top down. Every rule reads the travel through two prefix
-literals per path cell ``k``, each one AND gate on the one before: "the
-first ``k`` cells are empty or of the hand's colour" (the shot got that far)
-and "one of the first ``k`` held the hand's colour" (it consumed
-something). A case reads a shot literal and a prefix literal, so a
-consumption, a stop or a swap at a cell is the same case for every shot
-that crosses the cell.
+its column top down. Every rule reads the travel through one prefix literal
+per path cell ``k``, an AND gate on the one before: "the first ``k`` cells
+are empty or of the hand's colour" (the shot got that far). The shot stops
+and swaps at ``k`` when it got to ``k - 1`` but not past ``k``.
+
+The successor clauses of a row shot and the implied emptiness clauses rely
+on the gravity invariant of every reachable state: no empty cell lies below
+a block in its column. So a row shot that passes over an empty cell may
+move the column above it down one cell, as it would over a consumed one,
+and a cell above an empty cell is empty. Every state the formula admits
+satisfies it, as the full initial grid does and every shot keeps it.
 
 Every auxiliary variable of a step is a function of lower-index state and
 action variables, which unit propagation fixes once those are set, so the
@@ -43,7 +54,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence, Union
 
 from .cnf import CnfFormula, and_gate, at_least_k, exactly_one
@@ -178,13 +189,11 @@ class _Builder:
     """Constraint builder with constant folding and gate memoisation.
 
     ``conj`` builds AND gates, and ``disj`` the negation of the AND over its
-    negated terms. ``same`` builds a one-hot equality literal.
-    ``require_any`` and ``require_iff_any`` emit clauses and no variable.
-    ``path`` lists the cells a shot crosses, ``crossings`` the shots that
-    cross a cell, and ``path_clear`` and ``path_hit`` are the memoised
-    prefix literals over a path: ``path_clear(k)`` is
-    ``path_clear(k-1) ∧ clear(cell k)`` and ``path_hit(k)`` is
-    ``path_hit(k-1) ∨ prev_is_hand(cell k)``.
+    negated terms. ``same`` builds the one-hot equality literal behind
+    ``prev_is_hand``. ``require_any`` and ``copy`` emit clauses and no
+    variable. ``path`` lists the cells a shot crosses, and ``path_clear``
+    is the memoised prefix literal over a path: ``path_clear(k)`` is
+    ``path_clear(k-1) ∧ clear(cell k)``.
     """
 
     def __init__(self, formula: CnfFormula, varmap: VarMap) -> None:
@@ -238,48 +247,49 @@ class _Builder:
         else:
             self.f.add_false()
 
-    def require_iff_any(self, a: Expr, cases: Sequence[Expr]) -> None:
-        """``a`` holds exactly when one of ``cases`` does, as plain clauses
-        ``(¬a ∨ c1 ∨ … ∨ cn)`` and ``(¬ci ∨ a)``, with no gate for the OR."""
-        lits: dict[int, None] = {}
-        for t in cases:
-            if t is FALSE:
-                continue
-            if t is TRUE or -t in lits:
-                self.require_any([a])
-                return
-            lits[t] = None
-        self.require_any([self.neg(a), *lits])
-        if a is TRUE:
+    def copy(
+        self, guards: Sequence[Expr], src: Optional[dict], dst: dict
+    ) -> None:
+        """Unless a guard holds, ``dst`` takes ``src``'s value: one clause
+        ``(guard… ∨ ¬src_v ∨ dst_v)`` per value ``v`` of ``src``. Both map
+        values to literals; ``src`` None is an empty cell, which gives the
+        one clause ``(guard… ∨ dst_0)``."""
+        if src is None:
+            self.require_any([*guards, dst[EMPTY]])
             return
-        for t in lits:
-            if a is FALSE:
-                self.f.add_clause((-t,))
-            elif t != a:
-                self.f.add_clause((a,) if t == -a else (-t, a))
+        for v, x in src.items():
+            self.require_any([*guards, -x, dst[v]])
 
     # -- atoms -------------------------------------------------------------
 
     def in_range(self, r: int, c: int) -> bool:
         return 1 <= r <= self.vm.height and 1 <= c <= self.vm.width
 
-    def cell(self, t: int, r: int, c: int, v: int) -> Expr:
+    def cell_empty(self, t: int, r: int, c: int) -> Expr:
         if not self.in_range(r, c):
             return FALSE
-        return self.vm.grid_var(t, r, c, v)
+        return self.vm.grid_var(t, r, c, EMPTY)
 
-    def cell_empty(self, t: int, r: int, c: int) -> Expr:
-        return self.cell(t, r, c, EMPTY)
+    def values(self, t: int, r: int, c: int, low: int = EMPTY) -> Optional[dict]:
+        """The cell's values from ``low`` up, as ``{value: literal}``; None
+        off the grid."""
+        if not self.in_range(r, c):
+            return None
+        values = range(low, self.vm.colours + 1)
+        return {v: self.vm.grid_var(t, r, c, v) for v in values}
+
+    def hand(self, t: int) -> dict:
+        return {v: self.vm.hand_var(t, v) for v in range(1, self.vm.colours + 1)}
 
     def same(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         """Fresh literal ``e``: the groups, listed value by value, hold the
         same value.
 
         ``xs`` must be an exactly-one group; ``ys`` may be exactly-one or
-        at-most-one (then ``e`` is false when no ``y`` holds). Per value
-        ``v`` three clauses: ``(¬x_v ∨ ¬y_v ∨ e)``, ``(¬e ∨ ¬x_v ∨ y_v)``
-        and ``(¬e ∨ x_v ∨ ¬y_v)``; the third lets a known ``e`` and ``y_v``
-        fix ``x_v``, as the OR of pairwise ANDs it replaces did.
+        at-most-one (then ``e`` is false when no ``y`` holds), as a cell's
+        colours are. Per value ``v`` three clauses: ``(¬x_v ∨ ¬y_v ∨ e)``,
+        ``(¬e ∨ ¬x_v ∨ y_v)`` and ``(¬e ∨ x_v ∨ ¬y_v)``; the third lets a
+        known ``e`` and ``y_v`` fix ``x_v``.
         """
         e = self.f.new_var()
         for x, y in zip(xs, ys):
@@ -288,21 +298,18 @@ class _Builder:
             self.f.add_clause((-e, x, -y))
         return e
 
-    def hand_cell_eq(self, hand_step: int, cell_step: int, r: int, c: int) -> Expr:
-        """The hand at one step matches the cell's colour at another step."""
+    def prev_is_hand(self, s: int, r: int, c: int) -> Expr:
+        """The cell holds the hand's colour, both at the step before ``s``."""
         if not self.in_range(r, c):
             return FALSE
-        key = ("hce", hand_step, cell_step, r, c)
+        key = ("hand", s, r, c)
         if key not in self.memo:
-            values = range(1, self.vm.colours + 1)
+            colours = range(1, self.vm.colours + 1)
             self.memo[key] = self.same(
-                [self.vm.hand_var(hand_step, v) for v in values],
-                [self.vm.grid_var(cell_step, r, c, v) for v in values],
+                [self.vm.hand_var(s - 1, v) for v in colours],
+                [self.vm.grid_var(s - 1, r, c, v) for v in colours],
             )
         return self.memo[key]
-
-    def prev_is_hand(self, s: int, r: int, c: int) -> Expr:
-        return self.hand_cell_eq(s - 1, s - 1, r, c)
 
     def clear(self, s: int, r: int, c: int) -> Expr:
         """Cell is empty or matches the hand, at the step before ``s``."""
@@ -334,16 +341,6 @@ class _Builder:
             self.memo[key] = cells
         return self.memo[key]
 
-    def crossings(self, r: int, c: int) -> list[tuple[tuple[int, int], int]]:
-        """Every ``(shot, k)`` whose path's ``k``-th cell is ``(r, c)``."""
-        if "crossings" not in self.memo:
-            table: dict = {}
-            for shot in self.shots():
-                for k, cell in enumerate(self.path(shot), 1):
-                    table.setdefault(cell, []).append((shot, k))
-            self.memo["crossings"] = table
-        return self.memo["crossings"][r, c]
-
     def path_clear(self, s: int, shot: tuple[int, int], k: int) -> Expr:
         """The first ``k`` cells of the shot's path are each ``clear``."""
         if k == 0:
@@ -355,41 +352,6 @@ class _Builder:
                 [self.path_clear(s, shot, k - 1), self.clear(s, *cell)]
             )
         return self.memo[key]
-
-    def path_hit(self, s: int, shot: tuple[int, int], k: int) -> Expr:
-        """One of the first ``k`` cells of the shot's path holds the hand's
-        colour, at the step before ``s``."""
-        if k == 0:
-            return FALSE
-        key = ("phit", s, shot, k)
-        if key not in self.memo:
-            cell = self.path(shot)[k - 1]
-            self.memo[key] = self.disj(
-                [self.path_hit(s, shot, k - 1), self.prev_is_hand(s, *cell)]
-            )
-        return self.memo[key]
-
-    def cells_eq(
-        self, t1: int, r1: int, c1: int, t2: int, r2: int, c2: int
-    ) -> Expr:
-        if not (self.in_range(r1, c1) and self.in_range(r2, c2)):
-            return FALSE
-        a, b = sorted([(t1, r1, c1), (t2, r2, c2)])
-        key = ("cellseq", a, b)
-        if key not in self.memo:
-            values = range(0, self.vm.colours + 1)
-            self.memo[key] = self.same(
-                [self.vm.grid_var(*a, v) for v in values],
-                [self.vm.grid_var(*b, v) for v in values],
-            )
-        return self.memo[key]
-
-    def fired_row_above(self, s: int, threshold: int) -> Expr:
-        """fired row value strictly greater than ``threshold``."""
-        values = [v for v in range(0, self.vm.height + 1) if v > threshold]
-        if len(values) == self.vm.height + 1:
-            return TRUE
-        return self.disj([self.vm.row_shot_var(s, v) for v in values])
 
 
 def encode(
@@ -491,11 +453,7 @@ def _emit_step(b: _Builder, s: int, progress: str) -> None:
     b.f.add_clause((vm.row_shot_var(s, 0), vm.col_shot_var(s, 0)))
     b.f.add_clause((-vm.row_shot_var(s, 0), -vm.col_shot_var(s, 0)))
 
-    _emit_hand_rule(b, s)
-    _emit_wall_fall_rule(b, s)
-    for r in range(1, H + 1):
-        for c in range(1, W + 1):
-            _emit_cell_rules(b, s, r, c)
+    _emit_successors(b, s)
 
     if progress == PROGRESS_WITNESS:
         witnesses = []
@@ -511,156 +469,125 @@ def _emit_step(b: _Builder, s: int, progress: str) -> None:
         _emit_sum_decrease(b, s)
 
 
-def _emit_hand_rule(b: _Builder, s: int) -> None:
-    """The hand keeps its colour exactly when the shot rebounds: the shot's
-    whole path is clear."""
-    vm = b.vm
-    rebounds = [
-        b.conj([b.fired(s, shot), b.path_clear(s, shot, len(b.path(shot)))])
-        for shot in b.shots()
-    ]
-    hands = range(1, vm.colours + 1)
-    kept = b.same(
-        [vm.hand_var(s - 1, v) for v in hands], [vm.hand_var(s, v) for v in hands]
-    )
-    b.require_iff_any(kept, rebounds)
+def _emit_successors(b: _Builder, s: int) -> None:
+    """The state after step ``s``'s shot, as successor clauses, and the
+    implied clauses over the state before it.
 
-
-def _emit_wall_fall_rule(b: _Builder, s: int) -> None:
-    """Pin the wall-fall distance to the run of hand blocks it vacates."""
+    A successor clause reads "if this shot is fired and its guards are
+    false, this cell (or the hand) takes that source's value"; its guards
+    are ``path_clear`` prefixes and wall-fall literals.
+    """
     vm = b.vm
     H, W = vm.height, vm.width
-    for i in range(1, H + 1):
-        cases = []
-        for row in range(2, H + 1):
-            cases.append(
-                b.conj(
-                    [
-                        vm.row_shot_var(s, row),
-                        b.path_clear(s, (row, 0), W),
-                        b.neg(b.cell_empty(s - 1, row - 1, W)),
-                    ]
-                    + [b.prev_is_hand(s, rr, W) for rr in range(row, row + i)]
-                    + [
-                        TRUE
-                        if row + i > H
-                        else b.neg(b.prev_is_hand(s, row + i, W))
-                    ]
-                )
-            )
-        b.require_iff_any(vm.wall_fall_var(s, i), cases)
+    row, fall = partial(vm.row_shot_var, s), partial(vm.wall_fall_var, s)
+    before, after = partial(b.values, s - 1), partial(b.values, s)
+    hand_before, hand_after = b.hand(s - 1), b.hand(s)
 
+    def empty(r: int, c: int) -> Expr:
+        return b.cell_empty(s - 1, r, c)
 
-def _emit_cell_rules(b: _Builder, s: int, r: int, c: int) -> None:
-    """The ways the cell ends up empty, keeps its value or changes colour."""
-    vm = b.vm
-    H, W = vm.height, vm.width
-    was_empty = b.cell_empty(s - 1, r, c)
-    above_empty = TRUE if r == 1 else b.cell_empty(s - 1, r - 1, c)
-    hand_here = b.prev_is_hand(s, r, c)
-    empty_cases: list[Expr] = [was_empty]
-    same_cases: list[Expr] = [was_empty]
-    change_cases: list[Expr] = []
+    # a cell keeps its value unless a shot that can touch it is fired: the
+    # shot down its column, or along a row at or below it (in the last
+    # column, along any row)
+    for r in range(1, H + 1):
+        for c in range(1, W + 1):
+            touching = [-row(0)] if c == W else [row(rv) for rv in range(r, H + 1)]
+            b.copy([vm.col_shot_var(s, c), *touching], before(r, c), after(r, c))
 
-    # a shot whose path crosses the cell, as its k-th cell
-    for shot, k in b.crossings(r, c):
-        fired, reached = b.fired(s, shot), b.path_clear(s, shot, k - 1)
-        rv = shot[0]
-        # consumed, with nothing above to fall in: along the fired row the
-        # cell above must be empty, down the wall the column above the fired
-        # row; a column shot moves nothing (range(1, 0) is empty)
-        if rv == r:
-            nothing_above = [above_empty]
-        else:
-            nothing_above = [b.cell_empty(s - 1, rr, W) for rr in range(1, rv)]
-        empty_cases.append(b.conj([fired, hand_here, reached, *nothing_above]))
-        # stopped before reaching the cell
-        same_cases.append(b.conj([fired, b.neg(reached)]))
-        # stopped at the cell, after consuming: it swaps with the hand
-        change_cases.append(
-            b.conj(
-                [
-                    fired,
-                    reached,
-                    b.path_hit(s, shot, k - 1),
-                    b.hand_cell_eq(s, s - 1, r, c),
-                    b.hand_cell_eq(s - 1, s, r, c),
-                    b.neg(hand_here),
-                ]
-            )
-        )
-    # a row shot at or below the cell, cleared up to this column
-    for rv in range(r, H + 1):
-        fired, passed = vm.row_shot_var(s, rv), b.path_clear(s, (rv, 0), c)
-        if rv > r:
-            # vacated: the block here fell into a consumption below
-            empty_cases.append(b.conj([fired, above_empty, passed]))
-            # the shot stopped before reaching this column
-            same_cases.append(b.conj([fired, b.neg(passed)]))
-        if c < W:
-            # the block above falls one cell, of the same colour or another;
-            # cells_eq is FALSE off-grid, and so is ¬above_empty for r == 1
-            fallen = b.cells_eq(s - 1, r - 1, c, s - 1, r, c)
-            same_cases.append(b.conj([fired, passed, fallen]))
-            change_cases.append(
-                b.conj(
-                    [
-                        fired,
-                        b.neg(above_empty),
-                        passed,
-                        b.cells_eq(s, r, c, s - 1, r - 1, c),
-                        b.neg(fallen),
-                    ]
-                )
-            )
-    if c == W:
-        # a wall fall of w cells, landing within the span (row < fired row
-        # + w): empty when the source w rows above is empty or off-grid,
-        # else its block lands here, of the same colour or another
+    # wall fall: the row rv clears, the last column above it holds a block,
+    # and rows rv..rv+w-1 of the last column, but not row rv+w, hold the
+    # hand's colour; falls[rv, w] is that condition, where it can hold
+    falls = {}
+    for rv in range(1, H + 1):
         for w in range(1, H + 1):
-            fell, landing = vm.wall_fall_var(s, w), b.fired_row_above(s, r - w)
-            source_empty = TRUE if r - w < 1 else b.cell_empty(s - 1, r - w, W)
-            fallen = b.cells_eq(s - 1, r - w, W, s - 1, r, W)
-            empty_cases.append(b.conj([fell, landing, source_empty]))
-            same_cases.append(b.conj([fell, landing, fallen]))
-            change_cases.append(
-                b.conj(
-                    [
-                        fell,
-                        landing,
-                        b.neg(source_empty),
-                        b.cells_eq(s, r, W, s - 1, r - w, W),
-                        b.neg(fallen),
-                    ]
-                )
+            g = FALSE if rv == 1 else b.conj(
+                [b.path_clear(s, (rv, 0), W), b.neg(empty(rv - 1, W))]
+                + [b.prev_is_hand(s, rr, W) for rr in range(rv, rv + w)]
+                + [b.neg(b.prev_is_hand(s, rv + w, W))]
             )
-    else:
-        # fired along a row above; columns before the last are untouched
-        same_cases.append(
-            b.conj(
-                [
-                    b.neg(vm.row_shot_var(s, 0)),
-                    b.disj([vm.row_shot_var(s, v) for v in range(0, r)]),
-                ]
-            )
-        )
-    # fired down a different column
-    same_cases.append(
-        b.conj([b.neg(vm.col_shot_var(s, 0)), b.neg(vm.col_shot_var(s, c))])
-    )
+            b.require_any([-row(rv), b.neg(g), fall(w)])
+            b.require_any([-row(rv), -fall(w), g])
+            if g is not FALSE:
+                falls[rv, w] = g
+    b.require_any([vm.col_shot_var(s, 0), fall(0)])
+    # the last column above a wall fall drops w rows; with none it stays
+    for rv, w in falls:
+        for r in range(1, min(H, rv + w - 1) + 1):
+            b.copy([-row(rv), -fall(w)], before(r - w, W), after(r, W))
+    for rv in range(2, H + 1):
+        for r in range(1, rv):
+            b.copy([-row(rv), -fall(0)], before(r, W), after(r, W))
 
-    empty_now = b.cell_empty(s, r, c)
-    b.require_iff_any(empty_now, empty_cases)
-    same_now = b.cells_eq(s, r, c, s - 1, r, c)
-    b.require_iff_any(same_now, same_cases)
-    # the cell changes (neither keeps its value nor ends up empty) exactly
-    # when a change case holds, with no gate for "changes"; every case has
-    # a shot or wall-fall conjunct, so it is a literal or FALSE
-    b.require_any([same_now, empty_now, *change_cases])
-    for t in change_cases:
-        if t is not FALSE:
-            b.f.add_clause((-t, -same_now))
-            b.f.add_clause((-t, -empty_now))
+    rebounds = []
+    for shot in b.shots():
+        fired, path, rv = b.fired(s, shot), b.path(shot), shot[0]
+        for k, (r, c) in enumerate(path, 1):
+            reached, passed = b.path_clear(s, shot, k - 1), b.path_clear(s, shot, k)
+            # not reached: kept
+            b.copy([-fired, reached], before(r, c), after(r, c))
+            # stopped here: the cell and the hand swap, after a consumption
+            stops = [-fired, b.neg(reached), passed]
+            b.copy(stops, hand_before, after(r, c))
+            b.copy(stops, before(r, c, low=1), hand_after)
+            b.require_any(stops + [b.neg(empty(*cell)) for cell in path[: k - 1]])
+            if r == rv and c < W:
+                # passed along the row: the column above falls one cell (a
+                # column above an empty cell is empty, so nothing changes)
+                for rr in range(1, r + 1):
+                    b.copy([-fired, b.neg(passed)], before(rr - 1, c), after(rr, c))
+                    if rr < r:
+                        b.copy([-fired, passed], before(rr, c), after(rr, c))
+            else:
+                # passed down a column: emptied, unless a wall fall lands here
+                landing = [fall(w) for row_v, w in falls if row_v == rv and w > r - rv]
+                b.copy([-fired, b.neg(passed), *landing], None, after(r, c))
+        # rebounded: the hand is kept, after a consumption
+        cleared = b.path_clear(s, shot, len(path))
+        b.copy([-fired, b.neg(cleared)], hand_before, hand_after)
+        b.require_any([-fired, b.neg(cleared)] + [b.neg(empty(*cell)) for cell in path])
+        rebounds.append(cleared)
+
+    # implied: the hand keeps its colour only if some shot can rebound
+    for v in hand_before:
+        b.require_any([-hand_before[v], -hand_after[v], *rebounds])
+    for r in range(1, H + 1):
+        for c in range(1, W + 1):
+            # implied: a cell keeps its value unless some shot can get to
+            # it: down its column, along its row, along a row below it (the
+            # cell falls one row), down the last column from a row above, or
+            # in a wall fall from a row below
+            reach = [b.path_clear(s, (0, c), r - 1)]
+            if c < W:
+                reach.append(b.path_clear(s, (r, 0), c - 1))
+                reach += [b.path_clear(s, (rv, 0), c) for rv in range(r + 1, H + 1)]
+            else:
+                # (r, W) is cell W + r - rv of row rv's path
+                for rv in range(1, r + 1):
+                    reach.append(b.path_clear(s, (rv, 0), W + r - rv - 1))
+                reach += [g for (rv, _), g in falls.items() if rv > r]
+            b.copy(reach, before(r, c), after(r, c))
+
+            # implied: a cell becomes empty only in one of these ways, each
+            # over the previous state; first, the shot down its column gets
+            # to it
+            down = b.path_clear(s, (0, c), r)
+            ways = [-vm.grid_var(s, r, c, EMPTY), empty(r, c), down]
+            if c < W:
+                # or a row at or below it passes, with nothing above to fall
+                b.require_any(ways + [TRUE if r == 1 else empty(r - 1, c)])
+                rows = [b.path_clear(s, (rv, 0), c) for rv in range(r, H + 1)]
+                b.require_any(ways + rows)
+                continue
+            # in the last column a drop with no wall fall starts at row 1 or
+            # under an empty cell, so it gets to the cell only if ``down``
+            # does; or a wall fall of w rows from row rv (rv + w > r) copies
+            # row r - w into it, empty or off the grid. Empty cells of a
+            # column lie above its blocks, so that holds exactly when, for
+            # every j in 1..r, row r - j + 1 is empty or such a fall has
+            # w >= j.
+            for j in range(1, r + 1):
+                covering = [g for (rv, w), g in falls.items() if w >= j and rv + w > r]
+                b.require_any(ways + [empty(r - j + 1, c), *covering])
 
 
 def _emit_sum_decrease(b: _Builder, s: int) -> None:

@@ -157,42 +157,10 @@ class TestBuilder:
                 want = (e_lit > 0) == (x_value == y_value)
                 assert dpll_solve(trial).is_sat == want, (x_value, y_value, e_lit)
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        a=st.sampled_from([TRUE, FALSE, 5, -5]),
-        cases=st.lists(
-            st.sampled_from([TRUE, FALSE, 1, -1, 2, -2, 3, -3, 4, -4]),
-            min_size=1,
-            max_size=5,
-        ),
-    )
-    @example(a=5, cases=[1, -1])
-    @example(a=5, cases=[2, 2, FALSE])
-    @example(a=-5, cases=[FALSE])
-    @example(a=TRUE, cases=[-3, 3])
-    def test_require_iff_any_is_iff_or(self, a, cases):
-        f = CnfFormula()
-        f.alloc_block(5)
-        _Builder(f, VarMap(1, 1, 1, state_bases=())).require_iff_any(a, cases)
-        # plain clauses: no variable beyond the five but add_false's own
-        assert f.var_count == 5 or f.clauses[-2:] == [(6,), (-6,)]
-
-        def value(t, bits):
-            return t is TRUE if t in (TRUE, FALSE) else bits[abs(t) - 1] == (t > 0)
-
-        for bits in itertools.product([False, True], repeat=5):
-            trial = CnfFormula()
-            trial.var_count = f.var_count
-            trial.clauses = list(f.clauses)
-            for var, bit in enumerate(bits, 1):
-                trial.add_clause((var if bit else -var,))
-            want = value(a, bits) == any(value(t, bits) for t in cases)
-            assert dpll_solve(trial).is_sat == want, bits
-
     @pytest.mark.parametrize("size", [2, 3])
-    def test_path_prefixes_are_clear_and_hit(self, size):
-        # step-0 cells and a two-colour hand; path_clear(1, ...) and
-        # path_hit(1, ...) read them as the state before step 1
+    def test_path_prefixes_are_clear(self, size):
+        # step-0 cells and a two-colour hand; path_clear(1, ...) reads them
+        # as the state before step 1
         f = CnfFormula()
         vm = VarMap(size, size, 2, state_bases=(f.alloc_block(size * size * 3 + 2),))
         cells = [(r, c) for r in range(1, size + 1) for c in range(1, size + 1)]
@@ -203,7 +171,7 @@ class TestBuilder:
         for shot in b.shots():
             path = b.path(shot)
             for k in range(1, len(path) + 1):
-                clear, hit = b.path_clear(1, shot, k), b.path_hit(1, shot, k)
+                clear = b.path_clear(1, shot, k)
                 # hand colour 1; each crossed cell is empty (0), the hand's
                 # colour (1) or another (2); cells off the prefix hold 2
                 for prefix in itertools.product(range(3), repeat=k):
@@ -212,15 +180,13 @@ class TestBuilder:
                     units = [(vm.hand_var(0, 1),)] + [
                         (vm.grid_var(0, r, c, v),) for (r, c), v in values.items()
                     ]
-                    wants = {clear: 2 not in prefix, hit: 1 in prefix}
-                    for lit, want in wants.items():
-                        # forced either way, only the defined value is SAT
-                        for forced in (lit, -lit):
-                            trial = CnfFormula()
-                            trial.var_count = f.var_count
-                            trial.clauses = f.clauses + units + [(forced,)]
-                            holds = (forced == lit) == want
-                            assert dpll_solve(trial).is_sat == holds, (shot, prefix)
+                    # forced either way, only the defined value is SAT
+                    for forced in (clear, -clear):
+                        trial = CnfFormula()
+                        trial.var_count = f.var_count
+                        trial.clauses = f.clauses + units + [(forced,)]
+                        holds = (forced == clear) == (2 not in prefix)
+                        assert dpll_solve(trial).is_sat == holds, (shot, prefix)
 
     def test_paths_are_what_the_engine_consumes(self):
         for height, width in itertools.product(range(1, 5), repeat=2):
@@ -466,6 +432,168 @@ class TestAuxiliaries:
                     assert dpll_solve(trial).is_unsat, (grid.cells, steps)
                     checked += 1
         assert checked >= 18
+
+
+def unit_propagate(clauses, units):
+    """The literals unit propagation sets from ``units``, or None when it
+    meets a conflict. Independent of the solver's watched literals."""
+    containing = {}
+    for clause in clauses:
+        for lit in clause:
+            containing.setdefault(lit, []).append(clause)
+    pending = list(units) + [clause[0] for clause in clauses if len(clause) == 1]
+    true = set()
+    while pending:
+        lit = pending.pop()
+        if lit in true:
+            continue
+        if -lit in true:
+            return None
+        true.add(lit)
+        for clause in containing.get(-lit, ()):
+            if any(x in true for x in clause):
+                continue
+            free = [x for x in clause if -x not in true]
+            if not free:
+                return None
+            if len(free) == 1:
+                pending.append(free[0])
+    return true
+
+
+def reachable_states(rng, count):
+    """``count`` states from engine walks on 3x3 to 5x5 grids with 2-3
+    colours, each walk's start included. A walk takes a shot with a wall
+    fall, when there is one, half the time: falls are rare otherwise."""
+    states = []
+    while len(states) < count:
+        size, colours = rng.choice([(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)])
+        grid, hand = random_full_grid(rng, size, size, colours), rng.randint(1, colours)
+        states.append((grid, hand, colours))
+        for _ in range(rng.randint(1, 6)):
+            outs = [apply_shot(grid, hand, shot) for shot in legal_shots(grid, hand)]
+            if not outs:
+                break
+            falling = [out for out in outs if out.wall_fall]
+            out = rng.choice(falling if falling and rng.random() < 0.5 else outs)
+            grid, hand = out.next_grid, out.next_hand
+            states.append((grid, hand, colours))
+    return states[:count]
+
+
+def falling_states(rng, count):
+    """``count`` states that keep the gravity invariant (no empty cell
+    below a block), each with a row rv >= 2 whose blocks and a run of the
+    last column below it hold the hand's colour, so a row shot there often
+    ends in a wall fall."""
+    states = []
+    for _ in range(count):
+        size, colours = rng.choice([(3, 2), (4, 2), (4, 3), (5, 3)])
+        hand, rv = rng.randint(1, colours), rng.randint(2, size)
+        tops = [rng.randint(0, rv - 1) for _ in range(size)]
+        rows = [
+            [0 if r < tops[c] else rng.randint(1, colours) for c in range(size)]
+            for r in range(size)
+        ]
+        for r in range(rv - 1, rng.randint(rv, size)):
+            rows[r][-1] = hand
+        rows[rv - 1] = [hand if v else 0 for v in rows[rv - 1]]
+        states.append((Grid.from_rows(rows), hand, colours))
+    return states
+
+
+class TestSuccessorPropagation:
+    """Unit propagation alone computes a step: the successor clauses leave
+    the solver nothing to decide once the state and the shot are known."""
+
+    @staticmethod
+    def _step(grid, hand, colours, mode):
+        chain = encoder._Chain(grid.height, grid.width, colours, mode)
+        _, clause_count, vm = chain.grow(1)
+        units = [vm.hand_var(0, hand)] + [
+            vm.grid_var(0, r, c, grid.at(r, c))
+            for r in range(1, grid.height + 1)
+            for c in range(1, grid.width + 1)
+        ]
+        return chain.formula.clauses[:clause_count], vm, units
+
+    @staticmethod
+    def _fixed(true, ids, low, value):
+        return all((x if v == value else -x) in true for v, x in enumerate(ids, low))
+
+    def test_state_and_shot_fix_the_engine_successor(self):
+        # the successor clauses are the same in both progress modes
+        falls = nulls = 0
+        rng = random.Random(61)
+        for grid, hand, colours in reachable_states(rng, 60) + falling_states(rng, 40):
+            clauses, vm, units = self._step(grid, hand, colours, PROGRESS_WITNESS)
+            shots = [RowShot(r) for r in range(1, grid.height + 1)]
+            shots += [ColShot(c) for c in range(1, grid.width + 1)]
+            for shot in shots:
+                rv, cv = (shot.row, 0) if isinstance(shot, RowShot) else (0, shot.col)
+                pinned = units + [vm.row_shot_var(1, rv), vm.col_shot_var(1, cv)]
+                true = unit_propagate(clauses, pinned)
+                try:
+                    out = apply_shot(grid, hand, shot)
+                except NullMoveError:
+                    nulls += 1
+                    assert true is None, (grid.cells, hand, shot)
+                    continue
+                assert true is not None, (grid.cells, hand, shot)
+                falls += out.wall_fall > 0
+                # every step-1 group, in VarMap.groups order
+                values = [v for row in out.next_grid.cells for v in row]
+                values += [out.next_hand, rv, cv, out.wall_fall]
+                for (label, low, ids), value in zip(vm.groups(1), values):
+                    assert self._fixed(true, ids, low, value), (
+                        grid.cells, hand, shot, label,
+                    )
+        assert falls >= 20 and nulls >= 100
+
+    def _open_shot(self, seed):
+        """Per state with a legal shot: the VarMap, what unit propagation
+        sets with only the state pinned, and every legal successor."""
+        rng = random.Random(seed)
+        for grid, hand, colours in reachable_states(rng, 60) + falling_states(rng, 40):
+            shots = legal_shots(grid, hand)
+            if not shots:
+                continue
+            clauses, vm, units = self._step(grid, hand, colours, PROGRESS_WITNESS)
+            true = unit_propagate(clauses, units)
+            assert true is not None
+            yield grid, hand, vm, true, [apply_shot(grid, hand, s) for s in shots]
+
+    def test_cells_no_shot_can_empty_stay_full(self):
+        # with the shot open, the implied emptiness clause alone shows the
+        # goal counter which cells can still become empty
+        seen = 0
+        for grid, hand, vm, true, outs in self._open_shot(67):
+            for r in range(1, grid.height + 1):
+                for c in range(1, grid.width + 1):
+                    if grid.at(r, c) and all(o.next_grid.at(r, c) for o in outs):
+                        seen += 1
+                        full = -vm.grid_var(1, r, c, 0)
+                        assert full in true, (grid.cells, hand, r, c)
+        assert seen >= 400
+
+    def test_open_shot_fixes_only_what_every_shot_agrees_on(self):
+        # the implied keep and hand clauses fix cells no shot can get to,
+        # and a hand no shot can keep, before the shot is chosen
+        kept = changed = 0
+        for grid, hand, vm, true, outs in self._open_shot(71):
+            for r in range(1, grid.height + 1):
+                for c in range(1, grid.width + 1):
+                    for v in range(vm.colours + 1):
+                        if vm.grid_var(1, r, c, v) in true:
+                            kept += 1
+                            assert all(o.next_grid.at(r, c) == v for o in outs)
+            for v in range(1, vm.colours + 1):
+                if vm.hand_var(1, v) in true:
+                    assert all(o.next_hand == v for o in outs)
+                if -vm.hand_var(1, v) in true:
+                    assert all(o.next_hand != v for o in outs)
+            changed += -vm.hand_var(1, hand) in true
+        assert kept >= 250 and changed >= 25
 
 
 class TestDecode:
