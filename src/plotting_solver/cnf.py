@@ -26,7 +26,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, combinations, islice
 from pathlib import Path
 from typing import IO, Iterable, Optional, Sequence, Union
 
@@ -50,8 +50,13 @@ class ParseFailureError(RuntimeError):
 class CnfFormula:
     """A clause database with sequential variable allocation.
 
-    Every literal in ``clauses`` lies within ``±var_count``: ``add_clause``
-    checks it, and the solvers' literal-indexed lists rely on it.
+    Every literal in ``clauses`` lies within ``±var_count``; the solvers'
+    literal-indexed lists rely on it. ``add_clause`` checks each clause it
+    adds, as the goal counter's (:func:`at_least_k`) and the encoder's unit
+    clauses are. :func:`exactly_one`, :func:`and_gate` and the encoder's
+    step builder append to ``clauses`` unchecked, for speed; the encoder's
+    step chain then checks each step's clauses at once with
+    :meth:`check_clauses`, before any formula reads them.
     """
 
     def __init__(self) -> None:
@@ -76,6 +81,19 @@ class CnfFormula:
             if lit == 0 or abs(lit) > self.var_count:
                 raise ValueError(f"literal {lit} outside allocated variables")
         self.clauses.append(clause)
+
+    def check_clauses(self, start: int) -> None:
+        """Check the clauses from index ``start`` on, all at once, as
+        ``add_clause`` checks one; for callers that append to ``clauses``
+        themselves."""
+        added = self.clauses[start:]
+        if not all(added):
+            raise ValueError("empty clauses are not representable")
+        lits = set(chain.from_iterable(added))
+        n = self.var_count
+        if lits and (0 in lits or min(lits) < -n or max(lits) > n):
+            bad = next(lit for lit in lits if lit == 0 or abs(lit) > n)
+            raise ValueError(f"literal {bad} outside allocated variables")
 
     def add_false(self) -> None:
         """Assert an unsatisfiable constraint as a fresh unit-clause pair."""
@@ -114,27 +132,26 @@ class SatOutcome:
 
 
 def exactly_one(formula: CnfFormula, lits: Sequence[int]) -> None:
-    """At-least-one clause plus pairwise at-most-one clauses."""
+    """At-least-one clause plus pairwise at-most-one clauses, appended
+    unchecked (see :class:`CnfFormula`)."""
     if not lits:
         raise EmptySelectionError("exactly_one over no literals")
-    formula.add_clause(lits)
-    for i in range(len(lits)):
-        for j in range(i + 1, len(lits)):
-            formula.add_clause((-lits[i], -lits[j]))
+    formula.clauses.append(tuple(lits))
+    formula.clauses += combinations([-lit for lit in lits], 2)
 
 
 def and_gate(formula: CnfFormula, inputs: Sequence[int]) -> int:
     """Fresh literal equivalent to the AND of ``inputs`` (full Tseitin).
 
     An OR gate is the negation of an AND over the negated inputs, with the
-    same clauses, so this is the only gate the encoder needs.
+    same clauses, so this is the only gate the encoder needs. The clauses
+    are appended unchecked (see :class:`CnfFormula`).
     """
     if not inputs:
         raise EmptySelectionError("and_gate over no inputs")
     z = formula.new_var()
-    for lit in inputs:
-        formula.add_clause((-z, lit))
-    formula.add_clause((z,) + tuple(-lit for lit in inputs))
+    formula.clauses += [(-z, lit) for lit in inputs]
+    formula.clauses.append((z, *[-lit for lit in inputs]))
     return z
 
 
@@ -387,9 +404,13 @@ def _search(
                 other = c[0]
                 if other == false_lit:
                     other = c[1]
+                    if is_true[other]:
+                        i += 1
+                        continue
+                    # the watch moves or the clause is unit: false_lit to c[1]
                     c[0] = other
                     c[1] = false_lit
-                if is_true[other]:
+                elif is_true[other]:
                     i += 1
                     continue
                 for k in range(2, len(c)):

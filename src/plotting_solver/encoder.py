@@ -48,13 +48,15 @@ one-hot groups; the encoder emits an ``exactly_one`` over each and
 :func:`decode` reads each back. The steps depend only on the grid's shape
 and the progress style, so each is emitted once per shape and shared by
 every horizon (see :class:`_Chain`); one module lock guards that sharing.
+A step's clauses are appended without a per-clause check and checked in
+bulk, once, before the step is used.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .cnf import CnfFormula, and_gate, at_least_k, exactly_one
@@ -136,24 +138,35 @@ class VarMap:
     def wall_fall_var(self, step: int, value: int) -> int:
         return self.state_bases[step] - (self.height + 1) + value
 
-    def groups(self, step: int) -> list[tuple[str, int, list[int]]]:
+    def cell_ids(self, step: int, row: int, col: int) -> range:
+        """The ids of the cell's values 0..K."""
+        first = self.grid_var(step, row, col, EMPTY)
+        return range(first, first + self.colours + 1)
+
+    def hand_ids(self, step: int) -> range:
+        """The ids of the hand's values 1..K."""
+        first = self.hand_var(step, 1)
+        return range(first, first + self.colours)
+
+    def groups(self, step: int) -> list[tuple[str, int, range]]:
         """The step's one-hot groups as ``(label, lowest value, ids)``, in the
         order they are emitted: each cell (values 0..K, row major), the hand
         (1..K), then from step 1 on the fired row (0..H), the fired column
         (0..W) and the wall fall (0..H)."""
-        s, H, W, K = step, self.height, self.width, self.colours
+        s, H, W = step, self.height, self.width
         groups = [
-            (f"grid({s},{r},{c})", 0, [self.grid_var(s, r, c, v) for v in range(K + 1)])
+            (f"grid({s},{r},{c})", 0, self.cell_ids(s, r, c))
             for r in range(1, H + 1)
             for c in range(1, W + 1)
         ]
-        groups.append((f"hand({s})", 1, [self.hand_var(s, v) for v in range(1, K + 1)]))
+        groups.append((f"hand({s})", 1, self.hand_ids(s)))
         if s > 0:
-            rows, cols = range(H + 1), range(W + 1)
+            row, col = self.row_shot_var(s, 0), self.col_shot_var(s, 0)
+            fall = self.wall_fall_var(s, 0)
             groups += [
-                (f"fired row({s})", 0, [self.row_shot_var(s, v) for v in rows]),
-                (f"fired col({s})", 0, [self.col_shot_var(s, v) for v in cols]),
-                (f"wall fall({s})", 0, [self.wall_fall_var(s, v) for v in rows]),
+                (f"fired row({s})", 0, range(row, row + H + 1)),
+                (f"fired col({s})", 0, range(col, col + W + 1)),
+                (f"wall fall({s})", 0, range(fall, fall + H + 1)),
             ]
         return groups
 
@@ -193,13 +206,20 @@ class _Builder:
     ``prev_is_hand``. ``require_any`` and ``copy`` emit clauses and no
     variable. ``path`` lists the cells a shot crosses, and ``path_clear``
     is the memoised prefix literal over a path: ``path_clear(k)`` is
-    ``path_clear(k-1) ∧ clear(cell k)``.
+    ``path_clear(k-1) ∧ clear(cell k)``. Both it and ``prev_is_hand`` fill
+    lists for the latest step only, lazily, so every gate keeps its id.
+    Clauses go straight onto the formula's list; :meth:`_Chain.grow` checks
+    each step's literals at once.
     """
 
     def __init__(self, formula: CnfFormula, varmap: VarMap) -> None:
         self.f = formula
+        self.clauses = formula.clauses
         self.vm = varmap
         self.memo: dict = {}
+        self.step = -1  # the step of the lists below
+        self.prefixes: dict[tuple[int, int], list[Expr]] = {}
+        self.hand_eqs: list[Optional[int]] = []
 
     # -- boolean structure -------------------------------------------------
 
@@ -225,61 +245,54 @@ class _Builder:
             return lits.pop()
         inputs = tuple(sorted(lits))
         key = ("and", inputs)
-        if key not in self.memo:
-            self.memo[key] = and_gate(self.f, inputs)
-        return self.memo[key]
+        z = self.memo.get(key)
+        if z is None:
+            z = self.memo[key] = and_gate(self.f, inputs)
+        return z
 
     def disj(self, terms: Sequence[Expr]) -> Expr:
         return self.neg(self.conj([self.neg(t) for t in terms]))
 
-    def require_any(self, terms: Sequence[Expr]) -> None:
-        """One clause: at least one of ``terms`` holds."""
+    def clause(self, terms: Sequence[Expr]) -> Optional[tuple[int, ...]]:
+        """``terms`` as one clause's literals, first occurrences in order
+        and constants FALSE dropped; None when the clause always holds (a
+        term is TRUE, or two are complementary)."""
         lits: dict[int, None] = {}
         for t in terms:
             if t is TRUE:
-                return
+                return None
             if t is not FALSE:
                 if -t in lits:
-                    return
+                    return None
                 lits[t] = None
+        return tuple(lits)
+
+    def require_any(self, terms: Sequence[Expr]) -> None:
+        """One clause: at least one of ``terms`` holds."""
+        lits = self.clause(terms)
         if lits:
-            self.f.add_clause(lits)
-        else:
+            self.clauses.append(lits)
+        elif lits is not None:
             self.f.add_false()
 
     def copy(
-        self, guards: Sequence[Expr], src: Optional[dict], dst: dict
+        self, guards: Sequence[Expr], src: Optional[range], dst: range
     ) -> None:
         """Unless a guard holds, ``dst`` takes ``src``'s value: one clause
-        ``(guard… ∨ ¬src_v ∨ dst_v)`` per value ``v`` of ``src``. Both map
-        values to literals; ``src`` None is an empty cell, which gives the
-        one clause ``(guard… ∨ dst_0)``."""
-        if src is None:
-            self.require_any([*guards, dst[EMPTY]])
+        ``(guard… ∨ ¬src_v ∨ dst_v)`` per value ``v``, where ``src`` and
+        ``dst`` list the ids of the same values in the same order. ``src``
+        None is an empty cell, which gives the one clause
+        ``(guard… ∨ dst_0)``. The guards are folded once, so they must not
+        mention a variable of ``src`` or ``dst``."""
+        lits = self.clause(guards)
+        if lits is None:
             return
-        for v, x in src.items():
-            self.require_any([*guards, -x, dst[v]])
+        if src is None:
+            self.clauses.append(lits + (dst[EMPTY],))
+        else:
+            self.clauses += [lits + (-x, y) for x, y in zip(src, dst)]
 
     # -- atoms -------------------------------------------------------------
-
-    def in_range(self, r: int, c: int) -> bool:
-        return 1 <= r <= self.vm.height and 1 <= c <= self.vm.width
-
-    def cell_empty(self, t: int, r: int, c: int) -> Expr:
-        if not self.in_range(r, c):
-            return FALSE
-        return self.vm.grid_var(t, r, c, EMPTY)
-
-    def values(self, t: int, r: int, c: int, low: int = EMPTY) -> Optional[dict]:
-        """The cell's values from ``low`` up, as ``{value: literal}``; None
-        off the grid."""
-        if not self.in_range(r, c):
-            return None
-        values = range(low, self.vm.colours + 1)
-        return {v: self.vm.grid_var(t, r, c, v) for v in values}
-
-    def hand(self, t: int) -> dict:
-        return {v: self.vm.hand_var(t, v) for v in range(1, self.vm.colours + 1)}
 
     def same(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         """Fresh literal ``e``: the groups, listed value by value, hold the
@@ -293,27 +306,34 @@ class _Builder:
         """
         e = self.f.new_var()
         for x, y in zip(xs, ys):
-            self.f.add_clause((-x, -y, e))
-            self.f.add_clause((-e, -x, y))
-            self.f.add_clause((-e, x, -y))
+            self.clauses += ((-x, -y, e), (-e, -x, y), (-e, x, -y))
         return e
 
+    def at_step(self, s: int) -> None:
+        """Start the per-step lists afresh when ``s`` is a new step."""
+        if s != self.step:
+            self.step = s
+            self.prefixes = {shot: [TRUE] for shot in self.shots()}
+            self.hand_eqs = [None] * (self.vm.height * self.vm.width)
+
     def prev_is_hand(self, s: int, r: int, c: int) -> Expr:
-        """The cell holds the hand's colour, both at the step before ``s``."""
-        if not self.in_range(r, c):
+        """The cell holds the hand's colour, both at the step before ``s``;
+        FALSE off the grid."""
+        if not (1 <= r <= self.vm.height and 1 <= c <= self.vm.width):
             return FALSE
-        key = ("hand", s, r, c)
-        if key not in self.memo:
-            colours = range(1, self.vm.colours + 1)
-            self.memo[key] = self.same(
-                [self.vm.hand_var(s - 1, v) for v in colours],
-                [self.vm.grid_var(s - 1, r, c, v) for v in colours],
+        self.at_step(s)
+        i = (r - 1) * self.vm.width + c - 1
+        if self.hand_eqs[i] is None:
+            self.hand_eqs[i] = self.same(
+                self.vm.hand_ids(s - 1), self.vm.cell_ids(s - 1, r, c)[1:]
             )
-        return self.memo[key]
+        return self.hand_eqs[i]
 
     def clear(self, s: int, r: int, c: int) -> Expr:
-        """Cell is empty or matches the hand, at the step before ``s``."""
-        return self.disj([self.cell_empty(s - 1, r, c), self.prev_is_hand(s, r, c)])
+        """The cell, on the grid, is empty or matches the hand, at the step
+        before ``s``."""
+        empty = self.vm.grid_var(s - 1, r, c, EMPTY)
+        return self.disj([empty, self.prev_is_hand(s, r, c)])
 
     # -- a shot's path -----------------------------------------------------
 
@@ -322,10 +342,6 @@ class _Builder:
         fired, as in ``engine.shot_axes``: columns first, then rows."""
         H, W = self.vm.height, self.vm.width
         return [(0, c) for c in range(1, W + 1)] + [(rv, 0) for rv in range(1, H + 1)]
-
-    def fired(self, s: int, shot: tuple[int, int]) -> int:
-        rv, c = shot
-        return self.vm.row_shot_var(s, rv) if rv else self.vm.col_shot_var(s, c)
 
     def path(self, shot: tuple[int, int]) -> list[tuple[int, int]]:
         """The cells the shot crosses, in order: a row shot runs along its
@@ -343,15 +359,13 @@ class _Builder:
 
     def path_clear(self, s: int, shot: tuple[int, int], k: int) -> Expr:
         """The first ``k`` cells of the shot's path are each ``clear``."""
-        if k == 0:
-            return TRUE
-        key = ("pclear", s, shot, k)
-        if key not in self.memo:
-            cell = self.path(shot)[k - 1]
-            self.memo[key] = self.conj(
-                [self.path_clear(s, shot, k - 1), self.clear(s, *cell)]
-            )
-        return self.memo[key]
+        self.at_step(s)
+        prefix = self.prefixes[shot]
+        if k >= len(prefix):
+            path = self.path(shot)
+            for cell in path[len(prefix) - 1 : k]:
+                prefix.append(self.conj([prefix[-1], self.clear(s, *cell)]))
+        return prefix[k]
 
 
 def encode(
@@ -406,8 +420,9 @@ class _Chain:
     one grid shape and progress style, each step emitted once.
 
     Each step is an ``exactly_one`` over every group of
-    :meth:`VarMap.groups` followed by its transition rules (none at step 0).
-    ``ends[s]`` is the ``(var_count, clause_count, VarMap)`` reached at the
+    :meth:`VarMap.groups` followed by its transition rules (none at step 0);
+    its clauses are checked in bulk before its end is recorded, and a
+    literal out of range raises ``ValueError``. ``ends[s]`` is the ``(var_count, clause_count, VarMap)`` reached at the
     end of step ``s``; the formula for horizon ``s`` starts with exactly
     that many variables and clauses. A chain is only read or grown under
     ``_chain_lock``, which ``encode`` holds from the lookup to the slice.
@@ -424,7 +439,7 @@ class _Chain:
         """Append steps up to ``steps``; return the end of that step."""
         f, b = self.formula, self.builder
         while len(self.ends) <= steps:
-            s, vm = len(self.ends), b.vm
+            s, vm, start = len(self.ends), b.vm, len(f.clauses)
             if s > 0:
                 f.alloc_block(vm._shot_block)
             base = f.alloc_block(vm._state_block)
@@ -433,6 +448,7 @@ class _Chain:
                 exactly_one(f, ids)
             if s > 0:
                 _emit_step(b, s, self.progress)
+            f.check_clauses(start)
             self.ends.append((f.var_count, len(f.clauses), vm))
         return self.ends[steps]
 
@@ -447,24 +463,22 @@ _chain_lock = threading.Lock()
 
 def _emit_step(b: _Builder, s: int, progress: str) -> None:
     vm = b.vm
-    H, W = vm.height, vm.width
 
     # one axis fired per step
-    b.f.add_clause((vm.row_shot_var(s, 0), vm.col_shot_var(s, 0)))
-    b.f.add_clause((-vm.row_shot_var(s, 0), -vm.col_shot_var(s, 0)))
+    row0, col0 = vm.row_shot_var(s, 0), vm.col_shot_var(s, 0)
+    b.clauses += ((row0, col0), (-row0, -col0))
 
     _emit_successors(b, s)
 
     if progress == PROGRESS_WITNESS:
-        witnesses = []
-        for r in range(1, H + 1):
-            for c in range(1, W + 1):
-                witnesses.append(
-                    b.conj(
-                        [b.neg(b.cell_empty(s - 1, r, c)), b.cell_empty(s, r, c)]
-                    )
-                )
-        b.f.add_clause(witnesses)
+        # some cell that was not empty is empty now
+        H, W = vm.height, vm.width
+        witnesses = (
+            b.conj([-vm.grid_var(s - 1, r, c, EMPTY), vm.grid_var(s, r, c, EMPTY)])
+            for r in range(1, H + 1)
+            for c in range(1, W + 1)
+        )
+        b.clauses.append(tuple(witnesses))
     else:
         _emit_sum_decrease(b, s)
 
@@ -479,77 +493,82 @@ def _emit_successors(b: _Builder, s: int) -> None:
     """
     vm = b.vm
     H, W = vm.height, vm.width
-    row, fall = partial(vm.row_shot_var, s), partial(vm.wall_fall_var, s)
-    before, after = partial(b.values, s - 1), partial(b.values, s)
-    hand_before, hand_after = b.hand(s - 1), b.hand(s)
-
-    def empty(r: int, c: int) -> Expr:
-        return b.cell_empty(s - 1, r, c)
+    # the ids of the fired row (0..H), fired column (0..W) and wall fall (0..H)
+    row, col, fall = [ids for _, _, ids in vm.groups(s)[-3:]]
+    cells = [(r, c) for r in range(1, H + 1) for c in range(1, W + 1)]
+    before = {cell: vm.cell_ids(s - 1, *cell) for cell in cells}
+    after = {cell: vm.cell_ids(s, *cell) for cell in cells}
+    empty = {cell: ids[EMPTY] for cell, ids in before.items()}
+    hand_before, hand_after = vm.hand_ids(s - 1), vm.hand_ids(s)
 
     # a cell keeps its value unless a shot that can touch it is fired: the
     # shot down its column, or along a row at or below it (in the last
     # column, along any row)
     for r in range(1, H + 1):
         for c in range(1, W + 1):
-            touching = [-row(0)] if c == W else [row(rv) for rv in range(r, H + 1)]
-            b.copy([vm.col_shot_var(s, c), *touching], before(r, c), after(r, c))
+            touching = [-row[0]] if c == W else [row[rv] for rv in range(r, H + 1)]
+            b.copy([col[c], *touching], before[r, c], after[r, c])
 
     # wall fall: the row rv clears, the last column above it holds a block,
     # and rows rv..rv+w-1 of the last column, but not row rv+w, hold the
-    # hand's colour; falls[rv, w] is that condition, where it can hold
+    # hand's colour; falls[rv, w] is that condition, where it can hold (not
+    # for row 1, and not past the bottom row)
     falls = {}
     for rv in range(1, H + 1):
         for w in range(1, H + 1):
-            g = FALSE if rv == 1 else b.conj(
-                [b.path_clear(s, (rv, 0), W), b.neg(empty(rv - 1, W))]
+            g = FALSE if rv == 1 or rv + w - 1 > H else b.conj(
+                [b.path_clear(s, (rv, 0), W), -empty[rv - 1, W]]
                 + [b.prev_is_hand(s, rr, W) for rr in range(rv, rv + w)]
                 + [b.neg(b.prev_is_hand(s, rv + w, W))]
             )
-            b.require_any([-row(rv), b.neg(g), fall(w)])
-            b.require_any([-row(rv), -fall(w), g])
+            b.require_any([-row[rv], b.neg(g), fall[w]])
+            b.require_any([-row[rv], -fall[w], g])
             if g is not FALSE:
                 falls[rv, w] = g
-    b.require_any([vm.col_shot_var(s, 0), fall(0)])
+    b.require_any([col[0], fall[0]])
     # the last column above a wall fall drops w rows; with none it stays
     for rv, w in falls:
         for r in range(1, min(H, rv + w - 1) + 1):
-            b.copy([-row(rv), -fall(w)], before(r - w, W), after(r, W))
+            b.copy([-row[rv], -fall[w]], before.get((r - w, W)), after[r, W])
     for rv in range(2, H + 1):
         for r in range(1, rv):
-            b.copy([-row(rv), -fall(0)], before(r, W), after(r, W))
+            b.copy([-row[rv], -fall[0]], before[r, W], after[r, W])
 
     rebounds = []
     for shot in b.shots():
-        fired, path, rv = b.fired(s, shot), b.path(shot), shot[0]
+        rv, path = shot[0], b.path(shot)
+        fired = row[rv] if rv else col[shot[1]]
+        passed, full = TRUE, []  # full: "a cell before k is not empty"
         for k, (r, c) in enumerate(path, 1):
-            reached, passed = b.path_clear(s, shot, k - 1), b.path_clear(s, shot, k)
+            reached, passed = passed, b.path_clear(s, shot, k)
             # not reached: kept
-            b.copy([-fired, reached], before(r, c), after(r, c))
+            b.copy([-fired, reached], before[r, c], after[r, c])
             # stopped here: the cell and the hand swap, after a consumption
             stops = [-fired, b.neg(reached), passed]
-            b.copy(stops, hand_before, after(r, c))
-            b.copy(stops, before(r, c, low=1), hand_after)
-            b.require_any(stops + [b.neg(empty(*cell)) for cell in path[: k - 1]])
+            b.copy(stops, hand_before, after[r, c][1:])
+            b.copy(stops, before[r, c][1:], hand_after)
+            b.require_any(stops + full)
+            full.append(-empty[r, c])
             if r == rv and c < W:
                 # passed along the row: the column above falls one cell (a
                 # column above an empty cell is empty, so nothing changes)
+                moved, kept = [-fired, b.neg(passed)], [-fired, passed]
                 for rr in range(1, r + 1):
-                    b.copy([-fired, b.neg(passed)], before(rr - 1, c), after(rr, c))
+                    b.copy(moved, before.get((rr - 1, c)), after[rr, c])
                     if rr < r:
-                        b.copy([-fired, passed], before(rr, c), after(rr, c))
+                        b.copy(kept, before[rr, c], after[rr, c])
             else:
                 # passed down a column: emptied, unless a wall fall lands here
-                landing = [fall(w) for row_v, w in falls if row_v == rv and w > r - rv]
-                b.copy([-fired, b.neg(passed), *landing], None, after(r, c))
+                landing = [fall[w] for row_v, w in falls if row_v == rv and w > r - rv]
+                b.copy([-fired, b.neg(passed), *landing], None, after[r, c])
         # rebounded: the hand is kept, after a consumption
-        cleared = b.path_clear(s, shot, len(path))
-        b.copy([-fired, b.neg(cleared)], hand_before, hand_after)
-        b.require_any([-fired, b.neg(cleared)] + [b.neg(empty(*cell)) for cell in path])
-        rebounds.append(cleared)
+        b.copy([-fired, b.neg(passed)], hand_before, hand_after)
+        b.require_any([-fired, b.neg(passed)] + full)
+        rebounds.append(passed)
 
     # implied: the hand keeps its colour only if some shot can rebound
-    for v in hand_before:
-        b.require_any([-hand_before[v], -hand_after[v], *rebounds])
+    for x, y in zip(hand_before, hand_after):
+        b.require_any([-x, -y, *rebounds])
     for r in range(1, H + 1):
         for c in range(1, W + 1):
             # implied: a cell keeps its value unless some shot can get to
@@ -565,16 +584,16 @@ def _emit_successors(b: _Builder, s: int) -> None:
                 for rv in range(1, r + 1):
                     reach.append(b.path_clear(s, (rv, 0), W + r - rv - 1))
                 reach += [g for (rv, _), g in falls.items() if rv > r]
-            b.copy(reach, before(r, c), after(r, c))
+            b.copy(reach, before[r, c], after[r, c])
 
             # implied: a cell becomes empty only in one of these ways, each
             # over the previous state; first, the shot down its column gets
             # to it
             down = b.path_clear(s, (0, c), r)
-            ways = [-vm.grid_var(s, r, c, EMPTY), empty(r, c), down]
+            ways = [-after[r, c][EMPTY], empty[r, c], down]
             if c < W:
                 # or a row at or below it passes, with nothing above to fall
-                b.require_any(ways + [TRUE if r == 1 else empty(r - 1, c)])
+                b.require_any(ways + [TRUE if r == 1 else empty[r - 1, c]])
                 rows = [b.path_clear(s, (rv, 0), c) for rv in range(r, H + 1)]
                 b.require_any(ways + rows)
                 continue
@@ -587,7 +606,7 @@ def _emit_successors(b: _Builder, s: int) -> None:
             # w >= j.
             for j in range(1, r + 1):
                 covering = [g for (rv, w), g in falls.items() if w >= j and rv + w > r]
-                b.require_any(ways + [empty(r - j + 1, c), *covering])
+                b.require_any(ways + [empty[r - j + 1, c], *covering])
 
 
 def _emit_sum_decrease(b: _Builder, s: int) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -284,6 +285,63 @@ class TestEncodeExamples:
         }
         assert len(digests) == 1 and len(digests.pop().strip()) == 64
 
+    # (rows, goal, steps, progress, pinned hand, first 16 hex digits of the
+    # SHA-256 of dimacs_text). A change that alters the formulas on purpose
+    # records new digests and says so in CHANGES.md.
+    RECORDED = [
+        ([[1, 1], [1, 1]], 1, 1, PROGRESS_WITNESS, None, "e5aeab7dba3731bc"),
+        ([[1, 2], [2, 1]], 1, 2, PROGRESS_CARDINALITY, 2, "ba1eef1b34f33f37"),
+        ([[1, 2, 3], [3, 1, 2]], 2, 3, PROGRESS_WITNESS, None, "c3eb9943ce49d34e"),
+        (
+            [[2, 1, 1], [1, 2, 2], [1, 1, 2]],
+            4, 2, PROGRESS_CARDINALITY, None, "b3975d73069335f6",
+        ),
+        (
+            [[1, 2, 3], [2, 3, 1], [3, 1, 2]],
+            3, 3, PROGRESS_WITNESS, 1, "4b9b05cffbd74a27",
+        ),
+        (
+            [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]],
+            6, 3, PROGRESS_CARDINALITY, 1, "33fa5eb32a4c948d",
+        ),
+        (
+            [[1, 2, 1, 2], [2, 1, 2, 1], [1, 2, 1, 2], [2, 2, 1, 1]],
+            8, 2, PROGRESS_WITNESS, 2, "1f36a5c18db6418f",
+        ),
+        (
+            [[1, 2, 3, 1], [2, 3, 1, 2], [3, 1, 2, 3], [1, 2, 3, 1]],
+            10, 1, PROGRESS_CARDINALITY, None, "2550aec5105a5ec5",
+        ),
+        (
+            [[1, 2], [2, 3], [3, 1], [1, 2], [2, 3]],
+            4, 3, PROGRESS_WITNESS, None, "5731f2a9758ad22f",
+        ),
+        (
+            [[1, 2, 3, 1, 2], [2, 3, 1, 2, 3], [3, 1, 2, 3, 1], [1, 2, 3, 1, 2],
+             [2, 3, 1, 2, 3]],
+            15, 3, PROGRESS_WITNESS, None, "c4afd20ae2532a00",
+        ),
+        (
+            [[3, 1, 2, 2, 1], [1, 1, 3, 2, 2], [2, 3, 3, 1, 1], [1, 2, 1, 3, 2],
+             [3, 3, 2, 1, 1]],
+            10, 2, PROGRESS_WITNESS, 3, "d299e3832d2de977",
+        ),
+        (
+            [[3, 1, 2, 2, 1], [1, 1, 3, 2, 2], [2, 3, 3, 1, 1], [1, 2, 1, 3, 2],
+             [3, 3, 2, 1, 1]],
+            20, 1, PROGRESS_CARDINALITY, 2, "a70221376da1bff2",
+        ),
+    ]
+
+    def test_dimacs_matches_recorded_digests(self):
+        # the text is pinned byte for byte, so an emission refactor cannot
+        # move a clause or a variable id unnoticed
+        for rows, goal, steps, mode, hand, want in self.RECORDED:
+            opts = EncodeOptions(steps, hand, mode)
+            f, _ = encode(Instance(g(rows), goal), opts)
+            digest = hashlib.sha256(dimacs_text(f).encode()).hexdigest()[:16]
+            assert digest == want, (rows, goal, steps, mode, hand)
+
 
 class TestSharedSteps:
     """Horizons of one grid shape share the steps ``encode`` emitted for
@@ -337,6 +395,29 @@ class TestSharedSteps:
         monkeypatch.setattr(encoder, "_emit_step", interrupted)
         with pytest.raises(KeyboardInterrupt):
             encode(inst, EncodeOptions(steps=3))
+        monkeypatch.setattr(encoder, "_emit_step", emit_step)
+        assert dimacs_text(encode(inst, EncodeOptions(steps=3))[0]) == cold
+
+    def test_out_of_range_literal_is_refused_and_the_chain_dropped(
+        self, monkeypatch
+    ):
+        inst = Instance(self.GRID, 1)
+        encoder._chain.cache_clear()
+        cold = dimacs_text(encode(inst, EncodeOptions(steps=3))[0])
+        encoder._chain.cache_clear()
+        emit_step = encoder._emit_step
+        bad = []
+
+        def corrupted(b, s, progress):
+            emit_step(b, s, progress)
+            if s == 2:
+                bad.append(b.f.var_count + 1)
+                b.clauses.append((1, -bad[0]))
+
+        monkeypatch.setattr(encoder, "_emit_step", corrupted)
+        with pytest.raises(ValueError) as refused:
+            encode(inst, EncodeOptions(steps=3))
+        assert str(refused.value) == f"literal {-bad[0]} outside allocated variables"
         monkeypatch.setattr(encoder, "_emit_step", emit_step)
         assert dimacs_text(encode(inst, EncodeOptions(steps=3))[0]) == cold
 
