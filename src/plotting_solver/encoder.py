@@ -310,11 +310,20 @@ class _Builder:
         return e
 
     def at_step(self, s: int) -> None:
-        """Start the per-step lists afresh when ``s`` is a new step."""
+        """Start the per-step lists afresh when ``s`` is a new step, and
+        drop the memo's gates of older steps: every gate of step ``s``
+        reads a step-``s`` variable, so no older ``"and"`` key is read
+        again, and of the ``"sumgeq"`` sums step ``s`` reads only those of
+        step ``s - 1``."""
         if s != self.step:
             self.step = s
             self.prefixes = {shot: [TRUE] for shot in self.shots()}
             self.hand_eqs = [None] * (self.vm.height * self.vm.width)
+            self.memo = {
+                key: z
+                for key, z in self.memo.items()
+                if key[0] == "path" or key[:2] == ("sumgeq", s - 1)
+            }
 
     def prev_is_hand(self, s: int, r: int, c: int) -> Expr:
         """The cell holds the hand's colour, both at the step before ``s``;
@@ -463,6 +472,7 @@ _chain_lock = threading.Lock()
 
 def _emit_step(b: _Builder, s: int, progress: str) -> None:
     vm = b.vm
+    b.at_step(s)
 
     # one axis fired per step
     row0, col0 = vm.row_shot_var(s, 0), vm.col_shot_var(s, 0)

@@ -21,12 +21,19 @@ Rules realised by :func:`apply_shot`:
 
 Every rule condition is evaluated against the step-input grid; gravity is
 applied once, after travel resolves.
+
+One transition core per shot kind realises these rules on a grid's raw
+rows. :func:`apply_shot` wraps it in a validated :class:`Grid` and a
+:class:`TransitionOutcome`, and raises for a null move; :func:`successors`
+yields the raw successor of every legal shot, which is how the
+breadth-first planner in :mod:`plotting_solver.oracle` searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import lru_cache
+from typing import Iterator, Optional, Union
 
 EMPTY = 0
 
@@ -58,6 +65,7 @@ class ColShot:
 
 
 Shot = Union[RowShot, ColShot]
+Cells = tuple[tuple[int, ...], ...]
 
 
 def shot_axes(shot: Shot) -> tuple[int, int]:
@@ -178,17 +186,8 @@ def wall_fall(grid: Grid, hand: int, row: int) -> int:
     """
     if row < 2:
         return 0
-    height, width = grid.height, grid.width
-    fired = grid.cells[row - 1]
-    if any(v != EMPTY and v != hand for v in fired):
-        return 0
-    if grid.cells[row - 2][width - 1] == EMPTY:
-        return 0
-    run = 0
-    r0 = row - 1
-    while r0 + run < height and grid.cells[r0 + run][width - 1] == hand:
-        run += 1
-    return run
+    out = _row_core(grid.cells, hand, row - 1)
+    return out[2] if out else 0
 
 
 def apply_shot(grid: Grid, hand: int, shot: Shot) -> TransitionOutcome:
@@ -198,150 +197,132 @@ def apply_shot(grid: Grid, hand: int, shot: Shot) -> TransitionOutcome:
     :class:`OutOfRangeError` if the shot index is outside the grid.
     """
     if isinstance(shot, RowShot):
-        if not 1 <= shot.row <= grid.height:
-            raise OutOfRangeError(f"row {shot.row} outside 1..{grid.height}")
-        return _apply_row_shot(grid, hand, shot.row)
-    if isinstance(shot, ColShot):
-        if not 1 <= shot.col <= grid.width:
-            raise OutOfRangeError(f"col {shot.col} outside 1..{grid.width}")
-        return _apply_col_shot(grid, hand, shot.col)
-    raise TypeError(f"not a shot: {shot!r}")
+        kind, index, size, core = "row", shot.row, grid.height, _row_core
+    elif isinstance(shot, ColShot):
+        kind, index, size, core = "col", shot.col, grid.width, _col_core
+    else:
+        raise TypeError(f"not a shot: {shot!r}")
+    if not 1 <= index <= size:
+        raise OutOfRangeError(f"{kind} {index} outside 1..{size}")
+    out = core(grid.cells, hand, index - 1)
+    if out is None:
+        raise NullMoveError(f"{kind} shot {index} consumes nothing")
+    cells, next_hand, fall, consumed = out
+    return TransitionOutcome(Grid(cells), next_hand, fall, consumed, next_hand != hand)
 
 
-def _apply_row_shot(grid: Grid, hand: int, row: int) -> TransitionOutcome:
-    height, width = grid.height, grid.width
-    r0 = row - 1
-    cells = grid.cells
-
-    consumed_cols: list[int] = []  # 0-based columns consumed along the row
-    stop_col: Optional[int] = None
-    for c0 in range(width):
-        v = cells[r0][c0]
-        if v == EMPTY:
-            continue
-        if v == hand:
-            consumed_cols.append(c0)
-        else:
-            stop_col = c0
-            break
-
-    drop_rows: list[int] = []  # 0-based rows consumed while dropping
-    drop_stop: Optional[int] = None
-    hit_wall = stop_col is None
-    if hit_wall:
-        for rr0 in range(r0 + 1, height):
-            v = cells[rr0][width - 1]
-            if v == EMPTY:
-                continue
-            if v == hand:
-                drop_rows.append(rr0)
-            else:
-                drop_stop = rr0
-                break
-
-    consumed = len(consumed_cols) + len(drop_rows)
-    if consumed == 0:
-        raise NullMoveError(f"row shot {row} consumes nothing")
-
-    fall = wall_fall(grid, hand, row) if hit_wall else 0
-
-    rows = [list(r) for r in cells]
-    next_hand = hand
-    swapped = False
-    if stop_col is not None:
-        next_hand = cells[r0][stop_col]
-        rows[r0][stop_col] = hand
-        swapped = True
-    elif drop_stop is not None:
-        next_hand = cells[drop_stop][width - 1]
-        rows[drop_stop][width - 1] = hand
-        swapped = True
-
-    for c0 in consumed_cols:
-        rows[r0][c0] = EMPTY
-    for rr0 in drop_rows:
-        rows[rr0][width - 1] = EMPTY
-
-    # Gravity: one cell above each consumed column, ``fall`` cells in the
-    # last column after a wall drop. The last column's shift overwrites the
-    # blanks left by the drop.
-    for c0 in consumed_cols:
-        if c0 == width - 1 and hit_wall:
-            continue
-        for i in range(r0, 0, -1):
-            rows[i][c0] = rows[i - 1][c0]
-        rows[0][c0] = EMPTY
-    if fall > 0:
-        last = width - 1
-        for i in range(r0 + fall - 1, fall - 1, -1):
-            rows[i][last] = rows[i - fall][last]
-        for i in range(fall):
-            rows[i][last] = EMPTY
-
-    return TransitionOutcome(
-        next_grid=Grid(tuple(tuple(r) for r in rows)),
-        next_hand=next_hand,
-        wall_fall=fall,
-        consumed=consumed,
-        hand_swapped=swapped,
-    )
-
-
-def _apply_col_shot(grid: Grid, hand: int, col: int) -> TransitionOutcome:
-    height = grid.height
-    c0 = col - 1
-    cells = grid.cells
-
-    consumed_rows: list[int] = []
-    stop_row: Optional[int] = None
+def successors(cells: Cells, hand: int) -> Iterator[tuple[Shot, Cells, int, int]]:
+    """``(shot, next_cells, next_hand, consumed)`` for every shot that is
+    not a null move, rows 1..height then columns 1..width."""
+    height, width = len(cells), len(cells[0])
+    shots = _shots(height, width)
     for r0 in range(height):
-        v = cells[r0][c0]
-        if v == EMPTY:
-            continue
-        if v == hand:
-            consumed_rows.append(r0)
-        else:
-            stop_row = r0
-            break
+        out = _row_core(cells, hand, r0)
+        if out is not None:
+            yield shots[r0], out[0], out[1], out[3]
+    for c0 in range(width):
+        out = _col_core(cells, hand, c0)
+        if out is not None:
+            yield shots[height + c0], out[0], out[1], out[3]
 
-    if not consumed_rows:
-        raise NullMoveError(f"col shot {col} consumes nothing")
 
-    rows = [list(r) for r in cells]
+# One set of shot objects per grid shape, shared by every successor: a
+# search stores a shot with each state it visits.
+@lru_cache(maxsize=1)
+def _shots(height: int, width: int) -> tuple[Shot, ...]:
+    rows = tuple(RowShot(r) for r in range(1, height + 1))
+    return rows + tuple(ColShot(c) for c in range(1, width + 1))
+
+
+# The two transition cores below work on a grid's raw rows and return
+# ``(next_cells, next_hand, wall_fall, consumed)``, or None for a null move.
+# A row the shot leaves unchanged is the parent's own tuple: ``rows`` starts
+# as the parent's rows, and ``tuple`` returns a tuple argument unchanged.
+
+
+def _row_core(
+    cells: Cells, hand: int, r0: int
+) -> Optional[tuple[Cells, int, int, int]]:
+    fired = cells[r0]
+    last = len(fired) - 1
+    eaten: list[int] = []  # columns consumed along the fired row
+    dropped: list[int] = []  # rows consumed down the last column
+    stop: Optional[tuple[int, int]] = None  # the cell the hand swaps with
+    for c, v in enumerate(fired):
+        if v != EMPTY:
+            if v != hand:
+                stop = r0, c
+                break
+            eaten.append(c)
+    fall = 0
+    if stop is None:
+        # The row is cleared: the shot hits the wall and drops down the
+        # last column; blocks above the fired row there fall ``fall`` cells.
+        for rr in range(r0 + 1, len(cells)):
+            v = cells[rr][last]
+            if v != EMPTY:
+                if v != hand:
+                    stop = rr, last
+                    break
+                dropped.append(rr)
+        if r0 and cells[r0 - 1][last] != EMPTY:
+            while r0 + fall < len(cells) and cells[r0 + fall][last] == hand:
+                fall += 1
+    if not eaten and not dropped:
+        return None
+
+    rows: list = list(cells)
+    # Gravity: one cell above each consumed column of the fired row.
+    for i in range(r0 + 1):
+        row = rows[i] = list(cells[i])
+        for c in eaten:
+            row[c] = cells[i - 1][c] if i else EMPTY
+    for rr in dropped:
+        row = rows[rr] = list(cells[rr])
+        row[last] = EMPTY
     next_hand = hand
-    swapped = False
-    if stop_row is not None:
-        next_hand = cells[stop_row][c0]
-        rows[stop_row][c0] = hand
-        swapped = True
-    for r0 in consumed_rows:
-        rows[r0][c0] = EMPTY
+    if stop is not None:
+        sr, sc = stop
+        next_hand = cells[sr][sc]
+        if sr > r0:
+            rows[sr] = list(cells[sr])
+        rows[sr][sc] = hand
+    if eaten and eaten[-1] == last:
+        # After a wall hit the last column falls ``fall`` cells, not one;
+        # the shift overwrites the blanks the drop left.
+        for i in range(r0 + fall):
+            rows[i][last] = cells[i - fall][last] if i >= fall else EMPTY
+    return tuple(map(tuple, rows)), next_hand, fall, len(eaten) + len(dropped)
 
+
+def _col_core(
+    cells: Cells, hand: int, c0: int
+) -> Optional[tuple[Cells, int, int, int]]:
+    eaten: list[int] = []  # rows consumed down the column
+    stop: Optional[int] = None
+    for r, row in enumerate(cells):
+        v = row[c0]
+        if v != EMPTY:
+            if v != hand:
+                stop = r
+                break
+            eaten.append(r)
+    if not eaten:
+        return None
+
+    rows: list = list(cells)
+    for r in eaten:
+        row = rows[r] = list(cells[r])
+        row[c0] = EMPTY
+    next_hand = hand
+    if stop is not None:
+        next_hand = cells[stop][c0]
+        row = rows[stop] = list(cells[stop])
+        row[c0] = hand
     # No gravity: only empty cells can sit above the consumed run.
-    return TransitionOutcome(
-        next_grid=Grid(tuple(tuple(r) for r in rows)),
-        next_hand=next_hand,
-        wall_fall=0,
-        consumed=len(consumed_rows),
-        hand_swapped=swapped,
-    )
+    return tuple(map(tuple, rows)), next_hand, 0, len(eaten)
 
 
 def legal_shots(grid: Grid, hand: int) -> list[Shot]:
     """All shots apply_shot accepts, rows 1..height then columns 1..width."""
-    shots: list[Shot] = []
-    for r in range(1, grid.height + 1):
-        try:
-            apply_shot(grid, hand, RowShot(r))
-        except ShotError:
-            pass
-        else:
-            shots.append(RowShot(r))
-    for c in range(1, grid.width + 1):
-        try:
-            apply_shot(grid, hand, ColShot(c))
-        except ShotError:
-            pass
-        else:
-            shots.append(ColShot(c))
-    return shots
+    return [shot for shot, _, _, _ in successors(grid.cells, hand)]

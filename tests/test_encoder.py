@@ -457,6 +457,18 @@ class TestSharedSteps:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize(
+        "mode, early, late", [(PROGRESS_WITNESS, 3, 6), (PROGRESS_CARDINALITY, 2, 4)]
+    )
+    def test_memo_does_not_grow_with_the_horizon(self, mode, early, late):
+        # the memo keeps the latest step's gates, and for
+        # cardinalityCompare the sums the next step compares against
+        chain = encoder._Chain(4, 4, 3, mode)
+        chain.grow(early)
+        size = len(chain.builder.memo)
+        chain.grow(late)
+        assert len(chain.builder.memo) == size
+
     def test_each_horizon_extends_the_one_before(self):
         inst = Instance(self.GRID, 1)
         # at goal = blocks there is no goal counter, so only the six step-0

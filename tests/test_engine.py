@@ -218,6 +218,32 @@ def test_invariants_along_random_walks(case):
             assert out.wall_fall == 0
 
 
+def test_consumption_swaps_and_legality_along_random_walks():
+    rng = random.Random(14)
+    moves = 0
+    for _ in range(150):
+        height, width = rng.randint(2, 5), rng.randint(2, 5)
+        colours = rng.randint(1, 4)
+        grid = random_full_grid(rng, height, width, colours)
+        hand = rng.randint(1, colours)
+        shots = [RowShot(r) for r in range(1, height + 1)]
+        shots += [ColShot(c) for c in range(1, width + 1)]
+        for prev, prev_hand, _, out in random_walk(rng, grid, hand, steps=25):
+            moves += 1
+            # the breadth-first search counts blocks by consumption
+            assert block_count(prev) - block_count(out.next_grid) == out.consumed
+            assert out.hand_swapped == (out.next_hand != prev_hand)
+            applied = []
+            for shot in shots:
+                try:
+                    apply_shot(prev, prev_hand, shot)
+                except NullMoveError:
+                    continue
+                applied.append(shot)
+            assert legal_shots(prev, prev_hand) == applied
+    assert moves > 500
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         Instance(g([[1, 0], [1, 1]]))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from plotting_solver import engine
 from plotting_solver.engine import (
     ColShot,
     Grid,
@@ -10,9 +11,13 @@ from plotting_solver.engine import (
     RowShot,
     ShotError,
     apply_shot,
+    is_goal,
+    legal_shots,
 )
+from plotting_solver.generator import GeneratorSpec, random_instance
 from plotting_solver.oracle import (
     CapacityExceededError,
+    OptimalPlan,
     TransitionCandidate,
     bfs_optimal,
     check_transition,
@@ -222,3 +227,100 @@ class TestBfsOptimal:
                 out = apply_shot(cur, hand, shot)
                 cur, hand = out.next_grid, out.next_hand
             assert sum(1 for row in cur.cells for v in row if v) <= goal
+
+    def test_state_cap_refuses_a_search_past_it(self):
+        inst = random_instance(GeneratorSpec(5, 5, 3, seed=1)).with_goal(0)
+        with pytest.raises(CapacityExceededError, match="exceeded 1000 states"):
+            bfs_optimal(inst, inst.block_total, state_cap=1_000)
+
+    def test_a_search_that_fits_its_cap_returns(self):
+        # goal 0 is out of reach, so each search visits every state
+        # reachable from its hand, 160 at most; the cap counts states
+        grid = g([[1, 2, 1], [2, 1, 2], [1, 2, 1]])
+        inst = Instance(grid, 0)
+        most = max(_reachable(grid, hand) for hand in (1, 2))
+        assert most == 160
+        assert bfs_optimal(inst, 9, state_cap=most) is None
+        with pytest.raises(CapacityExceededError):
+            bfs_optimal(inst, 9, state_cap=most - 1)
+
+
+def _reachable(grid, hand):
+    """Number of (grid, hand) states reachable from this one, itself included."""
+    seen = {(grid.cells, hand)}
+    todo = [(grid, hand)]
+    while todo:
+        grid, hand = todo.pop()
+        for shot in legal_shots(grid, hand):
+            out = apply_shot(grid, hand, shot)
+            state = (out.next_grid.cells, out.next_hand)
+            if state not in seen:
+                seen.add(state)
+                todo.append((out.next_grid, out.next_hand))
+    return len(seen)
+
+
+def reference_bfs_optimal(instance, max_steps):
+    """``bfs_optimal`` as first written, one ``apply_shot`` per shot: the
+    reference the search over ``engine.successors`` must agree with."""
+    if is_goal(instance.grid, instance.goal):
+        return OptimalPlan(0, 1, ())
+    best = None
+    for hand0 in range(1, instance.colour_count + 1):
+        found = _reference_bfs_from(instance.grid, hand0, instance.goal, max_steps)
+        if found is not None and (best is None or found[0] < best.length):
+            best = OptimalPlan(found[0], hand0, found[1])
+    return best
+
+
+def _reference_bfs_from(grid, hand0, goal, max_steps):
+    shots = [RowShot(r) for r in range(1, grid.height + 1)]
+    shots += [ColShot(c) for c in range(1, grid.width + 1)]
+    start = (grid.cells, hand0)
+    parents = {start: None}
+    frontier = [(start, grid)]
+    depth = 0
+    while frontier and depth < max_steps:
+        depth += 1
+        next_frontier = []
+        for state, g in frontier:
+            hand = state[1]
+            for shot in shots:
+                try:
+                    out = engine.apply_shot(g, hand, shot)
+                except engine.ShotError:
+                    continue
+                nxt = (out.next_grid.cells, out.next_hand)
+                if nxt in parents:
+                    continue
+                parents[nxt] = (state, shot)
+                if is_goal(out.next_grid, goal):
+                    plan = []
+                    cur = nxt
+                    while parents[cur] is not None:
+                        cur, used = parents[cur]
+                        plan.append(used)
+                    plan.reverse()
+                    return depth, tuple(plan)
+                next_frontier.append((nxt, out.next_grid))
+        frontier = next_frontier
+    return None
+
+
+class TestBfsAgainstReference:
+    def test_small_grids_every_goal(self):
+        rng = random.Random(14)
+        cases = 0
+        while cases < 300:
+            h, w = rng.randint(1, 4), rng.randint(1, 4)
+            grid = random_full_grid(rng, h, w, rng.randint(1, min(3, h * w)))
+            for goal in range(h * w + 1):
+                inst = Instance(grid, goal)
+                steps = h * w - goal
+                assert bfs_optimal(inst, steps) == reference_bfs_optimal(inst, steps)
+                cases += 1
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_generator_5x5_at_goal_14(self, seed):
+        inst = random_instance(GeneratorSpec(5, 5, 3, seed=seed)).with_goal(14)
+        assert bfs_optimal(inst, 11) == reference_bfs_optimal(inst, 11)
