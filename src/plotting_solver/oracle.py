@@ -439,20 +439,26 @@ class OptimalPlan:
 def bfs_optimal(
     instance: Instance,
     max_steps: int,
-    state_cap: int = 2_000_000,
+    state_cap: int = 500_000,
 ) -> Optional[OptimalPlan]:
     """Minimal-length plan over all initial hand colours, or None.
 
     The initial hand is free (the wildcard block the avatar starts with),
-    so every colour 1..colour_count is tried; ties between equal-length
-    plans go to the smaller initial hand, and within one search to
-    breadth-first visit order with rows expanded before columns.
+    so every colour 1..colour_count is tried. Hand 1 searches up to
+    ``max_steps``; each later hand searches only below the best length
+    found so far (branch and bound), so it can only replace the best plan
+    with a strictly shorter one and ties still go to the smaller initial
+    hand. Within one search, ties go to breadth-first visit order with rows
+    expanded before columns.
 
-    Raises :class:`CapacityExceededError` past ``state_cap`` visited states
-    and :class:`ValueError` for a missing goal or a negative ``max_steps``.
-    A visited state costs about 530 bytes on a 5x5 grid (101 MB above the
-    interpreter's baseline at 200,000 states, Python 3.11), so a search
-    refused at the default cap peaks near 1.1 GB.
+    Raises :class:`CapacityExceededError` when one hand's search, within
+    its bound, visits more than ``state_cap`` states, and
+    :class:`ValueError` for a missing goal or a negative ``max_steps``.
+    A visited state costs about 530 bytes on a 5x5 grid (Python 3.11), so
+    one search at the default cap holds about 270 MB. Exhaustive 5x5/3
+    searches (generator seeds 1-8, goal 0) visit 104,221 to 419,104 states
+    per hand and fit; the CLI's largest admitted shapes go past it (6x6/2,
+    seed 1, goal 0: refused after 9 s at 323 MB max RSS).
     """
     if instance.goal is None:
         raise ValueError("instance has no goal")
@@ -463,8 +469,11 @@ def bfs_optimal(
         return OptimalPlan(0, 1, ())
     best: Optional[OptimalPlan] = None
     for hand0 in range(1, instance.colour_count + 1):
-        found = _bfs_from(instance.grid, hand0, goal, max_steps, state_cap)
-        if found is not None and (best is None or found[0] < best.length):
+        bound = max_steps if best is None else best.length - 1
+        if bound == 0:
+            break
+        found = _bfs_from(instance.grid, hand0, goal, bound, state_cap)
+        if found is not None:
             best = OptimalPlan(found[0], hand0, found[1])
     return best
 
@@ -486,9 +495,10 @@ def _bfs_from(
         for state, blocks in frontier:
             for shot, cells, hand, consumed in engine.successors(*state):
                 nxt = (cells, hand)
-                if nxt in parents:
+                # one hash of the grid per successor: a tuple caches none
+                link = (state, shot)
+                if parents.setdefault(nxt, link) is not link:
                     continue
-                parents[nxt] = (state, shot)
                 if len(parents) > state_cap:
                     raise CapacityExceededError(
                         f"breadth-first search exceeded {state_cap} states"

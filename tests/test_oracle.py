@@ -262,7 +262,8 @@ def _reachable(grid, hand):
 
 def reference_bfs_optimal(instance, max_steps):
     """``bfs_optimal`` as first written, one ``apply_shot`` per shot: the
-    reference the search over ``engine.successors`` must agree with."""
+    reference the search over ``engine.successors`` must agree with. Every
+    hand searches up to ``max_steps``, unbounded by earlier hands' plans."""
     if is_goal(instance.grid, instance.goal):
         return OptimalPlan(0, 1, ())
     best = None
@@ -324,3 +325,42 @@ class TestBfsAgainstReference:
     def test_generator_5x5_at_goal_14(self, seed):
         inst = random_instance(GeneratorSpec(5, 5, 3, seed=seed)).with_goal(14)
         assert bfs_optimal(inst, 11) == reference_bfs_optimal(inst, 11)
+
+    # deeper searches (5 to 7 shots), where later hands often beat or tie
+    # hand 1: seeds 0, 5, 7 and 11 go to a later hand, 1, 6 and 9 tie
+    @pytest.mark.parametrize("seed", range(12))
+    def test_generator_5x5_at_goal_10(self, seed):
+        inst = random_instance(GeneratorSpec(5, 5, 3, seed=seed)).with_goal(10)
+        assert bfs_optimal(inst, 15) == reference_bfs_optimal(inst, 15)
+
+
+class TestLaterHandsBound:
+    """Hands after the first search only below the best length found."""
+
+    def test_a_strictly_shorter_later_hand_wins(self):
+        grid = g([[2, 2], [1, 2]])
+        assert _reference_bfs_from(grid, 1, 1, 4)[0] == 3
+        assert _reference_bfs_from(grid, 2, 1, 4) == (1, (RowShot(1),))
+        assert bfs_optimal(Instance(grid, 1), 4) == OptimalPlan(1, 2, (RowShot(1),))
+
+    def test_a_tying_later_hand_keeps_hand_1_and_its_plan(self):
+        grid = g([[1, 2], [2, 1]])
+        first = _reference_bfs_from(grid, 1, 2, 4)
+        assert first == (2, (RowShot(1), RowShot(2)))
+        assert _reference_bfs_from(grid, 2, 2, 4) == (2, (RowShot(2), RowShot(2)))
+        assert bfs_optimal(Instance(grid, 2), 4) == OptimalPlan(2, 1, first[1])
+
+    def test_no_later_hand_searches_after_a_one_shot_plan(self, monkeypatch):
+        grid = g([[1, 2], [2, 1]])
+        assert _reference_bfs_from(grid, 2, 3, 4)[0] == 1
+        expanded = []
+        successors = engine.successors
+
+        def counting(cells, hand):
+            expanded.append((cells, hand))
+            return successors(cells, hand)
+
+        monkeypatch.setattr(engine, "successors", counting)
+        best = bfs_optimal(Instance(grid, 3), 4)
+        assert best == OptimalPlan(1, 1, (RowShot(1),))
+        assert expanded == [(grid.cells, 1)]
