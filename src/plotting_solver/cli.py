@@ -255,7 +255,9 @@ def main(argv=None) -> int:
         "--progress",
         choices=PROGRESS_MODES,
         default=PROGRESS_WITNESS,
-        help="progress constraint encoding",
+        help="progress constraint encoding: consumptionWitness (default) adds "
+        "no extra progress clause, since the no-null-move clauses imply "
+        "consumption; cardinalityCompare compares the grids' colour sums",
     )
     p.set_defaults(func=cmd_solve)
 

@@ -173,19 +173,32 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> None:
     TRUE, FALSE = object(), object()
     registers: dict[tuple[int, int], object] = {}
 
-    def geq(i: int, j: int):
-        # at least j of the first i inputs
+    def known(i: int, j: int):
+        # at least j of the first i inputs, or None while not yet built
         if j <= 0:
             return TRUE
         if j > i:
             return FALSE
         if i == 1:
             return lits[0]
-        key = (i, j)
-        if key in registers:
-            return registers[key]
-        with_xi = geq(i - 1, j - 1)  # given lits[i-1] is true
-        without = geq(i - 1, j)
+        return registers.get((i, j))
+
+    # Registers are built children first (given lits[i-1] is true, then
+    # without it) from an explicit stack, not by recursion: a register reads
+    # only registers over one input fewer, so the stack is at most n deep,
+    # and any number of inputs stays clear of the recursion limit.
+    stack = [(n, k)] if known(n, k) is None else []
+    while stack:
+        i, j = stack[-1]
+        with_xi = known(i - 1, j - 1)
+        if with_xi is None:
+            stack.append((i - 1, j - 1))
+            continue
+        without = known(i - 1, j)
+        if without is None:
+            stack.append((i - 1, j))
+            continue
+        stack.pop()
         z = formula.new_var()
         # z -> (without or (lits[i-1] and with_xi))
         if without is FALSE:
@@ -196,10 +209,9 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> None:
             formula.add_clause((-z, without, lits[i - 1]))
             if with_xi is not TRUE:
                 formula.add_clause((-z, without, with_xi))
-        registers[key] = z
-        return z
+        registers[i, j] = z
 
-    formula.add_clause((geq(n, k),))  # 1 <= k <= n, so a literal
+    formula.add_clause((known(n, k),))  # 1 <= k <= n, so a literal
 
 
 def write_dimacs(formula: CnfFormula, sink: IO[str]) -> None:

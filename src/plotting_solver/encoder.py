@@ -82,9 +82,10 @@ class EncodeOptions:
     """Horizon length, optional pinned initial hand, progress style.
 
     The initial hand is left free by default, which is how the wildcard
-    block the avatar starts with is modelled. ``progress_encoding`` selects
-    between a per-step consumed-cell witness (default) and a unary
-    comparison of the grids' colour sums.
+    block the avatar starts with is modelled. ``progress_encoding`` is
+    ``consumptionWitness`` (default: no extra progress clause; the
+    no-null-move clauses imply consumption) or ``cardinalityCompare`` (a
+    unary comparison of the grids' colour sums).
     """
 
     steps: int
@@ -478,18 +479,11 @@ def _emit_step(b: _Builder, s: int, progress: str) -> None:
     row0, col0 = vm.row_shot_var(s, 0), vm.col_shot_var(s, 0)
     b.clauses += ((row0, col0), (-row0, -col0))
 
+    # the no-null-move clauses (a stop or a rebound needs a block on the
+    # path) imply consumption; cardinalityCompare adds a second, independent
+    # progress constraint to test against
     _emit_successors(b, s)
-
-    if progress == PROGRESS_WITNESS:
-        # some cell that was not empty is empty now
-        H, W = vm.height, vm.width
-        witnesses = (
-            b.conj([-vm.grid_var(s - 1, r, c, EMPTY), vm.grid_var(s, r, c, EMPTY)])
-            for r in range(1, H + 1)
-            for c in range(1, W + 1)
-        )
-        b.clauses.append(tuple(witnesses))
-    else:
+    if progress == PROGRESS_CARDINALITY:
         _emit_sum_decrease(b, s)
 
 

@@ -133,6 +133,26 @@ class TestSolve:
         )
         assert code == 20 and stdout.strip() == "UNSAT"
 
+    def test_unsat_on_a_32x32_grid(self, tmp_path, capsys):
+        # the goal counter over 1,024 cells is built without recursion
+        out = tmp_path / "big"
+        code, _, _ = run(
+            [
+                "generate",
+                "--height", "32", "--width", "32", "--colours", "2",
+                "--seed", "1", "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 0
+        (inst,) = out.iterdir()
+        code, stdout, err = run(
+            ["solve", "--instance", str(inst), "--goal", "0", "--max-steps", "1"],
+            capsys,
+        )
+        assert code == 20 and stdout == "UNSAT\n"
+        assert "Traceback" not in err
+
     def test_unknown_exit_30(self, tmp_path, capsys):
         undecided = tmp_path / "undecided.py"
         undecided.write_text("print('s UNKNOWN')\n")
