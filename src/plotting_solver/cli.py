@@ -42,8 +42,8 @@ EXIT_UNKNOWN = 30
 
 # Refuse breadth-first search when the potential state space passes this:
 # 75 bits admits the paper's reference size (5x5, 3 colours: 25 cells of
-# 3 bits); bfs_optimal's state_cap of 500,000 states per initial hand
-# still bounds the searches it admits, to a few hundred MB.
+# 3 bits); bfs_optimal's state_cap of 500,000 expanded states per initial
+# hand still bounds the searches it admits, to a few hundred MB.
 ORACLE_CAPACITY_BITS = 75
 
 # Exceptions that end a command: exit code and the label of its stderr line.

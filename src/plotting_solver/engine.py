@@ -22,11 +22,16 @@ Rules realised by :func:`apply_shot`:
 Every rule condition is evaluated against the step-input grid; gravity is
 applied once, after travel resolves.
 
-One transition core per shot kind realises these rules on a grid's raw
-rows. :func:`apply_shot` wraps it in a validated :class:`Grid` and a
-:class:`TransitionOutcome`, and raises for a null move; :func:`successors`
-yields the raw successor of every legal shot, which is how the
-breadth-first planner in :mod:`plotting_solver.oracle` searches.
+Each shot kind has two parts on a grid's raw rows: its travel (whether the
+shot is legal, how many blocks it consumes, where it stops), the one
+definition of how a shot travels, and its build (the successor grid and
+hand, from where the travel stopped). :func:`apply_shot` runs both and
+wraps the result in a validated :class:`Grid` and a
+:class:`TransitionOutcome`, raising for a null move. :func:`successors`
+runs only the travel of every shot and :func:`build` the build of one, so
+the breadth-first planner in :mod:`plotting_solver.oracle` tests a
+successor for the goal from its consumed count and builds the state only
+when it expands it.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ class ColShot:
 
 Shot = Union[RowShot, ColShot]
 Cells = tuple[tuple[int, ...], ...]
+Travel = tuple[int, int]  # (consumed, stop): see the travel functions
 
 
 def shot_axes(shot: Shot) -> tuple[int, int]:
@@ -186,8 +192,10 @@ def wall_fall(grid: Grid, hand: int, row: int) -> int:
     """
     if row < 2:
         return 0
-    out = _row_core(grid.cells, hand, row - 1)
-    return out[2] if out else 0
+    travel = _row_travel(grid.cells, hand, row - 1)
+    if travel is None or travel[1] < grid.width:
+        return 0
+    return _wall_fall(grid.cells, hand, row - 1)
 
 
 def apply_shot(grid: Grid, hand: int, shot: Shot) -> TransitionOutcome:
@@ -197,33 +205,48 @@ def apply_shot(grid: Grid, hand: int, shot: Shot) -> TransitionOutcome:
     :class:`OutOfRangeError` if the shot index is outside the grid.
     """
     if isinstance(shot, RowShot):
-        kind, index, size, core = "row", shot.row, grid.height, _row_core
+        kind, index, size = "row", shot.row, grid.height
+        travel, make = _row_travel, _row_build
     elif isinstance(shot, ColShot):
-        kind, index, size, core = "col", shot.col, grid.width, _col_core
+        kind, index, size = "col", shot.col, grid.width
+        travel, make = _col_travel, _col_build
     else:
         raise TypeError(f"not a shot: {shot!r}")
     if not 1 <= index <= size:
         raise OutOfRangeError(f"{kind} {index} outside 1..{size}")
-    out = core(grid.cells, hand, index - 1)
+    out = travel(grid.cells, hand, index - 1)
     if out is None:
         raise NullMoveError(f"{kind} shot {index} consumes nothing")
-    cells, next_hand, fall, consumed = out
+    consumed, stop = out
+    cells, next_hand = make(grid.cells, hand, index - 1, stop)
+    fall = 0
+    if kind == "row" and stop >= grid.width:
+        fall = _wall_fall(grid.cells, hand, index - 1)
     return TransitionOutcome(Grid(cells), next_hand, fall, consumed, next_hand != hand)
 
 
-def successors(cells: Cells, hand: int) -> Iterator[tuple[Shot, Cells, int, int]]:
-    """``(shot, next_cells, next_hand, consumed)`` for every shot that is
-    not a null move, rows 1..height then columns 1..width."""
+def successors(cells: Cells, hand: int) -> Iterator[tuple[Shot, Travel]]:
+    """``(shot, (consumed, stop))`` for every shot that is not a null move,
+    rows 1..height then columns 1..width. Only the travel is computed: pass
+    ``stop`` to :func:`build` for the successor state."""
     height, width = len(cells), len(cells[0])
     shots = _shots(height, width)
     for r0 in range(height):
-        out = _row_core(cells, hand, r0)
-        if out is not None:
-            yield shots[r0], out[0], out[1], out[3]
+        travel = _row_travel(cells, hand, r0)
+        if travel is not None:
+            yield shots[r0], travel
     for c0 in range(width):
-        out = _col_core(cells, hand, c0)
-        if out is not None:
-            yield shots[height + c0], out[0], out[1], out[3]
+        travel = _col_travel(cells, hand, c0)
+        if travel is not None:
+            yield shots[height + c0], travel
+
+
+def build(cells: Cells, hand: int, shot: Shot, stop: int) -> tuple[Cells, int]:
+    """``(next_cells, next_hand)`` after a legal ``shot`` whose travel from
+    this state stops at path index ``stop``."""
+    if isinstance(shot, RowShot):
+        return _row_build(cells, hand, shot.row - 1, stop)
+    return _col_build(cells, hand, shot.col - 1, stop)
 
 
 # One set of shot objects per grid shape, shared by every successor: a
@@ -234,43 +257,68 @@ def _shots(height: int, width: int) -> tuple[Shot, ...]:
     return rows + tuple(ColShot(c) for c in range(1, width + 1))
 
 
-# The two transition cores below work on a grid's raw rows and return
-# ``(next_cells, next_hand, wall_fall, consumed)``, or None for a null move.
-# A row the shot leaves unchanged is the parent's own tuple: ``rows`` starts
-# as the parent's rows, and ``tuple`` returns a tuple argument unchanged.
+# A shot's path is the cells it crosses in order: a row shot's row left to
+# right, then the last column below it; a column shot's column top down.
+# The travel functions are the one definition of how a shot travels: each
+# returns ``(consumed, stop)``, or None for a null move, where ``stop`` is
+# the path index of the cell the hand swaps with, or the path's length when
+# the shot rebounds. The build functions turn a stop into ``(next_cells,
+# next_hand)``: every block on the path before the stop is of the hand's
+# colour and consumed. A row the shot leaves unchanged is the parent's own
+# tuple: ``rows`` starts as the parent's rows, and ``tuple`` returns a
+# tuple argument unchanged.
 
 
-def _row_core(
-    cells: Cells, hand: int, r0: int
-) -> Optional[tuple[Cells, int, int, int]]:
+def _row_travel(cells: Cells, hand: int, r0: int) -> Optional[Travel]:
     fired = cells[r0]
-    last = len(fired) - 1
-    eaten: list[int] = []  # columns consumed along the fired row
-    dropped: list[int] = []  # rows consumed down the last column
-    stop: Optional[tuple[int, int]] = None  # the cell the hand swaps with
+    consumed = 0
     for c, v in enumerate(fired):
         if v != EMPTY:
             if v != hand:
-                stop = r0, c
-                break
-            eaten.append(c)
-    fall = 0
-    if stop is None:
-        # The row is cleared: the shot hits the wall and drops down the
-        # last column; blocks above the fired row there fall ``fall`` cells.
-        for rr in range(r0 + 1, len(cells)):
-            v = cells[rr][last]
-            if v != EMPTY:
-                if v != hand:
-                    stop = rr, last
-                    break
-                dropped.append(rr)
-        if r0 and cells[r0 - 1][last] != EMPTY:
-            while r0 + fall < len(cells) and cells[r0 + fall][last] == hand:
-                fall += 1
-    if not eaten and not dropped:
-        return None
+                return (consumed, c) if consumed else None
+            consumed += 1
+    # The row is cleared: the shot hits the wall and drops down the last
+    # column.
+    height, last = len(cells), len(fired) - 1
+    for rr in range(r0 + 1, height):
+        v = cells[rr][last]
+        if v != EMPTY:
+            if v != hand:
+                return (consumed, last + rr - r0) if consumed else None
+            consumed += 1
+    return (consumed, last + height - r0) if consumed else None
 
+
+def _wall_fall(cells: Cells, hand: int, r0: int) -> int:
+    # After a row shot at ``r0`` hits the wall, the last column above it
+    # falls by the length of the run of hand-coloured cells from ``r0``
+    # down, if anything is there to fall.
+    fall = 0
+    last = len(cells[0]) - 1
+    if r0 and cells[r0 - 1][last] != EMPTY:
+        while r0 + fall < len(cells) and cells[r0 + fall][last] == hand:
+            fall += 1
+    return fall
+
+
+def _row_build(cells: Cells, hand: int, r0: int, stop: int) -> tuple[Cells, int]:
+    fired = cells[r0]
+    last = len(fired) - 1
+    eaten = []  # columns consumed along the fired row
+    dropped = []  # rows consumed down the last column
+    if stop <= last:
+        sr, sc = r0, stop  # the cell the hand swaps with, if in the grid
+        for c in range(stop):
+            if fired[c] != EMPTY:
+                eaten.append(c)
+    else:
+        sr, sc = r0 + stop - last, last
+        for c in range(last + 1):
+            if fired[c] != EMPTY:
+                eaten.append(c)
+        for rr in range(r0 + 1, sr):
+            if cells[rr][last] != EMPTY:
+                dropped.append(rr)
     rows: list = list(cells)
     # Gravity: one cell above each consumed column of the fired row.
     for i in range(r0 + 1):
@@ -281,8 +329,7 @@ def _row_core(
         row = rows[rr] = list(cells[rr])
         row[last] = EMPTY
     next_hand = hand
-    if stop is not None:
-        sr, sc = stop
+    if sr < len(cells):
         next_hand = cells[sr][sc]
         if sr > r0:
             rows[sr] = list(cells[sr])
@@ -290,39 +337,38 @@ def _row_core(
     if eaten and eaten[-1] == last:
         # After a wall hit the last column falls ``fall`` cells, not one;
         # the shift overwrites the blanks the drop left.
+        fall = _wall_fall(cells, hand, r0)
         for i in range(r0 + fall):
             rows[i][last] = cells[i - fall][last] if i >= fall else EMPTY
-    return tuple(map(tuple, rows)), next_hand, fall, len(eaten) + len(dropped)
+    return tuple(map(tuple, rows)), next_hand
 
 
-def _col_core(
-    cells: Cells, hand: int, c0: int
-) -> Optional[tuple[Cells, int, int, int]]:
-    eaten: list[int] = []  # rows consumed down the column
-    stop: Optional[int] = None
+def _col_travel(cells: Cells, hand: int, c0: int) -> Optional[Travel]:
+    consumed = 0
     for r, row in enumerate(cells):
         v = row[c0]
         if v != EMPTY:
             if v != hand:
-                stop = r
-                break
-            eaten.append(r)
-    if not eaten:
-        return None
+                return (consumed, r) if consumed else None
+            consumed += 1
+    return (consumed, len(cells)) if consumed else None
 
+
+def _col_build(cells: Cells, hand: int, c0: int, stop: int) -> tuple[Cells, int]:
     rows: list = list(cells)
-    for r in eaten:
-        row = rows[r] = list(cells[r])
-        row[c0] = EMPTY
+    for r in range(stop):
+        if cells[r][c0] != EMPTY:
+            row = rows[r] = list(cells[r])
+            row[c0] = EMPTY
     next_hand = hand
-    if stop is not None:
+    if stop < len(cells):
         next_hand = cells[stop][c0]
         row = rows[stop] = list(cells[stop])
         row[c0] = hand
     # No gravity: only empty cells can sit above the consumed run.
-    return tuple(map(tuple, rows)), next_hand, 0, len(eaten)
+    return tuple(map(tuple, rows)), next_hand
 
 
 def legal_shots(grid: Grid, hand: int) -> list[Shot]:
     """All shots apply_shot accepts, rows 1..height then columns 1..width."""
-    return [shot for shot, _, _, _ in successors(grid.cells, hand)]
+    return [shot for shot, _ in successors(grid.cells, hand)]

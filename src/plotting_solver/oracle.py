@@ -6,8 +6,11 @@ analysis directly on a candidate transition, one predicate per rule case.
 shot. These two are written independently of the transition rules in
 :mod:`plotting_solver.engine`, sharing only its data types, so the two can
 be played against each other. :func:`bfs_optimal` is a breadth-first optimal
-planner that searches with :func:`plotting_solver.engine.successors`, over
-the same transition core as :func:`plotting_solver.engine.apply_shot`.
+planner over the travel and build parts of
+:func:`plotting_solver.engine.apply_shot`: it tests each successor for the
+goal from the blocks its shot consumes, and builds the successor's grid
+only when it expands it (deferred evaluation, Richter & Helmert, ICAPS
+2009, with delayed duplicate detection, Korf, AAAI 2004).
 
 Convention used throughout: any atom that refers to a cell outside the grid
 evaluates to False, for both equality and inequality atoms. Quantifications
@@ -451,14 +454,23 @@ def bfs_optimal(
     hand. Within one search, ties go to breadth-first visit order with rows
     expanded before columns.
 
+    A state is built when it is expanded: each successor is tested for the
+    goal from the blocks its shot consumes and queued unbuilt, so the layer
+    where the goal is found, and the last layer within the bound, are
+    tested but never built or stored. A successor that repeats
+    an earlier state has that state's block count, so the first goal met is
+    the first visit of its state, as in a search that builds every
+    successor.
+
     Raises :class:`CapacityExceededError` when one hand's search, within
-    its bound, visits more than ``state_cap`` states, and
+    its bound, expands more than ``state_cap`` states, and
     :class:`ValueError` for a missing goal or a negative ``max_steps``.
-    A visited state costs about 530 bytes on a 5x5 grid (Python 3.11), so
-    one search at the default cap holds about 270 MB. Exhaustive 5x5/3
-    searches (generator seeds 1-8, goal 0) visit 104,221 to 419,104 states
-    per hand and fit; the CLI's largest admitted shapes go past it (6x6/2,
-    seed 1, goal 0: refused after 9 s at 323 MB max RSS).
+    An expanded state costs about 520 bytes on a 5x5 grid (Python 3.11),
+    queued successors included, so one search at the default cap holds
+    about 260 MB. Exhaustive 5x5/3 searches (generator seeds 1-8, goal 0)
+    expand 6 to 419,104 states per hand and fit; the CLI's largest
+    admitted shapes go past it (6x6/2, seed 1, goal 0: refused after
+    10-13 s CPU at 381 MB max RSS).
     """
     if instance.goal is None:
         raise ValueError("instance has no goal")
@@ -487,30 +499,45 @@ def _bfs_from(
 ) -> Optional[tuple[int, tuple[Shot, ...]]]:
     start = (grid.cells, hand0)
     parents: dict = {start: None}
-    frontier = [(start, block_count(grid))]
+    # A layer lists its successors unbuilt, each a run of four items
+    # (parent, shot, stop, blocks) in one flat list rather than a tuple, so
+    # the queue adds no objects for the garbage collector to track. Each is
+    # built, de-duplicated and counted only when it is expanded.
+    layer = [None, None, 0, block_count(grid)]
     depth = 0
-    while frontier and depth < max_steps:
+    while layer and depth < max_steps:
         depth += 1
-        next_frontier = []
-        for state, blocks in frontier:
-            for shot, cells, hand, consumed in engine.successors(*state):
-                nxt = (cells, hand)
-                # one hash of the grid per successor: a tuple caches none
-                link = (state, shot)
-                if parents.setdefault(nxt, link) is not link:
+        last = depth == max_steps
+        next_layer: list = []
+        unbuilt = iter(layer)
+        for parent, shot, stop, blocks in zip(unbuilt, unbuilt, unbuilt, unbuilt):
+            if parent is None:
+                state = start
+            else:
+                cells, hand = parent
+                state = engine.build(cells, hand, shot, stop)
+                link = (parent, shot)
+                # one hash of the grid per built successor: a tuple caches none
+                if parents.setdefault(state, link) is not link:
                     continue
                 if len(parents) > state_cap:
                     raise CapacityExceededError(
                         f"breadth-first search exceeded {state_cap} states"
                     )
-                if blocks - consumed <= goal:
-                    plan = []
-                    cur = nxt
+            cells, hand = state
+            for shot, (consumed, stop) in engine.successors(cells, hand):
+                left = blocks - consumed
+                # a repeated state has its first visit's block count, so the
+                # first goal met is never a repeat
+                if left <= goal:
+                    plan = [shot]
+                    cur = state
                     while parents[cur] is not None:
                         cur, used = parents[cur]
                         plan.append(used)
                     plan.reverse()
                     return depth, tuple(plan)
-                next_frontier.append((nxt, blocks - consumed))
-        frontier = next_frontier
+                if not last:
+                    next_layer += state, shot, stop, left
+        layer = next_layer
     return None

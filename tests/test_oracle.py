@@ -245,19 +245,73 @@ class TestBfsOptimal:
             bfs_optimal(inst, 9, state_cap=most - 1)
 
 
+class TestBuildOnExpansion:
+    """A successor is built only when it is expanded: the layer where the
+    plan is found, and a later hand's bound layer, are tested, not built."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        built = []  # the parent state of every successor built
+        build = engine.build
+
+        def counting(cells, hand, shot, stop):
+            built.append((cells, hand))
+            return build(cells, hand, shot, stop)
+
+        monkeypatch.setattr(engine, "build", counting)
+        return built
+
+    def test_the_layer_of_the_plan_is_not_built(self, monkeypatch):
+        grid = g([[1] * 4 for _ in range(4)])  # one colour: one search
+        depth = _depths(grid, 1)
+        built = self._count_builds(monkeypatch)
+        best = bfs_optimal(Instance(grid, 0), 16)
+        assert best.length == 4
+        # layers 1..3 are built from parents in layers 0..2, layer 4 never
+        assert max(depth[parent] for parent in built) == best.length - 2
+
+    def test_a_later_hand_bounded_at_one_shot_builds_nothing(self, monkeypatch):
+        grid = g([[1, 2], [2, 1]])
+        assert _reference_bfs_from(grid, 1, 2, 4)[0] == 2
+        built = self._count_builds(monkeypatch)
+        builds_before_hand_2 = []
+        successors = engine.successors
+
+        def noting(cells, hand):
+            if (cells, hand) == (grid.cells, 2):
+                builds_before_hand_2.append(len(built))
+            return successors(cells, hand)
+
+        monkeypatch.setattr(engine, "successors", noting)
+        best = bfs_optimal(Instance(grid, 2), 4)
+        assert best == OptimalPlan(2, 1, (RowShot(1), RowShot(2)))
+        # hand 2 searches below length 2: it expands its start, builds none
+        assert builds_before_hand_2 == [len(built)]
+        assert built
+
+
+def _depths(grid, hand):
+    """Breadth-first depth of every (grid, hand) state reachable from this one."""
+    depth = {(grid.cells, hand): 0}
+    layer = [(grid, hand)]
+    d = 0
+    while layer:
+        d += 1
+        next_layer = []
+        for grid, hand in layer:
+            for shot in legal_shots(grid, hand):
+                out = apply_shot(grid, hand, shot)
+                state = (out.next_grid.cells, out.next_hand)
+                if state not in depth:
+                    depth[state] = d
+                    next_layer.append((out.next_grid, out.next_hand))
+        layer = next_layer
+    return depth
+
+
 def _reachable(grid, hand):
     """Number of (grid, hand) states reachable from this one, itself included."""
-    seen = {(grid.cells, hand)}
-    todo = [(grid, hand)]
-    while todo:
-        grid, hand = todo.pop()
-        for shot in legal_shots(grid, hand):
-            out = apply_shot(grid, hand, shot)
-            state = (out.next_grid.cells, out.next_hand)
-            if state not in seen:
-                seen.add(state)
-                todo.append((out.next_grid, out.next_hand))
-    return len(seen)
+    return len(_depths(grid, hand))
 
 
 def reference_bfs_optimal(instance, max_steps):
