@@ -6,7 +6,8 @@ Exit codes, fixed for scripting sweeps:
 * 1   I/O failure, including malformed output from an external solver
 * 2   bad arguments, unparsable files, infeasible generator spec, an
       external solver command that cannot be started
-* 3   oracle refused: instance above its capacity bound
+* 3   capacity refused: instance above the oracle's bound, or a
+      ``cardinalityCompare`` colour-sum range above the encoder's
 * 10  invalid plan
 * 20  no plan within the horizon bound (UNSAT)
 * 30  undecided (UNKNOWN)
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import cnf, formats, generator, oracle, planner
-from .encoder import PROGRESS_MODES, PROGRESS_WITNESS
+from .encoder import MAX_SUM_RANGE, PROGRESS_MODES, PROGRESS_WITNESS
 from .engine import Instance
 
 EXIT_OK = 0
@@ -257,7 +258,9 @@ def main(argv=None) -> int:
         default=PROGRESS_WITNESS,
         help="progress constraint encoding: consumptionWitness (default) adds "
         "no extra progress clause, since the no-null-move clauses imply "
-        "consumption; cardinalityCompare compares the grids' colour sums",
+        "consumption; cardinalityCompare counts each grid's colour sum in one "
+        "totalizer per step and requires it to fall, and is refused (exit 3) "
+        f"above a colour-sum range (colours x cells) of {MAX_SUM_RANGE}",
     )
     p.set_defaults(func=cmd_solve)
 

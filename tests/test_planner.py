@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from plotting_solver.encoder import PROGRESS_MODES
 from plotting_solver.engine import ColShot, Grid, Instance, RowShot
+from plotting_solver.generator import GeneratorSpec, random_instance
 from plotting_solver.oracle import bfs_optimal
 from plotting_solver.planner import (
     INTERNAL_BACKEND,
@@ -110,6 +113,28 @@ class TestSolve:
         header = (tmp_path / "phi_1.cnf").read_text().splitlines()[0]
         assert header.startswith("p cnf ")
         assert int(header.split()[2]) >= 27
+
+
+class TestPlanParity:
+    # SHA-256 of repr((status, horizon, hand0, plan, horizon_statuses)) over
+    # 192 seeded solves: shapes 2x2/2 to 4x4/3, generator seeds 1-8, goals
+    # 1-4 blocks below full. Both progress modes give these same answers. A
+    # change that alters plans on purpose records a new digest and says so
+    # in CHANGES.md.
+    SHAPES = [(2, 2, 2), (2, 3, 2), (3, 3, 2), (3, 3, 3), (3, 4, 3), (4, 4, 3)]
+    RECORDED = "4b978910ca6cea89277d12f2932370f9a6ec744efca995b8e4b7ae42c39f44e6"
+
+    @pytest.mark.parametrize("mode", PROGRESS_MODES)
+    def test_plans_match_the_recorded_digest(self, mode):
+        digest = hashlib.sha256()
+        for (h, w, c), seed in itertools.product(self.SHAPES, range(1, 9)):
+            spec = GeneratorSpec(h, w, c, seed=seed)
+            instance = random_instance(spec)
+            for slack in range(1, 5):
+                res = solve(instance.with_goal(h * w - slack), progress_encoding=mode)
+                answer = (res.status, res.horizon, res.hand0, res.plan)
+                digest.update(repr(answer + (res.horizon_statuses,)).encode())
+        assert digest.hexdigest() == self.RECORDED
 
 
 class TestReplay:
