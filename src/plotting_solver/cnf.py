@@ -156,11 +156,16 @@ def and_gate(formula: CnfFormula, inputs: Sequence[int]) -> int:
 
 
 def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> None:
-    """Sequential-counter encoding of "at least k of lits are true".
+    """Sequential-counter encoding of "at least k of lits are true" (Sinz,
+    CP 2005).
 
-    ``k`` = 0 emits nothing. Register variables track "at least j of the
-    first i inputs are true"; degenerate registers fold to constants or to
-    the input literals themselves, so tiny bounds produce tiny encodings.
+    ``k`` = 0 emits nothing. The register for (i, j) means "at least j of
+    the first i inputs are true" and implies register (i − 1, j), or input
+    i and register (i − 1, j − 1). Registers are built one input at a time,
+    i from 2 to n, each for j from max(1, k − (n − i)) to min(i, k): the
+    registers that (n, k) reads through that chain. At i = 1 the register
+    is the input itself; "at least 0" always holds and "at least i + 1 of
+    i" never does, so those fold away, and tiny bounds give tiny encodings.
 
     A register is implied in one direction only: it implies its count, and
     no clause makes the count imply it. So once the inputs are set, a
@@ -177,49 +182,17 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> None:
         raise InfeasibleBoundError(f"cannot require {k} of {n} literals")
     if k == 0:
         return
-
-    TRUE, FALSE = object(), object()
-    registers: dict[tuple[int, int], object] = {}
-
-    def known(i: int, j: int):
-        # at least j of the first i inputs, or None while not yet built
-        if j <= 0:
-            return TRUE
-        if j > i:
-            return FALSE
-        if i == 1:
-            return lits[0]
-        return registers.get((i, j))
-
-    # Registers are built children first (given lits[i-1] is true, then
-    # without it) from an explicit stack, not by recursion: a register reads
-    # only registers over one input fewer, so the stack is at most n deep,
-    # and any number of inputs stays clear of the recursion limit.
-    stack = [(n, k)] if known(n, k) is None else []
-    while stack:
-        i, j = stack[-1]
-        with_xi = known(i - 1, j - 1)
-        if with_xi is None:
-            stack.append((i - 1, j - 1))
-            continue
-        without = known(i - 1, j)
-        if without is None:
-            stack.append((i - 1, j))
-            continue
-        stack.pop()
-        z = formula.new_var()
-        # z -> (without or (lits[i-1] and with_xi))
-        if without is FALSE:
-            formula.add_clause((-z, lits[i - 1]))
-            if with_xi is not TRUE:
-                formula.add_clause((-z, with_xi))
-        else:
-            formula.add_clause((-z, without, lits[i - 1]))
-            if with_xi is not TRUE:
-                formula.add_clause((-z, without, with_xi))
-        registers[i, j] = z
-
-    formula.add_clause((known(n, k),))  # 1 <= k <= n, so a literal
+    row = {1: lits[0]}  # row[j]: at least j of the inputs so far
+    for i, x in enumerate(lits[1:], 2):
+        below, row = row, {}
+        for j in range(max(1, k - (n - i)), min(i, k) + 1):
+            z = row[j] = formula.new_var()
+            # z -> (at least j of the first i - 1) or (x and at least j - 1)
+            without = () if j == i else (below[j],)
+            formula.add_clause((-z, *without, x))
+            if j > 1:
+                formula.add_clause((-z, *without, below[j - 1]))
+    formula.add_clause((row[k],))
 
 
 def write_dimacs(formula: CnfFormula, sink: IO[str]) -> None:

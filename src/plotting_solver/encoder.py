@@ -46,9 +46,13 @@ shot and hand decisions apart from counter decisions.
 Variable allocation is deterministic: step 0 grid cells (row major, value
 0..K per cell) and the step-0 hand come first. Each step then follows in
 turn: its primary groups (fired row, fired column, wall fall, grid, hand),
-then the auxiliary variables of its rules (gates, and the totalizer counts
-of ``cardinalityCompare``). The goal's counter variables come last, so
-DIMACS output is byte-stable for a given instance and options.
+then its auxiliary variables, built in one fixed order. Per cell of the
+state before the step, row major, come the literal "the cell holds the
+hand's colour" and the gate "the cell is clear"; then each shot's path
+prefixes, columns first and then rows; then the gates of its rules, and
+the totalizer counts of ``cardinalityCompare``. The goal's counter
+variables come last, so DIMACS output is byte-stable for a given instance
+and options.
 :meth:`VarMap.groups` is the one list of a step's one-hot groups; the
 encoder emits an ``exactly_one`` over each and :func:`decode` reads each
 back. The steps depend only on the grid's shape and the progress style, so
@@ -220,27 +224,37 @@ Expr = Union[int, _Const]
 class _Builder:
     """Constraint builder with constant folding and gate memoisation.
 
-    ``conj`` builds AND gates, and ``disj`` the negation of the AND over its
-    negated terms. ``same`` builds the one-hot equality literal behind
-    ``prev_is_hand``. ``require_any`` and ``copy`` emit clauses and no
-    variable. ``path`` lists the cells a shot crosses, and ``path_clear``
-    is the memoised prefix literal over a path: ``path_clear(k)`` is
-    ``path_clear(k-1) ∧ clear(cell k)``. Both it and ``prev_is_hand`` fill
-    lists for the latest step only, lazily, so every gate keeps its id.
-    ``sums`` holds the latest step's colour sum for the next step to read.
-    Clauses go straight onto the formula's list; :meth:`_Chain.grow` checks
-    each step's literals at once.
+    ``conj`` builds AND gates, memoised in ``gates`` by their sorted inputs,
+    and ``disj`` the negation of the AND over its negated terms. ``same``
+    builds a one-hot equality literal. ``require_any`` and ``copy`` emit
+    clauses and no variable. ``paths`` lists, per shot, the cells it crosses;
+    :meth:`begin_step` builds what a step reads of the state before it:
+    ``hand_eq`` (a cell holds the hand's colour) and ``prefix``, where
+    ``prefix[shot][k]`` holds when the first ``k`` cells of the shot's path
+    are each empty or of the hand's colour. ``sums`` holds the latest step's
+    colour sum for the next step to read. Clauses go straight onto the
+    formula's list; :meth:`_Chain.grow` checks each step's literals at once.
     """
 
     def __init__(self, formula: CnfFormula, varmap: VarMap) -> None:
         self.f = formula
         self.clauses = formula.clauses
         self.vm = varmap
-        self.memo: dict = {}
-        self.step = -1  # the step of the lists below
-        self.prefixes: dict[tuple[int, int], list[Expr]] = {}
-        self.hand_eqs: list[Optional[int]] = []
+        self.gates: dict[tuple[int, ...], int] = {}
+        self.hand_eq: dict[tuple[int, int], int] = {}
+        self.prefix: dict[tuple[int, int], list[Expr]] = {}
         self.sums: Sequence[int] = ()
+        # every shot as (fired row, fired column), 0 on the axis not fired,
+        # as in engine.shot_axes (columns first, then rows), with the cells
+        # it crosses in order: down its column, or along its row and then
+        # down the last column
+        H, W = varmap.height, varmap.width
+        self.paths = {
+            (0, c): [(r, c) for r in range(1, H + 1)] for c in range(1, W + 1)
+        }
+        for rv in range(1, H + 1):
+            self.paths[rv, 0] = [(rv, c) for c in range(1, W + 1)]
+            self.paths[rv, 0] += [(r, W) for r in range(rv + 1, H + 1)]
 
     # -- boolean structure -------------------------------------------------
 
@@ -265,10 +279,9 @@ class _Builder:
         if len(lits) == 1:
             return lits.pop()
         inputs = tuple(sorted(lits))
-        key = ("and", inputs)
-        z = self.memo.get(key)
+        z = self.gates.get(inputs)
         if z is None:
-            z = self.memo[key] = and_gate(self.f, inputs)
+            z = self.gates[inputs] = and_gate(self.f, inputs)
         return z
 
     def disj(self, terms: Sequence[Expr]) -> Expr:
@@ -330,67 +343,25 @@ class _Builder:
             self.clauses += ((-x, -y, e), (-e, -x, y), (-e, x, -y))
         return e
 
-    def at_step(self, s: int) -> None:
-        """Start the per-step lists afresh when ``s`` is a new step, and
-        drop the memo's gates of older steps: every gate of step ``s``
-        reads a step-``s`` variable, so no older ``"and"`` key is read
-        again. The totalizer sum a step hands on is kept in ``sums``."""
-        if s != self.step:
-            self.step = s
-            self.prefixes = {shot: [TRUE] for shot in self.shots()}
-            self.hand_eqs = [None] * (self.vm.height * self.vm.width)
-            self.memo = {key: z for key, z in self.memo.items() if key[0] == "path"}
-
-    def prev_is_hand(self, s: int, r: int, c: int) -> Expr:
-        """The cell holds the hand's colour, both at the step before ``s``;
-        FALSE off the grid."""
-        if not (1 <= r <= self.vm.height and 1 <= c <= self.vm.width):
-            return FALSE
-        self.at_step(s)
-        i = (r - 1) * self.vm.width + c - 1
-        if self.hand_eqs[i] is None:
-            self.hand_eqs[i] = self.same(
-                self.vm.hand_ids(s - 1), self.vm.cell_ids(s - 1, r, c)[1:]
-            )
-        return self.hand_eqs[i]
-
-    def clear(self, s: int, r: int, c: int) -> Expr:
-        """The cell, on the grid, is empty or matches the hand, at the step
-        before ``s``."""
-        empty = self.vm.grid_var(s - 1, r, c, EMPTY)
-        return self.disj([empty, self.prev_is_hand(s, r, c)])
-
-    # -- a shot's path -----------------------------------------------------
-
-    def shots(self) -> list[tuple[int, int]]:
-        """Every shot as ``(fired row, fired column)``, 0 on the axis not
-        fired, as in ``engine.shot_axes``: columns first, then rows."""
-        H, W = self.vm.height, self.vm.width
-        return [(0, c) for c in range(1, W + 1)] + [(rv, 0) for rv in range(1, H + 1)]
-
-    def path(self, shot: tuple[int, int]) -> list[tuple[int, int]]:
-        """The cells the shot crosses, in order: a row shot runs along its
-        row, then down the last column; a column shot runs down its column."""
-        key = ("path", shot)
-        if key not in self.memo:
-            (rv, c), H, W = shot, self.vm.height, self.vm.width
-            if rv:
-                cells = [(rv, cc) for cc in range(1, W + 1)]
-                cells += [(rr, W) for rr in range(rv + 1, H + 1)]
-            else:
-                cells = [(rr, c) for rr in range(1, H + 1)]
-            self.memo[key] = cells
-        return self.memo[key]
-
-    def path_clear(self, s: int, shot: tuple[int, int], k: int) -> Expr:
-        """The first ``k`` cells of the shot's path are each ``clear``."""
-        self.at_step(s)
-        prefix = self.prefixes[shot]
-        if k >= len(prefix):
-            path = self.path(shot)
-            for cell in path[len(prefix) - 1 : k]:
-                prefix.append(self.conj([prefix[-1], self.clear(s, *cell)]))
-        return prefix[k]
+    def begin_step(self, s: int) -> None:
+        """Build, once, what step ``s`` reads of the state before it: per
+        cell, row major, the literal "it holds the hand's colour" and the
+        gate "it is empty or of the hand's colour" (clear); then per shot
+        the prefixes over its path, ``prefix[k] = prefix[k-1] ∧ clear(cell
+        k)``. The gate memo starts afresh, as no gate of an earlier step is
+        asked for again; on an Hx1 grid it shares row 1's prefixes with
+        column 1's, whose path is the same."""
+        vm, hand = self.vm, self.vm.hand_ids(s - 1)
+        self.gates, self.hand_eq, clear = {}, {}, {}
+        for r, c in product(range(1, vm.height + 1), range(1, vm.width + 1)):
+            ids = vm.cell_ids(s - 1, r, c)
+            eq = self.hand_eq[r, c] = self.same(hand, ids[1:])
+            clear[r, c] = self.disj([ids[EMPTY], eq])
+        self.prefix = {}
+        for shot, path in self.paths.items():
+            prefix = self.prefix[shot] = [TRUE]
+            for cell in path:
+                prefix.append(self.conj([prefix[-1], clear[cell]]))
 
 
 def encode(
@@ -494,7 +465,7 @@ _chain_lock = threading.Lock()
 
 def _emit_step(b: _Builder, s: int, progress: str) -> None:
     vm = b.vm
-    b.at_step(s)
+    b.begin_step(s)
 
     # one axis fired per step
     row0, col0 = vm.row_shot_var(s, 0), vm.col_shot_var(s, 0)
@@ -514,10 +485,11 @@ def _emit_successors(b: _Builder, s: int) -> None:
 
     A successor clause reads "if this shot is fired and its guards are
     false, this cell (or the hand) takes that source's value"; its guards
-    are ``path_clear`` prefixes and wall-fall literals.
+    are path prefixes (``b.prefix``) and wall-fall literals.
     """
     vm = b.vm
     H, W = vm.height, vm.width
+    prefix, hand_eq = b.prefix, b.hand_eq
     # the ids of the fired row (0..H), fired column (0..W) and wall fall (0..H)
     row, col, fall = [ids for _, _, ids in vm.groups(s)[-3:]]
     cells = [(r, c) for r in range(1, H + 1) for c in range(1, W + 1)]
@@ -542,9 +514,9 @@ def _emit_successors(b: _Builder, s: int) -> None:
     for rv in range(1, H + 1):
         for w in range(1, H + 1):
             g = FALSE if rv == 1 or rv + w - 1 > H else b.conj(
-                [b.path_clear(s, (rv, 0), W), -empty[rv - 1, W]]
-                + [b.prev_is_hand(s, rr, W) for rr in range(rv, rv + w)]
-                + [b.neg(b.prev_is_hand(s, rv + w, W))]
+                [prefix[rv, 0][W], -empty[rv - 1, W]]
+                + [hand_eq[rr, W] for rr in range(rv, rv + w)]
+                + [b.neg(hand_eq.get((rv + w, W), FALSE))]
             )
             b.require_any([-row[rv], b.neg(g), fall[w]])
             b.require_any([-row[rv], -fall[w], g])
@@ -560,12 +532,12 @@ def _emit_successors(b: _Builder, s: int) -> None:
             b.copy([-row[rv], -fall[0]], before[r, W], after[r, W])
 
     rebounds = []
-    for shot in b.shots():
-        rv, path = shot[0], b.path(shot)
+    for shot, path in b.paths.items():
+        rv = shot[0]
         fired = row[rv] if rv else col[shot[1]]
         passed, full = TRUE, []  # full: "a cell before k is not empty"
         for k, (r, c) in enumerate(path, 1):
-            reached, passed = passed, b.path_clear(s, shot, k)
+            reached, passed = passed, prefix[shot][k]
             # not reached: kept
             b.copy([-fired, reached], before[r, c], after[r, c])
             # stopped here: the cell and the hand swap, after a consumption
@@ -600,26 +572,26 @@ def _emit_successors(b: _Builder, s: int) -> None:
             # it: down its column, along its row, along a row below it (the
             # cell falls one row), down the last column from a row above, or
             # in a wall fall from a row below
-            reach = [b.path_clear(s, (0, c), r - 1)]
+            reach = [prefix[0, c][r - 1]]
             if c < W:
-                reach.append(b.path_clear(s, (r, 0), c - 1))
-                reach += [b.path_clear(s, (rv, 0), c) for rv in range(r + 1, H + 1)]
+                reach.append(prefix[r, 0][c - 1])
+                reach += [prefix[rv, 0][c] for rv in range(r + 1, H + 1)]
             else:
                 # (r, W) is cell W + r - rv of row rv's path
                 for rv in range(1, r + 1):
-                    reach.append(b.path_clear(s, (rv, 0), W + r - rv - 1))
+                    reach.append(prefix[rv, 0][W + r - rv - 1])
                 reach += [g for (rv, _), g in falls.items() if rv > r]
             b.copy(reach, before[r, c], after[r, c])
 
             # implied: a cell becomes empty only in one of these ways, each
             # over the previous state; first, the shot down its column gets
             # to it
-            down = b.path_clear(s, (0, c), r)
+            down = prefix[0, c][r]
             ways = [-after[r, c][EMPTY], empty[r, c], down]
             if c < W:
                 # or a row at or below it passes, with nothing above to fall
                 b.require_any(ways + [TRUE if r == 1 else empty[r - 1, c]])
-                rows = [b.path_clear(s, (rv, 0), c) for rv in range(r, H + 1)]
+                rows = [prefix[rv, 0][c] for rv in range(r, H + 1)]
                 b.require_any(ways + rows)
                 continue
             # in the last column a drop with no wall fall starts at row 1 or

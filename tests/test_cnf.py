@@ -159,6 +159,19 @@ class TestAtLeastK:
             sat_count += ok
         assert sat_count == 11
 
+    def test_register_count(self):
+        # one register per (i, j), i >= 2, from which "at least k of n" can
+        # still be reached: max(1, k - (n - i)) <= j <= min(i, k)
+        for n in range(30):
+            for k in range(n + 1):
+                f, lits = formula_with_vars(n)
+                at_least_k(f, lits, k)
+                want = sum(
+                    max(0, min(i, k) - max(1, k - (n - i)) + 1)
+                    for i in range(2, n + 1)
+                )
+                assert f.var_count - n == want, (n, k)
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 6), k=st.integers(0, 6))
     def test_threshold_semantics(self, n, k):

@@ -164,8 +164,8 @@ class TestBuilder:
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_path_prefixes_are_clear(self, size):
-        # step-0 cells and a two-colour hand; path_clear(1, ...) reads them
-        # as the state before step 1
+        # step-0 cells and a two-colour hand; begin_step(1) reads them as
+        # the state before step 1
         f = CnfFormula()
         vm = VarMap(size, size, 2, state_bases=(f.alloc_block(size * size * 3 + 2),))
         cells = [(r, c) for r in range(1, size + 1) for c in range(1, size + 1)]
@@ -173,10 +173,10 @@ class TestBuilder:
             exactly_one(f, [vm.grid_var(0, r, c, v) for v in range(3)])
         exactly_one(f, [vm.hand_var(0, 1), vm.hand_var(0, 2)])
         b = _Builder(f, vm)
-        for shot in b.shots():
-            path = b.path(shot)
+        b.begin_step(1)
+        for shot, path in b.paths.items():
             for k in range(1, len(path) + 1):
-                clear = b.path_clear(1, shot, k)
+                clear = b.prefix[shot][k]
                 # hand colour 1; each crossed cell is empty (0), the hand's
                 # colour (1) or another (2); cells off the prefix hold 2
                 for prefix in itertools.product(range(3), repeat=k):
@@ -197,15 +197,15 @@ class TestBuilder:
         for height, width in itertools.product(range(1, 5), repeat=2):
             b = _Builder(CnfFormula(), VarMap(height, width, 1, state_bases=()))
             grid = Grid.from_rows([[1] * width for _ in range(height)])
-            for rv, c in b.shots():
+            for (rv, c), path in b.paths.items():
                 out = apply_shot(grid, 1, RowShot(rv) if rv else ColShot(c))
-                assert out.consumed == len(b.path((rv, c))), (height, width, rv, c)
+                assert out.consumed == len(path), (height, width, rv, c)
 
     def test_no_shot_consumes_more_than_height_plus_width_minus_one(self):
         # the soundness of the implied bound on empties per step; a path
         # is at most H + W - 1 cells long
         b = _Builder(CnfFormula(), VarMap(3, 3, 3, state_bases=()))
-        assert max(len(b.path(shot)) for shot in b.shots()) == 5
+        assert max(len(path) for path in b.paths.values()) == 5
         shots = [RowShot(r) for r in range(1, 4)] + [ColShot(c) for c in range(1, 4)]
         most = 0
         for flat in itertools.product((1, 2, 3), repeat=9):
@@ -289,60 +289,87 @@ class TestEncodeExamples:
         }
         assert len(digests) == 1 and len(digests.pop().strip()) == 64
 
-    # (rows, goal, steps, progress, pinned hand, first 16 hex digits of the
-    # SHA-256 of dimacs_text). A change that alters the formulas on purpose
-    # records new digests and says so in CHANGES.md.
+    # (rows, goal, steps, progress, pinned hand, (variables, clauses), first
+    # 16 hex digits of the SHA-256 of dimacs_text). A change that alters the
+    # formulas on purpose records new digests and says so in CHANGES.md; one
+    # that only renames or reorders keeps every size.
     RECORDED = [
-        ([[1, 1], [1, 1]], 1, 1, PROGRESS_WITNESS, None, "a8024854f588d69e"),
-        ([[1, 2], [2, 1]], 1, 2, PROGRESS_CARDINALITY, 2, "e1f79a6dc1a9faa5"),
-        ([[1, 2, 3], [3, 1, 2]], 2, 3, PROGRESS_WITNESS, None, "dfdd6276470a0dea"),
+        ([[1, 1], [1, 1]], 1, 1, PROGRESS_WITNESS, None, (46, 175), "af63bca8a0366780"),
+        (
+            [[1, 2], [2, 1]],
+            1, 2, PROGRESS_CARDINALITY, 2, (141, 711),
+            "2bc11fd6a80a2ab7",
+        ),
+        (
+            [[1, 2, 3], [3, 1, 2]],
+            2, 3, PROGRESS_WITNESS, None, (212, 1255),
+            "c03a0f9f3b2c1b04",
+        ),
         (
             [[2, 1, 1], [1, 2, 2], [1, 1, 2]],
-            4, 2, PROGRESS_CARDINALITY, None, "b1ffe6f61a2e39b0",
+            4, 2, PROGRESS_CARDINALITY, None, (381, 2384),
+            "c36b1333b8584a10",
         ),
         (
             [[1, 2, 3], [2, 3, 1], [3, 1, 2]],
-            3, 3, PROGRESS_WITNESS, 1, "ca7f6a6a8569b4d1",
+            3, 3, PROGRESS_WITNESS, 1, (323, 2140),
+            "5f1b5d42842c443a",
         ),
         (
             [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]],
-            6, 3, PROGRESS_CARDINALITY, 1, "fd690a5d212ddca4",
+            6, 3, PROGRESS_CARDINALITY, 1, (497, 2489),
+            "0bebe9a8beff8566",
         ),
         (
             [[1, 2, 1, 2], [2, 1, 2, 1], [1, 2, 1, 2], [2, 2, 1, 1]],
-            8, 2, PROGRESS_WITNESS, 2, "d44793178df1e709",
+            8, 2, PROGRESS_WITNESS, 2, (387, 2228),
+            "a79ce34c12d262ef",
         ),
         (
             [[1, 2, 3, 1], [2, 3, 1, 2], [3, 1, 2, 3], [1, 2, 3, 1]],
-            10, 1, PROGRESS_CARDINALITY, None, "32338a97ab96d65e",
+            10, 1, PROGRESS_CARDINALITY, None, (698, 6781),
+            "81fbf0eb87cc3c6a",
         ),
         (
             [[1, 2], [2, 3], [3, 1], [1, 2], [2, 3]],
-            4, 3, PROGRESS_WITNESS, None, "4b021bc5fbb03886",
+            4, 3, PROGRESS_WITNESS, None, (405, 3307),
+            "4487769a3e51e2e0",
         ),
         (
             [[1, 2, 3, 1, 2], [2, 3, 1, 2, 3], [3, 1, 2, 3, 1], [1, 2, 3, 1, 2],
              [2, 3, 1, 2, 3]],
-            15, 3, PROGRESS_WITNESS, None, "17b3e3ae106b353c",
+            15, 3, PROGRESS_WITNESS, None, (955, 7015),
+            "d596f51ed90627c3",
         ),
         (
             [[3, 1, 2, 2, 1], [1, 1, 3, 2, 2], [2, 3, 3, 1, 1], [1, 2, 1, 3, 2],
              [3, 3, 2, 1, 1]],
-            10, 2, PROGRESS_WITNESS, 3, "4fede45a4df06557",
+            10, 2, PROGRESS_WITNESS, 3, (729, 4862),
+            "fa67b36303ca5466",
         ),
         (
             [[3, 1, 2, 2, 1], [1, 1, 3, 2, 2], [2, 3, 3, 1, 1], [1, 2, 1, 3, 2],
              [3, 3, 2, 1, 1]],
-            20, 1, PROGRESS_CARDINALITY, 2, "f47d0b313ccdc128",
+            20, 1, PROGRESS_CARDINALITY, 2, (1196, 15005),
+            "20e37ca0d132b418",
         ),
+        ([[1], [2], [1]], 1, 2, PROGRESS_WITNESS, None, (80, 459), "ef7368fc5e812a15"),
+        (
+            [[1], [2], [1]],
+            1, 2, PROGRESS_CARDINALITY, None, (110, 605),
+            "927bd6ed0fad02a3",
+        ),
+        ([[1, 2, 1]], 1, 2, PROGRESS_WITNESS, None, (68, 283), "960e73484c6c1366"),
+        ([[1, 2, 1]], 1, 2, PROGRESS_CARDINALITY, None, (98, 429), "6f2261f5e617acb6"),
     ]
 
     def test_dimacs_matches_recorded_digests(self):
         # the text is pinned byte for byte, so an emission refactor cannot
         # move a clause or a variable id unnoticed
-        for rows, goal, steps, mode, hand, want in self.RECORDED:
+        for rows, goal, steps, mode, hand, size, want in self.RECORDED:
             opts = EncodeOptions(steps, hand, mode)
             f, _ = encode(Instance(g(rows), goal), opts)
+            assert (f.var_count, len(f.clauses)) == size, (rows, goal, steps, mode)
             digest = hashlib.sha256(dimacs_text(f).encode()).hexdigest()[:16]
             assert digest == want, (rows, goal, steps, mode, hand)
 
@@ -521,9 +548,9 @@ class TestSharedSteps:
         # its sums to the next step outside it
         chain = encoder._Chain(4, 4, 3, mode)
         chain.grow(early)
-        size = len(chain.builder.memo)
+        size = len(chain.builder.gates)
         chain.grow(late)
-        assert len(chain.builder.memo) == size
+        assert len(chain.builder.gates) == size
 
     def test_each_horizon_extends_the_one_before(self):
         inst = Instance(self.GRID, 1)
