@@ -12,6 +12,11 @@ Exit codes, fixed for scripting sweeps:
 * 20  no plan within the horizon bound (UNSAT)
 * 30  undecided (UNKNOWN)
 
+``solve`` prints one ``horizon N: <status>`` line on stderr per horizon it
+probed, in order and whatever the outcome, so the UNSAT-to-SAT flip at the
+minimal plan length shows; a goal met at the start probes none. A goal sweep
+is a shell loop over ``generate --seed`` and ``solve --goal``.
+
 Each failure listed in ``FAILURES`` ends the command with one stderr line.
 ``validate`` and ``trace`` both replay plans with
 :func:`plotting_solver.planner.replay`, which checks every transition with
@@ -27,7 +32,6 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Optional
 
 from . import cnf, formats, generator, oracle, planner
 from .encoder import MAX_SUM_RANGE, PROGRESS_MODES, PROGRESS_WITNESS
@@ -57,18 +61,6 @@ FAILURES = (
     (OSError, EXIT_IO, "write failed"),
     (ValueError, EXIT_USAGE, "error"),
 )
-
-
-def report_failure(exc: Exception) -> Optional[int]:
-    """Print the stderr line of a failure in ``FAILURES``; its exit code.
-
-    Returns None, printing nothing, for an exception the table does not list.
-    """
-    for kind, code, label in FAILURES:
-        if isinstance(exc, kind):
-            print(f"{label}: {exc}", file=sys.stderr)
-            return code
-    return None
 
 
 def _read(path: str) -> str:
@@ -122,22 +114,15 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def parse_backend(text: str) -> planner.Backend:
-    """The backend a ``--backend`` value names: internal or external:CMD."""
-    if text == "internal":
-        return planner.INTERNAL_BACKEND
-    if text.startswith("external:"):
-        return text[len("external:") :]
-    raise ValueError(f"bad --backend {text!r}")
-
-
 def cmd_solve(args) -> int:
     instance = _load_instance(args.instance, args.goal)
-    backend: planner.Backend = planner.INTERNAL_BACKEND
-    if args.backend is not None:
-        backend = parse_backend(args.backend)
-    elif os.environ.get("PLOTTING_SOLVER"):
-        backend = os.environ["PLOTTING_SOLVER"]
+    backend = args.backend
+    if backend is None:
+        backend = os.environ.get("PLOTTING_SOLVER") or planner.INTERNAL_BACKEND
+    elif backend.startswith("external:"):
+        backend = backend[len("external:") :]
+    elif backend != planner.INTERNAL_BACKEND:
+        raise ValueError(f"bad --backend {backend!r}")
 
     if args.emit_cnf is not None:
         Path(args.emit_cnf).mkdir(parents=True, exist_ok=True)
@@ -151,6 +136,8 @@ def cmd_solve(args) -> int:
         progress_encoding=args.progress,
         emit_cnf_dir=args.emit_cnf,
     )
+    for steps, status in result.horizon_statuses:
+        print(f"horizon {steps}: {status}", file=sys.stderr)
     if result.found:
         sys.stdout.write(formats.write_plan(result.hand0, result.plan))
         return EXIT_OK
@@ -158,8 +145,6 @@ def cmd_solve(args) -> int:
         print("UNSAT")
         return EXIT_UNSAT
     print("UNKNOWN")
-    for steps, status in result.horizon_statuses:
-        print(f"horizon {steps}: {status}", file=sys.stderr)
     return EXIT_UNKNOWN
 
 
@@ -285,10 +270,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
-        code = report_failure(exc)
-        if code is None:
-            raise
-        return code
+        for kind, code, label in FAILURES:
+            if isinstance(exc, kind):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -95,12 +95,6 @@ class CnfFormula:
             bad = next(lit for lit in lits if lit == 0 or abs(lit) > n)
             raise ValueError(f"literal {bad} outside allocated variables")
 
-    def add_false(self) -> None:
-        """Assert an unsatisfiable constraint as a fresh unit-clause pair."""
-        v = self.new_var()
-        self.add_clause((v,))
-        self.add_clause((-v,))
-
 
 @dataclass(frozen=True)
 class SatOutcome:

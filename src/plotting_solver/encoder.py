@@ -289,25 +289,22 @@ class _Builder:
 
     def clause(self, terms: Sequence[Expr]) -> Optional[tuple[int, ...]]:
         """``terms`` as one clause's literals, first occurrences in order
-        and constants FALSE dropped; None when the clause always holds (a
-        term is TRUE, or two are complementary)."""
+        and constants FALSE dropped; None when a term is TRUE."""
         lits: dict[int, None] = {}
         for t in terms:
             if t is TRUE:
                 return None
             if t is not FALSE:
-                if -t in lits:
-                    return None
                 lits[t] = None
         return tuple(lits)
 
     def require_any(self, terms: Sequence[Expr]) -> None:
-        """One clause: at least one of ``terms`` holds."""
+        """One clause: at least one of ``terms`` holds. Terms that fold to
+        an empty clause leave it on the list, for ``check_clauses`` to
+        refuse."""
         lits = self.clause(terms)
-        if lits:
+        if lits is not None:
             self.clauses.append(lits)
-        elif lits is not None:
-            self.f.add_false()
 
     def copy(
         self, guards: Sequence[Expr], src: Optional[range], dst: range

@@ -1,5 +1,4 @@
 import shlex
-import subprocess
 import sys
 
 import pytest
@@ -8,7 +7,7 @@ from plotting_solver import cli, generator, oracle
 from plotting_solver.formats import parse_instance, parse_plan, write_instance
 from plotting_solver.engine import Grid, Instance
 
-from conftest import MINI_SOLVER_CMD, SCRIPTS_DIR
+from conftest import MINI_SOLVER_CMD
 
 MINI_BACKEND = "external:" + " ".join(shlex.quote(p) for p in MINI_SOLVER_CMD)
 
@@ -244,29 +243,73 @@ class TestSolve:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "flags, code",
+        "flags, code, label",
         [
-            (["--hand", "7"], 2),
-            (["--max-steps", "-3"], 2),
-            (["--backend", "external:/nonexistent/solver"], 2),
-            (["--backend", "external:echo s SATISFIABLE"], 1),
-            (["--backend", MINI_BACKEND, "--timeout", "nan"], 2),
-            (["--backend", MINI_BACKEND, "--timeout", "inf"], 2),
-            (["--backend", MINI_BACKEND, "--timeout", "0"], 2),
-            (["--backend", MINI_BACKEND, "--timeout", "-5"], 2),
+            (["--hand", "7"], 2, "error: "),
+            (["--max-steps", "-3"], 2, "error: "),
+            (["--backend", "external:/nonexistent/solver"], 2, "backend: "),
+            (["--backend", "external:echo s SATISFIABLE"], 1, "backend: "),
+            (["--backend", MINI_BACKEND, "--timeout", "nan"], 2, "error: "),
+            (["--backend", MINI_BACKEND, "--timeout", "inf"], 2, "error: "),
+            (["--backend", MINI_BACKEND, "--timeout", "0"], 2, "error: "),
+            (["--backend", MINI_BACKEND, "--timeout", "-5"], 2, "error: "),
+            (["--backend", "foo"], 2, "error: bad --backend 'foo'"),
         ],
         ids=[
             "hand-outside-colours", "negative-max-steps", "spawn", "parse",
             "timeout-nan", "timeout-inf", "timeout-zero", "timeout-negative",
+            "bad-backend",
         ],
     )
-    def test_failure_is_one_line_with_exit_code(self, tmp_path, capsys, flags, code):
+    def test_failure_is_one_line_with_exit_code(
+        self, tmp_path, capsys, flags, code, label
+    ):
         inst = write_inst(tmp_path, [[1, 2], [2, 1]])
         got, stdout, err = run(
             ["solve", "--instance", inst, "--goal", "0", *flags], capsys
         )
         assert got == code and stdout == ""
         assert_one_line_failure(err)
+        assert err.startswith(label)
+
+    @staticmethod
+    def generate_3x3(tmp_path):
+        # generator seed 1: 1 1 2 / 1 2 2 / 2 2 1, no goal-0 plan
+        instance = generator.random_instance(generator.GeneratorSpec(3, 3, 2, seed=1))
+        path = tmp_path / "inst.txt"
+        path.write_text(write_instance(instance))
+        return str(path)
+
+    @pytest.mark.parametrize("goal", [2, 4, 6, 8])
+    def test_found_plan_lists_every_horizon_on_stderr(self, tmp_path, capsys, goal):
+        inst = self.generate_3x3(tmp_path)
+        code, stdout, err = run(
+            ["solve", "--instance", inst, "--goal", str(goal)], capsys
+        )
+        assert code == 0
+        _, shots = parse_plan(stdout)
+        h = len(shots)
+        assert h > 0
+        assert err.splitlines() == [
+            *(f"horizon {n}: unsat" for n in range(1, h)), f"horizon {h}: sat"
+        ]
+
+    def test_unsat_lists_every_horizon_to_the_bound(self, tmp_path, capsys):
+        inst = self.generate_3x3(tmp_path)
+        code, stdout, err = run(
+            ["solve", "--instance", inst, "--goal", "0"], capsys
+        )
+        assert code == 20 and stdout == "UNSAT\n"
+        # the bound is blocks - goal = 9 horizons
+        assert err.splitlines() == [f"horizon {n}: unsat" for n in range(1, 10)]
+
+    def test_goal_met_at_the_start_probes_no_horizon(self, tmp_path, capsys):
+        inst = self.generate_3x3(tmp_path)
+        code, stdout, err = run(
+            ["solve", "--instance", inst, "--goal", "9"], capsys
+        )
+        assert code == 0 and parse_plan(stdout)[1] == []
+        assert err == ""
 
 
 class TestValidate:
@@ -288,6 +331,16 @@ class TestValidate:
             capsys,
         )
         assert code == 0
+
+    def test_plan_that_misses_the_goal(self, tmp_path, capsys):
+        inst = write_inst(tmp_path, [[1, 1], [1, 1]])
+        plan = write_plan_file(tmp_path, "plotting-plan v1\nhand 1\nrow 1\n")
+        code, stdout, err = run(
+            ["validate", "--instance", inst, "--plan", plan, "--goal", "0"],
+            capsys,
+        )
+        assert code == 10 and stdout == ""
+        assert err == "invalid: 1 blocks remain, goal 0\n"
 
     def test_bad_plan_file_exits_2(self, tmp_path, capsys):
         inst = write_inst(tmp_path, [[1]])
@@ -395,45 +448,3 @@ class TestOracleCommand:
         )
         assert code == 3
         assert "capacity" in err
-
-
-class TestSweepScript:
-    @staticmethod
-    def sweep(*flags):
-        return subprocess.run(
-            [sys.executable, str(SCRIPTS_DIR / "sweep.py"), *flags],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-
-    @pytest.mark.parametrize(
-        "flags, code, message",
-        [
-            (["--timeout", "0"], 2, "error: "),
-            (["--backend", "external:/nonexistent/solver"], 2, "backend: "),
-            (["--backend", "foo"], 2, "error: bad --backend 'foo'"),
-        ],
-        ids=["timeout-zero", "spawn", "bad-backend"],
-    )
-    def test_failure_is_one_line_with_exit_code(self, flags, code, message):
-        proc = self.sweep(
-            "--height", "2", "--width", "2", "--colours", "2",
-            "--seeds", "1", "--goals", "0", *flags,
-        )
-        assert proc.returncode == code
-        assert_one_line_failure(proc.stderr)
-        assert proc.stderr.startswith(message)
-
-    def test_columns_are_tab_separated(self):
-        # every horizon times out, so each status reads "unknown: timeout"
-        proc = self.sweep(
-            "--height", "3", "--width", "3", "--colours", "2",
-            "--seeds", "1", "--goals", "3", "--timeout", "1e-9",
-        )
-        assert proc.returncode == 0
-        header, line = proc.stdout.splitlines()
-        assert header.split("\t")[-1] == "per_horizon"
-        fields = line.split("\t")
-        assert len(fields) == 6
-        assert fields[-1].split(",")[0] == "unknown: timeout"

@@ -142,6 +142,13 @@ class TestBuilder:
                     wrong.clauses = trial.clauses + [(-result if value else result,)]
                     assert dpll_solve(wrong).is_unsat
 
+    def test_require_any_of_false_is_refused(self):
+        # the empty clause stays on the list, for check_clauses to refuse
+        f = CnfFormula()
+        _Builder(f, VarMap(1, 1, 1, state_bases=())).require_any([FALSE])
+        assert f.clauses == [()]
+        with pytest.raises(ValueError, match="empty clauses"):
+            f.check_clauses(0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("ys_kind", ["exactly-one", "at-most-one"])
