@@ -5,7 +5,7 @@ Exit codes, fixed for scripting sweeps:
 * 0   success (plan found / plan valid)
 * 1   I/O failure, including malformed output from an external solver
 * 2   bad arguments, unparsable files, infeasible generator spec, an
-      external solver command that cannot be started
+      external solver command that is empty or cannot be started
 * 3   capacity refused: instance above the oracle's bound, or a
       ``cardinalityCompare`` colour-sum range above the encoder's
 * 10  invalid plan
@@ -14,8 +14,10 @@ Exit codes, fixed for scripting sweeps:
 
 ``solve`` prints one ``horizon N: <status>`` line on stderr per horizon it
 probed, in order and whatever the outcome, so the UNSAT-to-SAT flip at the
-minimal plan length shows; a goal met at the start probes none. A goal sweep
-is a shell loop over ``generate --seed`` and ``solve --goal``.
+minimal plan length shows; a goal met at the start probes none. The first
+undecided horizon ends it, since no later one can prove a plan minimal, so
+``--emit-cnf`` writes only the horizons probed. A goal sweep is a shell loop
+over ``generate --seed`` and ``solve --goal``.
 
 Each failure listed in ``FAILURES`` ends the command with one stderr line.
 ``validate`` and ``trace`` both replay plans with
@@ -23,7 +25,7 @@ Each failure listed in ``FAILURES`` ends the command with one stderr line.
 the constraint-case oracle.
 
 The ``PLOTTING_SOLVER`` environment variable, when set, supplies the default
-external solver command for ``solve``.
+external solver command for ``solve``; a command is split once, shell-style.
 """
 
 from __future__ import annotations

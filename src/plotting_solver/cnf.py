@@ -13,22 +13,21 @@ shared run are undone and indexed anew. This is sound because the search
 learns no clauses and two watched literals of a clause need no repair once
 every assignment is undone. Propagation takes set literals newest first,
 which reaches a conflict at the end of a chain of implications sooner and
-sets the same literals. :func:`external_solve` shells out to any
-solver that takes a DIMACS path argument and prints SAT-competition style
+sets the same literals. :func:`external_solve` runs any solver, given as an
+argv, that takes a DIMACS path argument and prints SAT-competition style
 ``s``/``v`` lines. Both take a ``timeout`` in seconds and report an unknown
 outcome with reason ``"timeout"`` when it runs out.
 """
 
 from __future__ import annotations
 
-import shlex
 import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from pathlib import Path
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import IO, Iterable, Optional, Sequence
 
 
 class EmptySelectionError(ValueError):
@@ -467,26 +466,27 @@ def _search(
 
 def external_solve(
     formula: CnfFormula,
-    command: Union[str, Sequence[str]],
+    argv: Sequence[str],
     timeout: Optional[float] = None,
 ) -> SatOutcome:
     """Run an external DIMACS solver process and parse its verdict.
 
-    The command is invoked with the CNF file path appended. Expected output
-    is an ``s SATISFIABLE`` / ``s UNSATISFIABLE`` status line and, for sat,
-    ``v`` lines of signed literals terminated by 0. A timeout or a missing
-    status line yields an unknown outcome; malformed output raises
-    :class:`ParseFailureError` and an unstartable command raises
+    ``argv`` is run with the CNF file path appended. Expected output is an
+    ``s SATISFIABLE`` / ``s UNSATISFIABLE`` status line and, for sat, ``v``
+    lines of signed literals terminated by 0. A timeout or a missing status
+    line yields an unknown outcome; malformed output raises
+    :class:`ParseFailureError`, and an empty or unstartable ``argv``
     :class:`SpawnFailureError`. Sat models are re-verified.
     """
-    argv = shlex.split(command) if isinstance(command, str) else list(command)
+    if not argv:
+        raise SpawnFailureError("no solver command")
     with tempfile.TemporaryDirectory(prefix="plotting-cnf-") as tmp:
         path = Path(tmp) / "formula.cnf"
         with open(path, "w") as fh:
             write_dimacs(formula, fh)
         try:
             proc = subprocess.run(
-                argv + [str(path)],
+                [*argv, str(path)],
                 capture_output=True,
                 text=True,
                 timeout=timeout,

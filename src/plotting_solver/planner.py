@@ -2,15 +2,16 @@
 
 Horizons are probed in increasing order from 1 up to the sound bound
 ``blocks - goal`` (every shot consumes at least one block), so the first
-satisfiable horizon is the minimal plan length. Decoded plans are replayed
-through the engine and cross-checked against the constraint-case oracle
-before being reported.
+satisfiable horizon is the minimal plan length; an undecided horizon ends
+the solve, because no later horizon can prove a plan minimal. Decoded plans
+are replayed through the engine and checked by the constraint-case oracle.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import shlex
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
@@ -39,7 +40,8 @@ class PlanResult:
     """Found plan, proved absence within the bound, or unknown.
 
     ``horizon_statuses`` records one ``(steps, status)`` pair per probed
-    horizon, in order, where status is "sat", "unsat" or "unknown: <reason>".
+    horizon, in order: "sat", "unsat" or "unknown: <reason>". An undecided
+    horizon ends the solve, because no later horizon can prove a plan minimal.
     """
 
     status: str  # "found" | "unsat" | "unknown"
@@ -132,10 +134,11 @@ def solve(
 
     Probes horizons 1.. in order; the status is "found" at the first
     satisfiable horizon, "unsat" when every horizon up to the bound is
-    unsatisfiable, and "unknown" when any probed horizon was undecided
-    (below a satisfiable one, minimality would be unproven).
+    unsatisfiable, and "unknown" at the first undecided one: an undecided
+    horizon ends the solve, because no later horizon can prove a plan minimal.
     ``per_horizon_timeout`` bounds each horizon's solver call on either
-    backend; a horizon that runs out is undecided.
+    backend; a horizon that runs out is undecided. An external command
+    string is split with :func:`shlex.split` once, before horizon 1.
 
     Raises :class:`ValueError` for a missing goal, a ``fixed_hand`` outside
     the instance's colours, a negative ``max_steps`` or a
@@ -162,9 +165,9 @@ def solve(
     if max_steps is not None:
         bound = min(bound, max_steps)
 
+    if isinstance(backend, str) and backend != INTERNAL_BACKEND:
+        backend = shlex.split(backend)
     statuses: list[tuple[int, str]] = []
-    saw_unknown = False
-    trace = None
     index = cnf.ClauseIndex()  # one per solve: horizons extend one another
     for steps in range(1, bound + 1):
         options = encoder.EncodeOptions(
@@ -178,39 +181,31 @@ def solve(
             with open(path, "w") as fh:
                 cnf.write_dimacs(formula, fh)
         if backend == INTERNAL_BACKEND:
-            outcome = cnf.dpll_solve(
-                formula, timeout=per_horizon_timeout, index=index
-            )
+            outcome = cnf.dpll_solve(formula, timeout=per_horizon_timeout, index=index)
         else:
-            outcome = cnf.external_solve(
-                formula, backend, timeout=per_horizon_timeout
-            )
-        if outcome.is_sat:
-            statuses.append((steps, "sat"))
-            trace = encoder.decode(outcome.model, varmap)
-            report = validate_plan(instance, trace.initial_hand, trace.shots)
-            if not report.ok:
-                raise RuntimeError(
-                    f"decoded plan failed validation at horizon {steps}: "
-                    f"{report.reason}"
-                )
-            break
+            outcome = cnf.external_solve(formula, backend, timeout=per_horizon_timeout)
         if outcome.is_unsat:
             statuses.append((steps, "unsat"))
-        else:
+            continue
+        if not outcome.is_sat:
             statuses.append((steps, f"unknown: {outcome.reason}"))
-            saw_unknown = True
-    if saw_unknown or trace is None:
+            return PlanResult(
+                status="unknown", max_steps=bound, horizon_statuses=tuple(statuses)
+            )
+        statuses.append((steps, "sat"))
+        trace = encoder.decode(outcome.model, varmap)
+        report = validate_plan(instance, trace.initial_hand, trace.shots)
+        if not report.ok:
+            raise RuntimeError(
+                f"decoded plan failed validation at horizon {steps}: "
+                f"{report.reason}"
+            )
         return PlanResult(
-            status="unknown" if saw_unknown else "unsat",
+            status="found",
+            horizon=steps,
+            hand0=trace.initial_hand,
+            plan=trace.shots,
             max_steps=bound,
             horizon_statuses=tuple(statuses),
         )
-    return PlanResult(
-        status="found",
-        horizon=len(statuses),
-        hand0=trace.initial_hand,
-        plan=trace.shots,
-        max_steps=bound,
-        horizon_statuses=tuple(statuses),
-    )
+    return PlanResult(status="unsat", max_steps=bound, horizon_statuses=tuple(statuses))

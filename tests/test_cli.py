@@ -182,7 +182,8 @@ class TestSolve:
             capsys,
         )
         assert code == 30 and stdout.splitlines()[0] == "UNKNOWN"
-        assert "horizon 1" in err
+        # the first undecided horizon ends the solve
+        assert err == "horizon 1: unknown: solver reported unknown\n"
 
     def test_internal_timeout_exit_30(self, tmp_path, capsys):
         inst = write_inst(tmp_path, [[1, 2], [2, 1]])
@@ -248,6 +249,7 @@ class TestSolve:
             (["--hand", "7"], 2, "error: "),
             (["--max-steps", "-3"], 2, "error: "),
             (["--backend", "external:/nonexistent/solver"], 2, "backend: "),
+            (["--backend", "external:"], 2, "backend: no solver command"),
             (["--backend", "external:echo s SATISFIABLE"], 1, "backend: "),
             (["--backend", MINI_BACKEND, "--timeout", "nan"], 2, "error: "),
             (["--backend", MINI_BACKEND, "--timeout", "inf"], 2, "error: "),
@@ -256,7 +258,8 @@ class TestSolve:
             (["--backend", "foo"], 2, "error: bad --backend 'foo'"),
         ],
         ids=[
-            "hand-outside-colours", "negative-max-steps", "spawn", "parse",
+            "hand-outside-colours", "negative-max-steps", "spawn",
+            "empty-backend", "parse",
             "timeout-nan", "timeout-inf", "timeout-zero", "timeout-negative",
             "bad-backend",
         ],
@@ -271,6 +274,15 @@ class TestSolve:
         assert got == code and stdout == ""
         assert_one_line_failure(err)
         assert err.startswith(label)
+
+    def test_blank_solver_env_is_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PLOTTING_SOLVER", "  ")
+        inst = write_inst(tmp_path, [[1, 2], [2, 1]])
+        code, stdout, err = run(
+            ["solve", "--instance", inst, "--goal", "0"], capsys
+        )
+        assert code == 2 and stdout == ""
+        assert err == "backend: no solver command\n"
 
     @staticmethod
     def generate_3x3(tmp_path):

@@ -421,6 +421,17 @@ class TestExternalSolve:
         with pytest.raises(SpawnFailureError):
             external_solve(f, ["/definitely/not/a/solver"])
 
+    def test_empty_argv_is_refused_before_any_process(self, monkeypatch):
+        def spawn(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr("plotting_solver.cnf.subprocess.run", spawn)
+        f = CnfFormula()
+        v = f.new_var()
+        f.add_clause((v,))
+        with pytest.raises(SpawnFailureError, match="no solver command"):
+            external_solve(f, [])
+
     def test_malformed_output(self, tmp_path):
         bad = tmp_path / "bad_solver.py"
         bad.write_text(

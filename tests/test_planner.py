@@ -1,9 +1,11 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
+from plotting_solver import encoder, planner
 from plotting_solver.encoder import PROGRESS_MODES
 from plotting_solver.engine import ColShot, Grid, Instance, RowShot
 from plotting_solver.generator import GeneratorSpec, random_instance
@@ -16,7 +18,7 @@ from plotting_solver.planner import (
     validate_plan,
 )
 
-from conftest import random_full_grid
+from conftest import MINI_SOLVER_CMD, random_full_grid
 
 
 def g(rows):
@@ -76,7 +78,43 @@ class TestSolve:
     def test_budget_starvation_reports_unknown(self):
         res = solve(Instance(g([[1, 2], [2, 1]]), 1), per_horizon_timeout=1e-9)
         assert res.status == "unknown"
-        assert any(status == "unknown: timeout" for _, status in res.horizon_statuses)
+        # the undecided horizon is the last one probed
+        assert res.horizon_statuses[-1][1] == "unknown: timeout"
+        unknown = [s for _, s in res.horizon_statuses if s.startswith("unknown")]
+        assert unknown == ["unknown: timeout"]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 2], [2, 1]], [[1, 1], [1, 1]]],
+        ids=["no-plan", "plan-at-horizon-2"],
+    )
+    def test_first_undecided_horizon_ends_the_solve(
+        self, tmp_path, monkeypatch, rows
+    ):
+        # undecided on its first call, a real solver on every later one
+        log = tmp_path / "calls.log"
+        script = tmp_path / "undecided_once.py"
+        script.write_text(
+            "import runpy, sys\n"
+            f"log = {str(log)!r}\n"
+            "with open(log, 'a') as fh:\n"
+            "    fh.write(sys.argv[1] + '\\n')\n"
+            "if len(open(log).read().splitlines()) == 1:\n"
+            "    print('s UNKNOWN')\n"
+            "else:\n"
+            f"    sys.argv[0] = {MINI_SOLVER_CMD[1]!r}\n"
+            "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+        )
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a plan was decoded after an undecided horizon")
+
+        monkeypatch.setattr(encoder, "decode", unreachable)
+        monkeypatch.setattr(planner, "validate_plan", unreachable)
+        res = solve(Instance(g(rows), 0), backend=[sys.executable, str(script)])
+        assert res.status == "unknown"
+        assert res.horizon_statuses == ((1, "unknown: solver reported unknown"),)
+        assert len(log.read_text().splitlines()) == 1
 
     def test_minimality_matches_breadth_first(self):
         rng = random.Random(31)
