@@ -13,10 +13,13 @@ shared run are undone and indexed anew. This is sound because the search
 learns no clauses and two watched literals of a clause need no repair once
 every assignment is undone. Propagation takes set literals newest first,
 which reaches a conflict at the end of a chain of implications sooner and
-sets the same literals. :func:`external_solve` runs any solver, given as an
-argv, that takes a DIMACS path argument and prints SAT-competition style
-``s``/``v`` lines. Both take a ``timeout`` in seconds and report an unknown
-outcome with reason ``"timeout"`` when it runs out.
+sets the same literals. A formula that ends with an :func:`at_least_k` is
+searched without the counter's clauses or registers: the solver counts the
+constraint's false inputs itself (see :func:`dpll_solve`).
+:func:`external_solve` runs any solver, given as an argv, that takes a
+DIMACS path argument and prints SAT-competition style ``s``/``v`` lines.
+Both take a ``timeout`` in seconds and report an unknown outcome with
+reason ``"timeout"`` when it runs out.
 """
 
 from __future__ import annotations
@@ -56,11 +59,17 @@ class CnfFormula:
     step builder append to ``clauses`` unchecked, for speed; the encoder's
     step chain then checks each step's clauses at once with
     :meth:`check_clauses`, before any formula reads them.
+
+    ``counter`` records the last :func:`at_least_k` built on the formula.
+    The clauses are the formula all the same: DIMACS output, external
+    solvers and model checks read them alone, and only :func:`dpll_solve`
+    reads the record.
     """
 
     def __init__(self) -> None:
         self.var_count = 0
         self.clauses: list[tuple[int, ...]] = []
+        self.counter: Optional[AtLeastK] = None
 
     def new_var(self) -> int:
         self.var_count += 1
@@ -124,6 +133,45 @@ class SatOutcome:
         return cls("unknown", reason=reason)
 
 
+@dataclass(frozen=True)
+class AtLeastK:
+    """What one :func:`at_least_k` call built: "at least ``k`` of ``lits``"
+    as the ``clauses`` from index ``first_clause`` of the formula, with one
+    register variable per entry of ``registers``, numbered on from
+    ``first_var``. A register's ``(i, j)`` means "at least j of the first i
+    inputs are true"."""
+
+    lits: tuple[int, ...]
+    k: int
+    first_var: int
+    registers: tuple[tuple[int, int], ...]
+    first_clause: int
+    clauses: tuple[tuple[int, ...], ...]
+
+    def describes(self, formula: CnfFormula) -> bool:
+        """Whether ``formula`` still holds this counter's clauses where they
+        were built, its registers are its last variables and no later
+        clause mentions one, so that the count is the one constraint on
+        the registers. The clauses before the counter's were there when it
+        was built, so they mention no register either."""
+        end = self.first_clause + len(self.clauses)
+        later = chain.from_iterable(islice(formula.clauses, end, None))
+        return (
+            formula.var_count == self.first_var + len(self.registers) - 1
+            and tuple(formula.clauses[self.first_clause : end]) == self.clauses
+            and max(map(abs, later), default=0) < self.first_var
+        )
+
+    def registers_under(self, is_true: Sequence[bool]) -> list[bool]:
+        """Each register's value, in id order, when each input ``x`` has the
+        value ``is_true[x]``: (i, j) holds iff at least j of the first i
+        inputs are true."""
+        at_least = [0]
+        for x in self.lits:
+            at_least.append(at_least[-1] + is_true[x])
+        return [at_least[i] >= j for i, j in self.registers]
+
+
 def exactly_one(formula: CnfFormula, lits: Sequence[int]) -> None:
     """At-least-one clause plus pairwise at-most-one clauses, appended
     unchecked (see :class:`CnfFormula`)."""
@@ -162,11 +210,11 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> None:
 
     A register is implied in one direction only: it implies its count, and
     no clause makes the count imply it. So once the inputs are set, a
-    register the top unit does not force stays unassigned, and
-    :func:`dpll_solve` decides it. In the planner's satisfiable horizons
-    those decisions come after every step variable is set; on the
-    ``sat-5x5`` benchmark (seed 3) they are 17,518 of 29,892 decisions, 117
-    per satisfiable horizon and none in unsatisfiable ones.
+    register the top unit does not force is free, and a solver that reads
+    the clauses alone decides it. The call is recorded in
+    ``formula.counter`` (see :class:`AtLeastK`): :func:`dpll_solve` counts
+    the inputs itself and gives each register its exact value, so it
+    decides no register.
     """
     n = len(lits)
     if k < 0:
@@ -175,17 +223,28 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> None:
         raise InfeasibleBoundError(f"cannot require {k} of {n} literals")
     if k == 0:
         return
+    first_var, first_clause = formula.var_count + 1, len(formula.clauses)
+    registers: list[tuple[int, int]] = []
     row = {1: lits[0]}  # row[j]: at least j of the inputs so far
     for i, x in enumerate(lits[1:], 2):
         below, row = row, {}
         for j in range(max(1, k - (n - i)), min(i, k) + 1):
             z = row[j] = formula.new_var()
+            registers.append((i, j))
             # z -> (at least j of the first i - 1) or (x and at least j - 1)
             without = () if j == i else (below[j],)
             formula.add_clause((-z, *without, x))
             if j > 1:
                 formula.add_clause((-z, *without, below[j - 1]))
     formula.add_clause((row[k],))
+    formula.counter = AtLeastK(
+        tuple(lits),
+        k,
+        first_var,
+        tuple(registers),
+        first_clause,
+        tuple(formula.clauses[first_clause:]),
+    )
 
 
 def write_dimacs(formula: CnfFormula, sink: IO[str]) -> None:
@@ -221,7 +280,7 @@ def _verify_model(formula: CnfFormula, model: Sequence[bool]) -> bool:
 
 
 class ClauseIndex:
-    """The propagation lists of the formula :func:`dpll_solve` last loaded.
+    """The propagation lists of the clauses :func:`dpll_solve` last loaded.
 
     Binary clauses are kept as two implications in per-literal lists
     (setting ``a`` true forces each literal listed under ``a``), every
@@ -229,10 +288,10 @@ class ClauseIndex:
     clauses apart. The implication and watch lists are indexed by signed
     literal: ``-v`` wraps to index ``2 * var_count + 1 - v``.
 
-    Loading a formula keeps the entries of the longest run of leading
-    clauses that equal the last formula's, undoes the rest in reverse order
-    and indexes the new clauses, so formulas that extend one another, such
-    as the planner's horizons, index each shared clause once. Kept watches
+    Loading clauses keeps the entries of the longest run of leading clauses
+    that equal the last load's, undoes the rest in reverse order and indexes
+    the new clauses, so formulas that extend one another, such as the
+    planner's horizons, index each shared clause once. Kept watches
     need no repair: with nothing assigned, any two literals of a clause are
     valid watches (Moskewicz et al., "Chaff", DAC 2001).
     """
@@ -249,10 +308,10 @@ class ClauseIndex:
         self.units: list[int] = []
         self.long: list[list[int]] = []  # the watched copies, in clause order
 
-    def load(self, formula: CnfFormula) -> None:
-        """Index ``formula``'s clauses, keeping the leading run it shares
-        with the formula loaded before."""
-        old, new = self.clauses, formula.clauses
+    def load(self, new: list[tuple[int, ...]], var_count: int) -> None:
+        """Index the clauses ``new``, over variables 1..``var_count``,
+        keeping the leading run they share with the clauses loaded before."""
+        old = self.clauses
         n = min(len(old), len(new))
         keep = 0
         # C-level slice comparison; an element-wise scan is several times slower
@@ -278,10 +337,10 @@ class ClauseIndex:
                 _unwatch(watches[c[1]], c)
         del old[keep:]
 
-        if formula.var_count != self.var_count:
-            _relay(implied, self.var_count, formula.var_count)
-            _relay(watches, self.var_count, formula.var_count)
-            self.var_count = formula.var_count
+        if var_count != self.var_count:
+            _relay(implied, self.var_count, var_count)
+            _relay(watches, self.var_count, var_count)
+            self.var_count = var_count
 
         for clause in islice(new, keep, None):
             size = len(clause)
@@ -337,42 +396,92 @@ def dpll_solve(
     with reason ``"timeout"``. Sat models are re-verified against the clause
     list before being returned.
 
-    The formula is loaded into ``index`` (a fresh :class:`ClauseIndex` when
-    it is None), which keeps the lists of the clauses this formula shares,
-    as a leading run, with the one solved before through the same index.
-    Pass one index to the solves of formulas that extend one another. If
-    loading or the search raises, the index is cleared.
+    When the record of the formula's last :func:`at_least_k` describes it
+    (see :meth:`AtLeastK.describes`), the solver loads every clause but the
+    counter's and searches only the variables below its registers. It
+    counts the constraint's inputs as they are set false: one more than
+    ``n - k`` is a conflict, and exactly ``n - k`` sets every other input
+    true, which is as much as unit propagation over the counter's clauses
+    finds (Chai & Kuehlmann, "A fast pseudo-Boolean constraint solver", DAC
+    2003). The model then gives each register its exact value, which is
+    the first extension in brute-force order, since the registers come
+    last and each may be true only when its count holds; so the model is
+    the one the clauses alone give. Any other formula is solved from its
+    clauses, and so is an earlier counter's: its registers are decided as
+    any other variable.
+
+    The clauses are loaded into ``index`` (a fresh :class:`ClauseIndex`
+    when it is None), which keeps the lists of the clauses they share, as a
+    leading run, with those solved before through the same index. Pass one
+    index to the solves of formulas that extend one another. If loading or
+    the search raises, the index is cleared.
 
     Propagation takes set literals newest first, so it follows one chain of
     implications to its end before the next; the conflicts of the planner's
-    goal counter, which comes last, are met sooner. Whether propagation
-    ends in a conflict, and the literals it sets when it does not, do not
-    depend on that order, so neither do the decisions or the model.
+    goal count, which reads the last step, are met sooner. Whether
+    propagation ends in a conflict, and the literals it sets when it does
+    not, do not depend on that order, so neither do the decisions or the
+    model.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
     if index is None:
         index = ClauseIndex()
+    count = formula.counter
     try:
-        index.load(formula)
-        return _search(formula, index, deadline)
+        if count is not None and count.describes(formula):
+            end = count.first_clause + len(count.clauses)
+            rest = formula.clauses[: count.first_clause] + formula.clauses[end:]
+            index.load(rest, count.first_var - 1)
+        else:
+            count = None
+            index.load(formula.clauses, formula.var_count)
+        return _search(formula, index, count, deadline)
     except BaseException:
         index.clear()  # a half-done load or watch move must not be reused
         raise
 
 
 def _search(
-    formula: CnfFormula, index: ClauseIndex, deadline: Optional[float]
+    formula: CnfFormula,
+    index: ClauseIndex,
+    count: Optional[AtLeastK],
+    deadline: Optional[float],
 ) -> SatOutcome:
-    nvars = formula.var_count
+    nvars = index.var_count
     implied, watches = index.implied, index.watches
     is_true = [False] * (2 * nvars + 1)  # unassigned when both are False
     trail: list[int] = []  # every literal set, in order: the undo log
     pending: list[int] = []  # set but not yet propagated, newest last
+    # falsifies[lit]: how many of the count's inputs setting lit true makes
+    # false; falses: the inputs the propagated literals made false
+    falsifies = [0] * (2 * nvars + 1)
+    inputs: Sequence[int] = ()
+    slack = falses = 0
+    if count is not None:
+        inputs, slack = count.lits, len(count.lits) - count.k
+        for x in inputs:
+            falsifies[-x] += 1
+
+    def fill_inputs() -> None:
+        """Set every unassigned input of the count true."""
+        for x in inputs:
+            if not is_true[x] and not is_true[-x]:
+                is_true[x] = True
+                trail.append(x)
+                pending.append(x)
 
     def propagate() -> bool:
         """Propagate the pending literals, newest first; False on conflict."""
+        nonlocal falses
         while pending:
             lit = pending.pop()
+            if falsifies[lit]:
+                falses += falsifies[lit]
+                if falses >= slack:
+                    if falses > slack:
+                        pending.clear()
+                        return False
+                    fill_inputs()
             for q in implied[lit]:
                 if not is_true[q]:
                     if is_true[-q]:
@@ -419,6 +528,8 @@ def _search(
                     i += 1
         return True
 
+    if slack == 0:
+        fill_inputs()
     for lit in index.units:
         if is_true[-lit]:
             return SatOutcome.unsat()
@@ -429,20 +540,23 @@ def _search(
     if not propagate():
         return SatOutcome.unsat()
 
-    # stack of (decided var, tried_negative_yet, trail length before decision)
-    stack: list[tuple[int, bool, int]] = []
+    # stack of (decided var, tried_negative_yet, trail length and falses
+    # before the decision)
+    stack: list[tuple[int, bool, int, int]] = []
     next_var = 1
     while True:
         while next_var <= nvars and (is_true[next_var] or is_true[-next_var]):
             next_var += 1
         if next_var > nvars:
-            model = tuple(is_true[: nvars + 1])
+            model = is_true[: nvars + 1]
+            if count is not None:
+                model += count.registers_under(is_true)
             if not _verify_model(formula, model):
                 raise RuntimeError("internal solver produced a bad model")
             return SatOutcome.sat(model)
         if deadline is not None and time.monotonic() >= deadline:
             return SatOutcome.unknown("timeout")
-        stack.append((next_var, False, len(trail)))
+        stack.append((next_var, False, len(trail), falses))
         is_true[next_var] = True
         trail.append(next_var)
         pending.append(next_var)
@@ -452,13 +566,13 @@ def _search(
             while tried:
                 if not stack:
                     return SatOutcome.unsat()
-                var, tried, mark = stack.pop()
+                var, tried, mark, falses = stack.pop()
                 for lit in trail[mark:]:
                     is_true[lit] = False
                 del trail[mark:]
                 if var < next_var:
                     next_var = var
-            stack.append((var, True, mark))
+            stack.append((var, True, mark, falses))
             is_true[-var] = True
             trail.append(-var)
             pending.append(-var)
@@ -520,9 +634,12 @@ def external_solve(
     elif value_tokens:
         raise ParseFailureError("value lines not terminated by 0")
     model = [False] * (formula.var_count + 1)
+    given = set(value_tokens)
     for tok in value_tokens:
         if tok == 0 or abs(tok) > formula.var_count:
             raise ParseFailureError(f"literal {tok} outside formula variables")
+        if -tok in given:
+            raise ParseFailureError(f"variable {abs(tok)} given both signs")
         model[abs(tok)] = tok > 0
     if not _verify_model(formula, model):
         raise ParseFailureError("reported model does not satisfy the formula")

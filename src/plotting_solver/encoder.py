@@ -38,10 +38,9 @@ Every auxiliary variable of a step is a function of lower-index state and
 action variables, which unit propagation fixes once those are set, so the
 DPLL solver, branching on the lowest index, never decides one. The goal
 counter's registers are not (see :func:`plotting_solver.cnf.at_least_k`):
-they are implied in one direction only, so after the last step of a
-satisfiable horizon the solver decides the free ones, 59% of all its
-decisions on the ``sat-5x5`` benchmark. A per-node figure should count
-shot and hand decisions apart from counter decisions.
+they are implied in one direction only. The DPLL solver counts the goal
+itself instead, and neither indexes the counter's clauses nor decides its
+registers; DIMACS output and external solvers get the counter's clauses.
 
 Variable allocation is deterministic: step 0 grid cells (row major, value
 0..K per cell) and the step-0 hand come first. Each step then follows in

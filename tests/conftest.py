@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from plotting_solver.cnf import CnfFormula
 from plotting_solver.engine import Grid, apply_shot, legal_shots
 
 SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
@@ -13,6 +14,14 @@ MINI_SOLVER_CMD = [sys.executable, str(SCRIPTS_DIR / "mini_solver.py")]
 @pytest.fixture
 def mini_solver_cmd():
     return list(MINI_SOLVER_CMD)
+
+
+def plain_copy(f: CnfFormula) -> CnfFormula:
+    """The same variables and clauses, with no at_least_k record, so
+    dpll_solve solves it from its clauses alone."""
+    plain = CnfFormula()
+    plain.var_count, plain.clauses = f.var_count, list(f.clauses)
+    return plain
 
 
 def random_full_grid(rng: random.Random, height: int, width: int, colours: int) -> Grid:

@@ -22,7 +22,7 @@ from plotting_solver.cnf import (
     external_solve,
 )
 
-from conftest import MINI_SOLVER_CMD
+from conftest import MINI_SOLVER_CMD, plain_copy
 
 
 def satisfies(clauses, values):
@@ -187,6 +187,69 @@ class TestAtLeastK:
                 trial.add_clause((var if bit else -var,))
             assert dpll_solve(trial).is_sat == (sum(bits) >= k)
 
+
+class TestNativeCount:
+    """dpll_solve counts a recorded at_least_k itself, with the outcome and
+    model of the same clauses solved without the record."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_clauses_under_every_input_assignment(self, n):
+        # each input a unit true, a unit false or free
+        for k in range(n + 1):
+            for values in itertools.product((True, False, None), repeat=n):
+                f, lits = formula_with_vars(n)
+                at_least_k(f, lits, k)
+                assert (f.counter is not None) == (k > 0)
+                for x, value in zip(lits, values):
+                    if value is not None:
+                        f.add_clause((x if value else -x,))
+                native, plain = dpll_solve(f), dpll_solve(plain_copy(f))
+                assert (native.status, native.model) == (
+                    plain.status,
+                    plain.model,
+                ), (k, values)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_propagates_without_a_decision(self, n):
+        # an expired deadline ends the search at its first decision, so
+        # only propagation answers: n - k false inputs set the rest true,
+        # and one more is a conflict
+        for k in range(1, n + 1):
+            for falses in range(n - k, n - k + 2):
+                for off in itertools.combinations(range(n), falses):
+                    f, lits = formula_with_vars(n)
+                    at_least_k(f, lits, k)
+                    for i in off:
+                        f.add_clause((-lits[i],))
+                    out = dpll_solve(f, timeout=0)
+                    if falses > n - k:
+                        assert out.is_unsat, (k, off)
+                        continue
+                    assert out.is_sat, (k, off)
+                    assert [out.model[x] for x in lits] == [
+                        i not in off for i in range(n)
+                    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        inputs=st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=6),
+        k=st.integers(0, 6),
+        others=st.lists(
+            st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=3),
+            max_size=5,
+        ),
+    )
+    def test_repeated_and_negated_inputs(self, inputs, k, others):
+        # an input may repeat or appear with both signs; other clauses over
+        # the same variables come before the counter or after it
+        if k > len(inputs):
+            return
+        f = formula_from(4, others[:2])
+        at_least_k(f, inputs, k)
+        for c in others[2:]:
+            f.add_clause(c)
+        native, plain = dpll_solve(f), dpll_solve(plain_copy(f))
+        assert (native.status, native.model) == (plain.status, plain.model)
 
 def parse_dimacs(text):
     """Independent strict reader for the p-cnf grammar."""
@@ -453,6 +516,15 @@ class TestExternalSolve:
         f.add_clause((v,))
         with pytest.raises(ParseFailureError):
             external_solve(f, [sys.executable, str(liar)])
+
+    def test_variable_given_both_signs_is_refused(self, tmp_path):
+        torn = tmp_path / "torn.py"
+        torn.write_text("print('s SATISFIABLE')\nprint('v 1 -1 2 0')\n")
+        f = CnfFormula()
+        f.alloc_block(2)
+        f.add_clause((-1, 2))
+        with pytest.raises(ParseFailureError, match="variable 1 given both signs"):
+            external_solve(f, [sys.executable, str(torn)])
 
     def test_no_status_line_is_unknown(self, tmp_path):
         silent = tmp_path / "silent.py"
