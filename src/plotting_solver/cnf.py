@@ -8,14 +8,16 @@ forces each literal listed under ``a``) and watches two literals of every
 longer clause; its assignment is one list indexed by signed literal, as are
 the implication and watch lists. Those lists live in a :class:`ClauseIndex`
 that can be kept across calls: a formula that starts with the clauses of
-the one solved before reuses their entries, and only the clauses after the
-shared run are undone and indexed anew. This is sound because the search
-learns no clauses and two watched literals of a clause need no repair once
-every assignment is undone. Propagation takes set literals newest first,
-which reaches a conflict at the end of a chain of implications sooner and
-sets the same literals. A formula that ends with an :func:`at_least_k` is
-searched without the counter's clauses or registers: the solver counts the
-constraint's false inputs itself (see :func:`dpll_solve`).
+the one solved before reuses their entries and indexes only the clauses
+after that shared run, provided the earlier formula had nothing but unit
+clauses after it and no more variables; any other formula is indexed
+anew. This is sound because the search learns no clauses and two watched
+literals of a clause need no repair once every assignment is undone.
+Propagation takes set literals newest first, which reaches a conflict at
+the end of a chain of implications sooner and sets the same literals. A
+formula that ends with an :func:`at_least_k` is searched without the
+counter's clauses or registers: the solver counts the constraint's false
+inputs itself (see :func:`dpll_solve`).
 :func:`external_solve` runs any solver, given as an argv, that takes a
 DIMACS path argument and prints SAT-competition style ``s``/``v`` lines.
 Both take a ``timeout`` in seconds and report an unknown outcome with
@@ -289,10 +291,13 @@ class ClauseIndex:
     literal: ``-v`` wraps to index ``2 * var_count + 1 - v``.
 
     Loading clauses keeps the entries of the longest run of leading clauses
-    that equal the last load's, undoes the rest in reverse order and indexes
-    the new clauses, so formulas that extend one another, such as the
-    planner's horizons, index each shared clause once. Kept watches
-    need no repair: with nothing assigned, any two literals of a clause are
+    that equal the last load's, when the clauses loaded after that run are
+    all unit clauses and the variables do not shrink: those units are
+    deleted and only the new clauses are indexed. Any other load clears the
+    index and indexes every clause, as a first load does. The planner's
+    horizons extend one another and drop only the instance's trailing unit
+    clauses, so a solve indexes each shared clause once. Kept watches need
+    no repair: with nothing assigned, any two literals of a clause are
     valid watches (Moskewicz et al., "Chaff", DAC 2001).
     """
 
@@ -306,11 +311,11 @@ class ClauseIndex:
         self.implied: list[list[int]] = [[]]
         self.watches: list[list[list[int]]] = [[]]
         self.units: list[int] = []
-        self.long: list[list[int]] = []  # the watched copies, in clause order
 
     def load(self, new: list[tuple[int, ...]], var_count: int) -> None:
         """Index the clauses ``new``, over variables 1..``var_count``,
-        keeping the leading run they share with the clauses loaded before."""
+        keeping the leading run they share with the clauses loaded before
+        when only unit clauses follow it there."""
         old = self.clauses
         n = min(len(old), len(new))
         keep = 0
@@ -321,25 +326,21 @@ class ClauseIndex:
         while keep < n and old[keep] == new[keep]:
             keep += 1
 
-        implied, watches, units, long = (
-            self.implied, self.watches, self.units, self.long
-        )
-        for clause in reversed(old[keep:]):
-            size = len(clause)
-            if size == 2:
-                implied[-clause[0]].pop()
-                implied[-clause[1]].pop()
-            elif size == 1:
-                units.pop()
-            else:
-                c = long.pop()
-                _unwatch(watches[c[0]], c)
-                _unwatch(watches[c[1]], c)
-        del old[keep:]
+        dropped = len(old) - keep
+        if var_count < self.var_count or any(
+            len(clause) > 1 for clause in islice(old, keep, None)
+        ):
+            self.clear()
+            old, keep = self.clauses, 0
+        elif dropped:
+            del self.units[-dropped:]
+            del old[keep:]
 
-        if var_count != self.var_count:
-            _relay(implied, self.var_count, var_count)
-            _relay(watches, self.var_count, var_count)
+        implied, watches, units = self.implied, self.watches, self.units
+        if var_count > self.var_count:
+            at, grow = self.var_count + 1, 2 * (var_count - self.var_count)
+            implied[at:at] = [[] for _ in range(grow)]
+            watches[at:at] = [[] for _ in range(grow)]
             self.var_count = var_count
 
         for clause in islice(new, keep, None):
@@ -352,29 +353,9 @@ class ClauseIndex:
                 units.append(clause[0])
             else:
                 c = list(clause)  # c[0] and c[1] are the watched literals
-                long.append(c)
                 watches[c[0]].append(c)
                 watches[c[1]].append(c)
         old += islice(new, keep, None)
-
-
-def _unwatch(ws: list[list[int]], c: list[int]) -> None:
-    """Remove the watched copy ``c`` itself, not an equal clause, from ``ws``."""
-    for i in range(len(ws) - 1, -1, -1):
-        if ws[i] is c:
-            ws[i] = ws[-1]
-            ws.pop()
-            return
-
-
-def _relay(lists: list, old_n: int, new_n: int) -> None:
-    """Re-lay literal-indexed ``lists`` from ``old_n`` to ``new_n``
-    variables, in place; the lists of variables above ``new_n`` must be
-    empty."""
-    if new_n > old_n:
-        lists[old_n + 1 : old_n + 1] = [[] for _ in range(2 * (new_n - old_n))]
-    else:
-        del lists[new_n + 1 : len(lists) - new_n]
 
 
 def dpll_solve(
@@ -412,9 +393,10 @@ def dpll_solve(
 
     The clauses are loaded into ``index`` (a fresh :class:`ClauseIndex`
     when it is None), which keeps the lists of the clauses they share, as a
-    leading run, with those solved before through the same index. Pass one
-    index to the solves of formulas that extend one another. If loading or
-    the search raises, the index is cleared.
+    leading run, with those solved before through the same index, when only
+    unit clauses followed that run there; otherwise it indexes them anew.
+    Pass one index to the solves of formulas that extend one another. If
+    loading or the search raises, the index is cleared.
 
     Propagation takes set literals newest first, so it follows one chain of
     implications to its end before the next; the conflicts of the planner's

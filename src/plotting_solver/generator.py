@@ -5,7 +5,9 @@ seeded with the given 64-bit value, so a seed reproduces the same instance
 for a given build of this package; bit-compatibility across languages is not
 promised. By default every declared colour must actually occur, so the
 declared colour count equals the grid's maximum value; random generation
-resamples until that holds, and enumeration filters for it.
+resamples until that holds, and enumeration filters for it. A random spec
+whose draws hold every colour less than once in ``MAX_DRAWS`` is refused
+before any draw, since its resampling would run for hours.
 """
 
 from __future__ import annotations
@@ -13,13 +15,20 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator
 
 from .engine import Grid, Instance
 
 
+# 4x4 with 16 colours keeps one draw in 8.8e5 (a few seconds); 5x5 with 25
+# keeps one in 5.7e9 (about ten hours).
+MAX_DRAWS = 10**6
+
+
 class InfeasibleSpecError(ValueError):
-    """More colours requested than grid cells can carry."""
+    """More colours requested than grid cells can carry, or than random
+    draws hold often enough to resample for."""
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,18 @@ class GeneratorSpec:
                 f"{self.colours} colours cannot all occur in "
                 f"{self.height}x{self.width} cells"
             )
+        if self.mode == "random" and self.require_all_colours:
+            k, cells = self.colours, self.height * self.width
+            # draws that hold every colour, by inclusion-exclusion over the
+            # colours a draw leaves out
+            hits = sum(
+                (-1) ** j * comb(k, j) * (k - j) ** cells for j in range(k + 1)
+            )
+            if k**cells > MAX_DRAWS * hits:
+                raise InfeasibleSpecError(
+                    f"fewer than one random {self.height}x{self.width} grid "
+                    f"in {MAX_DRAWS:,} holds all {k} colours"
+                )
 
 
 def random_instance(spec: GeneratorSpec) -> Instance:

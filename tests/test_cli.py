@@ -80,6 +80,20 @@ class TestGenerate:
         assert code == 2
         assert "infeasible" in err
 
+    def test_spec_too_rare_to_resample_exits_2_at_once(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, stdout, err = run(
+            [
+                "generate",
+                "--height", "5", "--width", "5", "--colours", "25",
+                "--seed", "1", "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 2 and stdout == "" and not out.exists()
+        assert_one_line_failure(err)
+        assert err.startswith("infeasible: ")
+
 
 class TestSolve:
     def test_plan_found_and_validates(self, tmp_path, capsys):

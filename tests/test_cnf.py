@@ -399,6 +399,10 @@ def same_outcome(out, want):
     assert (out.status, out.model) == (want.status, want.model)
 
 
+def watched_copies(index):
+    return [c for ws in index.watches for c in ws]
+
+
 class TestClauseIndex:
     """One index reused across formulas gives each formula's fresh outcome."""
 
@@ -410,8 +414,9 @@ class TestClauseIndex:
             max_size=6,
         )
     )
-    # two equal clauses: retracting the second must unwatch its own copy,
-    # not the first's, whose watches the next solve then moves
+    # two equal long clauses, both dropped by the next load: that load
+    # rebuilds the index, so neither copy, whose watches the solve before
+    # moved, survives into the formulas after it
     @example(
         steps=[
             (0, (3, [[-1, 2, 3], [-1, 2, 3]]), False),
@@ -432,6 +437,45 @@ class TestClauseIndex:
             if out.status != "unknown":
                 same_outcome(out, dpll_solve(f))
             before = clauses
+
+    def test_dropping_only_trailing_units_keeps_the_shared_entries(self):
+        index = ClauseIndex()
+        first = formula_from(3, [(1, 2), (-1, 2, 3), (-2, -3, 1), (1,), (3,)])
+        same_outcome(dpll_solve(first, index=index), dpll_solve(first))
+        implied, watched = list(index.implied), watched_copies(index)
+        # with the unit (1,) kept, this formula would be unsat
+        second = formula_from(4, first.clauses[:3] + [(-1,), (2, 4, -3)])
+        same_outcome(dpll_solve(second, index=index), dpll_solve(second))
+        assert index.clauses == second.clauses and index.units == [-1]
+        for lit in (1, 2, 3, -1, -2, -3):
+            assert index.implied[lit] is implied[lit]
+        kept = watched_copies(index)
+        assert all(any(c is k for k in kept) for c in watched)
+
+    SHARED = [(1, 2), (-1, -2, 3), (-2, 1, -3), (2,)]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((3, SHARED + [(-1, 3)]), (3, SHARED + [(-1,)])),
+            ((3, SHARED + [(1, -2, 3)]), (3, SHARED + [(-1,)])),
+            ((3, [(1, 2), (-1, -2, 1), (3,)]), (2, [(1, 2), (-1, -2, 1), (-1,)])),
+        ],
+        ids=["binary", "long", "fewer-variables"],
+    )
+    def test_any_other_drop_starts_afresh(self, first, second):
+        index = ClauseIndex()
+        first, second = formula_from(*first), formula_from(*second)
+        same_outcome(dpll_solve(first, index=index), dpll_solve(first))
+        implied = list(index.implied)
+        index.load(second.clauses, second.var_count)
+        fresh = ClauseIndex()
+        fresh.load(second.clauses, second.var_count)
+        assert index.var_count == fresh.var_count == second.var_count
+        assert (index.implied, index.watches) == (fresh.implied, fresh.watches)
+        assert (index.clauses, index.units) == (fresh.clauses, fresh.units)
+        assert not any(a is b for a, b in zip(index.implied, implied))
+        same_outcome(dpll_solve(second, index=index), dpll_solve(second))
 
     def test_interrupted_load_is_not_reused(self):
         class Interrupting(tuple):

@@ -32,6 +32,18 @@ class TestRandomInstance:
         with pytest.raises(InfeasibleSpecError):
             GeneratorSpec(1, 1, 2, seed=7)
 
+    def test_spec_too_rare_to_resample_is_refused(self):
+        # one draw in 5.7e9 holds all 25 colours: about ten hours of draws
+        with pytest.raises(InfeasibleSpecError, match="1,000,000"):
+            GeneratorSpec(5, 5, 25, seed=1)
+        GeneratorSpec(5, 5, 25, seed=1, require_all_colours=False)
+        GeneratorSpec(5, 5, 25, mode="canonical")
+
+    def test_rare_but_admitted_spec_still_generates(self):
+        # one draw in 8.8e5 holds all 16 colours: a few seconds of draws
+        inst = random_instance(GeneratorSpec(4, 4, 16, seed=1))
+        assert {v for row in inst.grid.cells for v in row} == set(range(1, 17))
+
     def test_missing_colours_knob(self):
         spec = GeneratorSpec(1, 1, 2, seed=7, require_all_colours=False)
         inst = random_instance(spec)
