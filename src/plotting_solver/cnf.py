@@ -5,19 +5,21 @@ negation of ``v``, as in DIMACS. The built-in :func:`dpll_solve` is a plain
 DPLL, complete unless its deadline passes. Its unit propagation keeps every
 binary clause as two implications in per-literal lists (setting ``a`` true
 forces each literal listed under ``a``) and watches two literals of every
-longer clause; its assignment is one list indexed by signed literal, as are
-the implication and watch lists. Those lists live in a :class:`ClauseIndex`
-that can be kept across calls: a formula that starts with the clauses of
-the one solved before reuses their entries and indexes only the clauses
-after that shared run, provided the earlier formula had nothing but unit
-clauses after it and no more variables; any other formula is indexed
-anew. This is sound because the search learns no clauses and two watched
-literals of a clause need no repair once every assignment is undone.
-Propagation takes set literals newest first, which reaches a conflict at
-the end of a chain of implications sooner and sets the same literals. A
-formula that ends with an :func:`at_least_k` is searched without the
-counter's clauses or registers: the solver counts the constraint's false
-inputs itself (see :func:`dpll_solve`).
+longer clause. The longer clauses are 0-terminated runs of one flat literal
+list, so no clause is a Python object of its own. The assignment is one
+list indexed by signed literal, as are the implication and watch lists.
+Those lists live in a :class:`ClauseIndex` that can be kept across calls:
+a formula that starts with the clauses of the one solved before reuses
+their entries and indexes only the clauses after that shared run, provided
+the earlier formula had nothing but unit clauses after it and no more
+variables; any other formula is indexed anew. This is sound because the
+search learns no clauses and two watched literals of a clause need no
+repair once every assignment is undone. Propagation takes set literals
+newest first, which reaches a conflict at the end of a chain of
+implications sooner and sets the same literals. A formula that ends with
+an :func:`at_least_k` is searched without the counter's clauses or
+registers: the solver counts the constraint's false inputs itself (see
+:func:`dpll_solve`).
 :func:`external_solve` runs any solver, given as an argv, that takes a
 DIMACS path argument and prints SAT-competition style ``s``/``v`` lines.
 Both take a ``timeout`` in seconds and report an unknown outcome with
@@ -285,20 +287,26 @@ class ClauseIndex:
     """The propagation lists of the clauses :func:`dpll_solve` last loaded.
 
     Binary clauses are kept as two implications in per-literal lists
-    (setting ``a`` true forces each literal listed under ``a``), every
-    longer clause as a copy whose first two literals are watched, and unit
-    clauses apart. The implication and watch lists are indexed by signed
-    literal: ``-v`` wraps to index ``2 * var_count + 1 - v``.
+    (setting ``a`` true forces each literal listed under ``a``), and unit
+    clauses apart. The literals of every longer clause are one run of
+    ``lits``, ended by a 0; ``lits[0]`` is a 0 that starts no run. A
+    clause is known by its run's start offset ``c``, and its watched
+    literals are ``lits[c]`` and ``lits[c + 1]``: the watch list of each
+    holds ``c``, and a watch move swaps entries of the run in place. So the
+    index holds no Python object per clause. The implication and watch
+    lists are indexed by signed literal: ``-v`` wraps to index
+    ``2 * var_count + 1 - v``.
 
     Loading clauses keeps the entries of the longest run of leading clauses
     that equal the last load's, when the clauses loaded after that run are
     all unit clauses and the variables do not shrink: those units are
-    deleted and only the new clauses are indexed. Any other load clears the
-    index and indexes every clause, as a first load does. The planner's
-    horizons extend one another and drop only the instance's trailing unit
-    clauses, so a solve indexes each shared clause once. Kept watches need
-    no repair: with nothing assigned, any two literals of a clause are
-    valid watches (Moskewicz et al., "Chaff", DAC 2001).
+    deleted, ``lits`` is left as it is, and only the new clauses are
+    indexed. Any other load clears the index, ``lits`` included, and
+    indexes every clause, as a first load does. The planner's horizons
+    extend one another and drop only the instance's trailing unit clauses,
+    so a solve indexes each shared clause once. Kept watches need no
+    repair: with nothing assigned, any two literals of a clause are valid
+    watches (Moskewicz et al., "Chaff", DAC 2001).
     """
 
     def __init__(self) -> None:
@@ -309,7 +317,8 @@ class ClauseIndex:
         self.var_count = 0
         self.clauses: list[tuple[int, ...]] = []  # the clauses indexed, in order
         self.implied: list[list[int]] = [[]]
-        self.watches: list[list[list[int]]] = [[]]
+        self.watches: list[list[int]] = [[]]  # run offsets, by literal
+        self.lits: list[int] = [0]  # every long clause's run, each ended by 0
         self.units: list[int] = []
 
     def load(self, new: list[tuple[int, ...]], var_count: int) -> None:
@@ -337,6 +346,7 @@ class ClauseIndex:
             del old[keep:]
 
         implied, watches, units = self.implied, self.watches, self.units
+        lits = self.lits
         if var_count > self.var_count:
             at, grow = self.var_count + 1, 2 * (var_count - self.var_count)
             implied[at:at] = [[] for _ in range(grow)]
@@ -352,9 +362,11 @@ class ClauseIndex:
             elif size == 1:
                 units.append(clause[0])
             else:
-                c = list(clause)  # c[0] and c[1] are the watched literals
-                watches[c[0]].append(c)
-                watches[c[1]].append(c)
+                c = len(lits)  # lits[c] and lits[c + 1] are watched
+                watches[clause[0]].append(c)
+                watches[clause[1]].append(c)
+                lits += clause
+                lits.append(0)
         old += islice(new, keep, None)
 
 
@@ -392,9 +404,11 @@ def dpll_solve(
     any other variable.
 
     The clauses are loaded into ``index`` (a fresh :class:`ClauseIndex`
-    when it is None), which keeps the lists of the clauses they share, as a
-    leading run, with those solved before through the same index, when only
-    unit clauses followed that run there; otherwise it indexes them anew.
+    when it is None), which keeps the lists and literal runs of the clauses
+    they share, as a leading run, with those solved before through the same
+    index, when only unit clauses followed that run there; otherwise it
+    indexes them anew. The search moves watches by swapping literals within
+    a clause's run in ``index.lits``.
     Pass one index to the solves of formulas that extend one another. If
     loading or the search raises, the index is cleared.
 
@@ -430,7 +444,7 @@ def _search(
     deadline: Optional[float],
 ) -> SatOutcome:
     nvars = index.var_count
-    implied, watches = index.implied, index.watches
+    implied, watches, lits = index.implied, index.watches, index.lits
     is_true = [False] * (2 * nvars + 1)  # unassigned when both are False
     trail: list[int] = []  # every literal set, in order: the undo log
     pending: list[int] = []  # set but not yet propagated, newest last
@@ -478,28 +492,31 @@ def _search(
             n = len(ws)
             while i < n:
                 c = ws[i]
-                other = c[0]
+                other = lits[c]
                 if other == false_lit:
-                    other = c[1]
+                    other = lits[c + 1]
                     if is_true[other]:
                         i += 1
                         continue
-                    # the watch moves or the clause is unit: false_lit to c[1]
-                    c[0] = other
-                    c[1] = false_lit
+                    # the watch moves or the clause is unit: false_lit to c + 1
+                    lits[c] = other
+                    lits[c + 1] = false_lit
                 elif is_true[other]:
                     i += 1
                     continue
-                for k in range(2, len(c)):
-                    lk = c[k]
+                k = c + 2
+                lk = lits[k]
+                while lk:  # the run's 0 ends the scan
                     if not is_true[-lk]:
-                        c[1] = lk
-                        c[k] = false_lit
+                        lits[c + 1] = lk
+                        lits[k] = false_lit
                         watches[lk].append(c)
                         n -= 1
                         ws[i] = ws[n]
                         ws.pop()
                         break
+                    k += 1
+                    lk = lits[k]
                 else:
                     if is_true[-other]:
                         pending.clear()

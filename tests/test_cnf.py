@@ -399,10 +399,6 @@ def same_outcome(out, want):
     assert (out.status, out.model) == (want.status, want.model)
 
 
-def watched_copies(index):
-    return [c for ws in index.watches for c in ws]
-
-
 class TestClauseIndex:
     """One index reused across formulas gives each formula's fresh outcome."""
 
@@ -442,15 +438,60 @@ class TestClauseIndex:
         index = ClauseIndex()
         first = formula_from(3, [(1, 2), (-1, 2, 3), (-2, -3, 1), (1,), (3,)])
         same_outcome(dpll_solve(first, index=index), dpll_solve(first))
-        implied, watched = list(index.implied), watched_copies(index)
+        implied, watches = list(index.implied), list(index.watches)
+        lits, before = index.lits, list(index.lits)
         # with the unit (1,) kept, this formula would be unsat
         second = formula_from(4, first.clauses[:3] + [(-1,), (2, 4, -3)])
-        same_outcome(dpll_solve(second, index=index), dpll_solve(second))
+        index.load(second.clauses, second.var_count)
         assert index.clauses == second.clauses and index.units == [-1]
         for lit in (1, 2, 3, -1, -2, -3):
             assert index.implied[lit] is implied[lit]
-        kept = watched_copies(index)
-        assert all(any(c is k for k in kept) for c in watched)
+            assert index.watches[lit] is watches[lit]
+        # the shared runs stay where they are; only the new clause's follows
+        assert index.lits is lits
+        assert lits[: len(before)] == before
+        assert lits[len(before) :] == [2, 4, -3, 0]
+        same_outcome(dpll_solve(second, index=index), dpll_solve(second))
+
+    @pytest.mark.parametrize("solved", [False, True], ids=["loaded", "solved"])
+    def test_the_index_holds_no_object_per_clause(self, solved):
+        clauses = [(1,), (1, 2), (-1, 2, 3), (2, -3, 4, -1), (-4,), (3, 4, -2)]
+        clauses += [(-2, -3), (4, 1, 3)]
+        index = ClauseIndex()
+        if solved:  # the search moves watches; it leaves the layout as it was
+            f = formula_from(4, clauses)
+            same_outcome(dpll_solve(f, index=index), dpll_solve(f))
+        else:
+            index.load(clauses, 4)
+        longs = [c for c in clauses if len(c) > 2]
+        lits = index.lits
+        assert len(lits) == 1 + sum(len(c) + 1 for c in longs)
+        entries = [c for ws in index.watches for c in ws]
+        assert all(type(c) is int and 0 < c < len(lits) for c in entries)
+        runs = {c: lits[c : lits.index(0, c)] for c in entries}  # up to its 0
+        assert sorted(map(sorted, runs.values())) == sorted(map(sorted, longs))
+        assert sorted(entries) == sorted(2 * list(runs))
+        for c in runs:
+            assert lits[c - 1] == 0  # a run starts after the one before ends
+            assert c in index.watches[lits[c]]
+            assert c in index.watches[lits[c + 1]]
+
+    def test_a_scan_stops_at_its_runs_end(self):
+        # lits: 0 | 1 2 -3 0 | 4 5 6 0; the units make the first clause unit
+        # through its last literal, and the next run starts with a literal
+        # no unit assigns, which a scan past the 0 would take as a watch
+        f = formula_from(6, [(1, 2, -3), (4, 5, 6), (-1,), (-2,)])
+        index = ClauseIndex()
+        index.load(f.clauses, f.var_count)
+        assert index.lits == [0, 1, 2, -3, 0, 4, 5, 6, 0]
+        out = dpll_solve(f, index=index)
+        assert out.model == (False, False, False, False, True, True, True)
+        lits = index.lits
+        assert sorted(lits[1:4]) == [-3, 1, 2] and lits[4:] == [0, 4, 5, 6, 0]
+        # the implied literal is watched, and so is one of the false ones
+        assert -3 in lits[1:3]
+        assert sorted(c for ws in index.watches for c in ws) == [1, 1, 5, 5]
+        assert 1 in index.watches[lits[1]] and 1 in index.watches[lits[2]]
 
     SHARED = [(1, 2), (-1, -2, 3), (-2, 1, -3), (2,)]
 
@@ -474,6 +515,7 @@ class TestClauseIndex:
         assert index.var_count == fresh.var_count == second.var_count
         assert (index.implied, index.watches) == (fresh.implied, fresh.watches)
         assert (index.clauses, index.units) == (fresh.clauses, fresh.units)
+        assert index.lits == fresh.lits
         assert not any(a is b for a, b in zip(index.implied, implied))
         same_outcome(dpll_solve(second, index=index), dpll_solve(second))
 
