@@ -56,9 +56,15 @@ and options.
 encoder emits an ``exactly_one`` over each and :func:`decode` reads each
 back. The steps depend only on the grid's shape and the progress style, so
 each is emitted once per shape and shared by every horizon (see
-:class:`_Chain`); one module lock guards that sharing. A step's clauses are
-appended without a per-clause check and checked in bulk, once, before the
-step is used.
+:class:`_Chain`); one module lock guards that sharing. Each step's implied
+keep clauses come last in it, and horizon h ends before step h's: they
+fix cells for a shot that horizon h does not have, so horizon h + 1 is the
+first to hold them. The builder emits step 1 (and step 2 of
+``cardinalityCompare``, whose step 1 also builds the start's colour sum);
+each later step is the one before with every variable moved one step on,
+since a step reads only its own variables and what the step before it
+made. A step's clauses are appended without a per-clause check and
+checked in bulk, once, before the step is used.
 """
 
 from __future__ import annotations
@@ -170,27 +176,34 @@ class VarMap:
         first = self.hand_var(step, 1)
         return range(first, first + self.colours)
 
-    def groups(self, step: int) -> list[tuple[str, int, range]]:
-        """The step's one-hot groups as ``(label, lowest value, ids)``, in the
-        order they are emitted: each cell (values 0..K, row major), the hand
+    def groups(self, step: int) -> list[tuple[int, range]]:
+        """The step's one-hot groups as ``(lowest value, ids)``, in the order
+        they are emitted: each cell (values 0..K, row major), the hand
         (1..K), then from step 1 on the fired row (0..H), the fired column
-        (0..W) and the wall fall (0..H)."""
+        (0..W) and the wall fall (0..H). :meth:`group_label` names each."""
         s, H, W = step, self.height, self.width
-        groups = [
-            (f"grid({s},{r},{c})", 0, self.cell_ids(s, r, c))
-            for r in range(1, H + 1)
-            for c in range(1, W + 1)
-        ]
-        groups.append((f"hand({s})", 1, self.hand_ids(s)))
+        first, values = self.state_bases[s], self.colours + 1
+        hand = first + self._grid_block
+        groups = [(0, range(x, x + values)) for x in range(first, hand, values)]
+        groups.append((1, range(hand, hand + self.colours)))
         if s > 0:
             row, col = self.row_shot_var(s, 0), self.col_shot_var(s, 0)
             fall = self.wall_fall_var(s, 0)
             groups += [
-                (f"fired row({s})", 0, range(row, row + H + 1)),
-                (f"fired col({s})", 0, range(col, col + W + 1)),
-                (f"wall fall({s})", 0, range(fall, fall + H + 1)),
+                (0, range(row, row + H + 1)),
+                (0, range(col, col + W + 1)),
+                (0, range(fall, fall + H + 1)),
             ]
         return groups
+
+    def group_label(self, step: int, i: int) -> str:
+        """The name of group ``i`` of :meth:`groups`, such as
+        ``grid(1,2,1)`` or ``fired row(1)``, for messages."""
+        H, W = self.height, self.width
+        if i < H * W:
+            return f"grid({step},{i // W + 1},{i % W + 1})"
+        kind = ("hand", "fired row", "fired col", "wall fall")[i - H * W]
+        return f"{kind}({step})"
 
 
 @dataclass(frozen=True)
@@ -230,8 +243,8 @@ class _Builder:
     :meth:`begin_step` builds what a step reads of the state before it:
     ``hand_eq`` (a cell holds the hand's colour) and ``prefix``, where
     ``prefix[shot][k]`` holds when the first ``k`` cells of the shot's path
-    are each empty or of the hand's colour. ``sums`` holds the latest step's
-    colour sum for the next step to read. Clauses go straight onto the
+    are each empty or of the hand's colour. ``sums[t]`` is step ``t``'s
+    colour sum, which step ``t + 1`` reads. Clauses go straight onto the
     formula's list; :meth:`_Chain.grow` checks each step's literals at once.
     """
 
@@ -242,7 +255,7 @@ class _Builder:
         self.gates: dict[tuple[int, ...], int] = {}
         self.hand_eq: dict[tuple[int, int], int] = {}
         self.prefix: dict[tuple[int, int], list[Expr]] = {}
-        self.sums: Sequence[int] = ()
+        self.sums: list[Sequence[int]] = []
         # every shot as (fired row, fired column), 0 on the axis not fired,
         # as in engine.shot_axes (columns first, then rows), with the cells
         # it crosses in order: down its column, or along its row and then
@@ -417,13 +430,27 @@ class _Chain:
     """The one-hot groups and transition rules of steps 0, 1, 2, ... for
     one grid shape and progress style, each step emitted once.
 
-    Each step is an ``exactly_one`` over every group of
-    :meth:`VarMap.groups` followed by its transition rules (none at step 0);
-    its clauses are checked in bulk before its end is recorded, and a
-    literal out of range raises ``ValueError``. ``ends[s]`` is the ``(var_count, clause_count, VarMap)`` reached at the
-    end of step ``s``; the formula for horizon ``s`` starts with exactly
-    that many variables and clauses. A chain is only read or grown under
-    ``_chain_lock``, which ``encode`` holds from the lookup to the slice.
+    Each step's block is an ``exactly_one`` over every group of
+    :meth:`VarMap.groups`, followed by its transition rules (none at step
+    0), which end with its implied keep clauses. ``ends[s]`` is the
+    ``(var_count, keep, VarMap)`` reached at the end of step ``s``, where
+    ``keep`` is the range of indexes of the step's keep clauses (empty at
+    step 0). The formula for horizon ``s`` starts with that many variables
+    and with every clause before ``keep``. Step ``s``'s keep clauses fix
+    the cells of state ``s`` that no shot can get to, for shot ``s + 1``
+    to read; at horizon ``s`` no shot follows and the goal count reads only
+    the cells' emptiness. They are implied by the rest, so leaving them out
+    changes no model, and horizon ``s + 1`` takes them in as part of what
+    it shares with horizon ``s``.
+
+    Steps before ``first_copy`` go through the builder. Every later step
+    is the block of the step before it, renumbered (:meth:`_renumber`):
+    step ``s - 1`` reads only state ``s - 2``, its own variables and, in
+    cardinalityCompare, step ``s - 2``'s colour sum, and step ``s`` reads
+    their images one step on. Every step's clauses are checked in bulk
+    before its end is recorded, and a literal out of range raises
+    ``ValueError``. A chain is only read or grown under ``_chain_lock``,
+    which ``encode`` holds from the lookup to the slice.
     """
 
     def __init__(self, height: int, width: int, colours: int, progress: str):
@@ -431,24 +458,71 @@ class _Chain:
         varmap = VarMap(height, width, colours, state_bases=())
         self.builder = _Builder(self.formula, varmap)
         self.progress = progress
-        self.ends: list[tuple[int, int, VarMap]] = []
+        # step 1 of cardinalityCompare also builds the start's colour sum,
+        # so there step 2 is the first that step 3 can copy
+        self.first_copy = 2 if progress == PROGRESS_WITNESS else 3
+        self.ends: list[tuple[int, range, VarMap]] = []
 
     def grow(self, steps: int) -> tuple[int, int, VarMap]:
-        """Append steps up to ``steps``; return the end of that step."""
-        f, b = self.formula, self.builder
+        """Append steps up to ``steps``; return the variable count, the
+        clause count and the VarMap of horizon ``steps``."""
+        f = self.formula
         while len(self.ends) <= steps:
-            s, vm, start = len(self.ends), b.vm, len(f.clauses)
-            if s > 0:
-                f.alloc_block(vm._shot_block)
-            base = f.alloc_block(vm._state_block)
-            b.vm = vm = replace(vm, state_bases=vm.state_bases + (base,))
-            for _, _, ids in vm.groups(s):
-                exactly_one(f, ids)
-            if s > 0:
-                _emit_step(b, s, self.progress)
+            s, start = len(self.ends), len(f.clauses)
+            if s < self.first_copy:
+                vm, keep = self._build(s)
+            else:
+                vm, keep = self._renumber(s)
             f.check_clauses(start)
-            self.ends.append((f.var_count, len(f.clauses), vm))
-        return self.ends[steps]
+            self.ends.append((f.var_count, keep, vm))
+        var_count, keep, vm = self.ends[steps]
+        return var_count, keep.start, vm
+
+    def _build(self, s: int) -> tuple[VarMap, range]:
+        """Append step ``s`` through the builder."""
+        f, b = self.formula, self.builder
+        vm = b.vm
+        if s > 0:
+            f.alloc_block(vm._shot_block)
+        base = f.alloc_block(vm._state_block)
+        b.vm = vm = replace(vm, state_bases=vm.state_bases + (base,))
+        for _, ids in vm.groups(s):
+            exactly_one(f, ids)
+        first_keep = _emit_step(b, s, self.progress) if s > 0 else len(f.clauses)
+        return vm, range(first_keep, len(f.clauses))
+
+    def _renumber(self, s: int) -> tuple[VarMap, range]:
+        """Append step ``s`` as step ``s - 1``'s block with its variables
+        moved on: state ``s - 2`` to state ``s - 1``, step ``s - 1``'s own
+        variables to step ``s``'s and, in cardinalityCompare, the colour sum
+        step ``s - 1`` read to the one step ``s`` reads. The builder's
+        output depends on variable ids only through their order and
+        equality (``conj`` sorts its inputs), and the move keeps both, so
+        this is the block the builder would emit. The move sends any other
+        literal to 0, which ``check_clauses`` refuses."""
+        f, sums = self.formula, self.builder.sums
+        (first_own, before, _), (top, keep, vm) = self.ends[s - 2 : s]
+        size, n = top - first_own, 2 * top + 1
+        move = [0] * n  # by signed literal: -v at n - v
+
+        def shift(first: int, stop: int, by: int) -> None:
+            move[first:stop] = range(first + by, stop + by)
+            move[n - stop + 1 : n - first + 1] = range(1 - stop - by, 1 - first - by)
+
+        state, bases = vm._state_block, vm.state_bases
+        shift(bases[s - 2], bases[s - 2] + state, bases[s - 1] - bases[s - 2])
+        shift(first_own + 1, top + 1, size)
+        if self.progress == PROGRESS_CARDINALITY:
+            for x, y in zip(sums[s - 2], sums[s - 1]):
+                move[x], move[-x] = y, -y
+            sums.append([move[x] for x in sums[s - 1]])
+        start = len(f.clauses)
+        moved = move.__getitem__
+        f.clauses += [tuple(map(moved, c)) for c in f.clauses[before.stop : start]]
+        f.alloc_block(size)
+        vm = replace(vm, state_bases=bases + (bases[-1] + size,))
+        by = start - before.stop
+        return vm, range(keep.start + by, keep.stop + by)
 
 
 # Only the latest shape's chain is kept: a solve probes its horizons in order
@@ -459,7 +533,9 @@ _chain = lru_cache(maxsize=1)(_Chain)
 _chain_lock = threading.Lock()
 
 
-def _emit_step(b: _Builder, s: int, progress: str) -> None:
+def _emit_step(b: _Builder, s: int, progress: str) -> int:
+    """Step ``s``'s transition rules, its implied keep clauses last;
+    return the index of the first keep clause."""
     vm = b.vm
     b.begin_step(s)
 
@@ -470,14 +546,20 @@ def _emit_step(b: _Builder, s: int, progress: str) -> None:
     # the no-null-move clauses (a stop or a rebound needs a block on the
     # path) imply consumption; cardinalityCompare adds a second, independent
     # progress constraint to test against
-    _emit_successors(b, s)
+    keep = _emit_successors(b, s)
     if progress == PROGRESS_CARDINALITY:
         _emit_sum_decrease(b, s)
+    first_keep = len(b.clauses)
+    for reach, src, dst in keep:
+        b.copy(reach, src, dst)
+    return first_keep
 
 
-def _emit_successors(b: _Builder, s: int) -> None:
+def _emit_successors(b: _Builder, s: int) -> list[tuple[list[Expr], range, range]]:
     """The state after step ``s``'s shot, as successor clauses, and the
-    implied clauses over the state before it.
+    implied clauses over the state before it, but for the implied keep
+    clauses: those are returned as ``copy`` arguments, for
+    :func:`_emit_step` to emit last.
 
     A successor clause reads "if this shot is fired and its guards are
     false, this cell (or the hand) takes that source's value"; its guards
@@ -487,7 +569,7 @@ def _emit_successors(b: _Builder, s: int) -> None:
     H, W = vm.height, vm.width
     prefix, hand_eq = b.prefix, b.hand_eq
     # the ids of the fired row (0..H), fired column (0..W) and wall fall (0..H)
-    row, col, fall = [ids for _, _, ids in vm.groups(s)[-3:]]
+    row, col, fall = [ids for _, ids in vm.groups(s)[-3:]]
     cells = [(r, c) for r in range(1, H + 1) for c in range(1, W + 1)]
     before = {cell: vm.cell_ids(s - 1, *cell) for cell in cells}
     after = {cell: vm.cell_ids(s, *cell) for cell in cells}
@@ -562,6 +644,7 @@ def _emit_successors(b: _Builder, s: int) -> None:
     # implied: the hand keeps its colour only if some shot can rebound
     for x, y in zip(hand_before, hand_after):
         b.require_any([-x, -y, *rebounds])
+    keep = []
     for r in range(1, H + 1):
         for c in range(1, W + 1):
             # implied: a cell keeps its value unless some shot can get to
@@ -577,7 +660,7 @@ def _emit_successors(b: _Builder, s: int) -> None:
                 for rv in range(1, r + 1):
                     reach.append(prefix[rv, 0][W + r - rv - 1])
                 reach += [g for (rv, _), g in falls.items() if rv > r]
-            b.copy(reach, before[r, c], after[r, c])
+            keep.append((reach, before[r, c], after[r, c]))
 
             # implied: a cell becomes empty only in one of these ways, each
             # over the previous state; first, the shot down its column gets
@@ -600,14 +683,19 @@ def _emit_successors(b: _Builder, s: int) -> None:
             for j in range(1, r + 1):
                 covering = [g for (rv, w), g in falls.items() if w >= j and rv + w > r]
                 b.require_any(ways + [empty[r - j + 1, c], *covering])
+    return keep
 
 
 def _emit_sum_decrease(b: _Builder, s: int) -> None:
     """The colour sum falls: ``sum(s) >= j`` implies ``sum(s-1) >= j+1``
     for every j (at j = 0, ``sum(s-1) >= 1``). Step ``s``'s sum is built
-    here once and handed to step ``s + 1`` in ``b.sums``."""
-    before = _colour_sum(b, 0) if s == 1 else b.sums
-    b.sums = after = _colour_sum(b, s)
+    here once, and kept as ``b.sums[s]`` for step ``s + 1`` to read; step
+    1 also builds the start's."""
+    if s == 1:
+        b.sums = [_colour_sum(b, 0)]
+    before = b.sums[s - 1]
+    after = _colour_sum(b, s)
+    b.sums.append(after)
     b.clauses += [(before[0],), (-after[-1],)]
     b.clauses += [(-x, y) for x, y in zip(after, before[1:])]
 
@@ -639,13 +727,6 @@ def _colour_sum(b: _Builder, t: int) -> Sequence[int]:
     return counts[0]
 
 
-def _one_hot_value(model, label: str, low: int, ids: Sequence[int]) -> int:
-    hits = [v for v, x in enumerate(ids, low) if model[x]]
-    if len(hits) != 1:
-        raise MalformedModelError(f"{label}: {len(hits)} values true")
-    return hits[0]
-
-
 def decode(model: Sequence[bool], varmap: VarMap) -> DecodedTrace:
     """Read the plan and trajectory out of a satisfying model.
 
@@ -656,7 +737,13 @@ def decode(model: Sequence[bool], varmap: VarMap) -> DecodedTrace:
     H, W = varmap.height, varmap.width
     grids, hands, shots, wall_falls = [], [], [], []
     for t in range(0, varmap.steps + 1):
-        values = [_one_hot_value(model, *group) for group in varmap.groups(t)]
+        values = []
+        for i, (low, ids) in enumerate(varmap.groups(t)):
+            hits = [v for v, x in enumerate(ids, low) if model[x]]
+            if len(hits) != 1:
+                label = varmap.group_label(t, i)
+                raise MalformedModelError(f"{label}: {len(hits)} values true")
+            values.append(hits[0])
         rows = (tuple(values[i : i + W]) for i in range(0, H * W, W))
         grids.append(Grid(tuple(rows)))
         hands.append(values[H * W])

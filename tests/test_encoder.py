@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from plotting_solver import encoder
 from plotting_solver.cnf import (
+    ClauseIndex,
     CnfFormula,
     at_least_k,
     dimacs_text,
@@ -307,64 +308,64 @@ class TestEncodeExamples:
     # formulas on purpose records new digests and says so in CHANGES.md; one
     # that only renames or reorders keeps every size.
     RECORDED = [
-        ([[1, 1], [1, 1]], 1, 1, PROGRESS_WITNESS, None, (46, 175), "af63bca8a0366780"),
+        ([[1, 1], [1, 1]], 1, 1, PROGRESS_WITNESS, None, (46, 173), "65a53ea592e59e38"),
         (
             [[1, 2], [2, 1]],
-            1, 2, PROGRESS_CARDINALITY, 2, (141, 711),
-            "2bc11fd6a80a2ab7",
+            1, 2, PROGRESS_CARDINALITY, 2, (141, 708),
+            "289b406965479e29",
         ),
         (
             [[1, 2, 3], [3, 1, 2]],
-            2, 3, PROGRESS_WITNESS, None, (212, 1255),
-            "c03a0f9f3b2c1b04",
+            2, 3, PROGRESS_WITNESS, None, (212, 1247),
+            "b93672475a766693",
         ),
         (
             [[2, 1, 1], [1, 2, 2], [1, 1, 2]],
-            4, 2, PROGRESS_CARDINALITY, None, (381, 2384),
-            "c36b1333b8584a10",
+            4, 2, PROGRESS_CARDINALITY, None, (381, 2372),
+            "1883294c1d4cbda4",
         ),
         (
             [[1, 2, 3], [2, 3, 1], [3, 1, 2]],
-            3, 3, PROGRESS_WITNESS, 1, (323, 2140),
-            "5f1b5d42842c443a",
+            3, 3, PROGRESS_WITNESS, 1, (323, 2124),
+            "c02a097c6d7d8556",
         ),
         (
             [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]],
-            6, 3, PROGRESS_CARDINALITY, 1, (497, 2489),
-            "0bebe9a8beff8566",
+            6, 3, PROGRESS_CARDINALITY, 1, (497, 2477),
+            "2ece35f5d64b3383",
         ),
         (
             [[1, 2, 1, 2], [2, 1, 2, 1], [1, 2, 1, 2], [2, 2, 1, 1]],
-            8, 2, PROGRESS_WITNESS, 2, (387, 2228),
-            "a79ce34c12d262ef",
+            8, 2, PROGRESS_WITNESS, 2, (387, 2201),
+            "13ef1cfaca43c00d",
         ),
         (
             [[1, 2, 3, 1], [2, 3, 1, 2], [3, 1, 2, 3], [1, 2, 3, 1]],
-            10, 1, PROGRESS_CARDINALITY, None, (698, 6781),
-            "81fbf0eb87cc3c6a",
+            10, 1, PROGRESS_CARDINALITY, None, (698, 6745),
+            "66eb73cdb7e42817",
         ),
         (
             [[1, 2], [2, 3], [3, 1], [1, 2], [2, 3]],
-            4, 3, PROGRESS_WITNESS, None, (405, 3307),
-            "4487769a3e51e2e0",
+            4, 3, PROGRESS_WITNESS, None, (405, 3291),
+            "0174a0e1f8e01b14",
         ),
         (
             [[1, 2, 3, 1, 2], [2, 3, 1, 2, 3], [3, 1, 2, 3, 1], [1, 2, 3, 1, 2],
              [2, 3, 1, 2, 3]],
-            15, 3, PROGRESS_WITNESS, None, (955, 7015),
-            "d596f51ed90627c3",
+            15, 3, PROGRESS_WITNESS, None, (955, 6951),
+            "f3f2bb5decfb6af5",
         ),
         (
             [[3, 1, 2, 2, 1], [1, 1, 3, 2, 2], [2, 3, 3, 1, 1], [1, 2, 1, 3, 2],
              [3, 3, 2, 1, 1]],
-            10, 2, PROGRESS_WITNESS, 3, (729, 4862),
-            "fa67b36303ca5466",
+            10, 2, PROGRESS_WITNESS, 3, (729, 4798),
+            "8569b5e890aab9c6",
         ),
         (
             [[3, 1, 2, 2, 1], [1, 1, 3, 2, 2], [2, 3, 3, 1, 1], [1, 2, 1, 3, 2],
              [3, 3, 2, 1, 1]],
-            20, 1, PROGRESS_CARDINALITY, 2, (1196, 15005),
-            "20e37ca0d132b418",
+            20, 1, PROGRESS_CARDINALITY, 2, (1196, 14941),
+            "65886b86b01a3210",
         ),
         ([[1], [2], [1]], 1, 2, PROGRESS_WITNESS, None, (80, 459), "ef7368fc5e812a15"),
         (
@@ -374,6 +375,34 @@ class TestEncodeExamples:
         ),
         ([[1, 2, 1]], 1, 2, PROGRESS_WITNESS, None, (68, 283), "960e73484c6c1366"),
         ([[1, 2, 1]], 1, 2, PROGRESS_CARDINALITY, None, (98, 429), "6f2261f5e617acb6"),
+        # from step 2 (consumptionWitness) or 3 (cardinalityCompare) on, a
+        # step is its predecessor renumbered; these pin such steps
+        (
+            [[2, 1, 1], [1, 2, 2], [1, 1, 2]],
+            4, 4, PROGRESS_WITNESS, None, (361, 2164),
+            "63ce456310ecf33e",
+        ),
+        (
+            [[2, 1, 1], [1, 2, 2], [1, 1, 2]],
+            3, 5, PROGRESS_CARDINALITY, 2, (785, 5204),
+            "72fccd8321c4428f",
+        ),
+        (
+            [[1, 2, 3], [3, 1, 2]],
+            1, 5, PROGRESS_WITNESS, None, (326, 2032),
+            "c1cc70d375c0e834",
+        ),
+        (
+            [[1, 2, 3], [3, 1, 2]],
+            2, 4, PROGRESS_CARDINALITY, 1, (540, 3638),
+            "05034b8fda3916ad",
+        ),
+        (
+            [[1], [2], [1]],
+            0, 5, PROGRESS_CARDINALITY, None, (238, 1411),
+            "98d3dd90db14701c",
+        ),
+        ([[1]], 0, 4, PROGRESS_CARDINALITY, None, (47, 153), "1f2ab62a55c677d8"),
     ]
 
     def test_dimacs_matches_recorded_digests(self):
@@ -476,46 +505,125 @@ class TestSharedSteps:
         formula.add_clause((1,))
         assert dimacs_text(encode(inst, EncodeOptions(steps=2))[0]) == before
 
+    # the last step each mode's builder emits; later steps are renumbered
+    BUILT = [(PROGRESS_WITNESS, 1), (PROGRESS_CARDINALITY, 2)]
+
     def test_interrupted_growth_is_not_reused(self, monkeypatch):
         inst = Instance(self.GRID, 1)
-        encoder._chain.cache_clear()
-        cold = dimacs_text(encode(inst, EncodeOptions(steps=3))[0])
-        encoder._chain.cache_clear()
         emit_step = encoder._emit_step
+        for mode, built in self.BUILT:
+            opts = EncodeOptions(steps=3, progress_encoding=mode)
+            encoder._chain.cache_clear()
+            cold = dimacs_text(encode(inst, opts)[0])
+            encoder._chain.cache_clear()
 
-        def interrupted(b, s, progress):
-            if s == 2:
+            def interrupted(b, s, progress):
+                # the step's clauses are in, and its end is not yet recorded
+                first_keep = emit_step(b, s, progress)
+                if s == built:
+                    raise KeyboardInterrupt
+                return first_keep
+
+            monkeypatch.setattr(encoder, "_emit_step", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                encode(inst, opts)
+            monkeypatch.setattr(encoder, "_emit_step", emit_step)
+            assert dimacs_text(encode(inst, opts)[0]) == cold, mode
+
+    @pytest.mark.parametrize("mode", PROGRESS_MODES)
+    def test_interrupted_renumbering_is_not_reused(self, mode, monkeypatch):
+        inst = Instance(self.GRID, 1)
+        opts = EncodeOptions(steps=4, progress_encoding=mode)
+        encoder._chain.cache_clear()
+        cold = dimacs_text(encode(inst, opts)[0])
+        encoder._chain.cache_clear()
+        renumber = encoder._Chain._renumber
+
+        def interrupted(chain, s):
+            moved = renumber(chain, s)
+            if s == 3:
                 raise KeyboardInterrupt
-            emit_step(b, s, progress)
+            return moved
 
-        monkeypatch.setattr(encoder, "_emit_step", interrupted)
+        monkeypatch.setattr(encoder._Chain, "_renumber", interrupted)
+        encode(inst, EncodeOptions(steps=2, progress_encoding=mode))
         with pytest.raises(KeyboardInterrupt):
-            encode(inst, EncodeOptions(steps=3))
-        monkeypatch.setattr(encoder, "_emit_step", emit_step)
-        assert dimacs_text(encode(inst, EncodeOptions(steps=3))[0]) == cold
+            encode(inst, opts)
+        monkeypatch.setattr(encoder._Chain, "_renumber", renumber)
+        assert dimacs_text(encode(inst, opts)[0]) == cold
 
     def test_out_of_range_literal_is_refused_and_the_chain_dropped(
         self, monkeypatch
     ):
         inst = Instance(self.GRID, 1)
+        emit_step = encoder._emit_step
+        for mode, built in self.BUILT:
+            opts = EncodeOptions(steps=3, progress_encoding=mode)
+            encoder._chain.cache_clear()
+            cold = dimacs_text(encode(inst, opts)[0])
+            encoder._chain.cache_clear()
+            bad = []
+
+            def corrupted(b, s, progress):
+                first_keep = emit_step(b, s, progress)
+                if s == built:
+                    bad.append(b.f.var_count + 1)
+                    b.clauses.append((1, -bad[0]))
+                return first_keep
+
+            monkeypatch.setattr(encoder, "_emit_step", corrupted)
+            with pytest.raises(ValueError) as refused:
+                encode(inst, opts)
+            want = f"literal {-bad[0]} outside allocated variables"
+            assert str(refused.value) == want, mode
+            monkeypatch.setattr(encoder, "_emit_step", emit_step)
+            assert dimacs_text(encode(inst, opts)[0]) == cold, mode
+
+    def test_a_literal_the_renumbering_does_not_move_is_refused(self, monkeypatch):
+        # step 3 of cardinalityCompare renumbers step 2, which reads state
+        # 1 and step 1's colour sum; a step-2 clause on a step-0 variable
+        # has no image, so step 3 gets a 0 there
+        inst = Instance(self.GRID, 1)
+        opts = EncodeOptions(steps=3, progress_encoding=PROGRESS_CARDINALITY)
         encoder._chain.cache_clear()
-        cold = dimacs_text(encode(inst, EncodeOptions(steps=3))[0])
+        cold = dimacs_text(encode(inst, opts)[0])
         encoder._chain.cache_clear()
         emit_step = encoder._emit_step
-        bad = []
 
         def corrupted(b, s, progress):
-            emit_step(b, s, progress)
+            first_keep = emit_step(b, s, progress)
             if s == 2:
-                bad.append(b.f.var_count + 1)
-                b.clauses.append((1, -bad[0]))
+                b.clauses.append((1, b.f.var_count))
+            return first_keep
 
         monkeypatch.setattr(encoder, "_emit_step", corrupted)
-        with pytest.raises(ValueError) as refused:
-            encode(inst, EncodeOptions(steps=3))
-        assert str(refused.value) == f"literal {-bad[0]} outside allocated variables"
+        encode(inst, EncodeOptions(steps=2, progress_encoding=PROGRESS_CARDINALITY))
+        with pytest.raises(ValueError, match="^literal 0 outside allocated variables$"):
+            encode(inst, opts)
         monkeypatch.setattr(encoder, "_emit_step", emit_step)
-        assert dimacs_text(encode(inst, EncodeOptions(steps=3))[0]) == cold
+        assert dimacs_text(encode(inst, opts)[0]) == cold
+
+    @pytest.mark.parametrize("mode", PROGRESS_MODES)
+    def test_renumbered_steps_are_the_built_ones(self, mode):
+        # a chain whose every step goes through the builder, variable for
+        # variable and clause for clause
+        shapes = 0
+        for height, width, colours in itertools.product(
+            range(1, 5), range(1, 5), range(1, 4)
+        ):
+            if colours > height * width:
+                continue
+            copied = encoder._Chain(height, width, colours, mode)
+            built = encoder._Chain(height, width, colours, mode)
+            built._renumber = built._build
+            copied.grow(5)
+            built.grow(5)
+            shape = (height, width, colours)
+            assert copied.formula.var_count == built.formula.var_count, shape
+            assert copied.formula.clauses == built.formula.clauses, shape
+            assert copied.ends == built.ends, shape
+            shapes += 1
+        assert shapes == 44
 
     def test_concurrent_encodes_match_serial(self):
         # more threads than cores, each encoding a horizon of a fresh 4x4
@@ -560,6 +668,7 @@ class TestSharedSteps:
         # the memo keeps the latest step's gates; cardinalityCompare hands
         # its sums to the next step outside it
         chain = encoder._Chain(4, 4, 3, mode)
+        chain._renumber = chain._build  # every step through the builder
         chain.grow(early)
         size = len(chain.builder.gates)
         chain.grow(late)
@@ -696,9 +805,14 @@ class TestSuccessorPropagation:
     the solver nothing to decide once the state and the shot are known."""
 
     @staticmethod
-    def _step(grid, hand, colours, mode):
+    def _step(grid, hand, colours, mode, keep=False):
+        """Step 1's clauses as horizon 1 holds them or, with ``keep``, as
+        horizon 2 does, its implied keep clauses included; its VarMap; and
+        the start state as units."""
         chain = encoder._Chain(grid.height, grid.width, colours, mode)
         _, clause_count, vm = chain.grow(1)
+        if keep:
+            clause_count = chain.ends[1][1].stop
         units = [vm.hand_var(0, hand)] + [
             vm.grid_var(0, r, c, grid.at(r, c))
             for r in range(1, grid.height + 1)
@@ -735,13 +849,13 @@ class TestSuccessorPropagation:
                 # every step-1 group, in VarMap.groups order
                 values = [v for row in out.next_grid.cells for v in row]
                 values += [out.next_hand, rv, cv, out.wall_fall]
-                for (label, low, ids), value in zip(vm.groups(1), values):
+                for i, ((low, ids), value) in enumerate(zip(vm.groups(1), values)):
                     assert self._fixed(true, ids, low, value), (
-                        grid.cells, hand, shot, label,
+                        grid.cells, hand, shot, vm.group_label(1, i),
                     )
         assert falls >= 20 and nulls >= 100
 
-    def _open_shot(self, seed):
+    def _open_shot(self, seed, keep=False):
         """Per state with a legal shot: the VarMap, what unit propagation
         sets with only the state pinned, and every legal successor."""
         rng = random.Random(seed)
@@ -749,7 +863,7 @@ class TestSuccessorPropagation:
             shots = legal_shots(grid, hand)
             if not shots:
                 continue
-            clauses, vm, units = self._step(grid, hand, colours, PROGRESS_WITNESS)
+            clauses, vm, units = self._step(grid, hand, colours, PROGRESS_WITNESS, keep)
             true = unit_propagate(clauses, units)
             assert true is not None
             yield grid, hand, vm, true, [apply_shot(grid, hand, s) for s in shots]
@@ -769,9 +883,11 @@ class TestSuccessorPropagation:
 
     def test_open_shot_fixes_only_what_every_shot_agrees_on(self):
         # the implied keep and hand clauses fix cells no shot can get to,
-        # and a hand no shot can keep, before the shot is chosen
+        # and a hand no shot can keep, before the shot is chosen; step 1's
+        # keep clauses are read as horizon 2 holds them, since horizon 1
+        # ends before them
         kept = changed = 0
-        for grid, hand, vm, true, outs in self._open_shot(71):
+        for grid, hand, vm, true, outs in self._open_shot(71, keep=True):
             for r in range(1, grid.height + 1):
                 for c in range(1, grid.width + 1):
                     for v in range(vm.colours + 1):
@@ -785,6 +901,70 @@ class TestSuccessorPropagation:
                     assert all(o.next_hand != v for o in outs)
             changed += -vm.hand_var(1, hand) in true
         assert kept >= 250 and changed >= 25
+
+
+def keep_pattern(clauses, vm, step):
+    """The clauses shaped as step ``step``'s implied keep clauses: "unless
+    some gate holds, the cell keeps value v", whose only state or action
+    literals are a cell's value v at ``step - 1``, negated, and then the
+    same at ``step``."""
+    primary = primary_ids(vm)
+    keeps = {
+        (-vm.grid_var(step - 1, r, c, v), vm.grid_var(step, r, c, v))
+        for r in range(1, vm.height + 1)
+        for c in range(1, vm.width + 1)
+        for v in range(vm.colours + 1)
+    }
+    return [
+        clause
+        for clause in clauses
+        if tuple(x for x in clause if abs(x) in primary) in keeps
+    ]
+
+
+class TestImpliedKeep:
+    """Each step's implied keep clauses end its block. Horizon h ends before
+    step h's, which no shot reads, and horizon h + 1 holds them."""
+
+    @pytest.mark.parametrize("mode", PROGRESS_MODES)
+    def test_only_the_next_horizon_holds_a_steps_keep_clauses(self, mode):
+        inst = Instance(g([[1, 2, 1], [2, 1, 2], [1, 1, 2]]), 3)
+        for steps in range(1, 5):
+            this, _ = encode(inst, EncodeOptions(steps, progress_encoding=mode))
+            longer, vm = encode(inst, EncodeOptions(steps + 1, progress_encoding=mode))
+            chain = encoder._chain(3, 3, 2, mode)
+            keep = chain.ends[steps][1]
+            kept = chain.formula.clauses[keep.start : keep.stop]
+            assert keep_pattern(this.clauses, vm, steps) == []
+            assert keep_pattern(longer.clauses, vm, steps) == kept
+            assert len(kept) == len(keep_pattern(longer.clauses, vm, 1)) > 0
+
+    @pytest.mark.parametrize("mode", PROGRESS_MODES)
+    def test_the_last_steps_keep_clauses_are_entailed(self, mode):
+        # leaving them out of a horizon changes none of its models: the
+        # formula and the negation of any one of them is unsat
+        rng = random.Random(73)
+        checked = sat = 0
+        for _ in range(80):
+            height, width = rng.randint(1, 3), rng.randint(1, 3)
+            colours = rng.randint(1, min(3, height * width))
+            grid = random_full_grid(rng, height, width, colours)
+            for steps in (1, 2, 3):
+                inst = Instance(grid, max(0, height * width - steps))
+                f, _ = encode(inst, EncodeOptions(steps, progress_encoding=mode))
+                chain = encoder._chain(height, width, colours, mode)
+                keep = chain.ends[steps][1]
+                sat += dpll_solve(f).is_sat
+                index = ClauseIndex()
+                for clause in chain.formula.clauses[keep.start : keep.stop]:
+                    trial = CnfFormula()
+                    trial.var_count, trial.counter = f.var_count, f.counter
+                    trial.clauses = f.clauses + [(-x,) for x in clause]
+                    assert dpll_solve(trial, index=index).is_unsat, (
+                        grid.cells, steps, clause,
+                    )
+                    checked += 1
+        assert checked >= 700 and sat >= 150
 
 
 class TestDecode:
