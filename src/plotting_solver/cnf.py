@@ -58,11 +58,13 @@ class CnfFormula:
 
     Every literal in ``clauses`` lies within ``±var_count``; the solvers'
     literal-indexed lists rely on it. ``add_clause`` checks each clause it
-    adds, as the goal counter's (:func:`at_least_k`) and the encoder's unit
-    clauses are. :func:`exactly_one`, :func:`and_gate` and the encoder's
-    step builder append to ``clauses`` unchecked, for speed; the encoder's
-    step chain then checks each step's clauses at once with
-    :meth:`check_clauses`, before any formula reads them.
+    adds. :func:`exactly_one`, :func:`and_gate` and the encoder's step
+    builder append to ``clauses`` unchecked, for speed; the encoder's step
+    chain then checks each step's clauses at once with
+    :meth:`check_clauses`, before any formula reads them. The goal
+    counter's clauses (:func:`at_least_k`) and the encoder's start-state
+    unit clauses are appended the same way, and each run of them is
+    checked at once as soon as it is complete.
 
     ``counter`` records the last :func:`at_least_k` built on the formula.
     The clauses are the formula all the same: DIMACS output, external
@@ -219,6 +221,11 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> None:
     ``formula.counter`` (see :class:`AtLeastK`): :func:`dpll_solve` counts
     the inputs itself and gives each register its exact value, so it
     decides no register.
+
+    The clauses are appended unchecked and then checked at once with
+    :meth:`CnfFormula.check_clauses`: an input of 0 or outside the
+    formula's variables raises ``ValueError`` there, before
+    ``formula.counter`` is set.
     """
     n = len(lits)
     if k < 0:
@@ -227,7 +234,8 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> None:
         raise InfeasibleBoundError(f"cannot require {k} of {n} literals")
     if k == 0:
         return
-    first_var, first_clause = formula.var_count + 1, len(formula.clauses)
+    clauses = formula.clauses
+    first_var, first_clause = formula.var_count + 1, len(clauses)
     registers: list[tuple[int, int]] = []
     row = {1: lits[0]}  # row[j]: at least j of the inputs so far
     for i, x in enumerate(lits[1:], 2):
@@ -237,17 +245,18 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> None:
             registers.append((i, j))
             # z -> (at least j of the first i - 1) or (x and at least j - 1)
             without = () if j == i else (below[j],)
-            formula.add_clause((-z, *without, x))
+            clauses.append((-z, *without, x))
             if j > 1:
-                formula.add_clause((-z, *without, below[j - 1]))
-    formula.add_clause((row[k],))
+                clauses.append((-z, *without, below[j - 1]))
+    clauses.append((row[k],))
+    formula.check_clauses(first_clause)
     formula.counter = AtLeastK(
         tuple(lits),
         k,
         first_var,
         tuple(registers),
         first_clause,
-        tuple(formula.clauses[first_clause:]),
+        tuple(clauses[first_clause:]),
     )
 
 

@@ -64,7 +64,8 @@ first to hold them. The builder emits step 1 (and step 2 of
 each later step is the one before with every variable moved one step on,
 since a step reads only its own variables and what the step before it
 made. A step's clauses are appended without a per-clause check and
-checked in bulk, once, before the step is used.
+checked in bulk, once, before the step is used; so are each formula's
+goal counter and start-state unit clauses.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from .cnf import CnfFormula, and_gate, at_least_k, exactly_one
@@ -238,12 +240,12 @@ class _Builder:
 
     ``conj`` builds AND gates, memoised in ``gates`` by their sorted inputs,
     and ``disj`` the negation of the AND over its negated terms. ``same``
-    builds a one-hot equality literal. ``require_any`` and ``copy`` emit
-    clauses and no variable. ``paths`` lists, per shot, the cells it crosses;
-    :meth:`begin_step` builds what a step reads of the state before it:
-    ``hand_eq`` (a cell holds the hand's colour) and ``prefix``, where
-    ``prefix[shot][k]`` holds when the first ``k`` cells of the shot's path
-    are each empty or of the hand's colour. ``sums[t]`` is step ``t``'s
+    builds a one-hot equality literal. ``require_any``, ``copy`` and
+    ``copy_under`` emit clauses and no variable. ``paths`` lists, per
+    shot, the cells it crosses; :meth:`begin_step` builds what a step
+    reads of the state before it: ``hand_eq`` (a cell holds the hand's
+    colour) and ``prefix``, where ``prefix[shot][k]`` holds when the first
+    ``k`` cells of the shot's path are each empty or of the hand's colour. ``sums[t]`` is step ``t``'s
     colour sum, which step ``t + 1`` reads. Clauses go straight onto the
     formula's list; :meth:`_Chain.grow` checks each step's literals at once.
     """
@@ -327,7 +329,14 @@ class _Builder:
         None is an empty cell, which gives the one clause
         ``(guard… ∨ dst_0)``. The guards are folded once, so they must not
         mention a variable of ``src`` or ``dst``."""
-        lits = self.clause(guards)
+        self.copy_under(self.clause(guards), src, dst)
+
+    def copy_under(
+        self, lits: Optional[tuple[int, ...]], src: Optional[range], dst: range
+    ) -> None:
+        """:meth:`copy` with its guards already folded by :meth:`clause`,
+        so that a rule's guards are folded once for all its copies; nothing
+        when ``lits`` is None."""
         if lits is None:
             return
         if src is None:
@@ -418,11 +427,15 @@ def encode(
             ],
             goal_empties,
         )
-    for r in range(1, height + 1):
-        for c in range(1, width + 1):
-            formula.add_clause((varmap.grid_var(0, r, c, instance.grid.at(r, c)),))
+    start = len(formula.clauses)
+    formula.clauses += [
+        (varmap.grid_var(0, r, c, instance.grid.at(r, c)),)
+        for r in range(1, height + 1)
+        for c in range(1, width + 1)
+    ]
     if fixed is not None:
-        formula.add_clause((varmap.hand_var(0, fixed),))
+        formula.clauses.append((varmap.hand_var(0, fixed),))
+    formula.check_clauses(start)
     return formula, varmap
 
 
@@ -499,7 +512,9 @@ class _Chain:
         output depends on variable ids only through their order and
         equality (``conj`` sorts its inputs), and the move keeps both, so
         this is the block the builder would emit. The move sends any other
-        literal to 0, which ``check_clauses`` refuses."""
+        literal to 0, which ``check_clauses`` refuses. The move is one list
+        indexed by signed literal, and ``operator.itemgetter`` gathers each
+        clause's images from it in one call."""
         f, sums = self.formula, self.builder.sums
         (first_own, before, _), (top, keep, vm) = self.ends[s - 2 : s]
         size, n = top - first_own, 2 * top + 1
@@ -517,8 +532,11 @@ class _Chain:
                 move[x], move[-x] = y, -y
             sums.append([move[x] for x in sums[s - 1]])
         start = len(f.clauses)
-        moved = move.__getitem__
-        f.clauses += [tuple(map(moved, c)) for c in f.clauses[before.stop : start]]
+        # one C call gathers a clause; itemgetter of one item is a bare int
+        f.clauses += [
+            itemgetter(*c)(move) if len(c) > 1 else (move[c[0]],)
+            for c in f.clauses[before.stop : start]
+        ]
         f.alloc_block(size)
         vm = replace(vm, state_bases=bases + (bases[-1] + size,))
         by = start - before.stop
@@ -563,7 +581,11 @@ def _emit_successors(b: _Builder, s: int) -> list[tuple[list[Expr], range, range
 
     A successor clause reads "if this shot is fired and its guards are
     false, this cell (or the hand) takes that source's value"; its guards
-    are path prefixes (``b.prefix``) and wall-fall literals.
+    are path prefixes (``b.prefix``) and wall-fall literals. A rule's
+    guards are folded once, with :meth:`_Builder.clause`, for all the
+    clauses that share them: once per path cell for the shot rules, and
+    once per fall for the last column's drop; the wall falls that can land
+    on a row shot's path are listed once per row.
     """
     vm = b.vm
     H, W = vm.height, vm.width
@@ -603,42 +625,59 @@ def _emit_successors(b: _Builder, s: int) -> list[tuple[list[Expr], range, range
     b.require_any([col[0], fall[0]])
     # the last column above a wall fall drops w rows; with none it stays
     for rv, w in falls:
+        dropped = b.clause([-row[rv], -fall[w]])
         for r in range(1, min(H, rv + w - 1) + 1):
-            b.copy([-row[rv], -fall[w]], before.get((r - w, W)), after[r, W])
+            b.copy_under(dropped, before.get((r - w, W)), after[r, W])
     for rv in range(2, H + 1):
+        stays = b.clause([-row[rv], -fall[0]])
         for r in range(1, rv):
-            b.copy([-row[rv], -fall[0]], before[r, W], after[r, W])
+            b.copy_under(stays, before[r, W], after[r, W])
 
+    # the wall falls of each row, by length, in the order of ``falls``
+    landings: dict[int, list[tuple[int, int]]] = {}
+    for rv, w in falls:
+        landings.setdefault(rv, []).append((w, fall[w]))
     rebounds = []
     for shot, path in b.paths.items():
         rv = shot[0]
         fired = row[rv] if rv else col[shot[1]]
-        passed, full = TRUE, []  # full: "a cell before k is not empty"
+        lands = landings.get(rv, [])
+        # each rule's guards are folded once per path cell, None where one
+        # holds: ``stop`` (reached, not passed), ``gone`` (passed) and
+        # ``held`` (not passed), which is the next cell's ``stay`` (not
+        # reached). ``full`` reads "a cell before k is not empty"; it and
+        # the landings share no variable with a guard, so they extend a
+        # fold as they are.
+        stay, passed, full = None, TRUE, ()
         for k, (r, c) in enumerate(path, 1):
             reached, passed = passed, prefix[shot][k]
+            stop = b.clause([-fired, b.neg(reached), passed])
+            gone = b.clause([-fired, b.neg(passed)])
+            held = b.clause([-fired, passed])
             # not reached: kept
-            b.copy([-fired, reached], before[r, c], after[r, c])
+            b.copy_under(stay, before[r, c], after[r, c])
             # stopped here: the cell and the hand swap, after a consumption
-            stops = [-fired, b.neg(reached), passed]
-            b.copy(stops, hand_before, after[r, c][1:])
-            b.copy(stops, before[r, c][1:], hand_after)
-            b.require_any(stops + full)
-            full.append(-empty[r, c])
+            b.copy_under(stop, hand_before, after[r, c][1:])
+            b.copy_under(stop, before[r, c][1:], hand_after)
+            if stop is not None:
+                b.clauses.append(stop + full)
+            full += (-empty[r, c],)
             if r == rv and c < W:
                 # passed along the row: the column above falls one cell (a
                 # column above an empty cell is empty, so nothing changes)
-                moved, kept = [-fired, b.neg(passed)], [-fired, passed]
                 for rr in range(1, r + 1):
-                    b.copy(moved, before.get((rr - 1, c)), after[rr, c])
+                    b.copy_under(gone, before.get((rr - 1, c)), after[rr, c])
                     if rr < r:
-                        b.copy(kept, before[rr, c], after[rr, c])
-            else:
+                        b.copy_under(held, before[rr, c], after[rr, c])
+            elif gone is not None:
                 # passed down a column: emptied, unless a wall fall lands here
-                landing = [fall[w] for row_v, w in falls if row_v == rv and w > r - rv]
-                b.copy([-fired, b.neg(passed), *landing], None, after[r, c])
+                landing = tuple(x for w, x in lands if w > r - rv)
+                b.clauses.append(gone + landing + (after[r, c][EMPTY],))
+            stay = held
         # rebounded: the hand is kept, after a consumption
-        b.copy([-fired, b.neg(passed)], hand_before, hand_after)
-        b.require_any([-fired, b.neg(passed)] + full)
+        b.copy_under(gone, hand_before, hand_after)
+        if gone is not None:
+            b.clauses.append(gone + full)
         rebounds.append(passed)
 
     # implied: the hand keeps its colour only if some shot can rebound

@@ -144,6 +144,18 @@ class TestAtLeastK:
         with pytest.raises(InfeasibleBoundError):
             at_least_k(f, lits, 3)
 
+    @pytest.mark.parametrize(
+        "lits, k",
+        [([0], 1), ([1, 2, 0], 2), ([4], 1), ([1, 2, 103], 2), ([1, -103, 3], 3)],
+    )
+    def test_input_outside_the_formula_is_refused(self, lits, k):
+        # variables 1..3 are allocated, and the counter's registers take
+        # ids from 4 on, so 4 is outside only as a lone input (no register)
+        f, _ = formula_with_vars(3)
+        with pytest.raises(ValueError, match="outside allocated variables"):
+            at_least_k(f, lits, k)
+        assert f.counter is None
+
     def test_four_choose_two_by_brute_force(self):
         f, lits = formula_with_vars(4)
         at_least_k(f, lits, 2)

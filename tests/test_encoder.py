@@ -625,6 +625,26 @@ class TestSharedSteps:
             shapes += 1
         assert shapes == 44
 
+    # one sha256 over every chain below, grown to step 3: the 75 witness
+    # shapes sat-shapes draws and the 27 cardinalityCompare ones up to 5x5
+    SHAPES_DIGEST = "4dc3d97143da61dc6d6356b157c0c59aedf66239be578803af6a4571a4c680b8"
+
+    def test_chains_match_the_recorded_shape_digest(self):
+        # the renumbered-vs-built test cannot see a builder change, as both
+        # chains build their first steps, so the builder is pinned here
+        digest = hashlib.sha256()
+        shapes = [(PROGRESS_WITNESS, range(3, 8)), (PROGRESS_CARDINALITY, range(3, 6))]
+        for mode, sides in shapes:
+            for height, width, colours in itertools.product(sides, sides, range(2, 5)):
+                chain = encoder._Chain(height, width, colours, mode)
+                chain.grow(3)
+                ends = [
+                    (n, keep.start, keep.stop, vm.state_bases)
+                    for n, keep, vm in chain.ends
+                ]
+                digest.update(repr((chain.formula.clauses, ends)).encode())
+        assert digest.hexdigest() == self.SHAPES_DIGEST
+
     def test_concurrent_encodes_match_serial(self):
         # more threads than cores, each encoding a horizon of a fresh 4x4
         # chain, switching threads as often as the interpreter allows
