@@ -2,12 +2,12 @@
 
 Literals are signed integers: variable ids start at 1 and ``-v`` is the
 negation of ``v``, as in DIMACS. The built-in :func:`dpll_solve` is a plain
-DPLL, complete unless its deadline passes. Its unit propagation keeps every
-binary clause as two implications in per-literal lists (setting ``a`` true
-forces each literal listed under ``a``) and watches two literals of every
-longer clause. The longer clauses are 0-terminated runs of one flat literal
-list, so no clause is a Python object of its own. The assignment is one
-list indexed by signed literal, as are the implication and watch lists.
+DPLL, complete unless its deadline passes. Its unit propagation watches
+two literals of every clause of two or more literals. Those clauses are
+0-terminated runs of one flat literal list, so no clause is a Python object
+of its own; a binary clause is a two-literal run whose watches never move.
+The assignment is one list indexed by signed literal, as are the watch
+lists.
 Those lists live in a :class:`ClauseIndex` that can be kept across calls:
 a formula that starts with the clauses of the one solved before reuses
 their entries and indexes only the clauses after that shared run, provided
@@ -295,16 +295,15 @@ def _verify_model(formula: CnfFormula, model: Sequence[bool]) -> bool:
 class ClauseIndex:
     """The propagation lists of the clauses :func:`dpll_solve` last loaded.
 
-    Binary clauses are kept as two implications in per-literal lists
-    (setting ``a`` true forces each literal listed under ``a``), and unit
-    clauses apart. The literals of every longer clause are one run of
-    ``lits``, ended by a 0; ``lits[0]`` is a 0 that starts no run. A
-    clause is known by its run's start offset ``c``, and its watched
+    Unit clauses are kept apart. The literals of every other clause are
+    one run of ``lits``, ended by a 0; ``lits[0]`` is a 0 that starts no
+    run. A clause is known by its run's start offset ``c``, and its watched
     literals are ``lits[c]`` and ``lits[c + 1]``: the watch list of each
     holds ``c``, and a watch move swaps entries of the run in place. So the
-    index holds no Python object per clause. The implication and watch
-    lists are indexed by signed literal: ``-v`` wraps to index
-    ``2 * var_count + 1 - v``.
+    index holds no Python object per clause. A binary clause is a
+    two-literal run whose watches never move: the scan for a new watch
+    meets its 0 at once. The watch lists are indexed by signed literal:
+    ``-v`` wraps to index ``2 * var_count + 1 - v``.
 
     Loading clauses keeps the entries of the longest run of leading clauses
     that equal the last load's, when the clauses loaded after that run are
@@ -325,9 +324,8 @@ class ClauseIndex:
         """Forget every clause."""
         self.var_count = 0
         self.clauses: list[tuple[int, ...]] = []  # the clauses indexed, in order
-        self.implied: list[list[int]] = [[]]
         self.watches: list[list[int]] = [[]]  # run offsets, by literal
-        self.lits: list[int] = [0]  # every long clause's run, each ended by 0
+        self.lits: list[int] = [0]  # every non-unit clause's run, ended by 0
         self.units: list[int] = []
 
     def load(self, new: list[tuple[int, ...]], var_count: int) -> None:
@@ -354,21 +352,14 @@ class ClauseIndex:
             del self.units[-dropped:]
             del old[keep:]
 
-        implied, watches, units = self.implied, self.watches, self.units
-        lits = self.lits
+        watches, units, lits = self.watches, self.units, self.lits
         if var_count > self.var_count:
             at, grow = self.var_count + 1, 2 * (var_count - self.var_count)
-            implied[at:at] = [[] for _ in range(grow)]
             watches[at:at] = [[] for _ in range(grow)]
             self.var_count = var_count
 
         for clause in islice(new, keep, None):
-            size = len(clause)
-            if size == 2:
-                a, b = clause
-                implied[-a].append(b)
-                implied[-b].append(a)
-            elif size == 1:
+            if len(clause) == 1:
                 units.append(clause[0])
             else:
                 c = len(lits)  # lits[c] and lits[c + 1] are watched
@@ -413,11 +404,12 @@ def dpll_solve(
     any other variable.
 
     The clauses are loaded into ``index`` (a fresh :class:`ClauseIndex`
-    when it is None), which keeps the lists and literal runs of the clauses
-    they share, as a leading run, with those solved before through the same
-    index, when only unit clauses followed that run there; otherwise it
-    indexes them anew. The search moves watches by swapping literals within
-    a clause's run in ``index.lits``.
+    when it is None), which keeps the watch lists and literal runs of the
+    clauses they share, as a leading run, with those solved before through
+    the same index, when only unit clauses followed that run there;
+    otherwise it indexes them anew. The search moves watches by swapping
+    literals within a clause's run in ``index.lits``; a binary clause is a
+    two-literal run whose watches never move.
     Pass one index to the solves of formulas that extend one another. If
     loading or the search raises, the index is cleared.
 
@@ -453,7 +445,7 @@ def _search(
     deadline: Optional[float],
 ) -> SatOutcome:
     nvars = index.var_count
-    implied, watches, lits = index.implied, index.watches, index.lits
+    watches, lits = index.watches, index.lits
     is_true = [False] * (2 * nvars + 1)  # unassigned when both are False
     trail: list[int] = []  # every literal set, in order: the undo log
     pending: list[int] = []  # set but not yet propagated, newest last
@@ -487,14 +479,6 @@ def _search(
                         pending.clear()
                         return False
                     fill_inputs()
-            for q in implied[lit]:
-                if not is_true[q]:
-                    if is_true[-q]:
-                        pending.clear()
-                        return False
-                    is_true[q] = True
-                    trail.append(q)
-                    pending.append(q)
             false_lit = -lit
             ws = watches[false_lit]
             i = 0

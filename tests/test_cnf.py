@@ -389,6 +389,11 @@ class TestDpll:
 
     @settings(max_examples=300, deadline=None)
     @given(cnf=random_cnf)
+    # binary clauses are two-literal runs: one literal twice, a tautology
+    # under a unit that falsifies one side, and an unsat pair of them
+    @example(cnf=(1, [[1, 1]]))
+    @example(cnf=(1, [[1, -1], [-1]]))
+    @example(cnf=(2, [[1, 2], [-1], [-2, -2]]))
     def test_model_is_first_in_brute_force_order(self, cnf):
         # variable 1 most significant, true before false
         n, clauses = cnf
@@ -432,6 +437,15 @@ class TestClauseIndex:
             (0, (1, [[1]]), False),
         ]
     )
+    # a shared binary clause whose watches the first solve swapped: a
+    # units-only drop keeps it, and the next units make it unit, then false
+    @example(
+        steps=[
+            (0, (2, [[1, 2], [-1]]), False),
+            (1, (2, [[-2]]), False),
+            (1, (2, [[-1], [-2]]), False),
+        ]
+    )
     def test_matches_fresh_solves(self, steps):
         # each formula keeps a random leading run of the one before, so the
         # sequence grows, shrinks and changes var_count; some calls time out
@@ -446,23 +460,41 @@ class TestClauseIndex:
                 same_outcome(out, dpll_solve(f))
             before = clauses
 
+    @staticmethod
+    def assert_one_run_per_clause(index, clauses, var_count):
+        """Every clause of two or more literals is one run of ``lits``,
+        watched on its first two slots, and each literal has one list."""
+        runs = [c for c in clauses if len(c) > 1]
+        lits = index.lits
+        assert len(index.watches) == 2 * var_count + 1
+        assert len(lits) == 1 + sum(len(c) + 1 for c in runs)
+        entries = [c for ws in index.watches for c in ws]
+        assert all(type(c) is int and 0 < c < len(lits) for c in entries)
+        found = {c: lits[c : lits.index(0, c)] for c in entries}  # up to its 0
+        assert sorted(map(sorted, found.values())) == sorted(map(sorted, runs))
+        assert sorted(entries) == sorted(2 * list(found))
+        for c in found:
+            assert lits[c - 1] == 0  # a run starts after the one before ends
+            assert c in index.watches[lits[c]]
+            assert c in index.watches[lits[c + 1]]
+
     def test_dropping_only_trailing_units_keeps_the_shared_entries(self):
         index = ClauseIndex()
         first = formula_from(3, [(1, 2), (-1, 2, 3), (-2, -3, 1), (1,), (3,)])
         same_outcome(dpll_solve(first, index=index), dpll_solve(first))
-        implied, watches = list(index.implied), list(index.watches)
+        watches = list(index.watches)
         lits, before = index.lits, list(index.lits)
         # with the unit (1,) kept, this formula would be unsat
         second = formula_from(4, first.clauses[:3] + [(-1,), (2, 4, -3)])
         index.load(second.clauses, second.var_count)
         assert index.clauses == second.clauses and index.units == [-1]
-        for lit in (1, 2, 3, -1, -2, -3):
-            assert index.implied[lit] is implied[lit]
+        for lit in range(-3, 4):
             assert index.watches[lit] is watches[lit]
         # the shared runs stay where they are; only the new clause's follows
         assert index.lits is lits
         assert lits[: len(before)] == before
         assert lits[len(before) :] == [2, 4, -3, 0]
+        self.assert_one_run_per_clause(index, second.clauses, 4)
         same_outcome(dpll_solve(second, index=index), dpll_solve(second))
 
     @pytest.mark.parametrize("solved", [False, True], ids=["loaded", "solved"])
@@ -475,18 +507,7 @@ class TestClauseIndex:
             same_outcome(dpll_solve(f, index=index), dpll_solve(f))
         else:
             index.load(clauses, 4)
-        longs = [c for c in clauses if len(c) > 2]
-        lits = index.lits
-        assert len(lits) == 1 + sum(len(c) + 1 for c in longs)
-        entries = [c for ws in index.watches for c in ws]
-        assert all(type(c) is int and 0 < c < len(lits) for c in entries)
-        runs = {c: lits[c : lits.index(0, c)] for c in entries}  # up to its 0
-        assert sorted(map(sorted, runs.values())) == sorted(map(sorted, longs))
-        assert sorted(entries) == sorted(2 * list(runs))
-        for c in runs:
-            assert lits[c - 1] == 0  # a run starts after the one before ends
-            assert c in index.watches[lits[c]]
-            assert c in index.watches[lits[c + 1]]
+        self.assert_one_run_per_clause(index, clauses, 4)
 
     def test_a_scan_stops_at_its_runs_end(self):
         # lits: 0 | 1 2 -3 0 | 4 5 6 0; the units make the first clause unit
@@ -520,15 +541,16 @@ class TestClauseIndex:
         index = ClauseIndex()
         first, second = formula_from(*first), formula_from(*second)
         same_outcome(dpll_solve(first, index=index), dpll_solve(first))
-        implied = list(index.implied)
+        watches, lits = list(index.watches), index.lits
         index.load(second.clauses, second.var_count)
         fresh = ClauseIndex()
         fresh.load(second.clauses, second.var_count)
         assert index.var_count == fresh.var_count == second.var_count
-        assert (index.implied, index.watches) == (fresh.implied, fresh.watches)
+        assert index.watches == fresh.watches
         assert (index.clauses, index.units) == (fresh.clauses, fresh.units)
-        assert index.lits == fresh.lits
-        assert not any(a is b for a, b in zip(index.implied, implied))
+        assert index.lits == fresh.lits and index.lits is not lits
+        assert not any(a is b for a, b in zip(index.watches, watches))
+        self.assert_one_run_per_clause(index, second.clauses, second.var_count)
         same_outcome(dpll_solve(second, index=index), dpll_solve(second))
 
     def test_interrupted_load_is_not_reused(self):
