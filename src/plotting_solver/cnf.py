@@ -112,11 +112,18 @@ class CnfFormula:
 
 @dataclass(frozen=True)
 class SatOutcome:
-    """Solver verdict: sat with a total model, unsat, or unknown."""
+    """Solver verdict: sat with a total model, unsat, or unknown.
+
+    ``decisions`` and ``assigned`` count the work of :func:`dpll_solve`:
+    the variables it decided (a backtrack's flip is not a decision) and the
+    literals it set, those later undone included. Other solvers leave both
+    0."""
 
     status: str  # "sat" | "unsat" | "unknown"
     model: Optional[tuple[bool, ...]] = None  # indexed by var id, entry 0 unused
     reason: Optional[str] = None
+    decisions: int = 0
+    assigned: int = 0
 
     @property
     def is_sat(self) -> bool:
@@ -520,17 +527,22 @@ def _search(
                     i += 1
         return True
 
+    decisions = undone = 0  # undone: literals set and then unset
+
+    def outcome(status: str, model=None, reason=None) -> SatOutcome:
+        return SatOutcome(status, model, reason, decisions, undone + len(trail))
+
     if slack == 0:
         fill_inputs()
     for lit in index.units:
         if is_true[-lit]:
-            return SatOutcome.unsat()
+            return outcome("unsat")
         if not is_true[lit]:
             is_true[lit] = True
             trail.append(lit)
             pending.append(lit)
     if not propagate():
-        return SatOutcome.unsat()
+        return outcome("unsat")
 
     # stack of (decided var, tried_negative_yet, trail length and falses
     # before the decision)
@@ -545,10 +557,11 @@ def _search(
                 model += count.registers_under(is_true)
             if not _verify_model(formula, model):
                 raise RuntimeError("internal solver produced a bad model")
-            return SatOutcome.sat(model)
+            return outcome("sat", tuple(model))
         if deadline is not None and time.monotonic() >= deadline:
-            return SatOutcome.unknown("timeout")
+            return outcome("unknown", reason="timeout")
         stack.append((next_var, False, len(trail), falses))
+        decisions += 1
         is_true[next_var] = True
         trail.append(next_var)
         pending.append(next_var)
@@ -557,10 +570,11 @@ def _search(
             tried = True
             while tried:
                 if not stack:
-                    return SatOutcome.unsat()
+                    return outcome("unsat")
                 var, tried, mark, falses = stack.pop()
                 for lit in trail[mark:]:
                     is_true[lit] = False
+                undone += len(trail) - mark
                 del trail[mark:]
                 if var < next_var:
                     next_var = var
