@@ -18,8 +18,12 @@ repair once every assignment is undone. Propagation takes set literals
 newest first, which reaches a conflict at the end of a chain of
 implications sooner and sets the same literals. A formula that ends with
 an :func:`at_least_k` is searched without the counter's clauses or
-registers: the solver counts the constraint's false inputs itself (see
-:func:`dpll_solve`).
+registers: the solver counts the constraint's false inputs itself. A
+formula that starts with a chain of transition steps (a :class:`StepChain`
+record, which the encoder attaches) is searched without the steps' clauses
+or auxiliary variables: a callable sets each step's outputs once its
+inputs are set, and a found model takes its auxiliary variables from the
+steps' clauses (see :func:`dpll_solve`).
 :func:`external_solve` runs any solver, given as an argv, that takes a
 DIMACS path argument and prints SAT-competition style ``s``/``v`` lines.
 Both take a ``timeout`` in seconds and report an unknown outcome with
@@ -32,9 +36,10 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, compress, islice
+from operator import neg, not_
 from pathlib import Path
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Callable, Iterable, Optional, Sequence
 
 
 class EmptySelectionError(ValueError):
@@ -66,16 +71,18 @@ class CnfFormula:
     unit clauses are appended the same way, and each run of them is
     checked at once as soon as it is complete.
 
-    ``counter`` records the last :func:`at_least_k` built on the formula.
-    The clauses are the formula all the same: DIMACS output, external
-    solvers and model checks read them alone, and only :func:`dpll_solve`
-    reads the record.
+    ``counter`` records the last :func:`at_least_k` built on the formula,
+    and ``steps`` a chain of transition steps whose successor a callable
+    computes (:class:`StepChain`; the encoder sets it). The clauses are the
+    formula all the same: DIMACS output, external solvers and model checks
+    read them alone, and only :func:`dpll_solve` reads the records.
     """
 
     def __init__(self) -> None:
         self.var_count = 0
         self.clauses: list[tuple[int, ...]] = []
         self.counter: Optional[AtLeastK] = None
+        self.steps: Optional[StepChain] = None
 
     def new_var(self) -> int:
         self.var_count += 1
@@ -183,6 +190,60 @@ class AtLeastK:
         for x in self.lits:
             at_least.append(at_least[-1] + is_true[x])
         return [at_least[i] >= j for i, j in self.registers]
+
+
+@dataclass(frozen=True, eq=False)
+class StepChain:
+    """A formula's transition steps 0..h, which :func:`dpll_solve` computes
+    with ``successor`` instead of propagating them through their clauses.
+
+    The formula starts with the chain's clauses, ``source[:size]``, and has
+    ``var_count`` variables. Per step, ``ranges`` holds three ranges of
+    variables: the step's decisions, its outputs and its auxiliary
+    variables; in order they are the chain's variables, from 1. Step 0's
+    decisions are the start state and its other ranges are empty. From step
+    1 on, the decisions are the step's shot, and ``successor(t, is_true)``
+    sets the outputs: given a fully set state t − 1 and shot t in
+    ``is_true`` (a list indexed by signed literal), it returns a literal of
+    every output variable of step t, then the negations of any decision
+    variables of step t + 1 that no model extending them can set true; at
+    t = 0 only the latter. It returns None when no model extends them at
+    all. Every auxiliary variable is a function of lower-index decision and
+    output variables, and reading the chain's clauses once, in order,
+    setting each clause's last unset literal when the others are false,
+    sets it. ``searched`` are the chain's clauses over decision variables
+    alone.
+
+    ``goal`` is the :func:`at_least_k` whose clauses follow the chain's in
+    the formula, or None; ``successor`` may rule out the shots of the last
+    step that leave it unmet.
+    """
+
+    source: list[tuple[int, ...]]
+    size: int
+    var_count: int
+    ranges: tuple[tuple[range, range, range], ...]
+    searched: list[tuple[int, ...]]
+    goal: Optional[AtLeastK]
+    successor: Callable[[int, Sequence[bool]], Optional[Sequence[int]]]
+
+    def describes(self, formula: CnfFormula) -> bool:
+        """Whether ``formula`` is the chain's clauses, then ``goal``'s, which
+        describe the formula and are its counter, then clauses over step
+        0's variables alone, with no other variable. So every clause that
+        reads a later step's variables is the chain's or the goal's."""
+        goal, end = self.goal, self.size
+        if goal is not None:
+            if goal.first_clause != end or not goal.describes(formula):
+                return False
+            end += len(goal.clauses)
+        later = chain.from_iterable(islice(formula.clauses, end, None))
+        return (
+            formula.var_count == self.var_count
+            and formula.counter is goal
+            and formula.clauses[: self.size] == self.source[: self.size]
+            and max(map(abs, later), default=0) < self.ranges[0][0].stop
+        )
 
 
 def exactly_one(formula: CnfFormula, lits: Sequence[int]) -> None:
@@ -410,6 +471,24 @@ def dpll_solve(
     clauses, and so is an earlier counter's: its registers are decided as
     any other variable.
 
+    When the formula's :class:`StepChain` describes it (see
+    :meth:`StepChain.describes`), the search steps the chain natively, a
+    theory propagator in the sense of DPLL(T) (Nieuwenhuis, Oliveras &
+    Tinelli, J. ACM 2006). It loads only the chain's ``searched`` clauses
+    and those after the goal counter's, and decides only each step's
+    decision variables, in id order; the goal is counted as above. Where
+    the next decision would follow a step's last decision variable, it sets
+    the step's outputs, and rules out the next step's hopeless shots, with
+    ``successor``, at the level of the last decision; a None, or an output
+    already false, is a conflict there. What it sets holds in every model
+    that extends the decisions, and every output and auxiliary variable is
+    a function of lower-index variables, so the search still meets the
+    models in brute-force order and returns the one the clauses give. The
+    auxiliary variables are never indexed or decided: a model gets them
+    from one in-order pass over the chain's clauses (see :func:`_fill`),
+    and is then verified against every clause, as any other model.
+    ``decisions`` and ``assigned`` count the search and that pass.
+
     The clauses are loaded into ``index`` (a fresh :class:`ClauseIndex`
     when it is None), which keeps the watch lists and literal runs of the
     clauses they share, as a leading run, with those solved before through
@@ -430,16 +509,21 @@ def dpll_solve(
     deadline = None if timeout is None else time.monotonic() + timeout
     if index is None:
         index = ClauseIndex()
-    count = formula.counter
+    count, steps = formula.counter, formula.steps
+    if steps is not None and not steps.describes(formula):
+        steps = None
+    if steps is None and count is not None and not count.describes(formula):
+        count = None
     try:
-        if count is not None and count.describes(formula):
+        clauses = formula.clauses
+        nvars = formula.var_count if count is None else count.first_var - 1
+        if count is not None:
             end = count.first_clause + len(count.clauses)
-            rest = formula.clauses[: count.first_clause] + formula.clauses[end:]
-            index.load(rest, count.first_var - 1)
-        else:
-            count = None
-            index.load(formula.clauses, formula.var_count)
-        return _search(formula, index, count, deadline)
+            clauses = clauses[: count.first_clause] + clauses[end:]
+        if steps is not None:
+            clauses = steps.searched + clauses[steps.size :]
+        index.load(clauses, nvars)
+        return _search(formula, index, count, steps, deadline)
     except BaseException:
         index.clear()  # a half-done load or watch move must not be reused
         raise
@@ -449,16 +533,30 @@ def _search(
     formula: CnfFormula,
     index: ClauseIndex,
     count: Optional[AtLeastK],
+    steps: Optional[StepChain],
     deadline: Optional[float],
 ) -> SatOutcome:
+    """Search the loaded clauses of ``formula`` (see :func:`dpll_solve`)."""
     nvars = index.var_count
     watches, lits = index.watches, index.lits
-    is_true = [False] * (2 * nvars + 1)  # unassigned when both are False
+    if steps is None:
+        order: Sequence[int] = range(1, nvars + 1)
+        marks = 0
+    else:
+        # the variables decided, in id order, and after each step's
+        # decisions its mark: a variable past the formula's that stands for
+        # the step's outputs, set when they are
+        order, marks = [], len(steps.ranges)
+        for t, (decide, _, _) in enumerate(steps.ranges):
+            order += decide
+            order.append(nvars + 1 + t)
+    size = 2 * (nvars + marks) + 1
+    is_true = [False] * size  # unassigned when both are False
     trail: list[int] = []  # every literal set, in order: the undo log
     pending: list[int] = []  # set but not yet propagated, newest last
     # falsifies[lit]: how many of the count's inputs setting lit true makes
     # false; falses: the inputs the propagated literals made false
-    falsifies = [0] * (2 * nvars + 1)
+    falsifies = [0] * size
     inputs: Sequence[int] = ()
     slack = falses = 0
     if count is not None:
@@ -527,10 +625,36 @@ def _search(
                     i += 1
         return True
 
-    decisions = undone = 0  # undone: literals set and then unset
+    if steps is not None:
+        get = is_true.__getitem__
+        # heard[lit]: whether propagating lit does anything: the count reads
+        # it, or a loaded clause holds -lit (a watch moves only within its
+        # clause)
+        heard = list(map(bool, falsifies))
+        for lit in lits:
+            heard[-lit] = True
+
+        def place(step: int) -> bool:
+            """Set ``step``'s mark and outputs; False on conflict."""
+            trail.append(nvars + 1 + step)
+            is_true[trail[-1]] = True
+            outputs = steps.successor(step, is_true)
+            if outputs is None or any(map(get, map(neg, outputs))):
+                return False
+            new = list(compress(outputs, map(not_, map(get, outputs))))
+            for lit in new:
+                is_true[lit] = True
+            trail.extend(new)
+            pending.extend(compress(new, map(heard.__getitem__, new)))
+            return True
+
+    # undone: literals set and then unset; placed: step marks set, which
+    # are no literals; filled: auxiliary variables set for a model
+    decisions = undone = placed = filled = 0
 
     def outcome(status: str, model=None, reason=None) -> SatOutcome:
-        return SatOutcome(status, model, reason, decisions, undone + len(trail))
+        assigned = undone + filled + len(trail) - placed
+        return SatOutcome(status, model, reason, decisions, assigned)
 
     if slack == 0:
         fill_inputs()
@@ -544,44 +668,87 @@ def _search(
     if not propagate():
         return outcome("unsat")
 
-    # stack of (decided var, tried_negative_yet, trail length and falses
-    # before the decision)
+    # stack of (position in order of the decided var, tried_negative_yet,
+    # trail length and falses before the decision)
     stack: list[tuple[int, bool, int, int]] = []
-    next_var = 1
+    pos, end = 0, len(order)
     while True:
-        while next_var <= nvars and (is_true[next_var] or is_true[-next_var]):
-            next_var += 1
-        if next_var > nvars:
+        while pos < end and (is_true[order[pos]] or is_true[-order[pos]]):
+            pos += 1
+        if pos == end:
+            if steps is not None:
+                filled = _fill(is_true, steps, formula.clauses)
             model = is_true[: nvars + 1]
             if count is not None:
                 model += count.registers_under(is_true)
             if not _verify_model(formula, model):
                 raise RuntimeError("internal solver produced a bad model")
             return outcome("sat", tuple(model))
-        if deadline is not None and time.monotonic() >= deadline:
-            return outcome("unknown", reason="timeout")
-        stack.append((next_var, False, len(trail), falses))
-        decisions += 1
-        is_true[next_var] = True
-        trail.append(next_var)
-        pending.append(next_var)
-        while not propagate():
+        var = order[pos]
+        if var > nvars:
+            # a step's mark: its outputs are set at the level of the last
+            # decision, as propagation sets literals
+            placed += 1
+            ok = place(var - nvars - 1) and propagate()
+        else:
+            if deadline is not None and time.monotonic() >= deadline:
+                return outcome("unknown", reason="timeout")
+            stack.append((pos, False, len(trail), falses))
+            decisions += 1
+            is_true[var] = True
+            trail.append(var)
+            pending.append(var)
+            ok = propagate()
+        while not ok:
             # conflict: undo decisions up to the newest with an untried polarity
             tried = True
             while tried:
                 if not stack:
                     return outcome("unsat")
-                var, tried, mark, falses = stack.pop()
+                pos, tried, mark, falses = stack.pop()
                 for lit in trail[mark:]:
                     is_true[lit] = False
                 undone += len(trail) - mark
                 del trail[mark:]
-                if var < next_var:
-                    next_var = var
-            stack.append((var, True, mark, falses))
+            stack.append((pos, True, mark, falses))
+            var = order[pos]
             is_true[-var] = True
             trail.append(-var)
             pending.append(-var)
+            ok = propagate()
+
+
+def _fill(is_true: list[bool], steps: StepChain, clauses: list[tuple[int, ...]]) -> int:
+    """Set the auxiliary variables of ``steps``, given their decisions and
+    outputs in ``is_true``, from the chain's clauses, the first ``steps.size``
+    of ``clauses``; return how many were set.
+
+    One pass over the clauses in order sets the last unset literal of each
+    clause whose other literals are false. A gate's clauses follow those of
+    its inputs, so the pass sets every auxiliary variable, as unit
+    propagation would; a variable it leaves unset, or a clause it finds
+    false, means the decisions and outputs are no model of the chain, and
+    raises ``RuntimeError``."""
+    set_ = 0
+    for clause in islice(clauses, steps.size):
+        free = 0
+        for lit in clause:
+            if is_true[lit]:
+                break
+            if not is_true[-lit]:
+                if free:
+                    break  # two unset literals force nothing
+                free = lit
+        else:
+            if not free:
+                raise RuntimeError("internal solver produced a bad model")
+            is_true[free] = True
+            set_ += 1
+    for _, _, aux in steps.ranges:
+        for v in aux:
+            if not is_true[v] and not is_true[-v]:
+                raise RuntimeError("internal solver produced a bad model")
+    return set_
 
 
 def external_solve(

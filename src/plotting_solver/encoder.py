@@ -35,12 +35,19 @@ and a cell above an empty cell is empty. Every state the formula admits
 satisfies it, as the full initial grid does and every shot keeps it.
 
 Every auxiliary variable of a step is a function of lower-index state and
-action variables, which unit propagation fixes once those are set, so the
-DPLL solver, branching on the lowest index, never decides one. The goal
-counter's registers are not (see :func:`plotting_solver.cnf.at_least_k`):
-they are implied in one direction only. The DPLL solver counts the goal
-itself instead, and neither indexes the counter's clauses nor decides its
-registers; DIMACS output and external solvers get the counter's clauses.
+action variables, which unit propagation fixes once those are set, and so
+are the step's state and wall fall. The DPLL solver does not propagate a
+step through its clauses: :func:`encode` attaches a
+:class:`plotting_solver.cnf.StepChain` whose callable steps the engine
+(:func:`_successor`), so the solver decides only the initial hand and each
+step's shot, in the order lowest-index branching over the clauses would,
+never indexes a step's other clauses, and takes a model's auxiliary
+variables from them. The goal counter's registers are no such function
+(see :func:`plotting_solver.cnf.at_least_k`): they are implied in one
+direction only. The DPLL solver counts the goal itself instead, and
+neither indexes the counter's clauses nor decides its registers. DIMACS
+output and external solvers get every clause, the counter's and the
+steps'.
 
 Variable allocation is deterministic: step 0 grid cells (row major, value
 0..K per cell) and the step-0 hand come first. Each step then follows in
@@ -73,12 +80,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product
-from operator import itemgetter
-from typing import Optional, Sequence, Union
+from itertools import compress, product
+from operator import add, itemgetter
+from typing import Callable, Optional, Sequence, Union
 
-from .cnf import CnfFormula, and_gate, at_least_k, exactly_one
-from .engine import ColShot, Grid, Instance, RowShot, Shot
+from .cnf import CnfFormula, StepChain, and_gate, at_least_k, exactly_one
+from .engine import Cells, ColShot, Grid, Instance, RowShot, Shot, step, successors
 from .oracle import CapacityExceededError
 
 PROGRESS_WITNESS = "consumptionWitness"
@@ -387,7 +394,9 @@ def encode(
 ) -> tuple[CnfFormula, VarMap]:
     """CNF formula satisfiable iff a plan of exactly ``options.steps``
     progressing shots reaches the instance goal, for some initial hand
-    colour (or the pinned one)."""
+    colour (or the pinned one). The formula's ``steps`` record lets
+    :func:`plotting_solver.cnf.dpll_solve` step the engine instead of the
+    transition clauses."""
     if options.steps < 1:
         raise InvalidHorizonError(f"horizon {options.steps} is below 1")
     if instance.goal is None:
@@ -410,7 +419,8 @@ def encode(
         try:
             chain = _chain(height, width, colours, options.progress_encoding)
             var_count, clause_count, varmap = chain.grow(options.steps)
-            clauses = chain.formula.clauses[:clause_count]
+            source = chain.formula.clauses
+            clauses, start = source[:clause_count], source[: chain.ends[0][1].start]
         except BaseException:
             _chain.cache_clear()  # a half-grown chain must never be reused
             raise
@@ -427,7 +437,7 @@ def encode(
             ],
             goal_empties,
         )
-    start = len(formula.clauses)
+    units = len(formula.clauses)
     formula.clauses += [
         (varmap.grid_var(0, r, c, instance.grid.at(r, c)),)
         for r in range(1, height + 1)
@@ -435,8 +445,109 @@ def encode(
     ]
     if fixed is not None:
         formula.clauses.append((varmap.hand_var(0, fixed),))
-    formula.check_clauses(start)
+    formula.check_clauses(units)
+    formula.steps = StepChain(
+        source,
+        clause_count,
+        formula.var_count,
+        _step_ranges(varmap, var_count),
+        _shot_groups(start, varmap),
+        formula.counter,
+        _successor(varmap, instance.goal),
+    )
     return formula, varmap
+
+
+def _step_ranges(vm: VarMap, var_count: int) -> tuple[tuple[range, range, range], ...]:
+    """Each step's decision, output and auxiliary variables (see
+    :class:`StepChain`) in a chain of ``var_count`` variables: the start
+    state, then per step its shot; its wall fall and state; and the rest of
+    its block."""
+    first = vm.state_bases[0] + vm._state_block
+    ranges = [(range(1, first), range(first, first), range(first, first))]
+    for t in range(1, vm.steps + 1):
+        shot, fall = vm.row_shot_var(t, 0), vm.wall_fall_var(t, 0)
+        state_end = vm.state_bases[t] + vm._state_block
+        end = vm.row_shot_var(t + 1, 0) if t < vm.steps else var_count + 1
+        ranges.append((range(shot, fall), range(fall, state_end), range(state_end, end)))
+    return tuple(ranges)
+
+
+def _shot_groups(start: list[tuple[int, ...]], vm: VarMap) -> list[tuple[int, ...]]:
+    """The chain's clauses over decision variables alone: step 0's block
+    ``start``, then per step the fired row's and fired column's one-hot
+    groups and the clauses that fire one axis."""
+    f = CnfFormula()
+    f.clauses = start
+    for t in range(1, vm.steps + 1):
+        row, col = vm.row_shot_var(t, 0), vm.col_shot_var(t, 0)
+        exactly_one(f, range(row, row + vm.height + 1))
+        exactly_one(f, range(col, col + vm.width + 1))
+        f.clauses += ((row, col), (-row, -col))
+    return f.clauses
+
+
+def _successor(vm: VarMap, goal: int) -> Callable[[int, Sequence[bool]], Optional[list[int]]]:
+    """:attr:`StepChain.successor` for the horizon ``vm.steps``, at most
+    ``goal`` blocks: the engine's step from the state and shot set in
+    ``is_true``, as a literal of every variable of the step's wall fall,
+    grid and hand (none at step 0), and the negation of each shot of the
+    next step that is a null move from the state reached or, when the next
+    step is the last, leaves more than ``goal`` blocks. Those shots have no
+    model: the successor clauses refute a null move, and the goal counter a
+    state with too many blocks. It is None for a null move."""
+    H, W, K = vm.height, vm.width, vm.colours
+    last, cells, grid_size = vm.steps, H * W, H * W * (K + 1)
+    values = list(range(K + 1)) * cells  # a cell's value, by its variable
+    rows = [None, *(RowShot(r) for r in range(1, H + 1))]
+    cols = [None, *(ColShot(c) for c in range(1, W + 1))]
+    # a shot's variable less its step's fired row 0
+    offsets = {shot: r for r, shot in enumerate(rows) if shot}
+    offsets.update({shot: H + 1 + c for c, shot in enumerate(cols) if shot})
+    # by step: the first variable of the state, the fired row and the wall fall
+    bases = [vm.state_bases[t] for t in range(last + 1)]
+    row0 = [0] + [vm.row_shot_var(t, 0) for t in range(1, last + 1)]
+    fall0 = [0] + [vm.wall_fall_var(t, 0) for t in range(1, last + 1)]
+    # each output's offset from the wall fall's first variable: per cell its
+    # value 0, then the hand's colour 1
+    size = H + 1 + grid_size + K
+    cell_at = range(H + 1, H + 1 + grid_size, K + 1)
+    hand_at = H + grid_size
+
+    def state(t: int, is_true: Sequence[bool]) -> tuple[Cells, int]:
+        base = bases[t]
+        flat = list(compress(values, is_true[base : base + grid_size]))
+        hand = is_true.index(True, base + grid_size) - base - grid_size + 1
+        return tuple(tuple(flat[i : i + W]) for i in range(0, cells, W)), hand
+
+    def closed(t: int, grid: Cells, hand: int) -> list[int]:
+        """The negated shots of step ``t + 1`` that have no model."""
+        need = 1
+        if t + 1 == last:
+            need = max(1, sum(v != EMPTY for row in grid for v in row) - goal)
+        open_ = {offsets[shot] for shot, (eaten, _) in successors(grid, hand) if eaten >= need}
+        first = row0[t + 1]
+        return [-first - x for x in offsets.values() if x not in open_]
+
+    def successor(t: int, is_true: Sequence[bool]) -> Optional[list[int]]:
+        if t == 0:
+            return closed(0, *state(0, is_true))
+        grid, hand = state(t - 1, is_true)
+        row, col = row0[t], row0[t] + H + 1  # the variables of row 0, column 0
+        rv = is_true.index(True, row) - row
+        shot = rows[rv] if rv else cols[is_true.index(True, col) - col]
+        out = step(grid, hand, shot)
+        if out is None:
+            return None
+        grid, hand, fall, _ = out
+        first = fall0[t]
+        lits = list(range(-first, -first - size, -1))
+        flat = [v for row in grid for v in row]
+        for p in (fall, hand_at + hand, *map(add, cell_at, flat)):
+            lits[p] = -lits[p]
+        return lits + closed(t, grid, hand) if t < last else lits
+
+    return successor
 
 
 class _Chain:
