@@ -501,9 +501,6 @@ def _successor(vm: VarMap, goal: int) -> Callable[[int, Sequence[bool]], Optiona
     values = list(range(K + 1)) * cells  # a cell's value, by its variable
     rows = [None, *(RowShot(r) for r in range(1, H + 1))]
     cols = [None, *(ColShot(c) for c in range(1, W + 1))]
-    # a shot's variable less its step's fired row 0
-    offsets = {shot: r for r, shot in enumerate(rows) if shot}
-    offsets.update({shot: H + 1 + c for c, shot in enumerate(cols) if shot})
     # by step: the first variable of the state, the fired row and the wall fall
     bases = [vm.state_bases[t] for t in range(last + 1)]
     row0 = [0] + [vm.row_shot_var(t, 0) for t in range(1, last + 1)]
@@ -513,26 +510,33 @@ def _successor(vm: VarMap, goal: int) -> Callable[[int, Sequence[bool]], Optiona
     size = H + 1 + grid_size + K
     cell_at = range(H + 1, H + 1 + grid_size, K + 1)
     hand_at = H + grid_size
+    # a shot's variable less its step's fired row 0
+    shot_at = [*range(1, H + 1), *range(H + 2, H + W + 2)]
 
-    def state(t: int, is_true: Sequence[bool]) -> tuple[Cells, int]:
+    def state(t: int, is_true: Sequence[bool]) -> tuple[Cells, int, list[int]]:
+        """State ``t``: its rows, its hand and its cells, row major."""
         base = bases[t]
         flat = list(compress(values, is_true[base : base + grid_size]))
         hand = is_true.index(True, base + grid_size) - base - grid_size + 1
-        return tuple(tuple(flat[i : i + W]) for i in range(0, cells, W)), hand
+        return tuple(tuple(flat[i : i + W]) for i in range(0, cells, W)), hand, flat
 
-    def closed(t: int, grid: Cells, hand: int) -> list[int]:
+    def closed(t: int, grid: Cells, hand: int, flat: list[int]) -> list[int]:
         """The negated shots of step ``t + 1`` that have no model."""
         need = 1
         if t + 1 == last:
-            need = max(1, sum(v != EMPTY for row in grid for v in row) - goal)
-        open_ = {offsets[shot] for shot, (eaten, _) in successors(grid, hand) if eaten >= need}
+            need = max(1, cells - flat.count(EMPTY) - goal)
+        open_ = {
+            shot.row if type(shot) is RowShot else H + 1 + shot.col
+            for shot, (eaten, _) in successors(grid, hand)
+            if eaten >= need
+        }
         first = row0[t + 1]
-        return [-first - x for x in offsets.values() if x not in open_]
+        return [-first - x for x in shot_at if x not in open_]
 
     def successor(t: int, is_true: Sequence[bool]) -> Optional[list[int]]:
         if t == 0:
             return closed(0, *state(0, is_true))
-        grid, hand = state(t - 1, is_true)
+        grid, hand, _ = state(t - 1, is_true)
         row, col = row0[t], row0[t] + H + 1  # the variables of row 0, column 0
         rv = is_true.index(True, row) - row
         shot = rows[rv] if rv else cols[is_true.index(True, col) - col]
@@ -545,7 +549,7 @@ def _successor(vm: VarMap, goal: int) -> Callable[[int, Sequence[bool]], Optiona
         flat = [v for row in grid for v in row]
         for p in (fall, hand_at + hand, *map(add, cell_at, flat)):
             lits[p] = -lits[p]
-        return lits + closed(t, grid, hand) if t < last else lits
+        return lits + closed(t, grid, hand, flat) if t < last else lits
 
     return successor
 
