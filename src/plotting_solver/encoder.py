@@ -537,9 +537,9 @@ def _successor(vm: VarMap, goal: int) -> Callable[[int, Sequence[bool]], Optiona
         if t == 0:
             return closed(0, *state(0, is_true))
         grid, hand, _ = state(t - 1, is_true)
-        row, col = row0[t], row0[t] + H + 1  # the variables of row 0, column 0
-        rv = is_true.index(True, row) - row
-        shot = rows[rv] if rv else cols[is_true.index(True, col) - col]
+        fired_row, fired_col = row0[t], row0[t] + H + 1  # their values 0
+        rv = is_true.index(True, fired_row) - fired_row
+        shot = rows[rv] if rv else cols[is_true.index(True, fired_col) - fired_col]
         out = step(grid, hand, shot)
         if out is None:
             return None
