@@ -7,16 +7,11 @@ two literals of every clause of two or more literals. Those clauses are
 0-terminated runs of one flat literal list, so no clause is a Python object
 of its own; a binary clause is a two-literal run whose watches never move.
 The assignment is one list indexed by signed literal, as are the watch
-lists.
-Those lists live in a :class:`ClauseIndex` that can be kept across calls:
-a formula that starts with the clauses of the one solved before reuses
-their entries and indexes only the clauses after that shared run, provided
-the earlier formula had nothing but unit clauses after it and no more
-variables; any other formula is indexed anew. This is sound because the
-search learns no clauses and two watched literals of a clause need no
-repair once every assignment is undone. Propagation takes set literals
-newest first, which reaches a conflict at the end of a chain of
-implications sooner and sets the same literals. A formula that ends with
+lists. Each call builds those lists afresh, in a :class:`ClauseIndex`,
+and keeps nothing after it returns; only a literal that occurs in such a
+clause gets a watch list of its own. Propagation takes set literals newest
+first, which reaches a conflict at the end of a chain of implications
+sooner and sets the same literals. A formula that ends with
 an :func:`at_least_k` is searched without the counter's clauses or
 registers: the solver counts the constraint's false inputs itself. A
 formula that starts with a chain of transition steps (a :class:`StepChain`
@@ -336,14 +331,6 @@ def write_dimacs(formula: CnfFormula, sink: IO[str]) -> None:
         sink.write(" 0\n")
 
 
-def dimacs_text(formula: CnfFormula) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_dimacs(formula, buf)
-    return buf.getvalue()
-
-
 def _verify_model(formula: CnfFormula, model: Sequence[bool]) -> bool:
     """Whether ``model`` (indexed by var id) satisfies every clause."""
     n = formula.var_count
@@ -361,7 +348,8 @@ def _verify_model(formula: CnfFormula, model: Sequence[bool]) -> bool:
 
 
 class ClauseIndex:
-    """The propagation lists of the clauses :func:`dpll_solve` last loaded.
+    """The propagation lists of the clauses one :func:`dpll_solve` call
+    searches, over variables 1..``var_count``.
 
     Unit clauses are kept apart. The literals of every other clause are
     one run of ``lits``, ended by a 0; ``lits[0]`` is a 0 that starts no
@@ -373,76 +361,34 @@ class ClauseIndex:
     meets its 0 at once. The watch lists are indexed by signed literal:
     ``-v`` wraps to index ``2 * var_count + 1 - v``.
 
-    Loading clauses keeps the entries of the longest run of leading clauses
-    that equal the last load's, when the clauses loaded after that run are
-    all unit clauses and the variables do not shrink: those units are
-    deleted, ``lits`` is left as it is, and only the new clauses are
-    indexed. Any other load clears the index, ``lits`` included, and
-    indexes every clause, as a first load does. The planner's horizons
-    extend one another and drop only the instance's trailing unit clauses,
-    so a solve indexes each shared clause once. Kept watches need no
-    repair: with nothing assigned, any two literals of a clause are valid
-    watches (Moskewicz et al., "Chaff", DAC 2001).
+    Every literal that occurs in a run has a watch list of its own; every
+    other slot holds one shared empty tuple. A watch moves only to another
+    literal of its run, so nothing is ever added to the tuple, and a
+    literal that occurs in no run has no watch to visit.
     """
 
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        """Forget every clause."""
-        self.var_count = 0
-        self.clauses: list[tuple[int, ...]] = []  # the clauses indexed, in order
-        self.watches: list[list[int]] = [[]]  # run offsets, by literal
-        self.lits: list[int] = [0]  # every non-unit clause's run, ended by 0
+    def __init__(self, clauses: Iterable[tuple[int, ...]], var_count: int) -> None:
+        self.var_count = var_count
         self.units: list[int] = []
-
-    def load(self, new: list[tuple[int, ...]], var_count: int) -> None:
-        """Index the clauses ``new``, over variables 1..``var_count``,
-        keeping the leading run they share with the clauses loaded before
-        when only unit clauses follow it there."""
-        old = self.clauses
-        n = min(len(old), len(new))
-        keep = 0
-        # C-level slice comparison; an element-wise scan is several times slower
-        while keep < n and old[keep : keep + 1024] == new[keep : keep + 1024]:
-            keep += 1024
-        keep = min(keep, n)
-        while keep < n and old[keep] == new[keep]:
-            keep += 1
-
-        dropped = len(old) - keep
-        if var_count < self.var_count or any(
-            len(clause) > 1 for clause in islice(old, keep, None)
-        ):
-            self.clear()
-            old, keep = self.clauses, 0
-        elif dropped:
-            del self.units[-dropped:]
-            del old[keep:]
-
-        watches, units, lits = self.watches, self.units, self.lits
-        if var_count > self.var_count:
-            at, grow = self.var_count + 1, 2 * (var_count - self.var_count)
-            watches[at:at] = [[] for _ in range(grow)]
-            self.var_count = var_count
-
-        for clause in islice(new, keep, None):
+        self.lits: list[int] = [0]  # every non-unit clause's run, ended by 0
+        units, lits, starts = self.units, self.lits, []
+        for clause in clauses:
             if len(clause) == 1:
                 units.append(clause[0])
             else:
-                c = len(lits)  # lits[c] and lits[c + 1] are watched
-                watches[clause[0]].append(c)
-                watches[clause[1]].append(c)
+                starts.append(len(lits))
                 lits += clause
                 lits.append(0)
-        old += islice(new, keep, None)
+        watches: list = [()] * (2 * var_count + 1)  # run offsets, by literal
+        for lit in set(lits):  # the runs' 0s give slot 0 a list too; none reads it
+            watches[lit] = []
+        for c in starts:
+            watches[lits[c]].append(c)
+            watches[lits[c + 1]].append(c)
+        self.watches: list[list[int]] = watches
 
 
-def dpll_solve(
-    formula: CnfFormula,
-    timeout: Optional[float] = None,
-    index: Optional[ClauseIndex] = None,
-) -> SatOutcome:
+def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutcome:
     """Complete DPLL with unit propagation and lowest-index-first branching.
 
     Branching always picks the lowest-index unassigned variable and tries
@@ -489,15 +435,10 @@ def dpll_solve(
     and is then verified against every clause, as any other model.
     ``decisions`` and ``assigned`` count the search and that pass.
 
-    The clauses are loaded into ``index`` (a fresh :class:`ClauseIndex`
-    when it is None), which keeps the watch lists and literal runs of the
-    clauses they share, as a leading run, with those solved before through
-    the same index, when only unit clauses followed that run there;
-    otherwise it indexes them anew. The search moves watches by swapping
-    literals within a clause's run in ``index.lits``; a binary clause is a
-    two-literal run whose watches never move.
-    Pass one index to the solves of formulas that extend one another. If
-    loading or the search raises, the index is cleared.
+    The clauses searched are indexed once per call, in a fresh
+    :class:`ClauseIndex`; the search moves watches by swapping literals
+    within a clause's run in its ``lits``, and a binary clause is a
+    two-literal run whose watches never move. No state outlives the call.
 
     Propagation takes set literals newest first, so it follows one chain of
     implications to its end before the next; the conflicts of the planner's
@@ -507,26 +448,19 @@ def dpll_solve(
     model.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
-    if index is None:
-        index = ClauseIndex()
     count, steps = formula.counter, formula.steps
     if steps is not None and not steps.describes(formula):
         steps = None
     if steps is None and count is not None and not count.describes(formula):
         count = None
-    try:
-        clauses = formula.clauses
-        nvars = formula.var_count if count is None else count.first_var - 1
-        if count is not None:
-            end = count.first_clause + len(count.clauses)
-            clauses = clauses[: count.first_clause] + clauses[end:]
-        if steps is not None:
-            clauses = steps.searched + clauses[steps.size :]
-        index.load(clauses, nvars)
-        return _search(formula, index, count, steps, deadline)
-    except BaseException:
-        index.clear()  # a half-done load or watch move must not be reused
-        raise
+    clauses = formula.clauses
+    nvars = formula.var_count if count is None else count.first_var - 1
+    if count is not None:
+        end = count.first_clause + len(count.clauses)
+        clauses = clauses[: count.first_clause] + clauses[end:]
+    if steps is not None:
+        clauses = steps.searched + clauses[steps.size :]
+    return _search(formula, ClauseIndex(clauses, nvars), count, steps, deadline)
 
 
 def _search(

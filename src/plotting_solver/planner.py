@@ -168,7 +168,6 @@ def solve(
     if isinstance(backend, str) and backend != INTERNAL_BACKEND:
         backend = shlex.split(backend)
     statuses: list[tuple[int, str]] = []
-    index = cnf.ClauseIndex()  # one per solve: horizons extend one another
     for steps in range(1, bound + 1):
         options = encoder.EncodeOptions(
             steps=steps,
@@ -181,7 +180,7 @@ def solve(
             with open(path, "w") as fh:
                 cnf.write_dimacs(formula, fh)
         if backend == INTERNAL_BACKEND:
-            outcome = cnf.dpll_solve(formula, timeout=per_horizon_timeout, index=index)
+            outcome = cnf.dpll_solve(formula, timeout=per_horizon_timeout)
         else:
             outcome = cnf.external_solve(formula, backend, timeout=per_horizon_timeout)
         if outcome.is_unsat:

@@ -1,10 +1,11 @@
+import io
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from plotting_solver.cnf import CnfFormula
+from plotting_solver.cnf import CnfFormula, write_dimacs
 from plotting_solver.engine import Grid, apply_shot, legal_shots
 
 SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
@@ -22,6 +23,13 @@ def plain_copy(f: CnfFormula) -> CnfFormula:
     plain = CnfFormula()
     plain.var_count, plain.clauses = f.var_count, list(f.clauses)
     return plain
+
+
+def dimacs_text(formula: CnfFormula) -> str:
+    """``formula`` as ``write_dimacs`` writes it."""
+    buf = io.StringIO()
+    write_dimacs(formula, buf)
+    return buf.getvalue()
 
 
 def random_full_grid(rng: random.Random, height: int, width: int, colours: int) -> Grid:

@@ -17,7 +17,6 @@ import pytest
 
 from plotting_solver.cnf import (
     CnfFormula,
-    dimacs_text,
     dpll_solve,
     external_solve,
 )
@@ -41,7 +40,13 @@ from plotting_solver.generator import GeneratorSpec, enumerate_instances, random
 from plotting_solver.oracle import bfs_optimal, enumerate_successors
 from plotting_solver.planner import solve, validate_plan
 
-from conftest import MINI_SOLVER_CMD, is_top_empty, random_full_grid, random_walk
+from conftest import (
+    MINI_SOLVER_CMD,
+    dimacs_text,
+    is_top_empty,
+    random_full_grid,
+    random_walk,
+)
 
 
 def _jobs():

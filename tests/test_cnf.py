@@ -13,16 +13,16 @@ from plotting_solver.cnf import (
     InfeasibleBoundError,
     ParseFailureError,
     SpawnFailureError,
+    _search,
     _verify_model,
     and_gate,
     at_least_k,
-    dimacs_text,
     dpll_solve,
     exactly_one,
     external_solve,
 )
 
-from conftest import MINI_SOLVER_CMD, plain_copy
+from conftest import MINI_SOLVER_CMD, dimacs_text, plain_copy
 
 
 def satisfies(clauses, values):
@@ -417,107 +417,55 @@ def same_outcome(out, want):
 
 
 class TestClauseIndex:
-    """One index reused across formulas gives each formula's fresh outcome."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        steps=st.lists(
-            st.tuples(st.integers(0, 16), random_cnf, st.booleans()),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    # two equal long clauses, both dropped by the next load: that load
-    # rebuilds the index, so neither copy, whose watches the solve before
-    # moved, survives into the formulas after it
-    @example(
-        steps=[
-            (0, (3, [[-1, 2, 3], [-1, 2, 3]]), False),
-            (1, (3, [[-2]]), False),
-            (0, (1, [[1]]), False),
-        ]
-    )
-    # a shared binary clause whose watches the first solve swapped: a
-    # units-only drop keeps it, and the next units make it unit, then false
-    @example(
-        steps=[
-            (0, (2, [[1, 2], [-1]]), False),
-            (1, (2, [[-2]]), False),
-            (1, (2, [[-1], [-2]]), False),
-        ]
-    )
-    def test_matches_fresh_solves(self, steps):
-        # each formula keeps a random leading run of the one before, so the
-        # sequence grows, shrinks and changes var_count; some calls time out
-        index = ClauseIndex()
-        before: list = []
-        for keep, (n, tail), times_out in steps:
-            clauses = before[:keep] + [tuple(c) for c in tail]
-            n = max([n] + [abs(l) for c in clauses for l in c])
-            f = formula_from(n, clauses)
-            out = dpll_solve(f, timeout=1e-9 if times_out else None, index=index)
-            if out.status != "unknown":
-                same_outcome(out, dpll_solve(f))
-            before = clauses
+    """The layout of the index one solve builds, and the search over it."""
 
     @staticmethod
     def assert_one_run_per_clause(index, clauses, var_count):
         """Every clause of two or more literals is one run of ``lits``,
-        watched on its first two slots, and each literal has one list."""
+        watched on its first two slots; each literal of a run has a list of
+        its own, and every other literal's slot is the empty tuple."""
         runs = [c for c in clauses if len(c) > 1]
-        lits = index.lits
-        assert len(index.watches) == 2 * var_count + 1
+        lits, watches = index.lits, index.watches
+        assert len(watches) == 2 * var_count + 1
         assert len(lits) == 1 + sum(len(c) + 1 for c in runs)
-        entries = [c for ws in index.watches for c in ws]
+        entries = [c for ws in watches for c in ws]
         assert all(type(c) is int and 0 < c < len(lits) for c in entries)
         found = {c: lits[c : lits.index(0, c)] for c in entries}  # up to its 0
         assert sorted(map(sorted, found.values())) == sorted(map(sorted, runs))
         assert sorted(entries) == sorted(2 * list(found))
         for c in found:
             assert lits[c - 1] == 0  # a run starts after the one before ends
-            assert c in index.watches[lits[c]]
-            assert c in index.watches[lits[c + 1]]
-
-    def test_dropping_only_trailing_units_keeps_the_shared_entries(self):
-        index = ClauseIndex()
-        first = formula_from(3, [(1, 2), (-1, 2, 3), (-2, -3, 1), (1,), (3,)])
-        same_outcome(dpll_solve(first, index=index), dpll_solve(first))
-        watches = list(index.watches)
-        lits, before = index.lits, list(index.lits)
-        # with the unit (1,) kept, this formula would be unsat
-        second = formula_from(4, first.clauses[:3] + [(-1,), (2, 4, -3)])
-        index.load(second.clauses, second.var_count)
-        assert index.clauses == second.clauses and index.units == [-1]
-        for lit in range(-3, 4):
-            assert index.watches[lit] is watches[lit]
-        # the shared runs stay where they are; only the new clause's follows
-        assert index.lits is lits
-        assert lits[: len(before)] == before
-        assert lits[len(before) :] == [2, 4, -3, 0]
-        self.assert_one_run_per_clause(index, second.clauses, 4)
-        same_outcome(dpll_solve(second, index=index), dpll_solve(second))
+            assert c in watches[lits[c]]
+            assert c in watches[lits[c + 1]]
+        occurring = {lit % len(watches) for run in runs for lit in run}
+        owned = [watches[slot] for slot in occurring]
+        assert all(type(ws) is list for ws in owned)
+        assert len(set(map(id, owned))) == len(owned)
+        others = set(range(1, len(watches))) - occurring
+        assert all(watches[slot] == () for slot in others)
 
     @pytest.mark.parametrize("solved", [False, True], ids=["loaded", "solved"])
     def test_the_index_holds_no_object_per_clause(self, solved):
+        # 5 occurs only in a unit, -5 only after its run's watched slots,
+        # and -6 and variable 7 in no clause
         clauses = [(1,), (1, 2), (-1, 2, 3), (2, -3, 4, -1), (-4,), (3, 4, -2)]
-        clauses += [(-2, -3), (4, 1, 3)]
-        index = ClauseIndex()
+        clauses += [(-2, 6), (4, 1, -5), (5,)]
+        index = ClauseIndex(clauses, 7)
         if solved:  # the search moves watches; it leaves the layout as it was
-            f = formula_from(4, clauses)
-            same_outcome(dpll_solve(f, index=index), dpll_solve(f))
-        else:
-            index.load(clauses, 4)
-        self.assert_one_run_per_clause(index, clauses, 4)
+            f = formula_from(7, clauses)
+            out = _search(f, index, None, None, None)
+            assert out.is_sat
+            same_outcome(out, dpll_solve(f))
+        self.assert_one_run_per_clause(index, clauses, 7)
 
     def test_a_scan_stops_at_its_runs_end(self):
         # lits: 0 | 1 2 -3 0 | 4 5 6 0; the units make the first clause unit
         # through its last literal, and the next run starts with a literal
         # no unit assigns, which a scan past the 0 would take as a watch
         f = formula_from(6, [(1, 2, -3), (4, 5, 6), (-1,), (-2,)])
-        index = ClauseIndex()
-        index.load(f.clauses, f.var_count)
+        index = ClauseIndex(f.clauses, f.var_count)
         assert index.lits == [0, 1, 2, -3, 0, 4, 5, 6, 0]
-        out = dpll_solve(f, index=index)
+        out = _search(f, index, None, None, None)
         assert out.model == (False, False, False, False, True, True, True)
         lits = index.lits
         assert sorted(lits[1:4]) == [-3, 1, 2] and lits[4:] == [0, 4, 5, 6, 0]
@@ -525,49 +473,6 @@ class TestClauseIndex:
         assert -3 in lits[1:3]
         assert sorted(c for ws in index.watches for c in ws) == [1, 1, 5, 5]
         assert 1 in index.watches[lits[1]] and 1 in index.watches[lits[2]]
-
-    SHARED = [(1, 2), (-1, -2, 3), (-2, 1, -3), (2,)]
-
-    @pytest.mark.parametrize(
-        "first, second",
-        [
-            ((3, SHARED + [(-1, 3)]), (3, SHARED + [(-1,)])),
-            ((3, SHARED + [(1, -2, 3)]), (3, SHARED + [(-1,)])),
-            ((3, [(1, 2), (-1, -2, 1), (3,)]), (2, [(1, 2), (-1, -2, 1), (-1,)])),
-        ],
-        ids=["binary", "long", "fewer-variables"],
-    )
-    def test_any_other_drop_starts_afresh(self, first, second):
-        index = ClauseIndex()
-        first, second = formula_from(*first), formula_from(*second)
-        same_outcome(dpll_solve(first, index=index), dpll_solve(first))
-        watches, lits = list(index.watches), index.lits
-        index.load(second.clauses, second.var_count)
-        fresh = ClauseIndex()
-        fresh.load(second.clauses, second.var_count)
-        assert index.var_count == fresh.var_count == second.var_count
-        assert index.watches == fresh.watches
-        assert (index.clauses, index.units) == (fresh.clauses, fresh.units)
-        assert index.lits == fresh.lits and index.lits is not lits
-        assert not any(a is b for a, b in zip(index.watches, watches))
-        self.assert_one_run_per_clause(index, second.clauses, second.var_count)
-        same_outcome(dpll_solve(second, index=index), dpll_solve(second))
-
-    def test_interrupted_load_is_not_reused(self):
-        class Interrupting(tuple):
-            def __len__(self):
-                raise KeyboardInterrupt
-
-        index = ClauseIndex()
-        first = formula_from(2, [(1, 2), (1, -2, 2)])
-        same_outcome(dpll_solve(first, index=index), dpll_solve(first))
-        cut = formula_from(2, [(1, 2), (-1,), (-2, -1), (1, 2, -1)])
-        cut.clauses.append(Interrupting((2, 1, -1)))
-        with pytest.raises(KeyboardInterrupt):
-            dpll_solve(cut, index=index)
-        for n, clauses in [(2, [(1, 2)]), (3, [(1, 2), (1, -2, 3)]), (1, [(1,)])]:
-            f = formula_from(n, clauses)
-            same_outcome(dpll_solve(f, index=index), dpll_solve(f))
 
 
 class TestVerifyModel:

@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 
 from plotting_solver import encoder
 from plotting_solver.cnf import (
-    ClauseIndex,
     CnfFormula,
     at_least_k,
-    dimacs_text,
     dpll_solve,
     exactly_one,
 )
@@ -50,7 +48,7 @@ from plotting_solver.oracle import (
     check_transition,
 )
 
-from conftest import plain_copy, random_full_grid
+from conftest import dimacs_text, plain_copy, random_full_grid
 
 
 def g(rows):
@@ -273,7 +271,8 @@ class TestEncodeExamples:
         # the text must not follow the interpreter's string hash seed
         script = """if True:
             import hashlib
-            from plotting_solver.cnf import dimacs_text
+            import io
+            from plotting_solver.cnf import write_dimacs
             from plotting_solver.encoder import PROGRESS_MODES, EncodeOptions, encode
             from plotting_solver.engine import Grid, Instance
             digest = hashlib.sha256()
@@ -285,7 +284,9 @@ class TestEncodeExamples:
                 for mode in PROGRESS_MODES:
                     opts = EncodeOptions(steps, progress_encoding=mode)
                     f, _ = encode(Instance(Grid.from_rows(rows), goal), opts)
-                    digest.update(dimacs_text(f).encode())
+                    text = io.StringIO()
+                    write_dimacs(f, text)
+                    digest.update(text.getvalue().encode())
             print(digest.hexdigest())
         """
         package_root = str(Path(encoder.__file__).resolve().parents[1])
@@ -975,12 +976,11 @@ class TestImpliedKeep:
                 chain = encoder._chain(height, width, colours, mode)
                 keep = chain.ends[steps][1]
                 sat += dpll_solve(f).is_sat
-                index = ClauseIndex()
                 for clause in chain.formula.clauses[keep.start : keep.stop]:
                     trial = CnfFormula()
                     trial.var_count, trial.counter = f.var_count, f.counter
                     trial.clauses = f.clauses + [(-x,) for x in clause]
-                    assert dpll_solve(trial, index=index).is_unsat, (
+                    assert dpll_solve(trial).is_unsat, (
                         grid.cells, steps, clause,
                     )
                     checked += 1

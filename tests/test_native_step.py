@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plotting_solver import cnf
-from plotting_solver.cnf import ClauseIndex, dpll_solve
+from plotting_solver.cnf import dpll_solve
 from plotting_solver.encoder import (
     PROGRESS_CARDINALITY,
     PROGRESS_MODES,
@@ -95,13 +95,13 @@ class TestPinnedWork:
             assert got == counts[mode], case
 
 
-def solve_both(f, index=None, plain_index=None):
+def solve_both(f):
     """``f`` solved with its step-chain record and with it set to None;
     the record is put back."""
-    native = dpll_solve(f, index=index)
+    native = dpll_solve(f)
     steps, f.steps = f.steps, None
     try:
-        plain = dpll_solve(f, index=plain_index)
+        plain = dpll_solve(f)
     finally:
         f.steps = steps
     return native, plain
@@ -115,18 +115,17 @@ class TestDifferential:
     clauses."""
 
     def test_criterion_2_grids_at_goal_0(self):
-        # every canonical 3x3/2 grid, horizons 1-4, each path with one
-        # index per grid as the planner has; all are unsat. (Horizons 5-9
-        # too would take about 19 s natively and 40 s from the clauses.)
+        # every canonical 3x3/2 grid, horizons 1-4; all are unsat.
+        # (Horizons 5-9 too would take about 19 s natively and 40 s from
+        # the clauses.)
         grids = [i.grid for i in enumerate_instances(GeneratorSpec(3, 3, 2, mode="canonical"))]
         assert len(grids) == 255
         decided = 0
         for grid in grids:
-            native_index, plain_index = ClauseIndex(), ClauseIndex()
             for steps in range(1, 5):
                 f, _ = encode(Instance(grid, 0), EncodeOptions(steps=steps))
                 assert f.steps.describes(f)
-                native, plain = solve_both(f, native_index, plain_index)
+                native, plain = solve_both(f)
                 assert native.status == plain.status == "unsat", (grid.cells, steps)
                 decided += native.decisions
         assert decided > 10000

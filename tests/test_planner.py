@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from plotting_solver import cnf, encoder, planner
+from plotting_solver import encoder, planner
 from plotting_solver.encoder import PROGRESS_MODES
 from plotting_solver.engine import ColShot, Grid, Instance, RowShot
 from plotting_solver.generator import GeneratorSpec, random_instance
@@ -151,38 +151,6 @@ class TestSolve:
         header = (tmp_path / "phi_1.cnf").read_text().splitlines()[0]
         assert header.startswith("p cnf ")
         assert int(header.split()[2]) >= 27
-
-
-class TestIndexReuse:
-    """Each horizon's formula starts with the one before, which has only
-    the instance's unit clauses after the shared run, so a solve indexes
-    each shared clause once and never rebuilds its clause index."""
-
-    @pytest.mark.parametrize("mode", PROGRESS_MODES)
-    @pytest.mark.parametrize(
-        "rows, goal, hand, status",
-        [
-            ([[1, 2], [2, 1]], 0, None, "unsat"),
-            ([[1, 1], [1, 2]], 0, 2, "unsat"),
-            ([[1, 1, 1], [1, 1, 1]], 0, None, "found"),
-            ([[1, 2, 1], [2, 2, 1], [1, 2, 2]], 2, None, "found"),
-        ],
-        ids=["unsat", "pinned-hand", "one-colour", "sat"],
-    )
-    def test_a_solve_clears_its_index_once(
-        self, monkeypatch, mode, rows, goal, hand, status
-    ):
-        clears = []
-        clear = cnf.ClauseIndex.clear
-
-        def counted(index):
-            clears.append(index)
-            clear(index)
-
-        monkeypatch.setattr(cnf.ClauseIndex, "clear", counted)
-        res = solve(Instance(g(rows), goal), fixed_hand=hand, progress_encoding=mode)
-        assert res.status == status and len(res.horizon_statuses) >= 2
-        assert len(clears) == 1  # the constructor's
 
 
 class TestPlanParity:
