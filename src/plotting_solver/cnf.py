@@ -11,14 +11,13 @@ lists. Each call builds those lists afresh, in a :class:`ClauseIndex`,
 and keeps nothing after it returns; only a literal that occurs in such a
 clause gets a watch list of its own. Propagation takes set literals newest
 first, which reaches a conflict at the end of a chain of implications
-sooner and sets the same literals. A formula that ends with
-an :func:`at_least_k` is searched without the counter's clauses or
-registers: the solver counts the constraint's false inputs itself. A
-formula that starts with a chain of transition steps (a :class:`StepChain`
-record, which the encoder attaches) is searched without the steps' clauses
-or auxiliary variables: a callable sets each step's outputs once its
-inputs are set, and a found model takes its auxiliary variables from the
-steps' clauses (see :func:`dpll_solve`).
+sooner and sets the same literals. A formula that starts with a chain of
+transition steps (a :class:`StepChain` record, which the encoder attaches)
+is searched without the steps' clauses or auxiliary variables, or the
+goal counter's: a callable sets each step's outputs once its inputs are
+set and rules out the last step's shots that miss the goal, and a found
+model takes its auxiliary variables from the steps' clauses and the
+counter's registers from its inputs' values (see :func:`dpll_solve`).
 :func:`external_solve` runs any solver, given as an argv, that takes a
 DIMACS path argument and prints SAT-competition style ``s``/``v`` lines.
 Both take a ``timeout`` in seconds and report an unknown outcome with
@@ -61,22 +60,21 @@ class CnfFormula:
     adds. :func:`exactly_one`, :func:`and_gate` and the encoder's step
     builder append to ``clauses`` unchecked, for speed; the encoder's step
     chain then checks each step's clauses at once with
-    :meth:`check_clauses`, before any formula reads them. The goal
-    counter's clauses (:func:`at_least_k`) and the encoder's start-state
-    unit clauses are appended the same way, and each run of them is
-    checked at once as soon as it is complete.
+    :meth:`check_clauses`, before any formula reads them. The encoder's
+    start-state unit clauses are appended the same way and checked at once
+    when complete. :func:`at_least_k` checks its inputs before it appends
+    anything, and its other literals are the registers it allocates.
 
-    ``counter`` records the last :func:`at_least_k` built on the formula,
-    and ``steps`` a chain of transition steps whose successor a callable
-    computes (:class:`StepChain`; the encoder sets it). The clauses are the
-    formula all the same: DIMACS output, external solvers and model checks
-    read them alone, and only :func:`dpll_solve` reads the records.
+    ``steps`` records a chain of transition steps whose successor a
+    callable computes (:class:`StepChain`; the encoder sets it). The
+    clauses are the formula all the same: DIMACS output, external solvers
+    and model checks read them alone, and only :func:`dpll_solve` reads the
+    record.
     """
 
     def __init__(self) -> None:
         self.var_count = 0
         self.clauses: list[tuple[int, ...]] = []
-        self.counter: Optional[AtLeastK] = None
         self.steps: Optional[StepChain] = None
 
     def new_var(self) -> int:
@@ -151,31 +149,15 @@ class SatOutcome:
 @dataclass(frozen=True)
 class AtLeastK:
     """What one :func:`at_least_k` call built: "at least ``k`` of ``lits``"
-    as the ``clauses`` from index ``first_clause`` of the formula, with one
-    register variable per entry of ``registers``, numbered on from
-    ``first_var``. A register's ``(i, j)`` means "at least j of the first i
-    inputs are true"."""
+    as ``clauses``, with one register variable per entry of ``registers``,
+    numbered on from ``first_var``. A register's ``(i, j)`` means "at least
+    j of the first i inputs are true"."""
 
     lits: tuple[int, ...]
     k: int
     first_var: int
     registers: tuple[tuple[int, int], ...]
-    first_clause: int
     clauses: tuple[tuple[int, ...], ...]
-
-    def describes(self, formula: CnfFormula) -> bool:
-        """Whether ``formula`` still holds this counter's clauses where they
-        were built, its registers are its last variables and no later
-        clause mentions one, so that the count is the one constraint on
-        the registers. The clauses before the counter's were there when it
-        was built, so they mention no register either."""
-        end = self.first_clause + len(self.clauses)
-        later = chain.from_iterable(islice(formula.clauses, end, None))
-        return (
-            formula.var_count == self.first_var + len(self.registers) - 1
-            and tuple(formula.clauses[self.first_clause : end]) == self.clauses
-            and max(map(abs, later), default=0) < self.first_var
-        )
 
     def registers_under(self, is_true: Sequence[bool]) -> list[bool]:
         """Each register's value, in id order, when each input ``x`` has the
@@ -210,8 +192,10 @@ class StepChain:
     alone.
 
     ``goal`` is the :func:`at_least_k` whose clauses follow the chain's in
-    the formula, or None; ``successor`` may rule out the shots of the last
-    step that leave it unmet.
+    the formula and whose registers are its last variables, or None. Its
+    inputs are outputs of the last step, and ``successor`` must rule out
+    every shot of the last step that leaves it unmet, so that the search
+    needs neither its clauses nor its registers.
     """
 
     source: list[tuple[int, ...]]
@@ -223,20 +207,17 @@ class StepChain:
     successor: Callable[[int, Sequence[bool]], Optional[Sequence[int]]]
 
     def describes(self, formula: CnfFormula) -> bool:
-        """Whether ``formula`` is the chain's clauses, then ``goal``'s, which
-        describe the formula and are its counter, then clauses over step
-        0's variables alone, with no other variable. So every clause that
-        reads a later step's variables is the chain's or the goal's."""
-        goal, end = self.goal, self.size
-        if goal is not None:
-            if goal.first_clause != end or not goal.describes(formula):
-                return False
-            end += len(goal.clauses)
+        """Whether ``formula`` is the chain's clauses, then ``goal``'s, then
+        clauses over step 0's variables alone, with no other variable. So
+        every clause that reads a later step's variables or a register is
+        the chain's or the goal's."""
+        size, goal = self.size, self.goal
+        end = size if goal is None else size + len(goal.clauses)
         later = chain.from_iterable(islice(formula.clauses, end, None))
         return (
             formula.var_count == self.var_count
-            and formula.counter is goal
-            and formula.clauses[: self.size] == self.source[: self.size]
+            and formula.clauses[:size] == self.source[:size]
+            and (goal is None or tuple(formula.clauses[size:end]) == goal.clauses)
             and max(map(abs, later), default=0) < self.ranges[0][0].stop
         )
 
@@ -265,30 +246,28 @@ def and_gate(formula: CnfFormula, inputs: Sequence[int]) -> int:
     return z
 
 
-def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> None:
+def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> Optional[AtLeastK]:
     """Sequential-counter encoding of "at least k of lits are true" (Sinz,
-    CP 2005).
+    CP 2005); returns what it built, or None for ``k`` = 0, which emits
+    nothing.
 
-    ``k`` = 0 emits nothing. The register for (i, j) means "at least j of
-    the first i inputs are true" and implies register (i − 1, j), or input
-    i and register (i − 1, j − 1). Registers are built one input at a time,
-    i from 2 to n, each for j from max(1, k − (n − i)) to min(i, k): the
-    registers that (n, k) reads through that chain. At i = 1 the register
-    is the input itself; "at least 0" always holds and "at least i + 1 of
-    i" never does, so those fold away, and tiny bounds give tiny encodings.
+    The register for (i, j) means "at least j of the first i inputs are
+    true" and implies register (i − 1, j), or input i and register
+    (i − 1, j − 1). Registers are built one input at a time, i from 2 to n,
+    each for j from max(1, k − (n − i)) to min(i, k): the registers that
+    (n, k) reads through that chain. At i = 1 the register is the input
+    itself; "at least 0" always holds and "at least i + 1 of i" never does,
+    so those fold away, and tiny bounds give tiny encodings.
 
     A register is implied in one direction only: it implies its count, and
     no clause makes the count imply it. So once the inputs are set, a
     register the top unit does not force is free, and a solver that reads
-    the clauses alone decides it. The call is recorded in
-    ``formula.counter`` (see :class:`AtLeastK`): :func:`dpll_solve` counts
-    the inputs itself and gives each register its exact value, so it
-    decides no register.
+    the clauses alone decides it; :meth:`AtLeastK.registers_under` gives
+    each register its exact value instead.
 
-    The clauses are appended unchecked and then checked at once with
-    :meth:`CnfFormula.check_clauses`: an input of 0 or outside the
-    formula's variables raises ``ValueError`` there, before
-    ``formula.counter`` is set.
+    An input of 0 or outside the formula's variables raises ``ValueError``
+    before any variable is allocated or clause appended. The clauses are
+    appended unchecked (see :class:`CnfFormula`).
     """
     n = len(lits)
     if k < 0:
@@ -296,7 +275,10 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> None:
     if k > n:
         raise InfeasibleBoundError(f"cannot require {k} of {n} literals")
     if k == 0:
-        return
+        return None
+    bad = [x for x in lits if x == 0 or abs(x) > formula.var_count]
+    if bad:
+        raise ValueError(f"literal {bad[0]} outside allocated variables")
     clauses = formula.clauses
     first_var, first_clause = formula.var_count + 1, len(clauses)
     registers: list[tuple[int, int]] = []
@@ -312,14 +294,8 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> None:
             if j > 1:
                 clauses.append((-z, *without, below[j - 1]))
     clauses.append((row[k],))
-    formula.check_clauses(first_clause)
-    formula.counter = AtLeastK(
-        tuple(lits),
-        k,
-        first_var,
-        tuple(registers),
-        first_clause,
-        tuple(clauses[first_clause:]),
+    return AtLeastK(
+        tuple(lits), k, first_var, tuple(registers), tuple(clauses[first_clause:])
     )
 
 
@@ -403,37 +379,28 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
     with reason ``"timeout"``. Sat models are re-verified against the clause
     list before being returned.
 
-    When the record of the formula's last :func:`at_least_k` describes it
-    (see :meth:`AtLeastK.describes`), the solver loads every clause but the
-    counter's and searches only the variables below its registers. It
-    counts the constraint's inputs as they are set false: one more than
-    ``n - k`` is a conflict, and exactly ``n - k`` sets every other input
-    true, which is as much as unit propagation over the counter's clauses
-    finds (Chai & Kuehlmann, "A fast pseudo-Boolean constraint solver", DAC
-    2003). The model then gives each register its exact value, which is
-    the first extension in brute-force order, since the registers come
-    last and each may be true only when its count holds; so the model is
-    the one the clauses alone give. Any other formula is solved from its
-    clauses, and so is an earlier counter's: its registers are decided as
-    any other variable.
-
     When the formula's :class:`StepChain` describes it (see
     :meth:`StepChain.describes`), the search steps the chain natively, a
     theory propagator in the sense of DPLL(T) (Nieuwenhuis, Oliveras &
     Tinelli, J. ACM 2006). It loads only the chain's ``searched`` clauses
     and those after the goal counter's, and decides only each step's
-    decision variables, in id order; the goal is counted as above. Where
-    the next decision would follow a step's last decision variable, it sets
-    the step's outputs, and rules out the next step's hopeless shots, with
-    ``successor``, at the level of the last decision; a None, or an output
-    already false, is a conflict there. What it sets holds in every model
-    that extends the decisions, and every output and auxiliary variable is
-    a function of lower-index variables, so the search still meets the
-    models in brute-force order and returns the one the clauses give. The
-    auxiliary variables are never indexed or decided: a model gets them
-    from one in-order pass over the chain's clauses (see :func:`_fill`),
-    and is then verified against every clause, as any other model.
-    ``decisions`` and ``assigned`` count the search and that pass.
+    decision variables, in id order. Where the next decision would follow
+    a step's last decision variable, it sets the step's outputs, and rules
+    out the next step's hopeless shots, those of the last step that miss
+    the goal among them, with ``successor``, at the level of the last
+    decision; a None, or an output already false, is a conflict there.
+    What it sets holds in every model that extends the decisions, and
+    every output and auxiliary variable is a function of lower-index
+    variables, so the search still meets the models in brute-force order
+    and returns the one the clauses give. The auxiliary variables are
+    never indexed or decided: a model gets them from one in-order pass over
+    the chain's clauses (see :func:`_fill`), and the goal counter's
+    registers their exact values from :meth:`AtLeastK.registers_under`,
+    which is the first extension in brute-force order, since the registers
+    come last and each may be true only when its count holds. The model is
+    then verified against every clause, as any other model. ``decisions``
+    and ``assigned`` count the search and the fill. Any other formula is
+    solved from all of its clauses.
 
     The clauses searched are indexed once per call, in a fresh
     :class:`ClauseIndex`; the search moves watches by swapping literals
@@ -441,32 +408,28 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
     two-literal run whose watches never move. No state outlives the call.
 
     Propagation takes set literals newest first, so it follows one chain of
-    implications to its end before the next; the conflicts of the planner's
-    goal count, which reads the last step, are met sooner. Whether
-    propagation ends in a conflict, and the literals it sets when it does
-    not, do not depend on that order, so neither do the decisions or the
-    model.
+    implications to its end before the next, and a conflict at the end of
+    one is met sooner. Whether propagation ends in a conflict, and the
+    literals it sets when it does not, do not depend on that order, so
+    neither do the decisions or the model.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
-    count, steps = formula.counter, formula.steps
+    steps = formula.steps
     if steps is not None and not steps.describes(formula):
         steps = None
-    if steps is None and count is not None and not count.describes(formula):
-        count = None
-    clauses = formula.clauses
-    nvars = formula.var_count if count is None else count.first_var - 1
-    if count is not None:
-        end = count.first_clause + len(count.clauses)
-        clauses = clauses[: count.first_clause] + clauses[end:]
+    clauses, nvars = formula.clauses, formula.var_count
     if steps is not None:
-        clauses = steps.searched + clauses[steps.size :]
-    return _search(formula, ClauseIndex(clauses, nvars), count, steps, deadline)
+        end, goal = steps.size, steps.goal
+        if goal is not None:
+            end += len(goal.clauses)
+            nvars = goal.first_var - 1
+        clauses = steps.searched + clauses[end:]
+    return _search(formula, ClauseIndex(clauses, nvars), steps, deadline)
 
 
 def _search(
     formula: CnfFormula,
     index: ClauseIndex,
-    count: Optional[AtLeastK],
     steps: Optional[StepChain],
     deadline: Optional[float],
 ) -> SatOutcome:
@@ -484,41 +447,14 @@ def _search(
         for t, (decide, _, _) in enumerate(steps.ranges):
             order += decide
             order.append(nvars + 1 + t)
-    size = 2 * (nvars + marks) + 1
-    is_true = [False] * size  # unassigned when both are False
+    is_true = [False] * (2 * (nvars + marks) + 1)  # unassigned when both are False
     trail: list[int] = []  # every literal set, in order: the undo log
     pending: list[int] = []  # set but not yet propagated, newest last
-    # falsifies[lit]: how many of the count's inputs setting lit true makes
-    # false; falses: the inputs the propagated literals made false
-    falsifies = [0] * size
-    inputs: Sequence[int] = ()
-    slack = falses = 0
-    if count is not None:
-        inputs, slack = count.lits, len(count.lits) - count.k
-        for x in inputs:
-            falsifies[-x] += 1
-
-    def fill_inputs() -> None:
-        """Set every unassigned input of the count true."""
-        for x in inputs:
-            if not is_true[x] and not is_true[-x]:
-                is_true[x] = True
-                trail.append(x)
-                pending.append(x)
 
     def propagate() -> bool:
         """Propagate the pending literals, newest first; False on conflict."""
-        nonlocal falses
         while pending:
-            lit = pending.pop()
-            if falsifies[lit]:
-                falses += falsifies[lit]
-                if falses >= slack:
-                    if falses > slack:
-                        pending.clear()
-                        return False
-                    fill_inputs()
-            false_lit = -lit
+            false_lit = -pending.pop()
             ws = watches[false_lit]
             i = 0
             n = len(ws)
@@ -561,12 +497,6 @@ def _search(
 
     if steps is not None:
         get = is_true.__getitem__
-        # heard[lit]: whether propagating lit does anything: the count reads
-        # it, or a loaded clause holds -lit (a watch moves only within its
-        # clause)
-        heard = list(map(bool, falsifies))
-        for lit in lits:
-            heard[-lit] = True
 
         def place(step: int) -> bool:
             """Set ``step``'s mark and outputs; False on conflict."""
@@ -579,7 +509,10 @@ def _search(
             for lit in new:
                 is_true[lit] = True
             trail.extend(new)
-            pending.extend(compress(new, map(heard.__getitem__, new)))
+            # propagating lit visits the watches of -lit, and a watch moves
+            # only onto a literal that is not false, so none reaches -lit
+            # while lit is set
+            pending.extend(compress(new, map(watches.__getitem__, map(neg, new))))
             return True
 
     # undone: literals set and then unset; placed: step marks set, which
@@ -590,8 +523,6 @@ def _search(
         assigned = undone + filled + len(trail) - placed
         return SatOutcome(status, model, reason, decisions, assigned)
 
-    if slack == 0:
-        fill_inputs()
     for lit in index.units:
         if is_true[-lit]:
             return outcome("unsat")
@@ -603,8 +534,8 @@ def _search(
         return outcome("unsat")
 
     # stack of (position in order of the decided var, tried_negative_yet,
-    # trail length and falses before the decision)
-    stack: list[tuple[int, bool, int, int]] = []
+    # trail length before the decision)
+    stack: list[tuple[int, bool, int]] = []
     pos, end = 0, len(order)
     while True:
         while pos < end and (is_true[order[pos]] or is_true[-order[pos]]):
@@ -613,8 +544,8 @@ def _search(
             if steps is not None:
                 filled = _fill(is_true, steps, formula.clauses)
             model = is_true[: nvars + 1]
-            if count is not None:
-                model += count.registers_under(is_true)
+            if steps is not None and steps.goal is not None:
+                model += steps.goal.registers_under(is_true)
             if not _verify_model(formula, model):
                 raise RuntimeError("internal solver produced a bad model")
             return outcome("sat", tuple(model))
@@ -627,7 +558,7 @@ def _search(
         else:
             if deadline is not None and time.monotonic() >= deadline:
                 return outcome("unknown", reason="timeout")
-            stack.append((pos, False, len(trail), falses))
+            stack.append((pos, False, len(trail)))
             decisions += 1
             is_true[var] = True
             trail.append(var)
@@ -639,12 +570,12 @@ def _search(
             while tried:
                 if not stack:
                     return outcome("unsat")
-                pos, tried, mark, falses = stack.pop()
+                pos, tried, mark = stack.pop()
                 for lit in trail[mark:]:
                     is_true[lit] = False
                 undone += len(trail) - mark
                 del trail[mark:]
-            stack.append((pos, True, mark, falses))
+            stack.append((pos, True, mark))
             var = order[pos]
             is_true[-var] = True
             trail.append(-var)

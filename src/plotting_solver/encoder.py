@@ -44,8 +44,10 @@ step's shot, in the order lowest-index branching over the clauses would,
 never indexes a step's other clauses, and takes a model's auxiliary
 variables from them. The goal counter's registers are no such function
 (see :func:`plotting_solver.cnf.at_least_k`): they are implied in one
-direction only. The DPLL solver counts the goal itself instead, and
-neither indexes the counter's clauses nor decides its registers. DIMACS
+direction only. The goal is the successor's too: it rules out every shot
+of the last step that leaves more than the goal's blocks, so the DPLL
+solver neither indexes the counter's clauses nor decides its registers,
+and a model gets their exact values from the counter's record. DIMACS
 output and external solvers get every clause, the counter's and the
 steps'.
 
@@ -72,7 +74,7 @@ each later step is the one before with every variable moved one step on,
 since a step reads only its own variables and what the step before it
 made. A step's clauses are appended without a per-clause check and
 checked in bulk, once, before the step is used; so are each formula's
-goal counter and start-state unit clauses.
+start-state unit clauses.
 """
 
 from __future__ import annotations
@@ -426,17 +428,15 @@ def encode(
             raise
     formula = CnfFormula()
     formula.var_count, formula.clauses = var_count, clauses
-    goal_empties = instance.block_total - instance.goal
-    if goal_empties > 0:
-        at_least_k(
-            formula,
-            [
-                varmap.grid_var(options.steps, r, c, EMPTY)
-                for r in range(1, height + 1)
-                for c in range(1, width + 1)
-            ],
-            goal_empties,
-        )
+    goal = at_least_k(
+        formula,
+        [
+            varmap.grid_var(options.steps, r, c, EMPTY)
+            for r in range(1, height + 1)
+            for c in range(1, width + 1)
+        ],
+        max(0, instance.block_total - instance.goal),
+    )
     units = len(formula.clauses)
     formula.clauses += [
         (varmap.grid_var(0, r, c, instance.grid.at(r, c)),)
@@ -452,7 +452,7 @@ def encode(
         formula.var_count,
         _step_ranges(varmap, var_count),
         _shot_groups(start, varmap),
-        formula.counter,
+        goal,
         _successor(varmap, instance.goal),
     )
     return formula, varmap
@@ -495,7 +495,9 @@ def _successor(vm: VarMap, goal: int) -> Callable[[int, Sequence[bool]], Optiona
     next step that is a null move from the state reached or, when the next
     step is the last, leaves more than ``goal`` blocks. Those shots have no
     model: the successor clauses refute a null move, and the goal counter a
-    state with too many blocks. It is None for a null move."""
+    state with too many blocks. The solver reads neither the counter's
+    clauses nor its registers, so this is where it meets the goal. It is
+    None for a null move."""
     H, W, K = vm.height, vm.width, vm.colours
     last, cells, grid_size = vm.steps, H * W, H * W * (K + 1)
     values = list(range(K + 1)) * cells  # a cell's value, by its variable
@@ -566,7 +568,7 @@ class _Chain:
     step 0). The formula for horizon ``s`` starts with that many variables
     and with every clause before ``keep``. Step ``s``'s keep clauses fix
     the cells of state ``s`` that no shot can get to, for shot ``s + 1``
-    to read; at horizon ``s`` no shot follows and the goal count reads only
+    to read; at horizon ``s`` no shot follows and the goal counter reads only
     the cells' emptiness. They are implied by the rest, so leaving them out
     changes no model, and horizon ``s + 1`` takes them in as part of what
     it shares with horizon ``s``.

@@ -18,7 +18,7 @@ def mini_solver_cmd():
 
 
 def plain_copy(f: CnfFormula) -> CnfFormula:
-    """The same variables and clauses, with no at_least_k record, so
+    """The same variables and clauses, with no step-chain record, so
     dpll_solve solves it from its clauses alone."""
     plain = CnfFormula()
     plain.var_count, plain.clauses = f.var_count, list(f.clauses)

@@ -22,7 +22,7 @@ from plotting_solver.cnf import (
     external_solve,
 )
 
-from conftest import MINI_SOLVER_CMD, dimacs_text, plain_copy
+from conftest import MINI_SOLVER_CMD, dimacs_text
 
 
 def satisfies(clauses, values):
@@ -37,6 +37,14 @@ random_cnf = st.integers(1, 7).flatmap(
             st.lists(st.integers(-n, n).filter(bool), min_size=1, max_size=n),
             max_size=16,
         ),
+    )
+)
+
+# a variable count and an at-least-k input list over its variables
+threshold_inputs = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(-n, n).filter(bool), min_size=1, max_size=6),
     )
 )
 
@@ -131,8 +139,8 @@ class TestReify:
 class TestAtLeastK:
     def test_k_zero_emits_nothing(self):
         f, lits = formula_with_vars(4)
-        at_least_k(f, lits, 0)
-        assert f.clauses == []
+        assert at_least_k(f, lits, 0) is None
+        assert f.clauses == [] and f.var_count == 4
 
     def test_single_literal_becomes_unit(self):
         f, lits = formula_with_vars(1)
@@ -149,12 +157,12 @@ class TestAtLeastK:
         [([0], 1), ([1, 2, 0], 2), ([4], 1), ([1, 2, 103], 2), ([1, -103, 3], 3)],
     )
     def test_input_outside_the_formula_is_refused(self, lits, k):
-        # variables 1..3 are allocated, and the counter's registers take
-        # ids from 4 on, so 4 is outside only as a lone input (no register)
+        # variables 1..3 are allocated; the formula is left as it was
         f, _ = formula_with_vars(3)
+        f.add_clause((1, -2))
         with pytest.raises(ValueError, match="outside allocated variables"):
             at_least_k(f, lits, k)
-        assert f.counter is None
+        assert f.var_count == 3 and f.clauses == [(1, -2)]
 
     def test_four_choose_two_by_brute_force(self):
         f, lits = formula_with_vars(4)
@@ -184,48 +192,12 @@ class TestAtLeastK:
                 )
                 assert f.var_count - n == want, (n, k)
 
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 6), k=st.integers(0, 6))
-    def test_threshold_semantics(self, n, k):
-        if k > n:
-            return
-        f, lits = formula_with_vars(n)
-        at_least_k(f, lits, k)
-        for bits in itertools.product([False, True], repeat=n):
-            trial = CnfFormula()
-            trial.var_count = f.var_count
-            trial.clauses = list(f.clauses)
-            for var, bit in zip(lits, bits):
-                trial.add_clause((var if bit else -var,))
-            assert dpll_solve(trial).is_sat == (sum(bits) >= k)
-
-
-class TestNativeCount:
-    """dpll_solve counts a recorded at_least_k itself, with the outcome and
-    model of the same clauses solved without the record."""
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_matches_the_clauses_under_every_input_assignment(self, n):
-        # each input a unit true, a unit false or free
-        for k in range(n + 1):
-            for values in itertools.product((True, False, None), repeat=n):
-                f, lits = formula_with_vars(n)
-                at_least_k(f, lits, k)
-                assert (f.counter is not None) == (k > 0)
-                for x, value in zip(lits, values):
-                    if value is not None:
-                        f.add_clause((x if value else -x,))
-                native, plain = dpll_solve(f), dpll_solve(plain_copy(f))
-                assert (native.status, native.model) == (
-                    plain.status,
-                    plain.model,
-                ), (k, values)
-
     @pytest.mark.parametrize("n", range(1, 7))
     def test_propagates_without_a_decision(self, n):
         # an expired deadline ends the search at its first decision, so
-        # only propagation answers: n - k false inputs set the rest true,
-        # and one more is a conflict
+        # only propagation answers unsat: it refutes any n - k + 1 false
+        # inputs, so n - k false inputs set the rest true, and only a
+        # decision can refute n - k
         for k in range(1, n + 1):
             for falses in range(n - k, n - k + 2):
                 for off in itertools.combinations(range(n), falses):
@@ -234,34 +206,30 @@ class TestNativeCount:
                     for i in off:
                         f.add_clause((-lits[i],))
                     out = dpll_solve(f, timeout=0)
-                    if falses > n - k:
-                        assert out.is_unsat, (k, off)
-                        continue
-                    assert out.is_sat, (k, off)
-                    assert [out.model[x] for x in lits] == [
-                        i not in off for i in range(n)
-                    ]
+                    assert out.is_unsat == (falses > n - k), (k, off)
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        inputs=st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=6),
-        k=st.integers(0, 6),
-        others=st.lists(
-            st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=3),
-            max_size=5,
-        ),
-    )
-    def test_repeated_and_negated_inputs(self, inputs, k, others):
-        # an input may repeat or appear with both signs; other clauses over
-        # the same variables come before the counter or after it
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=threshold_inputs, k=st.integers(0, 6))
+    @example(drawn=(6, [1, 2, 3, 4, 5, 6]), k=3)
+    def test_threshold_semantics(self, drawn, k):
+        # an input may repeat or appear with both signs, and each occurrence
+        # counts; the record gives the registers of the first model in
+        # brute-force order
+        n, inputs = drawn
         if k > len(inputs):
             return
-        f = formula_from(4, others[:2])
-        at_least_k(f, inputs, k)
-        for c in others[2:]:
-            f.add_clause(c)
-        native, plain = dpll_solve(f), dpll_solve(plain_copy(f))
-        assert (native.status, native.model) == (plain.status, plain.model)
+        f, variables = formula_with_vars(n)
+        record = at_least_k(f, inputs, k)
+        for bits in itertools.product([False, True], repeat=n):
+            units = [(v if bit else -v,) for v, bit in zip(variables, bits)]
+            out = dpll_solve(formula_from(f.var_count, f.clauses + units))
+            true = sum(bits[abs(x) - 1] == (x > 0) for x in inputs)
+            assert out.is_sat == (true >= k), bits
+            if out.is_sat and record is not None:
+                # indexed by signed literal
+                is_true = [False, *bits, *(not bit for bit in reversed(bits))]
+                assert list(out.model[n + 1 :]) == record.registers_under(is_true)
+
 
 def parse_dimacs(text):
     """Independent strict reader for the p-cnf grammar."""
@@ -453,7 +421,7 @@ class TestClauseIndex:
         index = ClauseIndex(clauses, 7)
         if solved:  # the search moves watches; it leaves the layout as it was
             f = formula_from(7, clauses)
-            out = _search(f, index, None, None, None)
+            out = _search(f, index, None, None)
             assert out.is_sat
             same_outcome(out, dpll_solve(f))
         self.assert_one_run_per_clause(index, clauses, 7)
@@ -465,7 +433,7 @@ class TestClauseIndex:
         f = formula_from(6, [(1, 2, -3), (4, 5, 6), (-1,), (-2,)])
         index = ClauseIndex(f.clauses, f.var_count)
         assert index.lits == [0, 1, 2, -3, 0, 4, 5, 6, 0]
-        out = _search(f, index, None, None, None)
+        out = _search(f, index, None, None)
         assert out.model == (False, False, False, False, True, True, True)
         lits = index.lits
         assert sorted(lits[1:4]) == [-3, 1, 2] and lits[4:] == [0, 4, 5, 6, 0]

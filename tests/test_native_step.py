@@ -43,42 +43,44 @@ class TestPinnedWork:
     With the record, the search decides no step clause's variable and
     computes each step with the engine; it sets only the decided shots,
     what the one-hot groups imply, each step's state and, for a model,
-    the auxiliary variables. Goal 0 takes more decisions than the clauses:
-    there the clauses can refute a state two steps before the last, the
-    engine's look-ahead one step before."""
+    the auxiliary variables and the goal counter's registers. Goal 0 takes
+    more decisions than the clauses: there the clauses can refute a state
+    two steps before the last, the engine's look-ahead one step before.
+    Without the record a sat formula takes more: the search decides each
+    register that the counter's top unit leaves free."""
 
     # (shape, generator seed, goal, horizon) -> status, then per progress
     # mode (decisions, literals set) with the record and without it
     PINS = {
         ((3, 3, 2), 1, 0, 5): (
             "unsat",
-            {PROGRESS_WITNESS: ((84, 6342), (78, 7560)),
-             PROGRESS_CARDINALITY: ((84, 6342), (78, 11295))},
+            {PROGRESS_WITNESS: ((84, 6333), (78, 7568)),
+             PROGRESS_CARDINALITY: ((84, 6333), (78, 11303))},
         ),
         ((3, 3, 2), 1, 3, 3): (
             "sat",
-            {PROGRESS_WITNESS: ((11, 788), (12, 1259)),
-             PROGRESS_CARDINALITY: ((11, 1020), (12, 2148))},
+            {PROGRESS_WITNESS: ((11, 788), (23, 1404)),
+             PROGRESS_CARDINALITY: ((11, 1020), (23, 2383))},
         ),
         ((4, 4, 3), 1, 10, 3): (
             "unsat",
-            {PROGRESS_WITNESS: ((18, 2374), (22, 4058)),
-             PROGRESS_CARDINALITY: ((18, 2374), (22, 8949))},
+            {PROGRESS_WITNESS: ((18, 2374), (22, 4558)),
+             PROGRESS_CARDINALITY: ((18, 2374), (22, 9429))},
         ),
         ((4, 4, 3), 1, 10, 4): (
             "sat",
-            {PROGRESS_WITNESS: ((7, 667), (7, 667)),
-             PROGRESS_CARDINALITY: ((7, 1707), (7, 1707))},
+            {PROGRESS_WITNESS: ((7, 667), (49, 732)),
+             PROGRESS_CARDINALITY: ((7, 1707), (49, 1772))},
         ),
         ((5, 5, 3), 3, 19, 2): (
             "unsat",
-            {PROGRESS_WITNESS: ((9, 1378), (9, 2229)),
-             PROGRESS_CARDINALITY: ((9, 1378), (9, 5298))},
+            {PROGRESS_WITNESS: ((9, 1378), (9, 2535)),
+             PROGRESS_CARDINALITY: ((9, 1378), (9, 5676))},
         ),
         ((5, 5, 3), 3, 19, 3): (
             "sat",
-            {PROGRESS_WITNESS: ((32, 5647), (39, 8582)),
-             PROGRESS_CARDINALITY: ((32, 7163), (39, 21382))},
+            {PROGRESS_WITNESS: ((32, 5647), (132, 9696)),
+             PROGRESS_CARDINALITY: ((32, 7163), (132, 23425))},
         ),
     }
 
@@ -157,30 +159,48 @@ class TestFallback:
     clauses, with the answers the clauses give."""
 
     @pytest.mark.parametrize(
-        "change", ["step-clause-dropped", "later-step-clause", "changed-var-count"]
+        "change",
+        [
+            "step-clause-dropped",
+            "later-step-clause",
+            "changed-var-count",
+            "counter-clause-dropped",
+            "register-clause",
+            "second-counter",
+        ],
     )
     def test_a_formula_the_record_does_not_describe(self, change, monkeypatch):
         searched = []
         search = cnf._search
 
-        def recorded(formula, index, count, steps, *rest):
+        def recorded(formula, index, steps, *rest):
             searched.append(steps)
-            return search(formula, index, count, steps, *rest)
+            return search(formula, index, steps, *rest)
 
         monkeypatch.setattr(cnf, "_search", recorded)
         sat = 0
         for mode, steps, seed in itertools.product(PROGRESS_MODES, (1, 2, 3), (1, 2)):
             grid = random_instance(GeneratorSpec(3, 3, 2, seed=seed)).grid
             f, vm = encode(Instance(grid, 9 - steps - seed % 2), EncodeOptions(steps, progress_encoding=mode))
-            first = dpll_solve(plain_copy(f))
+            first, goal = dpll_solve(plain_copy(f)), f.steps.goal
             if change == "step-clause-dropped":
                 # one of the last step's successor clauses
                 del f.clauses[f.steps.size - 1]
             elif change == "later-step-clause":
                 # a clause after the chain on a cell of the last state
                 f.add_clause((-vm.grid_var(steps, 1, 1, 0),))
-            else:
+            elif change == "changed-var-count":
                 f.new_var()  # free, so true in the first model
+            elif change == "counter-clause-dropped":
+                # the goal's top unit, so that the goal no longer binds
+                del f.clauses[f.steps.size + len(goal.clauses) - 1]
+            elif change == "register-clause":
+                # rule out the lowest register the first model sets true
+                registers = range(goal.first_var, f.var_count + 1)
+                r = next(v for v in registers if not first.model or first.model[v])
+                f.add_clause((-r,))
+            else:
+                cnf.at_least_k(f, goal.lits[::-1], min(goal.k + 1, len(goal.lits)))
             assert not f.steps.describes(f)
             searched.clear()
             native = dpll_solve(f)
