@@ -40,14 +40,6 @@ random_cnf = st.integers(1, 7).flatmap(
     )
 )
 
-# a variable count and an at-least-k input list over its variables
-threshold_inputs = st.integers(1, 6).flatmap(
-    lambda n: st.tuples(
-        st.just(n),
-        st.lists(st.integers(-n, n).filter(bool), min_size=1, max_size=6),
-    )
-)
-
 
 def formula_from(n, clauses):
     f = CnfFormula()
@@ -192,6 +184,47 @@ class TestAtLeastK:
                 )
                 assert f.var_count - n == want, (n, k)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), k=st.integers(0, 6))
+    def test_threshold_semantics(self, n, k):
+        if k > n:
+            return
+        f, lits = formula_with_vars(n)
+        at_least_k(f, lits, k)
+        for bits in itertools.product([False, True], repeat=n):
+            units = [(var if bit else -var,) for var, bit in zip(lits, bits)]
+            out = dpll_solve(formula_from(f.var_count, f.clauses + units))
+            assert out.is_sat == (sum(bits) >= k)
+
+
+def signed(model):
+    """``model`` indexed by signed literal, as ``AtLeastK.registers_under``
+    reads it."""
+    return [False, *model[1:], *(not value for value in reversed(model[1:]))]
+
+
+class TestNativeCount:
+    """The step search leaves the goal counter's clauses out and gives its
+    registers the values of ``AtLeastK.registers_under``; those must be the
+    registers of the first model of the clauses solved alone."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_clauses_under_every_input_assignment(self, n):
+        # each input a unit true, a unit false or free
+        for k in range(n + 1):
+            for values in itertools.product((True, False, None), repeat=n):
+                f, lits = formula_with_vars(n)
+                record = at_least_k(f, lits, k)
+                assert (record is not None) == (k > 0)
+                for x, value in zip(lits, values):
+                    if value is not None:
+                        f.add_clause((x if value else -x,))
+                out = dpll_solve(f)
+                assert out.is_sat == (values.count(False) <= n - k), (k, values)
+                if out.is_sat and record is not None:
+                    registers = list(out.model[n + 1 :])
+                    assert registers == record.registers_under(signed(out.model))
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_propagates_without_a_decision(self, n):
         # an expired deadline ends the search at its first decision, so
@@ -208,27 +241,35 @@ class TestAtLeastK:
                     out = dpll_solve(f, timeout=0)
                     assert out.is_unsat == (falses > n - k), (k, off)
 
-    @settings(max_examples=200, deadline=None)
-    @given(drawn=threshold_inputs, k=st.integers(0, 6))
-    @example(drawn=(6, [1, 2, 3, 4, 5, 6]), k=3)
-    def test_threshold_semantics(self, drawn, k):
+    @settings(max_examples=300, deadline=None)
+    @given(
+        inputs=st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=6),
+        k=st.integers(0, 6),
+        others=st.lists(
+            st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=3),
+            max_size=5,
+        ),
+    )
+    @example(inputs=[1, 2, 3, 4, 1, -1], k=3, others=[])
+    def test_repeated_and_negated_inputs(self, inputs, k, others):
         # an input may repeat or appear with both signs, and each occurrence
-        # counts; the record gives the registers of the first model in
-        # brute-force order
-        n, inputs = drawn
+        # counts; other clauses over the same variables come before the
+        # counter or after it
         if k > len(inputs):
             return
-        f, variables = formula_with_vars(n)
+        f = formula_from(4, others[:2])
         record = at_least_k(f, inputs, k)
-        for bits in itertools.product([False, True], repeat=n):
-            units = [(v if bit else -v,) for v, bit in zip(variables, bits)]
-            out = dpll_solve(formula_from(f.var_count, f.clauses + units))
-            true = sum(bits[abs(x) - 1] == (x > 0) for x in inputs)
-            assert out.is_sat == (true >= k), bits
-            if out.is_sat and record is not None:
-                # indexed by signed literal
-                is_true = [False, *bits, *(not bit for bit in reversed(bits))]
-                assert list(out.model[n + 1 :]) == record.registers_under(is_true)
+        for c in others[2:]:
+            f.add_clause(c)
+        out = dpll_solve(f)
+        want = any(
+            satisfies(others, bits)
+            and sum(bits[abs(x) - 1] == (x > 0) for x in inputs) >= k
+            for bits in itertools.product([False, True], repeat=4)
+        )
+        assert out.is_sat == want
+        if out.is_sat and record is not None:
+            assert list(out.model[5:]) == record.registers_under(signed(out.model))
 
 
 def parse_dimacs(text):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from plotting_solver import encoder
 from plotting_solver.cnf import (
     CnfFormula,
+    at_least_k,
     dpll_solve,
     exactly_one,
 )
@@ -47,7 +48,7 @@ from plotting_solver.oracle import (
     check_transition,
 )
 
-from conftest import dimacs_text, random_full_grid
+from conftest import dimacs_text, plain_copy, random_full_grid
 
 
 def g(rows):
@@ -1095,3 +1096,80 @@ class TestExactLengthEquivalence:
                     want = exists_plan_of_exact_length(inst, steps)
                     f, _ = encode(inst, EncodeOptions(steps=steps))
                     assert dpll_solve(f).is_sat == want, (grid.cells, goal, steps)
+
+
+class TestNativeGoalCount:
+    """The step search leaves the goal's "at least k cells empty"
+    (``cnf.AtLeastK``) to the successor and fills its registers from the
+    record; the outcome and the model must be those of the formula's
+    clauses solved alone."""
+
+    def test_matches_the_clauses_on_random_instances(self):
+        rng = random.Random(57)
+        formulas = sat = 0
+        for _ in range(150):
+            height, width = rng.randint(1, 4), rng.randint(1, 4)
+            colours = rng.randint(1, min(3, height * width))
+            grid = random_full_grid(rng, height, width, colours)
+            inst = Instance(grid, rng.randrange(height * width))
+            for mode, steps in itertools.product(PROGRESS_MODES, (1, 2, 3)):
+                opts = EncodeOptions(steps=steps, progress_encoding=mode)
+                f, _ = encode(inst, opts)
+                goal = f.steps.goal
+                assert f.steps.describes(f) and goal.k == height * width - inst.goal
+                native, plain = dpll_solve(f), dpll_solve(plain_copy(f))
+                assert (native.status, native.model) == (
+                    plain.status,
+                    plain.model,
+                ), (grid.cells, inst.goal, mode, steps)
+                if native.is_sat:
+                    model = native.model
+                    assert sum(model[x] for x in goal.lits) >= goal.k
+                formulas += 1
+                sat += native.is_sat
+        assert formulas == 900 and sat >= 300
+
+    @pytest.mark.parametrize(
+        "change",
+        ["register-clause", "later-variable", "counter-clause-dropped"],
+    )
+    def test_a_formula_the_record_does_not_describe(self, change):
+        # each change leaves a formula whose goal registers the record
+        # would misread, so it is solved from its clauses
+        rng = random.Random(59)
+        sat = 0
+        for mode, steps in itertools.product(PROGRESS_MODES, (1, 2, 3)):
+            for _ in range(3):
+                inst = Instance(random_full_grid(rng, 3, 3, 2), rng.randrange(9))
+                opts = EncodeOptions(steps=steps, progress_encoding=mode)
+                f, _ = encode(inst, opts)
+                goal, first = f.steps.goal, dpll_solve(f)
+                if change == "register-clause":
+                    # rule out the lowest register the first model sets true
+                    registers = range(goal.first_var, f.var_count + 1)
+                    r = next(v for v in registers if not first.model or first.model[v])
+                    f.add_clause((-r,))
+                elif change == "later-variable":
+                    f.new_var()  # free, so true in the first model
+                else:
+                    # the goal's top unit, so that the goal no longer binds
+                    del f.clauses[f.steps.size + len(goal.clauses) - 1]
+                assert not f.steps.describes(f)
+                native, plain = dpll_solve(f), dpll_solve(plain_copy(f))
+                assert (native.status, native.model) == (plain.status, plain.model)
+                sat += first.is_sat
+        assert sat >= 6
+
+    def test_two_counters(self):
+        # a second counter after the goal's is read from its clauses, and so
+        # is the goal's
+        rng = random.Random(61)
+        for mode, steps in itertools.product(PROGRESS_MODES, (1, 2, 3)):
+            inst = Instance(random_full_grid(rng, 3, 3, 2), rng.randrange(9))
+            opts = EncodeOptions(steps=steps, progress_encoding=mode)
+            f, _ = encode(inst, opts)
+            goal = f.steps.goal
+            at_least_k(f, goal.lits[::-1], min(goal.k + 1, len(goal.lits)))
+            assert not f.steps.describes(f)
+            native, plain = dpll_solve(f), dpll_solve(plain_copy(f))
+            assert (native.status, native.model) == (plain.status, plain.model)
