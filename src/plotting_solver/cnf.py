@@ -13,11 +13,13 @@ clause gets a watch list of its own. Propagation takes set literals newest
 first, which reaches a conflict at the end of a chain of implications
 sooner and sets the same literals. A formula that starts with a chain of
 transition steps (a :class:`StepChain` record, which the encoder attaches)
-is searched without the steps' clauses or auxiliary variables, or the
-goal counter's: a callable sets each step's outputs once its inputs are
-set and rules out the last step's shots that miss the goal, and a found
-model takes its auxiliary variables from the steps' clauses and the
-counter's registers from its inputs' values (see :func:`dpll_solve`).
+is searched without the steps' clauses, outputs or auxiliary variables,
+or the goal counter's: a callable computes each step's state once its
+inputs are set, which the search holds outside the assignment, and rules
+out the last step's shots that miss the goal. A found model takes each
+step's outputs from its state, its auxiliary variables from the steps'
+clauses and the counter's registers from its inputs' values (see
+:func:`dpll_solve`).
 :func:`external_solve` runs any solver, given as an argv, that takes a
 DIMACS path argument and prints SAT-competition style ``s``/``v`` lines.
 Both take a ``timeout`` in seconds and report an unknown outcome with
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, compress, islice
 from operator import neg, not_
 from pathlib import Path
-from typing import IO, Callable, Iterable, Optional, Sequence
+from typing import IO, Any, Callable, Iterable, Optional, Sequence
 
 
 class EmptySelectionError(ValueError):
@@ -116,8 +118,9 @@ class SatOutcome:
 
     ``decisions`` and ``assigned`` count the work of :func:`dpll_solve`:
     the variables it decided (a backtrack's flip is not a decision) and the
-    literals it set, those later undone included. Other solvers leave both
-    0."""
+    literals it set, those later undone included. On a step chain a model
+    sets each step's outputs and auxiliary variables once, and they count
+    once. Other solvers leave both 0."""
 
     status: str  # "sat" | "unsat" | "unknown"
     model: Optional[tuple[bool, ...]] = None  # indexed by var id, entry 0 unused
@@ -179,17 +182,30 @@ class StepChain:
     variables: the step's decisions, its outputs and its auxiliary
     variables; in order they are the chain's variables, from 1. Step 0's
     decisions are the start state and its other ranges are empty. From step
-    1 on, the decisions are the step's shot, and ``successor(t, is_true)``
-    sets the outputs: given a fully set state t − 1 and shot t in
-    ``is_true`` (a list indexed by signed literal), it returns a literal of
-    every output variable of step t, then the negations of any decision
-    variables of step t + 1 that no model extending them can set true; at
-    t = 0 only the latter. It returns None when no model extends them at
-    all. Every auxiliary variable is a function of lower-index decision and
-    output variables, and reading the chain's clauses once, in order,
-    setting each clause's last unset literal when the others are false,
-    sets it. ``searched`` are the chain's clauses over decision variables
-    alone.
+    1 on, the decisions are the step's shot and the outputs are its wall
+    fall and the state it reaches.
+
+    ``successor(t, prev, is_true)`` computes step t once its decisions, and
+    those before them, are set in ``is_true`` (a list indexed by signed
+    literal). It returns ``(state, closed)``, or None when no model extends
+    them. ``state`` is step t's state, opaque to the solver: at t = 0 it is
+    read from ``is_true``, and from t = 1 on it follows from ``prev``, the
+    state step t − 1 returned, and shot t. ``closed`` are the negations of
+    any decision variables of step t + 1 that no model extending them can
+    set true. ``outputs(t, state)`` gives a literal of every output
+    variable of step t in that state; the solver calls it only for a
+    model. Neither callable may keep a state of its own: one formula may
+    be solved more than once, from more than one thread.
+
+    ``searched`` are the chain's clauses over decision variables alone:
+    step 0's block and each step's shot groups. Every other clause of the
+    chain is left out of the search, and any clause after the chain and the
+    goal's reads step 0's variables alone (:meth:`describes`), so no
+    searched clause reads an output variable, and the outputs can wait for
+    a model without a conflict passing unseen. Every auxiliary variable is
+    a function of lower-index decision and output variables, and reading
+    the chain's clauses once, in order, setting each clause's last unset
+    literal when the others are false, sets it.
 
     ``goal`` is the :func:`at_least_k` whose clauses follow the chain's in
     the formula and whose registers are its last variables, or None. Its
@@ -204,7 +220,8 @@ class StepChain:
     ranges: tuple[tuple[range, range, range], ...]
     searched: list[tuple[int, ...]]
     goal: Optional[AtLeastK]
-    successor: Callable[[int, Sequence[bool]], Optional[Sequence[int]]]
+    successor: Callable[[int, Any, Sequence[bool]], Optional[tuple[Any, Sequence[int]]]]
+    outputs: Callable[[int, Any], Sequence[int]]
 
     def describes(self, formula: CnfFormula) -> bool:
         """Whether ``formula`` is the chain's clauses, then ``goal``'s, then
@@ -385,27 +402,34 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
     Tinelli, J. ACM 2006). It loads only the chain's ``searched`` clauses
     and those after the goal counter's, and decides only each step's
     decision variables, in id order. Where the next decision would follow
-    a step's last decision variable, it sets the step's outputs, and rules
-    out the next step's hopeless shots, those of the last step that miss
-    the goal among them, with ``successor``, at the level of the last
-    decision; a None, or an output already false, is a conflict there.
-    What it sets holds in every model that extends the decisions, and
-    every output and auxiliary variable is a function of lower-index
-    variables, so the search still meets the models in brute-force order
-    and returns the one the clauses give. The auxiliary variables are
-    never indexed or decided: a model gets them from one in-order pass over
-    the chain's clauses (see :func:`_fill`), and the goal counter's
-    registers their exact values from :meth:`AtLeastK.registers_under`,
-    which is the first extension in brute-force order, since the registers
-    come last and each may be true only when its count holds. The model is
-    then verified against every clause, as any other model. ``decisions``
-    and ``assigned`` count the search and the fill. Any other formula is
-    solved from all of its clauses.
+    a step's last decision variable, it computes the step's state with
+    ``successor`` from the state before it, and holds it in a list of its
+    own; at the level of the last decision it rules out the next step's
+    hopeless shots, those of the last step that miss the goal among them.
+    A None, or a shot ruled out that is already true, is a conflict there.
+    Backtracking is chronological, so the state held for step t − 1 is
+    always the current branch's when step t is computed. No searched
+    clause reads an output (see :class:`StepChain`), so the outputs are
+    not set during the search at all. What it sets holds in every model
+    that extends the decisions, and every output and auxiliary variable is
+    a function of lower-index variables, so the search still meets the
+    models in brute-force order and returns the one the clauses give. A
+    model gets each step's outputs from its held state with ``outputs``,
+    and its auxiliary variables from one in-order pass over the chain's
+    clauses (see :func:`_fill`); the goal counter's registers get their
+    exact values from :meth:`AtLeastK.registers_under`, which is the first
+    extension in brute-force order, since the registers come last and each
+    may be true only when its count holds. The model is then verified
+    against every clause, as any other model. ``decisions`` and
+    ``assigned`` count the search and the fill. Any other formula is solved
+    from all of its clauses.
 
     The clauses searched are indexed once per call, in a fresh
     :class:`ClauseIndex`; the search moves watches by swapping literals
     within a clause's run in its ``lits``, and a binary clause is a
-    two-literal run whose watches never move. No state outlives the call.
+    two-literal run whose watches never move. The step states are held
+    per call too. No state outlives the call, so one formula may be solved
+    again, or from two threads at once.
 
     Propagation takes set literals newest first, so it follows one chain of
     implications to its end before the next, and a conflict at the end of
@@ -495,17 +519,26 @@ def _search(
                     i += 1
         return True
 
+    # held[t]: the state of step t on the current branch, once its mark is
+    # set. Marks are set in step order and undone newest first, so when
+    # step t is placed, held[t - 1] is the state its shot starts from.
+    held: list = [None] * (0 if steps is None else len(steps.ranges))
     if steps is not None:
         get = is_true.__getitem__
+        successor = steps.successor
 
         def place(step: int) -> bool:
-            """Set ``step``'s mark and outputs; False on conflict."""
+            """Set ``step``'s mark, hold its state and rule out the next
+            step's hopeless shots; False on conflict."""
             trail.append(nvars + 1 + step)
             is_true[trail[-1]] = True
-            outputs = steps.successor(step, is_true)
-            if outputs is None or any(map(get, map(neg, outputs))):
+            got = successor(step, held[step - 1] if step else None, is_true)
+            if got is None:
                 return False
-            new = list(compress(outputs, map(not_, map(get, outputs))))
+            held[step], closed = got
+            if any(map(get, map(neg, closed))):
+                return False
+            new = list(compress(closed, map(not_, map(get, closed))))
             for lit in new:
                 is_true[lit] = True
             trail.extend(new)
@@ -516,7 +549,8 @@ def _search(
             return True
 
     # undone: literals set and then unset; placed: step marks set, which
-    # are no literals; filled: auxiliary variables set for a model
+    # are no literals; filled: outputs and auxiliary variables set for a
+    # model
     decisions = undone = placed = filled = 0
 
     def outcome(status: str, model=None, reason=None) -> SatOutcome:
@@ -542,7 +576,7 @@ def _search(
             pos += 1
         if pos == end:
             if steps is not None:
-                filled = _fill(is_true, steps, formula.clauses)
+                filled = _fill(is_true, steps, held, formula.clauses)
             model = is_true[: nvars + 1]
             if steps is not None and steps.goal is not None:
                 model += steps.goal.registers_under(is_true)
@@ -551,8 +585,9 @@ def _search(
             return outcome("sat", tuple(model))
         var = order[pos]
         if var > nvars:
-            # a step's mark: its outputs are set at the level of the last
-            # decision, as propagation sets literals
+            # a step's mark: its state is held, and the next step's shots
+            # ruled out, at the level of the last decision, as propagation
+            # sets literals
             placed += 1
             ok = place(var - nvars - 1) and propagate()
         else:
@@ -583,18 +618,33 @@ def _search(
             ok = propagate()
 
 
-def _fill(is_true: list[bool], steps: StepChain, clauses: list[tuple[int, ...]]) -> int:
-    """Set the auxiliary variables of ``steps``, given their decisions and
-    outputs in ``is_true``, from the chain's clauses, the first ``steps.size``
-    of ``clauses``; return how many were set.
+def _fill(
+    is_true: list[bool],
+    steps: StepChain,
+    held: Sequence[object],
+    clauses: list[tuple[int, ...]],
+) -> int:
+    """Set the variables of ``steps`` that the search left unset, given its
+    decisions in ``is_true`` and each step's state in ``held``; return how
+    many were set.
 
-    One pass over the clauses in order sets the last unset literal of each
-    clause whose other literals are false. A gate's clauses follow those of
-    its inputs, so the pass sets every auxiliary variable, as unit
+    First each step's outputs, from ``steps.outputs``; an output whose
+    variable is already set the other way raises ``RuntimeError``. Then the
+    auxiliary variables, from the chain's clauses, the first ``steps.size``
+    of ``clauses``: one pass over them in order sets the last unset literal
+    of each clause whose other literals are false. A gate's clauses follow
+    those of its inputs, so the pass sets every auxiliary variable, as unit
     propagation would; a variable it leaves unset, or a clause it finds
     false, means the decisions and outputs are no model of the chain, and
     raises ``RuntimeError``."""
     set_ = 0
+    for t in range(1, len(held)):
+        for lit in steps.outputs(t, held[t]):
+            if is_true[-lit]:
+                raise RuntimeError("internal solver produced a bad model")
+            if not is_true[lit]:
+                is_true[lit] = True
+                set_ += 1
     for clause in islice(clauses, steps.size):
         free = 0
         for lit in clause:

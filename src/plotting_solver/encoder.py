@@ -41,8 +41,10 @@ step through its clauses: :func:`encode` attaches a
 :class:`plotting_solver.cnf.StepChain` whose callable steps the engine
 (:func:`_successor`), so the solver decides only the initial hand and each
 step's shot, in the order lowest-index branching over the clauses would,
-never indexes a step's other clauses, and takes a model's auxiliary
-variables from them. The goal counter's registers are no such function
+and never indexes a step's other clauses. It holds each step's state as
+the engine gives it, outside its assignment; only a model gets the
+state's variables, from that state, and its auxiliary variables from the
+step's clauses. The goal counter's registers are no such function
 (see :func:`plotting_solver.cnf.at_least_k`): they are implied in one
 direction only. The goal is the successor's too: it rules out every shot
 of the last step that leaves more than the goal's blocks, so the DPLL
@@ -102,6 +104,9 @@ EMPTY = 0
 # (Python 3.11, one Xeon core), while 32x32/2 (range 2,048) would need
 # about 8.5M clauses at step 1.
 MAX_SUM_RANGE = 800
+
+# A step's state as the engine-stepped search holds it (see _successor)
+_State = tuple[Cells, int, int]
 
 
 class InvalidHorizonError(ValueError):
@@ -453,7 +458,7 @@ def encode(
         _step_ranges(varmap, var_count),
         _shot_groups(start, varmap),
         goal,
-        _successor(varmap, instance.goal),
+        *_successor(varmap, instance.goal),
     )
     return formula, varmap
 
@@ -487,24 +492,32 @@ def _shot_groups(start: list[tuple[int, ...]], vm: VarMap) -> list[tuple[int, ..
     return f.clauses
 
 
-def _successor(vm: VarMap, goal: int) -> Callable[[int, Sequence[bool]], Optional[list[int]]]:
-    """:attr:`StepChain.successor` for the horizon ``vm.steps``, at most
-    ``goal`` blocks: the engine's step from the state and shot set in
-    ``is_true``, as a literal of every variable of the step's wall fall,
-    grid and hand (none at step 0), and the negation of each shot of the
-    next step that is a null move from the state reached or, when the next
-    step is the last, leaves more than ``goal`` blocks. Those shots have no
-    model: the successor clauses refute a null move, and the goal counter a
-    state with too many blocks. The solver reads neither the counter's
-    clauses nor its registers, so this is where it meets the goal. It is
-    None for a null move."""
+def _successor(vm: VarMap, goal: int) -> tuple[
+    Callable[[int, Optional[_State], Sequence[bool]], Optional[tuple[_State, list[int]]]],
+    Callable[[int, _State], list[int]],
+]:
+    """:attr:`StepChain.successor` and :attr:`StepChain.outputs` for the
+    horizon ``vm.steps``, at most ``goal`` blocks.
+
+    A step's state is ``(rows, hand, wall fall)``, as the engine gives
+    it (the wall fall 0 at step 0). The successor reads state 0 from
+    ``is_true``, and state t from state t − 1 and the shot set in
+    ``is_true`` with the engine's step. With it come the negations of the
+    shots of the next step that are a null move from the state reached or,
+    when the next step is the last, leave more than ``goal`` blocks. Those
+    shots have no model: the successor clauses refute a null move, and the
+    goal counter a state with too many blocks. The solver reads neither the
+    counter's clauses nor its registers, so this is where it meets the
+    goal. It is None for a null move. The outputs are a literal of every
+    variable of the step's wall fall, grid and hand. Both functions read
+    only their arguments and the tables fixed here."""
     H, W, K = vm.height, vm.width, vm.colours
     last, cells, grid_size = vm.steps, H * W, H * W * (K + 1)
     values = list(range(K + 1)) * cells  # a cell's value, by its variable
     rows = [None, *(RowShot(r) for r in range(1, H + 1))]
     cols = [None, *(ColShot(c) for c in range(1, W + 1))]
-    # by step: the first variable of the state, the fired row and the wall fall
-    bases = [vm.state_bases[t] for t in range(last + 1)]
+    base0 = vm.state_bases[0]
+    # by step: the first variable of the fired row and of the wall fall
     row0 = [0] + [vm.row_shot_var(t, 0) for t in range(1, last + 1)]
     fall0 = [0] + [vm.wall_fall_var(t, 0) for t in range(1, last + 1)]
     # each output's offset from the wall fall's first variable: per cell its
@@ -515,18 +528,14 @@ def _successor(vm: VarMap, goal: int) -> Callable[[int, Sequence[bool]], Optiona
     # a shot's variable less its step's fired row 0
     shot_at = [*range(1, H + 1), *range(H + 2, H + W + 2)]
 
-    def state(t: int, is_true: Sequence[bool]) -> tuple[Cells, int, list[int]]:
-        """State ``t``: its rows, its hand and its cells, row major."""
-        base = bases[t]
-        flat = list(compress(values, is_true[base : base + grid_size]))
-        hand = is_true.index(True, base + grid_size) - base - grid_size + 1
-        return tuple(tuple(flat[i : i + W]) for i in range(0, cells, W)), hand, flat
-
-    def closed(t: int, grid: Cells, hand: int, flat: list[int]) -> list[int]:
+    def closed(t: int, grid: Cells, hand: int) -> list[int]:
         """The negated shots of step ``t + 1`` that have no model."""
+        if t == last:
+            return []
         need = 1
         if t + 1 == last:
-            need = max(1, cells - flat.count(EMPTY) - goal)
+            empty = sum(row.count(EMPTY) for row in grid)
+            need = max(1, cells - empty - goal)
         open_ = {
             shot.row if type(shot) is RowShot else H + 1 + shot.col
             for shot, (eaten, _) in successors(grid, hand)
@@ -535,10 +544,15 @@ def _successor(vm: VarMap, goal: int) -> Callable[[int, Sequence[bool]], Optiona
         first = row0[t + 1]
         return [-first - x for x in shot_at if x not in open_]
 
-    def successor(t: int, is_true: Sequence[bool]) -> Optional[list[int]]:
+    def successor(
+        t: int, prev: Optional[_State], is_true: Sequence[bool]
+    ) -> Optional[tuple[_State, list[int]]]:
         if t == 0:
-            return closed(0, *state(0, is_true))
-        grid, hand, _ = state(t - 1, is_true)
+            flat = list(compress(values, is_true[base0 : base0 + grid_size]))
+            hand = is_true.index(True, base0 + grid_size) - base0 - grid_size + 1
+            grid = tuple(tuple(flat[i : i + W]) for i in range(0, cells, W))
+            return (grid, hand, 0), closed(0, grid, hand)
+        grid, hand, _ = prev
         fired_row, fired_col = row0[t], row0[t] + H + 1  # their values 0
         rv = is_true.index(True, fired_row) - fired_row
         shot = rows[rv] if rv else cols[is_true.index(True, fired_col) - fired_col]
@@ -546,14 +560,18 @@ def _successor(vm: VarMap, goal: int) -> Callable[[int, Sequence[bool]], Optiona
         if out is None:
             return None
         grid, hand, fall, _ = out
+        return (grid, hand, fall), closed(t, grid, hand)
+
+    def outputs(t: int, state: _State) -> list[int]:
+        grid, hand, fall = state
         first = fall0[t]
         lits = list(range(-first, -first - size, -1))
         flat = [v for row in grid for v in row]
         for p in (fall, hand_at + hand, *map(add, cell_at, flat)):
             lits[p] = -lits[p]
-        return lits + closed(t, grid, hand, flat) if t < last else lits
+        return lits
 
-    return successor
+    return successor, outputs
 
 
 class _Chain:

@@ -1,10 +1,14 @@
 """The internal solver on planner formulas: the steps it computes with the
 engine (``cnf.StepChain``) against the same formulas solved from their
-clauses, and pinned decision and literal counts, so that a change to
-propagation shows even where every answer stays the same."""
+clauses, pinned decision and literal counts, so that a change to
+propagation shows even where every answer stays the same, and solves that
+must not see each other's step states."""
 
 import itertools
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -41,9 +45,10 @@ class TestPinnedWork:
     CHANGES.md, and only when plans and statuses are unchanged.
 
     With the record, the search decides no step clause's variable and
-    computes each step with the engine; it sets only the decided shots,
-    what the one-hot groups imply, each step's state and, for a model,
-    the auxiliary variables and the goal counter's registers. Goal 0 takes
+    computes each step with the engine; it sets only the decided shots and
+    what the one-hot groups imply, and holds each step's state outside the
+    assignment. A model then sets each step's state once, and the auxiliary
+    variables and the goal counter's registers. Goal 0 takes
     more decisions than the clauses: there the clauses can refute a state
     two steps before the last, the engine's look-ahead one step before.
     Without the record a sat formula takes more: the search decides each
@@ -54,18 +59,18 @@ class TestPinnedWork:
     PINS = {
         ((3, 3, 2), 1, 0, 5): (
             "unsat",
-            {PROGRESS_WITNESS: ((84, 6333), (78, 7568)),
-             PROGRESS_CARDINALITY: ((84, 6333), (78, 11303))},
+            {PROGRESS_WITNESS: ((84, 1515), (78, 7568)),
+             PROGRESS_CARDINALITY: ((84, 1515), (78, 11303))},
         ),
         ((3, 3, 2), 1, 3, 3): (
             "sat",
-            {PROGRESS_WITNESS: ((11, 788), (23, 1404)),
-             PROGRESS_CARDINALITY: ((11, 1020), (23, 2383))},
+            {PROGRESS_WITNESS: ((11, 392), (23, 1404)),
+             PROGRESS_CARDINALITY: ((11, 624), (23, 2383))},
         ),
         ((4, 4, 3), 1, 10, 3): (
             "unsat",
-            {PROGRESS_WITNESS: ((18, 2374), (22, 4558)),
-             PROGRESS_CARDINALITY: ((18, 2374), (22, 9429))},
+            {PROGRESS_WITNESS: ((18, 430), (22, 4558)),
+             PROGRESS_CARDINALITY: ((18, 430), (22, 9429))},
         ),
         ((4, 4, 3), 1, 10, 4): (
             "sat",
@@ -74,13 +79,13 @@ class TestPinnedWork:
         ),
         ((5, 5, 3), 3, 19, 2): (
             "unsat",
-            {PROGRESS_WITNESS: ((9, 1378), (9, 2535)),
-             PROGRESS_CARDINALITY: ((9, 1378), (9, 5676))},
+            {PROGRESS_WITNESS: ((9, 288), (9, 2535)),
+             PROGRESS_CARDINALITY: ((9, 288), (9, 5676))},
         ),
         ((5, 5, 3), 3, 19, 3): (
             "sat",
-            {PROGRESS_WITNESS: ((32, 5647), (132, 9696)),
-             PROGRESS_CARDINALITY: ((32, 7163), (132, 23425))},
+            {PROGRESS_WITNESS: ((32, 1396), (132, 9696)),
+             PROGRESS_CARDINALITY: ((32, 2912), (132, 23425))},
         ),
     }
 
@@ -152,6 +157,53 @@ class TestDifferential:
         assert f.steps.describes(f)
         native, plain = solve_both(f)
         assert (native.status, native.model) == (plain.status, plain.model)
+
+
+class TestStateIsolation:
+    """The search holds each step's state for one call only: a formula
+    solved again after another of its shape, or from two threads at once,
+    gives the same outcome and the same work."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+        seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+        slack=st.integers(1, 6),
+        steps=st.integers(1, 4),
+        mode=st.sampled_from(PROGRESS_MODES),
+    )
+    def test_a_formula_solved_again_and_from_two_threads(self, shape, seeds, slack, steps, mode):
+        height, width, colours = shape
+        colours = min(colours, height * width)
+        goal = max(0, height * width - slack)
+
+        def formula(seed):
+            grid = random_instance(GeneratorSpec(height, width, colours, seed=seed)).grid
+            return encode(Instance(grid, goal), EncodeOptions(steps, progress_encoding=mode))[0]
+
+        def work(out):
+            return out.status, out.model, out.decisions, out.assigned
+
+        a, b = formula(seeds[0]), formula(seeds[1])
+        first = work(dpll_solve(a))
+        dpll_solve(b)
+        assert work(dpll_solve(a)) == first
+        # both threads start together, and a short switch interval makes
+        # their searches interleave
+        start = threading.Barrier(2, timeout=60)
+
+        def solve_a(_):
+            start.wait()
+            return work(dpll_solve(a))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                both = list(pool.map(solve_a, range(2)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert both == [first, first]
 
 
 class TestFallback:
