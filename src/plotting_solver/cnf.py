@@ -11,15 +11,14 @@ lists. Each call builds those lists afresh, in a :class:`ClauseIndex`,
 and keeps nothing after it returns; only a literal that occurs in such a
 clause gets a watch list of its own. Propagation takes set literals newest
 first, which reaches a conflict at the end of a chain of implications
-sooner and sets the same literals. A formula that starts with a chain of
-transition steps (a :class:`StepChain` record, which the encoder attaches)
-is searched without the steps' clauses, outputs or auxiliary variables,
-or the goal counter's: a callable computes each step's state once its
-inputs are set, which the search holds outside the assignment, and rules
-out the last step's shots that miss the goal. A found model takes each
-step's outputs from its state, its auxiliary variables from the steps'
-clauses and the counter's registers from its inputs' values (see
-:func:`dpll_solve`).
+sooner and sets the same literals. A formula that a chain of transition
+steps describes exactly (a :class:`StepChain` record, which the encoder
+attaches) is searched over its decisions alone, the initial hand and the
+shots: a callable computes each step's state, from the start grid on,
+which the search holds outside the assignment, and rules out the last
+step's shots that miss the goal. A found model takes each step's outputs
+from its state, its auxiliary variables from the steps' clauses and the
+counter's registers from its inputs' values (see :func:`dpll_solve`).
 :func:`external_solve` runs any solver, given as an argv, that takes a
 DIMACS path argument and prints SAT-competition style ``s``/``v`` lines.
 Both take a ``timeout`` in seconds and report an unknown outcome with
@@ -177,65 +176,61 @@ class StepChain:
     """A formula's transition steps 0..h, which :func:`dpll_solve` computes
     with ``successor`` instead of propagating them through their clauses.
 
-    The formula starts with the chain's clauses, ``source[:size]``, and has
-    ``var_count`` variables. Per step, ``ranges`` holds three ranges of
-    variables: the step's decisions, its outputs and its auxiliary
-    variables; in order they are the chain's variables, from 1. Step 0's
-    decisions are the start state and its other ranges are empty. From step
-    1 on, the decisions are the step's shot and the outputs are its wall
-    fall and the state it reaches.
+    The record describes one formula exactly (:meth:`describes`):
+    ``var_count`` variables, the chain's clauses ``source[:size]``, then
+    ``tail``, the goal counter's clauses and the start units. Per step,
+    ``ranges`` holds its decision variables, in id order: the initial hand
+    at step 0, and later the step's shot. Step 0's outputs are the start
+    grid, and a later step's are its wall fall and the state it reaches;
+    the rest of the chain's variables are auxiliary.
 
     ``successor(t, prev, is_true)`` computes step t once its decisions, and
     those before them, are set in ``is_true`` (a list indexed by signed
     literal). It returns ``(state, closed)``, or None when no model extends
-    them. ``state`` is step t's state, opaque to the solver: at t = 0 it is
-    read from ``is_true``, and from t = 1 on it follows from ``prev``, the
-    state step t − 1 returned, and shot t. ``closed`` are the negations of
-    any decision variables of step t + 1 that no model extending them can
-    set true. ``outputs(t, state)`` gives a literal of every output
-    variable of step t in that state; the solver calls it only for a
-    model. Neither callable may keep a state of its own: one formula may
-    be solved more than once, from more than one thread.
+    them. ``state`` is step t's state, opaque to the solver: at t = 0 the
+    start grid the tail's units fix, with the hand read from ``is_true``,
+    and from t = 1 on it follows from ``prev``, the state step t − 1
+    returned, and shot t. ``closed`` are the negations of any decision
+    variables of step t + 1 that no model extending them can set true.
+    ``outputs(t, state)`` gives a literal of every output variable of step
+    t in that state; the solver calls it only for a model. Neither callable
+    may keep a state of its own: one formula may be solved more than once,
+    from more than one thread.
 
-    ``searched`` are the chain's clauses over decision variables alone:
-    step 0's block and each step's shot groups. Every other clause of the
-    chain is left out of the search, and any clause after the chain and the
-    goal's reads step 0's variables alone (:meth:`describes`), so no
-    searched clause reads an output variable, and the outputs can wait for
-    a model without a conflict passing unseen. Every auxiliary variable is
-    a function of lower-index decision and output variables, and reading
-    the chain's clauses once, in order, setting each clause's last unset
-    literal when the others are false, sets it.
+    ``searched`` are the formula's clauses over decision variables alone,
+    the only ones the search reads: the hand's one-hot group, its pinning
+    unit if the tail has one, and each step's shot groups. None reads an
+    output, so the outputs can wait for a model without a conflict passing
+    unseen. Every auxiliary variable is a function of lower-index decision
+    and output variables, and reading the chain's clauses once, in order,
+    setting each clause's last unset literal when the others are false,
+    sets it.
 
-    ``goal`` is the :func:`at_least_k` whose clauses follow the chain's in
-    the formula and whose registers are its last variables, or None. Its
-    inputs are outputs of the last step, and ``successor`` must rule out
-    every shot of the last step that leaves it unmet, so that the search
-    needs neither its clauses nor its registers.
+    ``goal`` is the :func:`at_least_k` whose clauses start the tail and
+    whose registers are the formula's last variables, or None. Its inputs
+    are outputs of the last step, and ``successor`` must rule out every
+    shot of the last step that leaves it unmet, so that the search needs
+    neither its clauses nor its registers.
     """
 
     source: list[tuple[int, ...]]
     size: int
+    tail: list[tuple[int, ...]]
     var_count: int
-    ranges: tuple[tuple[range, range, range], ...]
+    ranges: tuple[range, ...]
     searched: list[tuple[int, ...]]
     goal: Optional[AtLeastK]
     successor: Callable[[int, Any, Sequence[bool]], Optional[tuple[Any, Sequence[int]]]]
     outputs: Callable[[int, Any], Sequence[int]]
 
     def describes(self, formula: CnfFormula) -> bool:
-        """Whether ``formula`` is the chain's clauses, then ``goal``'s, then
-        clauses over step 0's variables alone, with no other variable. So
-        every clause that reads a later step's variables or a register is
-        the chain's or the goal's."""
-        size, goal = self.size, self.goal
-        end = size if goal is None else size + len(goal.clauses)
-        later = chain.from_iterable(islice(formula.clauses, end, None))
+        """Whether ``formula`` has ``var_count`` variables and its clauses
+        are the chain's, then ``tail``, and no others."""
+        size = self.size
         return (
             formula.var_count == self.var_count
             and formula.clauses[:size] == self.source[:size]
-            and (goal is None or tuple(formula.clauses[size:end]) == goal.clauses)
-            and max(map(abs, later), default=0) < self.ranges[0][0].stop
+            and formula.clauses[size:] == self.tail
         )
 
 
@@ -399,25 +394,26 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
     When the formula's :class:`StepChain` describes it (see
     :meth:`StepChain.describes`), the search steps the chain natively, a
     theory propagator in the sense of DPLL(T) (Nieuwenhuis, Oliveras &
-    Tinelli, J. ACM 2006). It loads only the chain's ``searched`` clauses
-    and those after the goal counter's, and decides only each step's
-    decision variables, in id order. Where the next decision would follow
-    a step's last decision variable, it computes the step's state with
-    ``successor`` from the state before it, and holds it in a list of its
-    own; at the level of the last decision it rules out the next step's
-    hopeless shots, those of the last step that miss the goal among them.
-    A None, or a shot ruled out that is already true, is a conflict there.
-    Backtracking is chronological, so the state held for step t − 1 is
-    always the current branch's when step t is computed. No searched
-    clause reads an output (see :class:`StepChain`), so the outputs are
-    not set during the search at all. What it sets holds in every model
-    that extends the decisions, and every output and auxiliary variable is
-    a function of lower-index variables, so the search still meets the
-    models in brute-force order and returns the one the clauses give. A
-    model gets each step's outputs from its held state with ``outputs``,
-    and its auxiliary variables from one in-order pass over the chain's
-    clauses (see :func:`_fill`); the goal counter's registers get their
-    exact values from :meth:`AtLeastK.registers_under`, which is the first
+    Tinelli, J. ACM 2006). It loads only the chain's ``searched`` clauses,
+    and decides only each step's decision variables, in id order. Where the
+    next decision would follow a step's last decision variable, it computes
+    the step's state with ``successor`` from the state before it, or at
+    step 0 from the start grid, and holds it in a list of its own; at the
+    level of the last decision it rules out the next step's hopeless shots,
+    those of the last step that miss the goal among them. A None, or a shot
+    ruled out that is already true, is a conflict there. Backtracking is
+    chronological, so the state held for step t − 1 is always the current
+    branch's when step t is computed. No searched clause reads an output
+    (see :class:`StepChain`), so the outputs are not set during the search
+    at all. What it sets holds in every model that extends the decisions.
+    The start grid's variables come before the hand's and every model sets
+    them by unit, and every later output and auxiliary variable is a
+    function of lower-index variables, so the search still meets the models
+    in brute-force order and returns the one the clauses give. A model gets
+    each step's outputs from its held state with ``outputs``, and its
+    auxiliary variables from one in-order pass over the chain's clauses
+    (see :func:`_fill`); the goal counter's registers get their exact
+    values from :meth:`AtLeastK.registers_under`, which is the first
     extension in brute-force order, since the registers come last and each
     may be true only when its count holds. The model is then verified
     against every clause, as any other model. ``decisions`` and
@@ -439,16 +435,13 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
     """
     deadline = None if timeout is None else time.monotonic() + timeout
     steps = formula.steps
-    if steps is not None and not steps.describes(formula):
-        steps = None
-    clauses, nvars = formula.clauses, formula.var_count
-    if steps is not None:
-        end, goal = steps.size, steps.goal
-        if goal is not None:
-            end += len(goal.clauses)
-            nvars = goal.first_var - 1
-        clauses = steps.searched + clauses[end:]
-    return _search(formula, ClauseIndex(clauses, nvars), steps, deadline)
+    if steps is not None and steps.describes(formula):
+        goal = steps.goal
+        nvars = formula.var_count if goal is None else goal.first_var - 1
+        index = ClauseIndex(steps.searched, nvars)
+    else:
+        steps, index = None, ClauseIndex(formula.clauses, formula.var_count)
+    return _search(formula, index, steps, deadline)
 
 
 def _search(
@@ -468,7 +461,7 @@ def _search(
         # decisions its mark: a variable past the formula's that stands for
         # the step's outputs, set when they are
         order, marks = [], len(steps.ranges)
-        for t, (decide, _, _) in enumerate(steps.ranges):
+        for t, decide in enumerate(steps.ranges):
             order += decide
             order.append(nvars + 1 + t)
     is_true = [False] * (2 * (nvars + marks) + 1)  # unassigned when both are False
@@ -576,7 +569,7 @@ def _search(
             pos += 1
         if pos == end:
             if steps is not None:
-                filled = _fill(is_true, steps, held, formula.clauses)
+                filled = _fill(is_true, steps, held, formula.clauses, nvars)
             model = is_true[: nvars + 1]
             if steps is not None and steps.goal is not None:
                 model += steps.goal.registers_under(is_true)
@@ -623,23 +616,24 @@ def _fill(
     steps: StepChain,
     held: Sequence[object],
     clauses: list[tuple[int, ...]],
+    nvars: int,
 ) -> int:
-    """Set the variables of ``steps`` that the search left unset, given its
-    decisions in ``is_true`` and each step's state in ``held``; return how
-    many were set.
+    """Set the chain's variables, 1..``nvars``, that the search left unset,
+    given its decisions in ``is_true`` and each step's state in ``held``;
+    return how many were set.
 
-    First each step's outputs, from ``steps.outputs``; an output whose
-    variable is already set the other way raises ``RuntimeError``. Then the
-    auxiliary variables, from the chain's clauses, the first ``steps.size``
-    of ``clauses``: one pass over them in order sets the last unset literal
-    of each clause whose other literals are false. A gate's clauses follow
-    those of its inputs, so the pass sets every auxiliary variable, as unit
-    propagation would; a variable it leaves unset, or a clause it finds
-    false, means the decisions and outputs are no model of the chain, and
-    raises ``RuntimeError``."""
+    First each step's outputs, step 0's start grid included, from
+    ``steps.outputs``; an output whose variable is already set the other way
+    raises ``RuntimeError``. Then the auxiliary variables, from the chain's
+    clauses, the first ``steps.size`` of ``clauses``: one pass over them in
+    order sets the last unset literal of each clause whose other literals
+    are false. A gate's clauses follow those of its inputs, so the pass
+    sets every auxiliary variable, as unit propagation would; a clause it
+    finds false, or a variable still unset, means the decisions and
+    outputs are no model of the chain, and raises ``RuntimeError``."""
     set_ = 0
-    for t in range(1, len(held)):
-        for lit in steps.outputs(t, held[t]):
+    for t, state in enumerate(held):
+        for lit in steps.outputs(t, state):
             if is_true[-lit]:
                 raise RuntimeError("internal solver produced a bad model")
             if not is_true[lit]:
@@ -659,10 +653,9 @@ def _fill(
                 raise RuntimeError("internal solver produced a bad model")
             is_true[free] = True
             set_ += 1
-    for _, _, aux in steps.ranges:
-        for v in aux:
-            if not is_true[v] and not is_true[-v]:
-                raise RuntimeError("internal solver produced a bad model")
+    for v in range(1, nvars + 1):
+        if not is_true[v] and not is_true[-v]:
+            raise RuntimeError("internal solver produced a bad model")
     return set_
 
 

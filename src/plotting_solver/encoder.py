@@ -41,8 +41,9 @@ step through its clauses: :func:`encode` attaches a
 :class:`plotting_solver.cnf.StepChain` whose callable steps the engine
 (:func:`_successor`), so the solver decides only the initial hand and each
 step's shot, in the order lowest-index branching over the clauses would,
-and never indexes a step's other clauses. It holds each step's state as
-the engine gives it, outside its assignment; only a model gets the
+and never indexes the other clauses, step 0's cell groups and the start
+units among them. It holds each step's state as the engine gives it,
+outside its assignment, from the instance's grid on; only a model gets the
 state's variables, from that state, and its auxiliary variables from the
 step's clauses. The goal counter's registers are no such function
 (see :func:`plotting_solver.cnf.at_least_k`): they are implied in one
@@ -50,8 +51,7 @@ direction only. The goal is the successor's too: it rules out every shot
 of the last step that leaves more than the goal's blocks, so the DPLL
 solver neither indexes the counter's clauses nor decides its registers,
 and a model gets their exact values from the counter's record. DIMACS
-output and external solvers get every clause, the counter's and the
-steps'.
+output and external solvers get every clause.
 
 Variable allocation is deterministic: step 0 grid cells (row major, value
 0..K per cell) and the step-0 hand come first. Each step then follows in
@@ -84,7 +84,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import compress, product
+from itertools import product
 from operator import add, itemgetter
 from typing import Callable, Optional, Sequence, Union
 
@@ -427,7 +427,7 @@ def encode(
             chain = _chain(height, width, colours, options.progress_encoding)
             var_count, clause_count, varmap = chain.grow(options.steps)
             source = chain.formula.clauses
-            clauses, start = source[:clause_count], source[: chain.ends[0][1].start]
+            clauses = source[:clause_count]
         except BaseException:
             _chain.cache_clear()  # a half-grown chain must never be reused
             raise
@@ -454,36 +454,33 @@ def encode(
     formula.steps = StepChain(
         source,
         clause_count,
+        formula.clauses[clause_count:],
         formula.var_count,
-        _step_ranges(varmap, var_count),
-        _shot_groups(start, varmap),
+        _step_ranges(varmap),
+        _shot_groups(varmap, fixed),
         goal,
-        *_successor(varmap, instance.goal),
+        *_successor(varmap, instance),
     )
     return formula, varmap
 
 
-def _step_ranges(vm: VarMap, var_count: int) -> tuple[tuple[range, range, range], ...]:
-    """Each step's decision, output and auxiliary variables (see
-    :class:`StepChain`) in a chain of ``var_count`` variables: the start
-    state, then per step its shot; its wall fall and state; and the rest of
-    its block."""
-    first = vm.state_bases[0] + vm._state_block
-    ranges = [(range(1, first), range(first, first), range(first, first))]
+def _step_ranges(vm: VarMap) -> tuple[range, ...]:
+    """Each step's decision variables (see :class:`StepChain`): the initial
+    hand, then per step its shot."""
+    ranges = [vm.hand_ids(0)]
     for t in range(1, vm.steps + 1):
-        shot, fall = vm.row_shot_var(t, 0), vm.wall_fall_var(t, 0)
-        state_end = vm.state_bases[t] + vm._state_block
-        end = vm.row_shot_var(t + 1, 0) if t < vm.steps else var_count + 1
-        ranges.append((range(shot, fall), range(fall, state_end), range(state_end, end)))
+        ranges.append(range(vm.row_shot_var(t, 0), vm.wall_fall_var(t, 0)))
     return tuple(ranges)
 
 
-def _shot_groups(start: list[tuple[int, ...]], vm: VarMap) -> list[tuple[int, ...]]:
-    """The chain's clauses over decision variables alone: step 0's block
-    ``start``, then per step the fired row's and fired column's one-hot
-    groups and the clauses that fire one axis."""
+def _shot_groups(vm: VarMap, fixed: Optional[int]) -> list[tuple[int, ...]]:
+    """The formula's clauses over decision variables alone: the initial
+    hand's one-hot group and, if ``fixed``, its unit; then per step the
+    fired row's and fired column's one-hot groups and one axis fired."""
     f = CnfFormula()
-    f.clauses = start
+    exactly_one(f, vm.hand_ids(0))
+    if fixed is not None:
+        f.clauses.append((vm.hand_var(0, fixed),))
     for t in range(1, vm.steps + 1):
         row, col = vm.row_shot_var(t, 0), vm.col_shot_var(t, 0)
         exactly_one(f, range(row, row + vm.height + 1))
@@ -492,34 +489,36 @@ def _shot_groups(start: list[tuple[int, ...]], vm: VarMap) -> list[tuple[int, ..
     return f.clauses
 
 
-def _successor(vm: VarMap, goal: int) -> tuple[
+def _successor(vm: VarMap, instance: Instance) -> tuple[
     Callable[[int, Optional[_State], Sequence[bool]], Optional[tuple[_State, list[int]]]],
     Callable[[int, _State], list[int]],
 ]:
     """:attr:`StepChain.successor` and :attr:`StepChain.outputs` for the
-    horizon ``vm.steps``, at most ``goal`` blocks.
+    horizon ``vm.steps`` of ``instance``.
 
     A step's state is ``(rows, hand, wall fall)``, as the engine gives
-    it (the wall fall 0 at step 0). The successor reads state 0 from
-    ``is_true``, and state t from state t − 1 and the shot set in
-    ``is_true`` with the engine's step. With it come the negations of the
-    shots of the next step that are a null move from the state reached or,
-    when the next step is the last, leave more than ``goal`` blocks. Those
-    shots have no model: the successor clauses refute a null move, and the
-    goal counter a state with too many blocks. The solver reads neither the
-    counter's clauses nor its registers, so this is where it meets the
-    goal. It is None for a null move. The outputs are a literal of every
-    variable of the step's wall fall, grid and hand. Both functions read
-    only their arguments and the tables fixed here."""
+    it. State 0 is the instance's grid, with the hand set in ``is_true``
+    and a wall fall of 0; state t follows from state t − 1 and the shot
+    set in ``is_true`` with the engine's step. With it come the negations
+    of the shots of the next step that are a null move from the state
+    reached or, when the next step is the last, leave more than the goal's
+    blocks. Those shots have no model: the successor clauses refute a null
+    move, and the goal counter a state with too many blocks. The solver
+    reads neither the counter's clauses nor its registers, so this is where
+    it meets the goal. It is None for a null move. The outputs are a
+    literal of every variable of the step's wall fall, grid and hand; at
+    step 0, of the grid alone. Both functions read only their arguments
+    and the tables fixed here."""
     H, W, K = vm.height, vm.width, vm.colours
     last, cells, grid_size = vm.steps, H * W, H * W * (K + 1)
-    values = list(range(K + 1)) * cells  # a cell's value, by its variable
+    start, goal = instance.grid.cells, instance.goal
     rows = [None, *(RowShot(r) for r in range(1, H + 1))]
     cols = [None, *(ColShot(c) for c in range(1, W + 1))]
-    base0 = vm.state_bases[0]
-    # by step: the first variable of the fired row and of the wall fall
+    hand0 = vm.hand_var(0, 1)
+    # by step: the first variable of the fired row and of the wall fall (at
+    # step 0, where it would lie)
     row0 = [0] + [vm.row_shot_var(t, 0) for t in range(1, last + 1)]
-    fall0 = [0] + [vm.wall_fall_var(t, 0) for t in range(1, last + 1)]
+    fall0 = [base - (H + 1) for base in vm.state_bases]
     # each output's offset from the wall fall's first variable: per cell its
     # value 0, then the hand's colour 1
     size = H + 1 + grid_size + K
@@ -548,10 +547,8 @@ def _successor(vm: VarMap, goal: int) -> tuple[
         t: int, prev: Optional[_State], is_true: Sequence[bool]
     ) -> Optional[tuple[_State, list[int]]]:
         if t == 0:
-            flat = list(compress(values, is_true[base0 : base0 + grid_size]))
-            hand = is_true.index(True, base0 + grid_size) - base0 - grid_size + 1
-            grid = tuple(tuple(flat[i : i + W]) for i in range(0, cells, W))
-            return (grid, hand, 0), closed(0, grid, hand)
+            hand = is_true.index(True, hand0) - hand0 + 1
+            return (start, hand, 0), closed(0, start, hand)
         grid, hand, _ = prev
         fired_row, fired_col = row0[t], row0[t] + H + 1  # their values 0
         rv = is_true.index(True, fired_row) - fired_row
@@ -569,7 +566,7 @@ def _successor(vm: VarMap, goal: int) -> tuple[
         flat = [v for row in grid for v in row]
         for p in (fall, hand_at + hand, *map(add, cell_at, flat)):
             lits[p] = -lits[p]
-        return lits
+        return lits if t else lits[H + 1 : hand_at + 1]
 
     return successor, outputs
 

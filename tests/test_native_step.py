@@ -44,11 +44,12 @@ class TestPinnedWork:
     moves a count re-records it here, with the old and new values in
     CHANGES.md, and only when plans and statuses are unchanged.
 
-    With the record, the search decides no step clause's variable and
-    computes each step with the engine; it sets only the decided shots and
-    what the one-hot groups imply, and holds each step's state outside the
-    assignment. A model then sets each step's state once, and the auxiliary
-    variables and the goal counter's registers. Goal 0 takes
+    With the record, the search decides only the initial hand and the
+    shots, and computes each step with the engine, from the start grid on;
+    it sets only the hand, the shots and what their one-hot groups imply,
+    and holds each step's state outside the assignment. A model then sets
+    every step's state once, step 0's start grid included, and the
+    auxiliary variables and the goal counter's registers. Goal 0 takes
     more decisions than the clauses: there the clauses can refute a state
     two steps before the last, the engine's look-ahead one step before.
     Without the record a sat formula takes more: the search decides each
@@ -59,8 +60,8 @@ class TestPinnedWork:
     PINS = {
         ((3, 3, 2), 1, 0, 5): (
             "unsat",
-            {PROGRESS_WITNESS: ((84, 1515), (78, 7568)),
-             PROGRESS_CARDINALITY: ((84, 1515), (78, 11303))},
+            {PROGRESS_WITNESS: ((84, 1488), (78, 7568)),
+             PROGRESS_CARDINALITY: ((84, 1488), (78, 11303))},
         ),
         ((3, 3, 2), 1, 3, 3): (
             "sat",
@@ -69,8 +70,8 @@ class TestPinnedWork:
         ),
         ((4, 4, 3), 1, 10, 3): (
             "unsat",
-            {PROGRESS_WITNESS: ((18, 430), (22, 4558)),
-             PROGRESS_CARDINALITY: ((18, 430), (22, 9429))},
+            {PROGRESS_WITNESS: ((18, 366), (22, 4558)),
+             PROGRESS_CARDINALITY: ((18, 366), (22, 9429))},
         ),
         ((4, 4, 3), 1, 10, 4): (
             "sat",
@@ -79,8 +80,8 @@ class TestPinnedWork:
         ),
         ((5, 5, 3), 3, 19, 2): (
             "unsat",
-            {PROGRESS_WITNESS: ((9, 288), (9, 2535)),
-             PROGRESS_CARDINALITY: ((9, 288), (9, 5676))},
+            {PROGRESS_WITNESS: ((9, 188), (9, 2535)),
+             PROGRESS_CARDINALITY: ((9, 188), (9, 5676))},
         ),
         ((5, 5, 3), 3, 19, 3): (
             "sat",
@@ -206,6 +207,49 @@ class TestStateIsolation:
         assert both == [first, first]
 
 
+class TestStepRecord:
+    """The record describes its formula exactly and names only what the
+    search reads: the initial hand and the shots."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+        slack=st.integers(0, 6),
+        steps=st.integers(1, 4),
+        mode=st.sampled_from(PROGRESS_MODES),
+        hand=st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_the_search_reads_only_the_hand_and_the_shots(
+        self, shape, seed, slack, steps, mode, hand
+    ):
+        height, width, colours = shape
+        colours = min(colours, height * width)
+        grid = random_instance(GeneratorSpec(height, width, colours, seed=seed)).grid
+        hand = None if hand is None or hand > colours else hand
+        opts = EncodeOptions(steps, fixed_initial_hand=hand, progress_encoding=mode)
+        f, vm = encode(Instance(grid, max(0, height * width - slack)), opts)
+        record = f.steps
+        assert record.describes(f)
+        assert record.tail == f.clauses[record.size :]
+        assert f.clauses[: record.size] == record.source[: record.size]
+        decided = list(vm.hand_ids(0))
+        for t in range(1, steps + 1):
+            decided += range(vm.row_shot_var(t, 0), vm.row_shot_var(t, height) + 1)
+            decided += range(vm.col_shot_var(t, 0), vm.col_shot_var(t, width) + 1)
+        # one range per step, in id order, covering exactly those variables
+        assert len(record.ranges) == steps + 1
+        assert [v for r in record.ranges for v in r] == decided
+        # every searched clause is the formula's and reads them alone
+        read = {abs(lit) for clause in record.searched for lit in clause}
+        assert read == set(decided)
+        assert set(record.searched) <= set(f.clauses)
+        # the pinned hand's unit, if any (one colour's group is a unit too)
+        units = {c for c in record.searched if len(c) == 1}
+        pinned = set() if hand is None else {(vm.hand_var(0, hand),)}
+        assert units == pinned | ({(vm.hand_var(0, 1),)} if colours == 1 else set())
+
+
 class TestFallback:
     """A formula the step-chain record does not describe is solved from its
     clauses, with the answers the clauses give."""
@@ -216,6 +260,8 @@ class TestFallback:
             "step-clause-dropped",
             "later-step-clause",
             "changed-var-count",
+            "start-cell-repeated",
+            "start-cell-contradicted",
         ],
     )
     def test_a_formula_the_record_does_not_describe(self, change, monkeypatch):
@@ -238,14 +284,21 @@ class TestFallback:
             elif change == "later-step-clause":
                 # a clause after the chain on a cell of the last state
                 f.add_clause((-vm.grid_var(steps, 1, 1, 0),))
-            else:
+            elif change == "changed-var-count":
                 f.new_var()  # free, so true in the first model
+            else:
+                # a unit on a start cell, after the start units: the search
+                # takes the start grid from the instance, not the clauses
+                start = vm.grid_var(0, 1, 1, grid.at(1, 1))
+                f.add_clause((start if change == "start-cell-repeated" else -start,))
             assert not f.steps.describes(f)
             searched.clear()
             native = dpll_solve(f)
             assert searched == [None]
             plain = dpll_solve(plain_copy(f))
             assert (native.status, native.model) == (plain.status, plain.model)
+            if change == "start-cell-contradicted":
+                assert native.is_unsat
             sat += first.is_sat
         assert sat >= 4
 
