@@ -13,12 +13,13 @@ clause gets a watch list of its own. Propagation takes set literals newest
 first, which reaches a conflict at the end of a chain of implications
 sooner and sets the same literals. A formula that a chain of transition
 steps describes exactly (a :class:`StepChain` record, which the encoder
-attaches) is searched over its decisions alone, the initial hand and the
-shots: a callable computes each step's state, from the start grid on,
-which the search holds outside the assignment, and rules out the last
-step's shots that miss the goal. A found model takes each step's outputs
-from its state, its auxiliary variables from the steps' clauses and the
-counter's registers from its inputs' values (see :func:`dpll_solve`).
+attaches) is searched depth first over its steps' options instead: a
+callable lists each step's options, the initial hands and then the shots
+that have a model, each with the state it reaches, so no clause is read
+during the search. A found model takes its decisions from the options
+chosen, each step's outputs from its state, its auxiliary variables from
+the steps' clauses and the counter's registers from its inputs' values
+(see :func:`dpll_solve`).
 :func:`external_solve` runs any solver, given as an argv, that takes a
 DIMACS path argument and prints SAT-competition style ``s``/``v`` lines.
 Both take a ``timeout`` in seconds and report an unknown outcome with
@@ -31,8 +32,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, islice
-from operator import neg, not_
+from itertools import chain, combinations, islice
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Optional, Sequence
 
@@ -66,8 +66,8 @@ class CnfFormula:
     when complete. :func:`at_least_k` checks its inputs before it appends
     anything, and its other literals are the registers it allocates.
 
-    ``steps`` records a chain of transition steps whose successor a
-    callable computes (:class:`StepChain`; the encoder sets it). The
+    ``steps`` records a chain of transition steps whose options a callable
+    lists (:class:`StepChain`; the encoder sets it). The
     clauses are the formula all the same: DIMACS output, external solvers
     and model checks read them alone, and only :func:`dpll_solve` reads the
     record.
@@ -115,11 +115,13 @@ class CnfFormula:
 class SatOutcome:
     """Solver verdict: sat with a total model, unsat, or unknown.
 
-    ``decisions`` and ``assigned`` count the work of :func:`dpll_solve`:
-    the variables it decided (a backtrack's flip is not a decision) and the
-    literals it set, those later undone included. On a step chain a model
-    sets each step's outputs and auxiliary variables once, and they count
-    once. Other solvers leave both 0."""
+    ``decisions`` and ``assigned`` count the work of :func:`dpll_solve`.
+    From a formula's clauses, they are the variables it decided (a
+    backtrack's flip is not a decision) and the literals it set, those
+    later undone included. Over a :class:`StepChain`, they are the options
+    it tried and their literals, with the literals a model sets besides:
+    the other decision variables, false, and the outputs and auxiliary
+    variables, each once. Other solvers leave both 0."""
 
     status: str  # "sat" | "unsat" | "unknown"
     model: Optional[tuple[bool, ...]] = None  # indexed by var id, entry 0 unused
@@ -173,8 +175,8 @@ class AtLeastK:
 
 @dataclass(frozen=True, eq=False)
 class StepChain:
-    """A formula's transition steps 0..h, which :func:`dpll_solve` computes
-    with ``successor`` instead of propagating them through their clauses.
+    """A formula's transition steps 0..h, which :func:`dpll_solve` searches
+    through ``choices`` instead of through their clauses.
 
     The record describes one formula exactly (:meth:`describes`):
     ``var_count`` variables, the chain's clauses ``source[:size]``, then
@@ -184,33 +186,28 @@ class StepChain:
     grid, and a later step's are its wall fall and the state it reaches;
     the rest of the chain's variables are auxiliary.
 
-    ``successor(t, prev, is_true)`` computes step t once its decisions, and
-    those before them, are set in ``is_true`` (a list indexed by signed
-    literal). It returns ``(state, closed)``, or None when no model extends
-    them. ``state`` is step t's state, opaque to the solver: at t = 0 the
-    start grid the tail's units fix, with the hand read from ``is_true``,
-    and from t = 1 on it follows from ``prev``, the state step t − 1
-    returned, and shot t. ``closed`` are the negations of any decision
-    variables of step t + 1 that no model extending them can set true.
+    ``choices(t, state)`` lists step t + 1's options once step t has
+    reached ``state``; ``choices(-1, None)`` lists step 0's. An option is
+    ``(lits, state)``: the decision variables of step t + 1 that it sets
+    true, every other one of the step being false, and the state step t + 1
+    then reaches, opaque to the solver. The options are the assignments of
+    step t + 1's decision variables that satisfy the formula's clauses over
+    decision variables alone, in the order lowest-index branching over
+    those clauses meets them, less only assignments that no model extends
+    (those of the last step that leave the goal unmet among them).
     ``outputs(t, state)`` gives a literal of every output variable of step
-    t in that state; the solver calls it only for a model. Neither callable
-    may keep a state of its own: one formula may be solved more than once,
-    from more than one thread.
-
-    ``searched`` are the formula's clauses over decision variables alone,
-    the only ones the search reads: the hand's one-hot group, its pinning
-    unit if the tail has one, and each step's shot groups. None reads an
-    output, so the outputs can wait for a model without a conflict passing
-    unseen. Every auxiliary variable is a function of lower-index decision
-    and output variables, and reading the chain's clauses once, in order,
-    setting each clause's last unset literal when the others are false,
-    sets it.
+    t in that state; the solver calls it only for a model. Both depend on
+    their arguments alone and keep no state of their own: one formula may
+    be solved more than once, from more than one thread. Every auxiliary
+    variable is a function of lower-index decision and output variables,
+    and reading the chain's clauses once, in order, setting each clause's
+    last unset literal when the others are false, sets it.
 
     ``goal`` is the :func:`at_least_k` whose clauses start the tail and
     whose registers are the formula's last variables, or None. Its inputs
-    are outputs of the last step, and ``successor`` must rule out every
-    shot of the last step that leaves it unmet, so that the search needs
-    neither its clauses nor its registers.
+    are outputs of the last step, which ``choices`` leaves out wherever
+    they leave it unmet, so that the search needs neither its clauses nor
+    its registers.
     """
 
     source: list[tuple[int, ...]]
@@ -218,9 +215,8 @@ class StepChain:
     tail: list[tuple[int, ...]]
     var_count: int
     ranges: tuple[range, ...]
-    searched: list[tuple[int, ...]]
     goal: Optional[AtLeastK]
-    successor: Callable[[int, Any, Sequence[bool]], Optional[tuple[Any, Sequence[int]]]]
+    choices: Callable[[int, Any], Sequence[tuple[Sequence[int], Any]]]
     outputs: Callable[[int, Any], Sequence[int]]
 
     def describes(self, formula: CnfFormula) -> bool:
@@ -393,78 +389,99 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
 
     When the formula's :class:`StepChain` describes it (see
     :meth:`StepChain.describes`), the search steps the chain natively, a
-    theory propagator in the sense of DPLL(T) (Nieuwenhuis, Oliveras &
-    Tinelli, J. ACM 2006). It loads only the chain's ``searched`` clauses,
-    and decides only each step's decision variables, in id order. Where the
-    next decision would follow a step's last decision variable, it computes
-    the step's state with ``successor`` from the state before it, or at
-    step 0 from the start grid, and holds it in a list of its own; at the
-    level of the last decision it rules out the next step's hopeless shots,
-    those of the last step that miss the goal among them. A None, or a shot
-    ruled out that is already true, is a conflict there. Backtracking is
-    chronological, so the state held for step t − 1 is always the current
-    branch's when step t is computed. No searched clause reads an output
-    (see :class:`StepChain`), so the outputs are not set during the search
-    at all. What it sets holds in every model that extends the decisions.
-    The start grid's variables come before the hand's and every model sets
-    them by unit, and every later output and auxiliary variable is a
-    function of lower-index variables, so the search still meets the models
-    in brute-force order and returns the one the clauses give. A model gets
-    each step's outputs from its held state with ``outputs``, and its
-    auxiliary variables from one in-order pass over the chain's clauses
-    (see :func:`_fill`); the goal counter's registers get their exact
-    values from :meth:`AtLeastK.registers_under`, which is the first
-    extension in brute-force order, since the registers come last and each
-    may be true only when its count holds. The model is then verified
-    against every clause, as any other model. ``decisions`` and
-    ``assigned`` count the search and the fill. Any other formula is solved
-    from all of its clauses.
+    theory solver in the sense of DPLL(T) (Nieuwenhuis, Oliveras & Tinelli,
+    J. ACM 2006), and reads no clause at all: it is a depth-first search
+    over ``choices``, from step 0's options on, which tries each step's
+    options in their order and takes the first that leads to an option of
+    the last step. The options are the assignments of a step's decision
+    variables that lowest-index branching over the clauses would meet, in
+    its order, less some that no model extends, so the search meets the
+    models in the same brute-force order: the start grid's variables come
+    before the hand's and every model sets them by unit, and every later
+    output and auxiliary variable is a function of lower-index variables.
+    The deadline is checked before each option. A model sets the chosen
+    options' literals, then every other decision variable false, then each
+    step's outputs from its state with ``outputs``, and its auxiliary
+    variables from one in-order pass over the chain's clauses (see
+    :func:`_fill`); the goal counter's registers get their exact values
+    from :meth:`AtLeastK.registers_under`, which is the first extension in
+    brute-force order, since the registers come last and each may be true
+    only when its count holds. The model is then verified against every
+    clause, as any other model. ``decisions`` counts the options tried and
+    ``assigned`` their literals, then the literals the model sets besides.
 
-    The clauses searched are indexed once per call, in a fresh
-    :class:`ClauseIndex`; the search moves watches by swapping literals
-    within a clause's run in its ``lits``, and a binary clause is a
-    two-literal run whose watches never move. The step states are held
-    per call too. No state outlives the call, so one formula may be solved
+    Any other formula is solved from all of its clauses, indexed once per
+    call in a fresh :class:`ClauseIndex`; the search moves watches by
+    swapping literals within a clause's run in its ``lits``, and a binary
+    clause is a two-literal run whose watches never move. Propagation takes
+    set literals newest first, so it follows one chain of implications to
+    its end before the next, and a conflict at the end of one is met
+    sooner. Whether propagation ends in a conflict, and the literals it
+    sets when it does not, do not depend on that order, so neither do the
+    decisions or the model.
+
+    Either search keeps its state in the call: one formula may be solved
     again, or from two threads at once.
-
-    Propagation takes set literals newest first, so it follows one chain of
-    implications to its end before the next, and a conflict at the end of
-    one is met sooner. Whether propagation ends in a conflict, and the
-    literals it sets when it does not, do not depend on that order, so
-    neither do the decisions or the model.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
     steps = formula.steps
     if steps is not None and steps.describes(formula):
+        return _step_search(formula, steps, deadline)
+    return _search(formula, ClauseIndex(formula.clauses, formula.var_count), deadline)
+
+
+def _step_search(
+    formula: CnfFormula, steps: StepChain, deadline: Optional[float]
+) -> SatOutcome:
+    """Search ``formula`` over the options of ``steps`` (see
+    :func:`dpll_solve`)."""
+    choices, last = steps.choices, len(steps.ranges) - 1
+    tried = assigned = 0
+    path: list[tuple[Sequence[int], Any]] = []  # the option taken per step
+    left = [iter(choices(-1, None))]  # per step, its options not yet tried
+    while left:
+        option = next(left[-1], None)
+        if option is None:
+            left.pop()
+            if left:
+                path.pop()
+            continue
+        if deadline is not None and time.monotonic() >= deadline:
+            return SatOutcome("unknown", None, "timeout", tried, assigned)
+        tried += 1
+        assigned += len(option[0])
+        path.append(option)
+        if len(path) <= last:
+            left.append(iter(choices(len(path) - 1, option[1])))
+            continue
         goal = steps.goal
         nvars = formula.var_count if goal is None else goal.first_var - 1
-        index = ClauseIndex(steps.searched, nvars)
-    else:
-        steps, index = None, ClauseIndex(formula.clauses, formula.var_count)
-    return _search(formula, index, steps, deadline)
+        is_true = [False] * (2 * nvars + 1)  # by signed literal
+        for lits, _ in path:
+            for lit in lits:
+                is_true[lit] = True
+        for v in chain.from_iterable(steps.ranges):
+            if not is_true[v]:
+                is_true[-v] = True
+                assigned += 1
+        held = [state for _, state in path]
+        assigned += _fill(is_true, steps, held, formula.clauses, nvars)
+        model = is_true[: nvars + 1]
+        if goal is not None:
+            model += goal.registers_under(is_true)
+        if not _verify_model(formula, model):
+            raise RuntimeError("internal solver produced a bad model")
+        return SatOutcome("sat", tuple(model), None, tried, assigned)
+    return SatOutcome("unsat", None, None, tried, assigned)
 
 
 def _search(
-    formula: CnfFormula,
-    index: ClauseIndex,
-    steps: Optional[StepChain],
-    deadline: Optional[float],
+    formula: CnfFormula, index: ClauseIndex, deadline: Optional[float]
 ) -> SatOutcome:
     """Search the loaded clauses of ``formula`` (see :func:`dpll_solve`)."""
     nvars = index.var_count
     watches, lits = index.watches, index.lits
-    if steps is None:
-        order: Sequence[int] = range(1, nvars + 1)
-        marks = 0
-    else:
-        # the variables decided, in id order, and after each step's
-        # decisions its mark: a variable past the formula's that stands for
-        # the step's outputs, set when they are
-        order, marks = [], len(steps.ranges)
-        for t, decide in enumerate(steps.ranges):
-            order += decide
-            order.append(nvars + 1 + t)
-    is_true = [False] * (2 * (nvars + marks) + 1)  # unassigned when both are False
+    is_true = [False] * (2 * nvars + 1)  # unassigned when both are False
     trail: list[int] = []  # every literal set, in order: the undo log
     pending: list[int] = []  # set but not yet propagated, newest last
 
@@ -512,43 +529,10 @@ def _search(
                     i += 1
         return True
 
-    # held[t]: the state of step t on the current branch, once its mark is
-    # set. Marks are set in step order and undone newest first, so when
-    # step t is placed, held[t - 1] is the state its shot starts from.
-    held: list = [None] * (0 if steps is None else len(steps.ranges))
-    if steps is not None:
-        get = is_true.__getitem__
-        successor = steps.successor
-
-        def place(step: int) -> bool:
-            """Set ``step``'s mark, hold its state and rule out the next
-            step's hopeless shots; False on conflict."""
-            trail.append(nvars + 1 + step)
-            is_true[trail[-1]] = True
-            got = successor(step, held[step - 1] if step else None, is_true)
-            if got is None:
-                return False
-            held[step], closed = got
-            if any(map(get, map(neg, closed))):
-                return False
-            new = list(compress(closed, map(not_, map(get, closed))))
-            for lit in new:
-                is_true[lit] = True
-            trail.extend(new)
-            # propagating lit visits the watches of -lit, and a watch moves
-            # only onto a literal that is not false, so none reaches -lit
-            # while lit is set
-            pending.extend(compress(new, map(watches.__getitem__, map(neg, new))))
-            return True
-
-    # undone: literals set and then unset; placed: step marks set, which
-    # are no literals; filled: outputs and auxiliary variables set for a
-    # model
-    decisions = undone = placed = filled = 0
+    decisions = undone = 0  # undone: literals set and then unset
 
     def outcome(status: str, model=None, reason=None) -> SatOutcome:
-        assigned = undone + filled + len(trail) - placed
-        return SatOutcome(status, model, reason, decisions, assigned)
+        return SatOutcome(status, model, reason, decisions, undone + len(trail))
 
     for lit in index.units:
         if is_true[-lit]:
@@ -560,55 +544,40 @@ def _search(
     if not propagate():
         return outcome("unsat")
 
-    # stack of (position in order of the decided var, tried_negative_yet,
-    # trail length before the decision)
+    # stack of (decided var, tried_negative_yet, trail length before the
+    # decision)
     stack: list[tuple[int, bool, int]] = []
-    pos, end = 0, len(order)
+    var = 1
     while True:
-        while pos < end and (is_true[order[pos]] or is_true[-order[pos]]):
-            pos += 1
-        if pos == end:
-            if steps is not None:
-                filled = _fill(is_true, steps, held, formula.clauses, nvars)
+        while var <= nvars and (is_true[var] or is_true[-var]):
+            var += 1
+        if var > nvars:
             model = is_true[: nvars + 1]
-            if steps is not None and steps.goal is not None:
-                model += steps.goal.registers_under(is_true)
             if not _verify_model(formula, model):
                 raise RuntimeError("internal solver produced a bad model")
             return outcome("sat", tuple(model))
-        var = order[pos]
-        if var > nvars:
-            # a step's mark: its state is held, and the next step's shots
-            # ruled out, at the level of the last decision, as propagation
-            # sets literals
-            placed += 1
-            ok = place(var - nvars - 1) and propagate()
-        else:
-            if deadline is not None and time.monotonic() >= deadline:
-                return outcome("unknown", reason="timeout")
-            stack.append((pos, False, len(trail)))
-            decisions += 1
-            is_true[var] = True
-            trail.append(var)
-            pending.append(var)
-            ok = propagate()
-        while not ok:
+        if deadline is not None and time.monotonic() >= deadline:
+            return outcome("unknown", reason="timeout")
+        stack.append((var, False, len(trail)))
+        decisions += 1
+        is_true[var] = True
+        trail.append(var)
+        pending.append(var)
+        while not propagate():
             # conflict: undo decisions up to the newest with an untried polarity
             tried = True
             while tried:
                 if not stack:
                     return outcome("unsat")
-                pos, tried, mark = stack.pop()
+                var, tried, mark = stack.pop()
                 for lit in trail[mark:]:
                     is_true[lit] = False
                 undone += len(trail) - mark
                 del trail[mark:]
-            stack.append((pos, True, mark))
-            var = order[pos]
+            stack.append((var, True, mark))
             is_true[-var] = True
             trail.append(-var)
             pending.append(-var)
-            ok = propagate()
 
 
 def _fill(

@@ -38,20 +38,19 @@ Every auxiliary variable of a step is a function of lower-index state and
 action variables, which unit propagation fixes once those are set, and so
 are the step's state and wall fall. The DPLL solver does not propagate a
 step through its clauses: :func:`encode` attaches a
-:class:`plotting_solver.cnf.StepChain` whose callable steps the engine
-(:func:`_successor`), so the solver decides only the initial hand and each
-step's shot, in the order lowest-index branching over the clauses would,
-and never indexes the other clauses, step 0's cell groups and the start
-units among them. It holds each step's state as the engine gives it,
-outside its assignment, from the instance's grid on; only a model gets the
-state's variables, from that state, and its auxiliary variables from the
-step's clauses. The goal counter's registers are no such function
-(see :func:`plotting_solver.cnf.at_least_k`): they are implied in one
-direction only. The goal is the successor's too: it rules out every shot
-of the last step that leaves more than the goal's blocks, so the DPLL
-solver neither indexes the counter's clauses nor decides its registers,
-and a model gets their exact values from the counter's record. DIMACS
-output and external solvers get every clause.
+:class:`plotting_solver.cnf.StepChain` whose callable lists each step's
+options with the engine (:func:`_choices`): the initial hands, and then
+the shots that are no null move, each with the state the engine reaches,
+in the order lowest-index branching over the clauses would meet them. The
+solver searches those options depth first and reads no clause while it
+does; only a model gets the states' variables, from the states, and its
+auxiliary variables from the steps' clauses. The goal counter's registers
+are no such function (see :func:`plotting_solver.cnf.at_least_k`): they
+are implied in one direction only. The goal is the options' too: the last
+step's leave out every shot that leaves more than the goal's blocks, so
+the DPLL solver never reads the counter's clauses, and a model gets the
+registers' exact values from the counter's record. DIMACS output and
+external solvers get every clause.
 
 Variable allocation is deterministic: step 0 grid cells (row major, value
 0..K per cell) and the step-0 hand come first. Each step then follows in
@@ -89,7 +88,9 @@ from operator import add, itemgetter
 from typing import Callable, Optional, Sequence, Union
 
 from .cnf import CnfFormula, StepChain, and_gate, at_least_k, exactly_one
-from .engine import Cells, ColShot, Grid, Instance, RowShot, Shot, step, successors
+from .engine import (
+    Cells, ColShot, Grid, Instance, RowShot, Shot, _wall_fall, build, successors,
+)
 from .oracle import CapacityExceededError
 
 PROGRESS_WITNESS = "consumptionWitness"
@@ -105,7 +106,7 @@ EMPTY = 0
 # about 8.5M clauses at step 1.
 MAX_SUM_RANGE = 800
 
-# A step's state as the engine-stepped search holds it (see _successor)
+# A step's state as the engine-stepped search holds it (see _choices)
 _State = tuple[Cells, int, int]
 
 
@@ -457,9 +458,8 @@ def encode(
         formula.clauses[clause_count:],
         formula.var_count,
         _step_ranges(varmap),
-        _shot_groups(varmap, fixed),
         goal,
-        *_successor(varmap, instance),
+        *_choices(varmap, instance, fixed),
     )
     return formula, varmap
 
@@ -473,91 +473,73 @@ def _step_ranges(vm: VarMap) -> tuple[range, ...]:
     return tuple(ranges)
 
 
-def _shot_groups(vm: VarMap, fixed: Optional[int]) -> list[tuple[int, ...]]:
-    """The formula's clauses over decision variables alone: the initial
-    hand's one-hot group and, if ``fixed``, its unit; then per step the
-    fired row's and fired column's one-hot groups and one axis fired."""
-    f = CnfFormula()
-    exactly_one(f, vm.hand_ids(0))
-    if fixed is not None:
-        f.clauses.append((vm.hand_var(0, fixed),))
-    for t in range(1, vm.steps + 1):
-        row, col = vm.row_shot_var(t, 0), vm.col_shot_var(t, 0)
-        exactly_one(f, range(row, row + vm.height + 1))
-        exactly_one(f, range(col, col + vm.width + 1))
-        f.clauses += ((row, col), (-row, -col))
-    return f.clauses
-
-
-def _successor(vm: VarMap, instance: Instance) -> tuple[
-    Callable[[int, Optional[_State], Sequence[bool]], Optional[tuple[_State, list[int]]]],
+def _choices(vm: VarMap, instance: Instance, fixed: Optional[int]) -> tuple[
+    Callable[[int, Optional[_State]], Sequence[tuple[tuple[int, ...], _State]]],
     Callable[[int, _State], list[int]],
 ]:
-    """:attr:`StepChain.successor` and :attr:`StepChain.outputs` for the
-    horizon ``vm.steps`` of ``instance``.
+    """:attr:`StepChain.choices` and :attr:`StepChain.outputs` for the
+    horizon ``vm.steps`` of ``instance``, with the initial hand ``fixed``
+    or free.
 
-    A step's state is ``(rows, hand, wall fall)``, as the engine gives
-    it. State 0 is the instance's grid, with the hand set in ``is_true``
-    and a wall fall of 0; state t follows from state t − 1 and the shot
-    set in ``is_true`` with the engine's step. With it come the negations
-    of the shots of the next step that are a null move from the state
-    reached or, when the next step is the last, leave more than the goal's
-    blocks. Those shots have no model: the successor clauses refute a null
-    move, and the goal counter a state with too many blocks. The solver
+    A step's state is ``(rows, hand, wall fall)``, as the engine gives it.
+    Step 0's options are the initial hands, 1..K or ``fixed`` alone, each
+    with the instance's grid and a wall fall of 0. A later step's options
+    are its shots, columns 1..W and then rows 1..H: lowest-index branching
+    tries the fired row's value 0, "no row", true first. Each sets its
+    fired row and fired column, one of them to 0, and comes with the state
+    the engine reaches: :func:`engine.successors` walks each travel once,
+    and :func:`engine.build` and the engine's wall fall take its stop.
+    Left out are the shots that have no model: a null move, which the
+    successor clauses refute, and at the last step a shot that leaves more
+    than the goal's blocks, which the goal counter refutes. The solver
     reads neither the counter's clauses nor its registers, so this is where
-    it meets the goal. It is None for a null move. The outputs are a
-    literal of every variable of the step's wall fall, grid and hand; at
-    step 0, of the grid alone. Both functions read only their arguments
-    and the tables fixed here."""
+    it meets the goal. The outputs are a literal of every variable of the
+    step's wall fall, grid and hand; at step 0, of the grid alone. Both
+    functions read only their arguments and the tables fixed here."""
     H, W, K = vm.height, vm.width, vm.colours
     last, cells, grid_size = vm.steps, H * W, H * W * (K + 1)
     start, goal = instance.grid.cells, instance.goal
-    rows = [None, *(RowShot(r) for r in range(1, H + 1))]
-    cols = [None, *(ColShot(c) for c in range(1, W + 1))]
-    hand0 = vm.hand_var(0, 1)
-    # by step: the first variable of the fired row and of the wall fall (at
-    # step 0, where it would lie)
-    row0 = [0] + [vm.row_shot_var(t, 0) for t in range(1, last + 1)]
+    hands = range(1, K + 1) if fixed is None else (fixed,)
+    roots = tuple(((vm.hand_var(0, hand),), (start, hand, 0)) for hand in hands)
+    # by step from 1 on, per shot of engine.successors (rows, then
+    # columns): the fired row and fired column it sets
+    fired = [
+        [(vm.row_shot_var(t, r), vm.col_shot_var(t, 0)) for r in range(1, H + 1)]
+        + [(vm.row_shot_var(t, 0), vm.col_shot_var(t, c)) for c in range(1, W + 1)]
+        for t in range(1, last + 1)
+    ]
+    # by step, the first variable of its wall fall (at step 0, where it
+    # would lie)
     fall0 = [base - (H + 1) for base in vm.state_bases]
     # each output's offset from the wall fall's first variable: per cell its
     # value 0, then the hand's colour 1
     size = H + 1 + grid_size + K
     cell_at = range(H + 1, H + 1 + grid_size, K + 1)
     hand_at = H + grid_size
-    # a shot's variable less its step's fired row 0
-    shot_at = [*range(1, H + 1), *range(H + 2, H + W + 2)]
 
-    def closed(t: int, grid: Cells, hand: int) -> list[int]:
-        """The negated shots of step ``t + 1`` that have no model."""
-        if t == last:
-            return []
+    def choices(
+        t: int, state: Optional[_State]
+    ) -> Sequence[tuple[tuple[int, ...], _State]]:
+        if state is None:
+            return roots
+        grid, hand, _ = state
         need = 1
         if t + 1 == last:
             empty = sum(row.count(EMPTY) for row in grid)
             need = max(1, cells - empty - goal)
-        open_ = {
-            shot.row if type(shot) is RowShot else H + 1 + shot.col
-            for shot, (eaten, _) in successors(grid, hand)
-            if eaten >= need
-        }
-        first = row0[t + 1]
-        return [-first - x for x in shot_at if x not in open_]
-
-    def successor(
-        t: int, prev: Optional[_State], is_true: Sequence[bool]
-    ) -> Optional[tuple[_State, list[int]]]:
-        if t == 0:
-            hand = is_true.index(True, hand0) - hand0 + 1
-            return (start, hand, 0), closed(0, start, hand)
-        grid, hand, _ = prev
-        fired_row, fired_col = row0[t], row0[t] + H + 1  # their values 0
-        rv = is_true.index(True, fired_row) - fired_row
-        shot = rows[rv] if rv else cols[is_true.index(True, fired_col) - fired_col]
-        out = step(grid, hand, shot)
-        if out is None:
-            return None
-        grid, hand, fall, _ = out
-        return (grid, hand, fall), closed(t, grid, hand)
+        lits = fired[t]
+        rows, cols = [], []
+        for shot, (eaten, stop) in successors(grid, hand):
+            if eaten < need:
+                continue
+            after = build(grid, hand, shot, stop)
+            if type(shot) is RowShot:
+                r0 = shot.row - 1
+                fall = _wall_fall(grid, hand, r0) if stop >= W else 0
+                rows.append((lits[r0], (*after, fall)))
+            else:
+                cols.append((lits[H + shot.col - 1], (*after, 0)))
+        return cols + rows
 
     def outputs(t: int, state: _State) -> list[int]:
         grid, hand, fall = state
@@ -568,7 +550,7 @@ def _successor(vm: VarMap, instance: Instance) -> tuple[
             lits[p] = -lits[p]
         return lits if t else lits[H + 1 : hand_at + 1]
 
-    return successor, outputs
+    return choices, outputs
 
 
 class _Chain:

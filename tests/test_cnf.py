@@ -462,7 +462,7 @@ class TestClauseIndex:
         index = ClauseIndex(clauses, 7)
         if solved:  # the search moves watches; it leaves the layout as it was
             f = formula_from(7, clauses)
-            out = _search(f, index, None, None)
+            out = _search(f, index, None)
             assert out.is_sat
             same_outcome(out, dpll_solve(f))
         self.assert_one_run_per_clause(index, clauses, 7)
@@ -474,7 +474,7 @@ class TestClauseIndex:
         f = formula_from(6, [(1, 2, -3), (4, 5, 6), (-1,), (-2,)])
         index = ClauseIndex(f.clauses, f.var_count)
         assert index.lits == [0, 1, 2, -3, 0, 4, 5, 6, 0]
-        out = _search(f, index, None, None)
+        out = _search(f, index, None)
         assert out.model == (False, False, False, False, True, True, True)
         lits = index.lits
         assert sorted(lits[1:4]) == [-3, 1, 2] and lits[4:] == [0, 4, 5, 6, 0]

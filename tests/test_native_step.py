@@ -44,49 +44,49 @@ class TestPinnedWork:
     moves a count re-records it here, with the old and new values in
     CHANGES.md, and only when plans and statuses are unchanged.
 
-    With the record, the search decides only the initial hand and the
-    shots, and computes each step with the engine, from the start grid on;
-    it sets only the hand, the shots and what their one-hot groups imply,
-    and holds each step's state outside the assignment. A model then sets
-    every step's state once, step 0's start grid included, and the
-    auxiliary variables and the goal counter's registers. Goal 0 takes
-    more decisions than the clauses: there the clauses can refute a state
-    two steps before the last, the engine's look-ahead one step before.
-    Without the record a sat formula takes more: the search decides each
-    register that the counter's top unit leaves free."""
+    With the record, the search tries the steps' options depth first: the
+    initial hands, then the shots that are no null move (at the last step,
+    the shots that meet the goal), each with the state the engine reaches.
+    ``decisions`` counts the options tried, the last open one at a state
+    included, which propagation would have set from the clauses, and
+    ``assigned`` their literals (one per hand, two per shot) and then a
+    model's other decision variables, its states' variables and its
+    auxiliary variables, each once. Without the record a sat formula takes
+    more decisions: the search decides each register that the counter's
+    top unit leaves free."""
 
     # (shape, generator seed, goal, horizon) -> status, then per progress
     # mode (decisions, literals set) with the record and without it
     PINS = {
         ((3, 3, 2), 1, 0, 5): (
             "unsat",
-            {PROGRESS_WITNESS: ((84, 1488), (78, 7568)),
-             PROGRESS_CARDINALITY: ((84, 1488), (78, 11303))},
+            {PROGRESS_WITNESS: ((148, 294), (78, 7568)),
+             PROGRESS_CARDINALITY: ((148, 294), (78, 11303))},
         ),
         ((3, 3, 2), 1, 3, 3): (
             "sat",
-            {PROGRESS_WITNESS: ((11, 392), (23, 1404)),
-             PROGRESS_CARDINALITY: ((11, 624), (23, 2383))},
+            {PROGRESS_WITNESS: ((17, 285), (23, 1404)),
+             PROGRESS_CARDINALITY: ((17, 517), (23, 2383))},
         ),
         ((4, 4, 3), 1, 10, 3): (
             "unsat",
-            {PROGRESS_WITNESS: ((18, 366), (22, 4558)),
-             PROGRESS_CARDINALITY: ((18, 366), (22, 9429))},
+            {PROGRESS_WITNESS: ((30, 57), (22, 4558)),
+             PROGRESS_CARDINALITY: ((30, 57), (22, 9429))},
         ),
         ((4, 4, 3), 1, 10, 4): (
             "sat",
-            {PROGRESS_WITNESS: ((7, 667), (49, 732)),
-             PROGRESS_CARDINALITY: ((7, 1707), (49, 1772))},
+            {PROGRESS_WITNESS: ((5, 667), (49, 732)),
+             PROGRESS_CARDINALITY: ((5, 1707), (49, 1772))},
         ),
         ((5, 5, 3), 3, 19, 2): (
             "unsat",
-            {PROGRESS_WITNESS: ((9, 188), (9, 2535)),
-             PROGRESS_CARDINALITY: ((9, 188), (9, 5676))},
+            {PROGRESS_WITNESS: ((13, 23), (9, 2535)),
+             PROGRESS_CARDINALITY: ((13, 23), (9, 5676))},
         ),
         ((5, 5, 3), 3, 19, 3): (
             "sat",
-            {PROGRESS_WITNESS: ((32, 1396), (132, 9696)),
-             PROGRESS_CARDINALITY: ((32, 2912), (132, 23425))},
+            {PROGRESS_WITNESS: ((45, 876), (132, 9696)),
+             PROGRESS_CARDINALITY: ((45, 2392), (132, 23425))},
         ),
     }
 
@@ -208,19 +208,20 @@ class TestStateIsolation:
 
 
 class TestStepRecord:
-    """The record describes its formula exactly and names only what the
-    search reads: the initial hand and the shots."""
+    """The record describes its formula exactly, and its options at each
+    reachable state are the decision assignments the formula admits there,
+    in the order lowest-index branching meets them."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
         seed=st.integers(0, 2**32 - 1),
         slack=st.integers(0, 6),
-        steps=st.integers(1, 4),
+        steps=st.integers(1, 3),
         mode=st.sampled_from(PROGRESS_MODES),
         hand=st.sampled_from([None, 1, 2, 3]),
     )
-    def test_the_search_reads_only_the_hand_and_the_shots(
+    def test_the_options_are_the_assignments_the_formula_admits(
         self, shape, seed, slack, steps, mode, hand
     ):
         height, width, colours = shape
@@ -231,8 +232,6 @@ class TestStepRecord:
         f, vm = encode(Instance(grid, max(0, height * width - slack)), opts)
         record = f.steps
         assert record.describes(f)
-        assert record.tail == f.clauses[record.size :]
-        assert f.clauses[: record.size] == record.source[: record.size]
         decided = list(vm.hand_ids(0))
         for t in range(1, steps + 1):
             decided += range(vm.row_shot_var(t, 0), vm.row_shot_var(t, height) + 1)
@@ -240,14 +239,55 @@ class TestStepRecord:
         # one range per step, in id order, covering exactly those variables
         assert len(record.ranges) == steps + 1
         assert [v for r in record.ranges for v in r] == decided
-        # every searched clause is the formula's and reads them alone
-        read = {abs(lit) for clause in record.searched for lit in clause}
-        assert read == set(decided)
-        assert set(record.searched) <= set(f.clauses)
-        # the pinned hand's unit, if any (one colour's group is a unit too)
-        units = {c for c in record.searched if len(c) == 1}
-        pinned = set() if hand is None else {(vm.hand_var(0, hand),)}
-        assert units == pinned | ({(vm.hand_var(0, 1),)} if colours == 1 else set())
+        # the clauses over decision variables alone each read one step's,
+        # so each step's admitted assignments, in brute-force order (lowest
+        # id first, true before false), are the same at every state
+        step_of = {v: t for t, ids in enumerate(record.ranges) for v in ids}
+        own = [[] for _ in record.ranges]
+        for c in f.clauses:
+            read = {step_of.get(abs(x)) for x in c}
+            if None not in read:
+                assert len(read) == 1, c
+                own[read.pop()].append(c)
+        admitted = []
+        for t, ids in enumerate(record.ranges):
+            assert {abs(x) for c in own[t] for x in c} == set(ids)
+            admitted.append([])
+            for values in itertools.product((True, False), repeat=len(ids)):
+                true = {v if value else -v for v, value in zip(ids, values)}
+                if all(true.intersection(c) for c in own[t]):
+                    admitted[t].append(tuple(v for v in ids if v in true))
+
+        def assignment(t, lits):
+            """Every decision variable of step ``t`` as a literal."""
+            return [v if v in lits else -v for v in record.ranges[t]]
+
+        # (decisions of steps 0..t, whether a model extends them)
+        expected = []
+
+        def visit(t, state, fixed):
+            # step t + 1's options from state t, which the decisions
+            # ``fixed`` of steps 0..t reach
+            options = record.choices(t, state)
+            assert record.choices(t, state) == options
+            lits = [tuple(option[0]) for option in options]
+            assert lits == [a for a in admitted[t + 1] if a in lits], (t, state)
+            for a in admitted[t + 1]:
+                if a not in lits:
+                    expected.append((fixed + assignment(t + 1, a), False))
+                elif t + 1 == steps:
+                    expected.append((fixed + assignment(t + 1, a), True))
+            if t + 1 < steps:
+                for a, (_, after) in zip(lits, options):
+                    visit(t + 1, after, fixed + assignment(t + 1, a))
+
+        visit(-1, None, [])
+        # no model extends an assignment the options leave out, and every
+        # option of the last step is a model's
+        for units, sat in expected:
+            g = plain_copy(f)
+            g.clauses += [(x,) for x in units]
+            assert dpll_solve(g).is_sat == sat, units
 
 
 class TestFallback:
@@ -268,9 +308,9 @@ class TestFallback:
         searched = []
         search = cnf._search
 
-        def recorded(formula, index, steps, *rest):
-            searched.append(steps)
-            return search(formula, index, steps, *rest)
+        def recorded(formula, index, *rest):
+            searched.append(formula)
+            return search(formula, index, *rest)
 
         monkeypatch.setattr(cnf, "_search", recorded)
         sat = 0
@@ -294,7 +334,7 @@ class TestFallback:
             assert not f.steps.describes(f)
             searched.clear()
             native = dpll_solve(f)
-            assert searched == [None]
+            assert searched == [f]
             plain = dpll_solve(plain_copy(f))
             assert (native.status, native.model) == (plain.status, plain.model)
             if change == "start-cell-contradicted":
@@ -306,7 +346,7 @@ class TestFallback:
 class TestDeadline:
     def test_the_deadline_bounds_a_native_solve(self):
         # horizon 8 of this goal-5 problem is unsat; the engine-stepped
-        # search takes about 0.6 s and 6,000 decisions over it
+        # search tries about 8,800 options over it, in about 0.1 s
         instance = random_instance(GeneratorSpec(5, 5, 3, seed=1)).with_goal(5)
         f, _ = encode(instance, EncodeOptions(steps=8))
         assert f.steps.describes(f)
@@ -314,3 +354,21 @@ class TestDeadline:
         out = dpll_solve(f, timeout=0.01)
         assert (out.status, out.reason) == ("unknown", "timeout")
         assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("case", [((3, 3, 2), 1, 0, 5), ((5, 5, 3), 3, 19, 3)])
+    def test_the_deadline_is_checked_before_each_option(self, case, monkeypatch):
+        # a clock that moves one tick per reading: the deadline, timeout
+        # ticks after entry, passes at the timeout-th option
+        f = planner_formula(*case, PROGRESS_WITNESS)
+        full = dpll_solve(f)
+        assert full.decisions > 2
+        ticks = itertools.count()
+        monkeypatch.setattr(cnf.time, "monotonic", lambda: next(ticks))
+        for timeout in (1, 2, full.decisions // 2, full.decisions):
+            out = dpll_solve(f, timeout=timeout)
+            assert (out.status, out.reason) == ("unknown", "timeout")
+            assert out.decisions == timeout - 1
+        out = dpll_solve(f, timeout=full.decisions + 1)
+        assert (out.status, out.model, out.decisions) == (
+            full.status, full.model, full.decisions,
+        )
