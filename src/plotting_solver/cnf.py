@@ -1,25 +1,19 @@
 """Propositional formula construction, solving and DIMACS serialization.
 
 Literals are signed integers: variable ids start at 1 and ``-v`` is the
-negation of ``v``, as in DIMACS. The built-in :func:`dpll_solve` is a plain
-DPLL, complete unless its deadline passes. Its unit propagation watches
-two literals of every clause of two or more literals. Those clauses are
-0-terminated runs of one flat literal list, so no clause is a Python object
-of its own; a binary clause is a two-literal run whose watches never move.
-The assignment is one list indexed by signed literal, as are the watch
-lists. Each call builds those lists afresh, in a :class:`ClauseIndex`,
-and keeps nothing after it returns; only a literal that occurs in such a
-clause gets a watch list of its own. Propagation takes set literals newest
-first, which reaches a conflict at the end of a chain of implications
-sooner and sets the same literals. A formula that a chain of transition
-steps describes exactly (a :class:`StepChain` record, which the encoder
-attaches) is searched depth first over its steps' options instead: a
+negation of ``v``, as in DIMACS. The built-in :func:`dpll_solve` solves a
+formula that a chain of transition steps describes exactly (a
+:class:`StepChain` record, which the encoder attaches), complete unless its
+deadline passes. It searches depth first over the steps' options: a
 callable lists each step's options, the initial hands and then the shots
 that have a model, each with the state it reaches, so no clause is read
 during the search. A found model takes its decisions from the options
 chosen, each step's outputs from its state, its auxiliary variables from
 the steps' clauses and the counter's registers from its inputs' values
-(see :func:`dpll_solve`).
+(see :func:`dpll_solve`). It refuses any other formula, one with no
+record or one that its record does not describe, with ``ValueError``; the
+clause DPLL that solves such formulas is the tests' reference
+(``tests/clause_dpll.py``), not part of the package.
 :func:`external_solve` runs any solver, given as an argv, that takes a
 DIMACS path argument and prints SAT-competition style ``s``/``v`` lines.
 Both take a ``timeout`` in seconds and report an unknown outcome with
@@ -67,10 +61,11 @@ class CnfFormula:
     anything, and its other literals are the registers it allocates.
 
     ``steps`` records a chain of transition steps whose options a callable
-    lists (:class:`StepChain`; the encoder sets it). The
-    clauses are the formula all the same: DIMACS output, external solvers
-    and model checks read them alone, and only :func:`dpll_solve` reads the
-    record.
+    lists (:class:`StepChain`; the encoder sets it). :func:`dpll_solve`
+    solves only a formula that its record describes, and refuses any other.
+    The clauses are the formula all the same: DIMACS output, external
+    solvers and model checks read them alone, and only :func:`dpll_solve`
+    reads the record.
     """
 
     def __init__(self) -> None:
@@ -115,13 +110,13 @@ class CnfFormula:
 class SatOutcome:
     """Solver verdict: sat with a total model, unsat, or unknown.
 
-    ``decisions`` and ``assigned`` count the work of :func:`dpll_solve`.
-    From a formula's clauses, they are the variables it decided (a
-    backtrack's flip is not a decision) and the literals it set, those
-    later undone included. Over a :class:`StepChain`, they are the options
-    it tried and their literals, with the literals a model sets besides:
-    the other decision variables, false, and the outputs and auxiliary
-    variables, each once. Other solvers leave both 0."""
+    ``decisions`` and ``assigned`` count the work of :func:`dpll_solve`:
+    the options it tried over the :class:`StepChain` and their literals,
+    with the literals a model sets besides: the other decision variables,
+    false, and the outputs and auxiliary variables, each once. The tests'
+    clause DPLL (``tests/clause_dpll.py``) counts the variables it decided
+    (a backtrack's flip is not a decision) and the literals it set, those
+    later undone included. Other solvers leave both 0."""
 
     status: str  # "sat" | "unsat" | "unknown"
     model: Optional[tuple[bool, ...]] = None  # indexed by var id, entry 0 unused
@@ -331,103 +326,53 @@ def _verify_model(formula: CnfFormula, model: Sequence[bool]) -> bool:
     return True
 
 
-class ClauseIndex:
-    """The propagation lists of the clauses one :func:`dpll_solve` call
-    searches, over variables 1..``var_count``.
-
-    Unit clauses are kept apart. The literals of every other clause are
-    one run of ``lits``, ended by a 0; ``lits[0]`` is a 0 that starts no
-    run. A clause is known by its run's start offset ``c``, and its watched
-    literals are ``lits[c]`` and ``lits[c + 1]``: the watch list of each
-    holds ``c``, and a watch move swaps entries of the run in place. So the
-    index holds no Python object per clause. A binary clause is a
-    two-literal run whose watches never move: the scan for a new watch
-    meets its 0 at once. The watch lists are indexed by signed literal:
-    ``-v`` wraps to index ``2 * var_count + 1 - v``.
-
-    Every literal that occurs in a run has a watch list of its own; every
-    other slot holds one shared empty tuple. A watch moves only to another
-    literal of its run, so nothing is ever added to the tuple, and a
-    literal that occurs in no run has no watch to visit.
-    """
-
-    def __init__(self, clauses: Iterable[tuple[int, ...]], var_count: int) -> None:
-        self.var_count = var_count
-        self.units: list[int] = []
-        self.lits: list[int] = [0]  # every non-unit clause's run, ended by 0
-        units, lits, starts = self.units, self.lits, []
-        for clause in clauses:
-            if len(clause) == 1:
-                units.append(clause[0])
-            else:
-                starts.append(len(lits))
-                lits += clause
-                lits.append(0)
-        watches: list = [()] * (2 * var_count + 1)  # run offsets, by literal
-        for lit in set(lits):  # the runs' 0s give slot 0 a list too; none reads it
-            watches[lit] = []
-        for c in starts:
-            watches[lits[c]].append(c)
-            watches[lits[c + 1]].append(c)
-        self.watches: list[list[int]] = watches
-
-
 def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutcome:
-    """Complete DPLL with unit propagation and lowest-index-first branching.
+    """Complete search of a formula that its :class:`StepChain` describes,
+    with lowest-index-first branching.
 
-    Branching always picks the lowest-index unassigned variable and tries
-    true before false, backtracking chronologically. Unit propagation only
-    sets literals that every model extending the current assignment shares,
-    so the search meets the models in brute-force order: the model returned
-    is the first satisfying assignment when assignments are enumerated with
-    variable 1 most significant and true before false, and the outcome is
-    unsat exactly when no assignment satisfies the formula. ``timeout``
-    seconds, counted from entry, bound the search: the deadline is checked
-    before each decision, and once it has passed the outcome is unknown
-    with reason ``"timeout"``. Sat models are re-verified against the clause
-    list before being returned.
+    ``formula.steps`` must describe the formula (see
+    :meth:`StepChain.describes`). A formula with no record, or one that its
+    record does not describe, raises ``ValueError`` and is not searched.
 
-    When the formula's :class:`StepChain` describes it (see
-    :meth:`StepChain.describes`), the search steps the chain natively, a
-    theory solver in the sense of DPLL(T) (Nieuwenhuis, Oliveras & Tinelli,
-    J. ACM 2006), and reads no clause at all: it is a depth-first search
-    over ``choices``, from step 0's options on, which tries each step's
-    options in their order and takes the first that leads to an option of
-    the last step. The options are the assignments of a step's decision
-    variables that lowest-index branching over the clauses would meet, in
-    its order, less some that no model extends, so the search meets the
-    models in the same brute-force order: the start grid's variables come
-    before the hand's and every model sets them by unit, and every later
-    output and auxiliary variable is a function of lower-index variables.
-    The deadline is checked before each option. A model sets the chosen
-    options' literals, then every other decision variable false, then each
-    step's outputs from its state with ``outputs``, and its auxiliary
-    variables from one in-order pass over the chain's clauses (see
-    :func:`_fill`); the goal counter's registers get their exact values
-    from :meth:`AtLeastK.registers_under`, which is the first extension in
+    The search steps the chain natively, a theory solver in the sense of
+    DPLL(T) (Nieuwenhuis, Oliveras & Tinelli, J. ACM 2006), and reads no
+    clause at all: it is a depth-first search over ``choices``, from step
+    0's options on, which tries each step's options in their order and
+    takes the first that leads to an option of the last step. The options
+    are the assignments of a step's decision variables that lowest-index
+    branching over the clauses would meet, in its order, less some that no
+    model extends, so the search meets the models in brute-force order: the
+    model returned is the first satisfying assignment when assignments are
+    enumerated with variable 1 most significant and true before false, and
+    the outcome is unsat exactly when no assignment satisfies the formula.
+    That holds because the start grid's variables come before the hand's
+    and every model sets them by unit, and every later output and auxiliary
+    variable is a function of lower-index variables.
+
+    ``timeout`` seconds, counted from entry, bound the search: the deadline
+    is checked before each option, and once it has passed the outcome is
+    unknown with reason ``"timeout"``. A model sets the chosen options'
+    literals, then every other decision variable false, then each step's
+    outputs from its state with ``outputs``, and its auxiliary variables
+    from one in-order pass over the chain's clauses (see :func:`_fill`);
+    the goal counter's registers get their exact values from
+    :meth:`AtLeastK.registers_under`, which is the first extension in
     brute-force order, since the registers come last and each may be true
     only when its count holds. The model is then verified against every
-    clause, as any other model. ``decisions`` counts the options tried and
-    ``assigned`` their literals, then the literals the model sets besides.
+    clause before it is returned. ``decisions`` counts the options tried
+    and ``assigned`` their literals, then the literals the model sets
+    besides.
 
-    Any other formula is solved from all of its clauses, indexed once per
-    call in a fresh :class:`ClauseIndex`; the search moves watches by
-    swapping literals within a clause's run in its ``lits``, and a binary
-    clause is a two-literal run whose watches never move. Propagation takes
-    set literals newest first, so it follows one chain of implications to
-    its end before the next, and a conflict at the end of one is met
-    sooner. Whether propagation ends in a conflict, and the literals it
-    sets when it does not, do not depend on that order, so neither do the
-    decisions or the model.
-
-    Either search keeps its state in the call: one formula may be solved
+    The search keeps its state in the call: one formula may be solved
     again, or from two threads at once.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
     steps = formula.steps
-    if steps is not None and steps.describes(formula):
-        return _step_search(formula, steps, deadline)
-    return _search(formula, ClauseIndex(formula.clauses, formula.var_count), deadline)
+    if steps is None:
+        raise ValueError("dpll_solve: the formula has no step record")
+    if not steps.describes(formula):
+        raise ValueError("dpll_solve: the formula's step record does not describe it")
+    return _step_search(formula, steps, deadline)
 
 
 def _step_search(
@@ -473,111 +418,6 @@ def _step_search(
             raise RuntimeError("internal solver produced a bad model")
         return SatOutcome("sat", tuple(model), None, tried, assigned)
     return SatOutcome("unsat", None, None, tried, assigned)
-
-
-def _search(
-    formula: CnfFormula, index: ClauseIndex, deadline: Optional[float]
-) -> SatOutcome:
-    """Search the loaded clauses of ``formula`` (see :func:`dpll_solve`)."""
-    nvars = index.var_count
-    watches, lits = index.watches, index.lits
-    is_true = [False] * (2 * nvars + 1)  # unassigned when both are False
-    trail: list[int] = []  # every literal set, in order: the undo log
-    pending: list[int] = []  # set but not yet propagated, newest last
-
-    def propagate() -> bool:
-        """Propagate the pending literals, newest first; False on conflict."""
-        while pending:
-            false_lit = -pending.pop()
-            ws = watches[false_lit]
-            i = 0
-            n = len(ws)
-            while i < n:
-                c = ws[i]
-                other = lits[c]
-                if other == false_lit:
-                    other = lits[c + 1]
-                    if is_true[other]:
-                        i += 1
-                        continue
-                    # the watch moves or the clause is unit: false_lit to c + 1
-                    lits[c] = other
-                    lits[c + 1] = false_lit
-                elif is_true[other]:
-                    i += 1
-                    continue
-                k = c + 2
-                lk = lits[k]
-                while lk:  # the run's 0 ends the scan
-                    if not is_true[-lk]:
-                        lits[c + 1] = lk
-                        lits[k] = false_lit
-                        watches[lk].append(c)
-                        n -= 1
-                        ws[i] = ws[n]
-                        ws.pop()
-                        break
-                    k += 1
-                    lk = lits[k]
-                else:
-                    if is_true[-other]:
-                        pending.clear()
-                        return False
-                    is_true[other] = True
-                    trail.append(other)
-                    pending.append(other)
-                    i += 1
-        return True
-
-    decisions = undone = 0  # undone: literals set and then unset
-
-    def outcome(status: str, model=None, reason=None) -> SatOutcome:
-        return SatOutcome(status, model, reason, decisions, undone + len(trail))
-
-    for lit in index.units:
-        if is_true[-lit]:
-            return outcome("unsat")
-        if not is_true[lit]:
-            is_true[lit] = True
-            trail.append(lit)
-            pending.append(lit)
-    if not propagate():
-        return outcome("unsat")
-
-    # stack of (decided var, tried_negative_yet, trail length before the
-    # decision)
-    stack: list[tuple[int, bool, int]] = []
-    var = 1
-    while True:
-        while var <= nvars and (is_true[var] or is_true[-var]):
-            var += 1
-        if var > nvars:
-            model = is_true[: nvars + 1]
-            if not _verify_model(formula, model):
-                raise RuntimeError("internal solver produced a bad model")
-            return outcome("sat", tuple(model))
-        if deadline is not None and time.monotonic() >= deadline:
-            return outcome("unknown", reason="timeout")
-        stack.append((var, False, len(trail)))
-        decisions += 1
-        is_true[var] = True
-        trail.append(var)
-        pending.append(var)
-        while not propagate():
-            # conflict: undo decisions up to the newest with an untried polarity
-            tried = True
-            while tried:
-                if not stack:
-                    return outcome("unsat")
-                var, tried, mark = stack.pop()
-                for lit in trail[mark:]:
-                    is_true[lit] = False
-                undone += len(trail) - mark
-                del trail[mark:]
-            stack.append((var, True, mark))
-            is_true[-var] = True
-            trail.append(-var)
-            pending.append(-var)
 
 
 def _fill(

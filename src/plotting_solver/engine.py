@@ -27,8 +27,7 @@ shot is legal, how many blocks it consumes, where it stops), the one
 definition of how a shot travels, and its build (the successor grid and
 hand, from where the travel stopped). :func:`apply_shot` runs both and
 wraps the result in a validated :class:`Grid` and a
-:class:`TransitionOutcome`, raising for a null move; :func:`step` runs
-both on raw rows and returns None for a null move. :func:`successors`
+:class:`TransitionOutcome`, raising for a null move. :func:`successors`
 runs only the travel of every shot and :func:`build` the build of one, so
 the breadth-first planner in :mod:`plotting_solver.oracle` tests a
 successor for the goal from its consumed count and builds the state only
@@ -206,38 +205,23 @@ def apply_shot(grid: Grid, hand: int, shot: Shot) -> TransitionOutcome:
     :class:`OutOfRangeError` if the shot index is outside the grid.
     """
     if isinstance(shot, RowShot):
-        kind, index, size = "row", shot.row, grid.height
+        kind, index, size, travel = "row", shot.row, grid.height, _row_travel
     elif isinstance(shot, ColShot):
-        kind, index, size = "col", shot.col, grid.width
+        kind, index, size, travel = "col", shot.col, grid.width, _col_travel
     else:
         raise TypeError(f"not a shot: {shot!r}")
     if not 1 <= index <= size:
         raise OutOfRangeError(f"{kind} {index} outside 1..{size}")
-    out = step(grid.cells, hand, shot)
+    cells = grid.cells
+    out = travel(cells, hand, index - 1)
     if out is None:
         raise NullMoveError(f"{kind} shot {index} consumes nothing")
-    cells, next_hand, fall, consumed = out
-    return TransitionOutcome(Grid(cells), next_hand, fall, consumed, next_hand != hand)
-
-
-def step(cells: Cells, hand: int, shot: Shot) -> Optional[tuple[Cells, int, int, int]]:
-    """``(next_cells, next_hand, wall_fall, consumed)`` after ``shot``, an
-    in-range shot on a grid's raw rows, or None for a null move: the whole
-    of :func:`apply_shot` without its checks and wrappers."""
-    if isinstance(shot, RowShot):
-        r0 = shot.row - 1
-        out = _row_travel(cells, hand, r0)
-        if out is None:
-            return None
-        consumed, stop = out
-        next_cells, next_hand = _row_build(cells, hand, r0, stop)
-        fall = _wall_fall(cells, hand, r0) if stop >= len(cells[0]) else 0
-        return next_cells, next_hand, fall, consumed
-    out = _col_travel(cells, hand, shot.col - 1)
-    if out is None:
-        return None
     consumed, stop = out
-    return (*_col_build(cells, hand, shot.col - 1, stop), 0, consumed)
+    next_cells, next_hand = build(cells, hand, shot, stop)
+    fall = 0
+    if kind == "row" and stop >= grid.width:
+        fall = _wall_fall(cells, hand, index - 1)
+    return TransitionOutcome(Grid(next_cells), next_hand, fall, consumed, next_hand != hand)
 
 
 def successors(cells: Cells, hand: int) -> Iterator[tuple[Shot, Travel]]:

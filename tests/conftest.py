@@ -17,14 +17,6 @@ def mini_solver_cmd():
     return list(MINI_SOLVER_CMD)
 
 
-def plain_copy(f: CnfFormula) -> CnfFormula:
-    """The same variables and clauses, with no step-chain record, so
-    dpll_solve solves it from its clauses alone."""
-    plain = CnfFormula()
-    plain.var_count, plain.clauses = f.var_count, list(f.clauses)
-    return plain
-
-
 def dimacs_text(formula: CnfFormula) -> str:
     """``formula`` as ``write_dimacs`` writes it."""
     buf = io.StringIO()

@@ -7,21 +7,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plotting_solver.cnf import (
-    ClauseIndex,
     CnfFormula,
     EmptySelectionError,
     InfeasibleBoundError,
     ParseFailureError,
     SpawnFailureError,
-    _search,
     _verify_model,
     and_gate,
     at_least_k,
-    dpll_solve,
     exactly_one,
     external_solve,
 )
 
+import clause_dpll
+from clause_dpll import ClauseIndex, _search
 from conftest import MINI_SOLVER_CMD, dimacs_text
 
 
@@ -65,7 +64,7 @@ def brute_force_count(f, free_vars):
         trial.clauses = list(f.clauses)
         for var, val in fixed.items():
             trial.add_clause((var if val else -var,))
-        if dpll_solve(trial).is_sat:
+        if clause_dpll.solve(trial).is_sat:
             count += 1
     return count
 
@@ -101,7 +100,7 @@ class TestReify:
             trial.var_count = f.var_count
             trial.clauses = list(f.clauses)
             trial.add_clause((x if val else -x,))
-            out = dpll_solve(trial)
+            out = clause_dpll.solve(trial)
             assert out.is_sat and out.model[z] == val
 
     @settings(max_examples=60, deadline=None)
@@ -120,12 +119,12 @@ class TestReify:
             trial.clauses = list(f.clauses)
             for var, bit in zip(base, bits):
                 trial.add_clause((var if bit else -var,))
-            out = dpll_solve(trial)
+            out = clause_dpll.solve(trial)
             assert out.is_sat and out.model[z] == all(vals)
             # DPLL tries true first, so also check that z cannot take the
             # wrong value
             trial.add_clause((-z if all(vals) else z,))
-            assert dpll_solve(trial).is_unsat
+            assert clause_dpll.solve(trial).is_unsat
 
 
 class TestAtLeastK:
@@ -166,7 +165,7 @@ class TestAtLeastK:
             trial.clauses = list(f.clauses)
             for var, bit in zip(lits, bits):
                 trial.add_clause((var if bit else -var,))
-            ok = dpll_solve(trial).is_sat
+            ok = clause_dpll.solve(trial).is_sat
             assert ok == (sum(bits) >= 2)
             sat_count += ok
         assert sat_count == 11
@@ -193,7 +192,7 @@ class TestAtLeastK:
         at_least_k(f, lits, k)
         for bits in itertools.product([False, True], repeat=n):
             units = [(var if bit else -var,) for var, bit in zip(lits, bits)]
-            out = dpll_solve(formula_from(f.var_count, f.clauses + units))
+            out = clause_dpll.solve(formula_from(f.var_count, f.clauses + units))
             assert out.is_sat == (sum(bits) >= k)
 
 
@@ -219,7 +218,7 @@ class TestNativeCount:
                 for x, value in zip(lits, values):
                     if value is not None:
                         f.add_clause((x if value else -x,))
-                out = dpll_solve(f)
+                out = clause_dpll.solve(f)
                 assert out.is_sat == (values.count(False) <= n - k), (k, values)
                 if out.is_sat and record is not None:
                     registers = list(out.model[n + 1 :])
@@ -238,7 +237,7 @@ class TestNativeCount:
                     at_least_k(f, lits, k)
                     for i in off:
                         f.add_clause((-lits[i],))
-                    out = dpll_solve(f, timeout=0)
+                    out = clause_dpll.solve(f, timeout=0)
                     assert out.is_unsat == (falses > n - k), (k, off)
 
     @settings(max_examples=300, deadline=None)
@@ -261,7 +260,7 @@ class TestNativeCount:
         record = at_least_k(f, inputs, k)
         for c in others[2:]:
             f.add_clause(c)
-        out = dpll_solve(f)
+        out = clause_dpll.solve(f)
         want = any(
             satisfies(others, bits)
             and sum(bits[abs(x) - 1] == (x > 0) for x in inputs) >= k
@@ -312,15 +311,18 @@ class TestDimacs:
 
 
 class TestDpll:
+    """The tests' clause DPLL, ``clause_dpll.solve``: the reference that
+    the other tests take as a formula's clauses' answer."""
+
     def test_empty_formula_is_sat(self):
-        assert dpll_solve(CnfFormula()).is_sat
+        assert clause_dpll.solve(CnfFormula()).is_sat
 
     def test_contradiction(self):
         f = CnfFormula()
         v = f.new_var()
         f.add_clause((v,))
         f.add_clause((-v,))
-        assert dpll_solve(f).is_unsat
+        assert clause_dpll.solve(f).is_unsat
 
     def test_budget_exhaustion_is_unknown(self):
         f, lits = formula_with_vars(6)
@@ -331,9 +333,9 @@ class TestDpll:
             for b in lits[3:]:
                 f.add_clause((-a, -b))
         # the deadline passes before the first decision
-        out = dpll_solve(f, timeout=1e-9)
+        out = clause_dpll.solve(f, timeout=1e-9)
         assert out.status == "unknown" and out.reason == "timeout"
-        assert dpll_solve(f).is_unsat
+        assert clause_dpll.solve(f).is_unsat
 
     def test_timeout_bounds_a_hard_refutation(self):
         # 10 pigeons in 9 holes: DPLL needs exponentially many decisions
@@ -346,7 +348,7 @@ class TestDpll:
             for a, b in itertools.combinations(hole, 2):
                 f.add_clause((-a, -b))
         start = time.monotonic()
-        out = dpll_solve(f, timeout=0.2)
+        out = clause_dpll.solve(f, timeout=0.2)
         assert out.status == "unknown" and out.reason == "timeout"
         assert time.monotonic() - start < 5.0
 
@@ -357,13 +359,13 @@ class TestDpll:
         formula, _ = encode(
             Instance(Grid.from_rows([[1]]), 0), EncodeOptions(steps=1)
         )
-        assert dpll_solve(formula).is_sat
+        assert clause_dpll.solve(formula).is_sat
 
     def test_does_not_mutate_formula(self):
         f, lits = formula_with_vars(3)
         exactly_one(f, lits)
         before = list(f.clauses)
-        dpll_solve(f)
+        clause_dpll.solve(f)
         assert f.clauses == before
 
     @settings(max_examples=120, deadline=None)
@@ -390,7 +392,7 @@ class TestDpll:
             all(any((bits[abs(l) - 1] == (l > 0)) for l in c) for c in clauses)
             for bits in itertools.product([False, True], repeat=n)
         )
-        out = dpll_solve(f)
+        out = clause_dpll.solve(f)
         assert out.is_sat == want
         if out.is_sat:
             for c in clauses:
@@ -414,7 +416,7 @@ class TestDpll:
             ),
             None,
         )
-        out = dpll_solve(formula_from(n, clauses))
+        out = clause_dpll.solve(formula_from(n, clauses))
         if first is None:
             assert out.is_unsat
         else:
@@ -426,7 +428,8 @@ def same_outcome(out, want):
 
 
 class TestClauseIndex:
-    """The layout of the index one solve builds, and the search over it."""
+    """The layout of the index one ``clause_dpll.solve`` call builds, and
+    the search over it."""
 
     @staticmethod
     def assert_one_run_per_clause(index, clauses, var_count):
@@ -464,7 +467,7 @@ class TestClauseIndex:
             f = formula_from(7, clauses)
             out = _search(f, index, None)
             assert out.is_sat
-            same_outcome(out, dpll_solve(f))
+            same_outcome(out, clause_dpll.solve(f))
         self.assert_one_run_per_clause(index, clauses, 7)
 
     def test_a_scan_stops_at_its_runs_end(self):
@@ -596,6 +599,6 @@ class TestExternalSolve:
             clause = tuple((v if s else -v) for v, s in spec if v <= n)
             if clause:
                 f.add_clause(clause)
-        internal = dpll_solve(f)
+        internal = clause_dpll.solve(f)
         external = external_solve(f, MINI_SOLVER_CMD)
         assert internal.status == external.status

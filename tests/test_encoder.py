@@ -48,7 +48,8 @@ from plotting_solver.oracle import (
     check_transition,
 )
 
-from conftest import dimacs_text, plain_copy, random_full_grid
+import clause_dpll
+from conftest import dimacs_text, random_full_grid
 
 
 def g(rows):
@@ -133,7 +134,7 @@ class TestBuilder:
             trial.clauses = list(f.clauses)
             for var, bit in enumerate(bits, 1):
                 trial.add_clause((var if bit else -var,))
-            out = dpll_solve(trial)
+            out = clause_dpll.solve(trial)
             assert out.is_sat
             for result, fn in built:
                 if result in (TRUE, FALSE):
@@ -145,7 +146,7 @@ class TestBuilder:
                     wrong = CnfFormula()
                     wrong.var_count = trial.var_count
                     wrong.clauses = trial.clauses + [(-result if value else result,)]
-                    assert dpll_solve(wrong).is_unsat
+                    assert clause_dpll.solve(wrong).is_unsat
 
     def test_require_any_of_false_is_refused(self):
         # the empty clause stays on the list, for check_clauses to refuse
@@ -172,7 +173,7 @@ class TestBuilder:
                 trial.var_count = f.var_count
                 trial.clauses = f.clauses + [(u,) for u in units + [e_lit]]
                 want = (e_lit > 0) == (x_value == y_value)
-                assert dpll_solve(trial).is_sat == want, (x_value, y_value, e_lit)
+                assert clause_dpll.solve(trial).is_sat == want, (x_value, y_value, e_lit)
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_path_prefixes_are_clear(self, size):
@@ -203,7 +204,7 @@ class TestBuilder:
                         trial.var_count = f.var_count
                         trial.clauses = f.clauses + units + [(forced,)]
                         holds = (forced == clear) == (2 not in prefix)
-                        assert dpll_solve(trial).is_sat == holds, (shot, prefix)
+                        assert clause_dpll.solve(trial).is_sat == holds, (shot, prefix)
 
     def test_paths_are_what_the_engine_consumes(self):
         for height, width in itertools.product(range(1, 5), repeat=2):
@@ -748,7 +749,7 @@ class TestAuxiliaries:
                             if v not in primary
                         ]
                     )
-                    assert dpll_solve(trial).is_unsat, (grid.cells, steps)
+                    assert clause_dpll.solve(trial).is_unsat, (grid.cells, steps)
                     checked += 1
         assert checked >= 18
 
@@ -980,7 +981,7 @@ class TestImpliedKeep:
                     trial = CnfFormula()
                     trial.var_count = f.var_count
                     trial.clauses = f.clauses + [(-x,) for x in clause]
-                    assert dpll_solve(trial).is_unsat, (
+                    assert clause_dpll.solve(trial).is_unsat, (
                         grid.cells, steps, clause,
                     )
                     checked += 1
@@ -1102,7 +1103,7 @@ class TestNativeGoalCount:
     """The step search leaves the goal's "at least k cells empty"
     (``cnf.AtLeastK``) to the successor and fills its registers from the
     record; the outcome and the model must be those of the formula's
-    clauses solved alone."""
+    clauses, solved by the clause DPLL."""
 
     def test_matches_the_clauses_on_random_instances(self):
         rng = random.Random(57)
@@ -1117,7 +1118,7 @@ class TestNativeGoalCount:
                 f, _ = encode(inst, opts)
                 goal = f.steps.goal
                 assert f.steps.describes(f) and goal.k == height * width - inst.goal
-                native, plain = dpll_solve(f), dpll_solve(plain_copy(f))
+                native, plain = dpll_solve(f), clause_dpll.solve(f)
                 assert (native.status, native.model) == (
                     plain.status,
                     plain.model,
@@ -1135,7 +1136,8 @@ class TestNativeGoalCount:
     )
     def test_a_formula_the_record_does_not_describe(self, change):
         # each change leaves a formula whose goal registers the record
-        # would misread, so it is solved from its clauses
+        # would misread, so dpll_solve refuses it, and the clause DPLL
+        # gives it the answer its clauses admit
         rng = random.Random(59)
         sat = 0
         for mode, steps in itertools.product(PROGRESS_MODES, (1, 2, 3)):
@@ -1155,21 +1157,39 @@ class TestNativeGoalCount:
                     # the goal's top unit, so that the goal no longer binds
                     del f.clauses[f.steps.size + len(goal.clauses) - 1]
                 assert not f.steps.describes(f)
-                native, plain = dpll_solve(f), dpll_solve(plain_copy(f))
-                assert (native.status, native.model) == (plain.status, plain.model)
+                with pytest.raises(ValueError, match="does not describe"):
+                    dpll_solve(f)
+                plain = clause_dpll.solve(f)
+                # models are compared in brute-force order: the later of
+                # two, as a tuple, is the smaller
+                if change == "register-clause":
+                    # one clause more: the first model can only come later
+                    assert not plain.is_sat or first.is_sat and plain.model <= first.model
+                elif change == "later-variable":
+                    want = first.model and first.model + (True,)
+                    assert (plain.status, plain.model) == (first.status, want)
+                else:
+                    # fewer clauses: the first model can only come sooner
+                    assert not first.is_sat or plain.is_sat and plain.model >= first.model
                 sat += first.is_sat
         assert sat >= 6
 
     def test_two_counters(self):
-        # a second counter after the goal's is read from its clauses, and so
-        # is the goal's
+        # a second counter after the goal's is not the record's; the clause
+        # DPLL reads both counters from their clauses
         rng = random.Random(61)
         for mode, steps in itertools.product(PROGRESS_MODES, (1, 2, 3)):
             inst = Instance(random_full_grid(rng, 3, 3, 2), rng.randrange(9))
             opts = EncodeOptions(steps=steps, progress_encoding=mode)
             f, _ = encode(inst, opts)
-            goal = f.steps.goal
-            at_least_k(f, goal.lits[::-1], min(goal.k + 1, len(goal.lits)))
+            goal, first = f.steps.goal, dpll_solve(f)
+            k = min(goal.k + 1, len(goal.lits))
+            at_least_k(f, goal.lits[::-1], k)
             assert not f.steps.describes(f)
-            native, plain = dpll_solve(f), dpll_solve(plain_copy(f))
-            assert (native.status, native.model) == (plain.status, plain.model)
+            with pytest.raises(ValueError, match="does not describe"):
+                dpll_solve(f)
+            plain = clause_dpll.solve(f)
+            if plain.is_sat:
+                # a model of the goal's formula too, so not before its first
+                assert first.is_sat and plain.model[: len(first.model)] <= first.model
+                assert sum(plain.model[x] for x in goal.lits) >= k

@@ -1,8 +1,9 @@
 """The internal solver on planner formulas: the steps it computes with the
-engine (``cnf.StepChain``) against the same formulas solved from their
-clauses, pinned decision and literal counts, so that a change to
-propagation shows even where every answer stays the same, and solves that
-must not see each other's step states."""
+engine (``cnf.StepChain``) against the same formulas' clauses solved by the
+tests' clause DPLL (``clause_dpll``), pinned decision and literal counts
+for both, so that a change to either search shows even where every answer
+stays the same, solves that must not see each other's step states, and the
+refusal of a formula that its record does not describe."""
 
 import itertools
 import sys
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plotting_solver import cnf
-from plotting_solver.cnf import dpll_solve
+from plotting_solver.cnf import CnfFormula, dpll_solve
 from plotting_solver.encoder import (
     PROGRESS_CARDINALITY,
     PROGRESS_MODES,
@@ -26,7 +27,7 @@ from plotting_solver.encoder import (
 from plotting_solver.engine import Instance
 from plotting_solver.generator import GeneratorSpec, enumerate_instances, random_instance
 
-from conftest import plain_copy
+import clause_dpll
 
 
 def planner_formula(shape, seed, goal, steps, mode):
@@ -40,9 +41,10 @@ class TestPinnedWork:
     """DPLL with lowest-index branching returns the first model in
     brute-force order however weakly it propagates, so no answer test sees
     propagation get weaker; these counts do. Each formula is solved with
-    its step-chain record and with the record set to None. A change that
-    moves a count re-records it here, with the old and new values in
-    CHANGES.md, and only when plans and statuses are unchanged.
+    its step-chain record by ``dpll_solve`` and from its clauses by the
+    tests' clause DPLL, ``clause_dpll.solve``. A change that moves a count
+    re-records it here, with the old and new values in CHANGES.md, and
+    only when plans and statuses are unchanged.
 
     With the record, the search tries the steps' options depth first: the
     initial hands, then the shots that are no null move (at the last step,
@@ -51,12 +53,12 @@ class TestPinnedWork:
     included, which propagation would have set from the clauses, and
     ``assigned`` their literals (one per hand, two per shot) and then a
     model's other decision variables, its states' variables and its
-    auxiliary variables, each once. Without the record a sat formula takes
-    more decisions: the search decides each register that the counter's
-    top unit leaves free."""
+    auxiliary variables, each once. From the clauses a sat formula takes
+    more decisions: the clause DPLL decides each register that the
+    counter's top unit leaves free."""
 
     # (shape, generator seed, goal, horizon) -> status, then per progress
-    # mode (decisions, literals set) with the record and without it
+    # mode (decisions, literals set) with the record and from the clauses
     PINS = {
         ((3, 3, 2), 1, 0, 5): (
             "unsat",
@@ -94,33 +96,19 @@ class TestPinnedWork:
     def test_decisions_and_literals_set_are_pinned(self, mode):
         for case, (status, counts) in self.PINS.items():
             f = planner_formula(*case, mode)
-            native = dpll_solve(f)
-            f.steps = None
-            plain = dpll_solve(f)
+            native, plain = dpll_solve(f), clause_dpll.solve(f)
             assert native.status == plain.status == status, case
             assert native.model == plain.model, case
             got = ((native.decisions, native.assigned), (plain.decisions, plain.assigned))
             assert got == counts[mode], case
 
 
-def solve_both(f):
-    """``f`` solved with its step-chain record and with it set to None;
-    the record is put back."""
-    native = dpll_solve(f)
-    steps, f.steps = f.steps, None
-    try:
-        plain = dpll_solve(f)
-    finally:
-        f.steps = steps
-    return native, plain
-
-
 class TestDifferential:
     """The steps computed with the engine give the statuses and models of
-    the same formulas solved from their clauses. On an unsat horizon the
-    native path trusts the engine, which the breadth-first oracle of
-    criterion 2 uses too, so this is the check that it agrees with the
-    clauses."""
+    the same formulas' clauses, solved by the clause DPLL. On an unsat
+    horizon the native path trusts the engine, which the breadth-first
+    oracle of criterion 2 uses too, so this is the check that it agrees
+    with the clauses."""
 
     def test_criterion_2_grids_at_goal_0(self):
         # every canonical 3x3/2 grid, horizons 1-4; all are unsat.
@@ -133,7 +121,7 @@ class TestDifferential:
             for steps in range(1, 5):
                 f, _ = encode(Instance(grid, 0), EncodeOptions(steps=steps))
                 assert f.steps.describes(f)
-                native, plain = solve_both(f)
+                native, plain = dpll_solve(f), clause_dpll.solve(f)
                 assert native.status == plain.status == "unsat", (grid.cells, steps)
                 decided += native.decisions
         assert decided > 10000
@@ -156,7 +144,7 @@ class TestDifferential:
         opts = EncodeOptions(steps, fixed_initial_hand=hand, progress_encoding=mode)
         f, _ = encode(Instance(grid, goal), opts)
         assert f.steps.describes(f)
-        native, plain = solve_both(f)
+        native, plain = dpll_solve(f), clause_dpll.solve(f)
         assert (native.status, native.model) == (plain.status, plain.model)
 
 
@@ -285,14 +273,15 @@ class TestStepRecord:
         # no model extends an assignment the options leave out, and every
         # option of the last step is a model's
         for units, sat in expected:
-            g = plain_copy(f)
-            g.clauses += [(x,) for x in units]
-            assert dpll_solve(g).is_sat == sat, units
+            g = CnfFormula()
+            g.var_count, g.clauses = f.var_count, f.clauses + [(x,) for x in units]
+            assert clause_dpll.solve(g).is_sat == sat, units
 
 
 class TestFallback:
-    """A formula the step-chain record does not describe is solved from its
-    clauses, with the answers the clauses give."""
+    """``dpll_solve`` refuses a formula that its step-chain record does not
+    describe, or that has no record, and searches none of it; the clause
+    DPLL gives such a formula the answer its clauses admit."""
 
     @pytest.mark.parametrize(
         "change",
@@ -304,20 +293,12 @@ class TestFallback:
             "start-cell-contradicted",
         ],
     )
-    def test_a_formula_the_record_does_not_describe(self, change, monkeypatch):
-        searched = []
-        search = cnf._search
-
-        def recorded(formula, index, *rest):
-            searched.append(formula)
-            return search(formula, index, *rest)
-
-        monkeypatch.setattr(cnf, "_search", recorded)
+    def test_a_formula_the_record_does_not_describe(self, change):
         sat = 0
         for mode, steps, seed in itertools.product(PROGRESS_MODES, (1, 2, 3), (1, 2)):
             grid = random_instance(GeneratorSpec(3, 3, 2, seed=seed)).grid
             f, vm = encode(Instance(grid, 9 - steps - seed % 2), EncodeOptions(steps, progress_encoding=mode))
-            first = dpll_solve(plain_copy(f))
+            first = dpll_solve(f)
             if change == "step-clause-dropped":
                 # one of the last step's successor clauses
                 del f.clauses[f.steps.size - 1]
@@ -328,19 +309,40 @@ class TestFallback:
                 f.new_var()  # free, so true in the first model
             else:
                 # a unit on a start cell, after the start units: the search
-                # takes the start grid from the instance, not the clauses
+                # would take the start grid from the instance, not the clauses
                 start = vm.grid_var(0, 1, 1, grid.at(1, 1))
                 f.add_clause((start if change == "start-cell-repeated" else -start,))
             assert not f.steps.describes(f)
-            searched.clear()
-            native = dpll_solve(f)
-            assert searched == [f]
-            plain = dpll_solve(plain_copy(f))
-            assert (native.status, native.model) == (plain.status, plain.model)
-            if change == "start-cell-contradicted":
-                assert native.is_unsat
+            with pytest.raises(ValueError, match="does not describe"):
+                dpll_solve(f)
+            plain = clause_dpll.solve(f)
+            # models are compared in brute-force order: the later of two,
+            # as a tuple, is the smaller
+            if change == "step-clause-dropped":
+                # fewer clauses: the first model can only come sooner
+                assert not first.is_sat or plain.is_sat and plain.model >= first.model
+            elif change == "later-step-clause":
+                # one clause more: the first model can only come later
+                assert not plain.is_sat or first.is_sat and plain.model <= first.model
+            elif change == "changed-var-count":
+                want = first.model and first.model + (True,)
+                assert (plain.status, plain.model) == (first.status, want)
+            elif change == "start-cell-repeated":
+                assert (plain.status, plain.model) == (first.status, first.model)
+            else:
+                assert plain.is_unsat
             sat += first.is_sat
         assert sat >= 4
+
+    def test_a_formula_with_no_record(self):
+        # neither the empty formula nor a planner formula without its
+        # record is searched
+        with pytest.raises(ValueError, match="no step record"):
+            dpll_solve(CnfFormula())
+        f = planner_formula((3, 3, 2), 1, 3, 3, PROGRESS_WITNESS)
+        f.steps = None
+        with pytest.raises(ValueError, match="no step record"):
+            dpll_solve(f)
 
 
 class TestDeadline:
