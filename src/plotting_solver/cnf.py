@@ -7,13 +7,13 @@ formula that a chain of transition steps describes exactly (a
 deadline passes. It searches depth first over the steps' options: a
 callable lists each step's options, the initial hands and then the shots
 that have a model, each with the state it reaches, so no clause is read
-during the search. A found model takes its decisions from the options
-chosen, each step's outputs from its state, its auxiliary variables from
-the steps' clauses and the counter's registers from its inputs' values
-(see :func:`dpll_solve`). It refuses any other formula, one with no
-record or one that its record does not describe, with ``ValueError``; the
-clause DPLL that solves such formulas is the tests' reference
-(``tests/clause_dpll.py``), not part of the package.
+during the search. A found model takes every variable that is not
+auxiliary from the options chosen, through the record, and its auxiliary
+variables from the steps' clauses (see :func:`dpll_solve`). It refuses
+any other formula, one with no record or one that its record does not
+describe, with ``ValueError``; the clause DPLL that solves such formulas
+is the tests' reference (``tests/clause_dpll.py``), not part of the
+package.
 :func:`external_solve` runs any solver, given as an argv, that takes a
 DIMACS path argument and prints SAT-competition style ``s``/``v`` lines.
 Both take a ``timeout`` in seconds and report an unknown outcome with
@@ -112,11 +112,11 @@ class SatOutcome:
 
     ``decisions`` and ``assigned`` count the work of :func:`dpll_solve`:
     the options it tried over the :class:`StepChain` and their literals,
-    with the literals a model sets besides: the other decision variables,
-    false, and the outputs and auxiliary variables, each once. The tests'
-    clause DPLL (``tests/clause_dpll.py``) counts the variables it decided
-    (a backtrack's flip is not a decision) and the literals it set, those
-    later undone included. Other solvers leave both 0."""
+    and for a model its ``var_count`` besides, as it sets every variable
+    once. The tests' clause DPLL (``tests/clause_dpll.py``) counts the
+    variables it decided (a backtrack's flip is not a decision) and the
+    literals it set, those later undone included. Other solvers leave both
+    0."""
 
     status: str  # "sat" | "unsat" | "unknown"
     model: Optional[tuple[bool, ...]] = None  # indexed by var id, entry 0 unused
@@ -147,39 +147,34 @@ class SatOutcome:
 
 @dataclass(frozen=True)
 class AtLeastK:
-    """What one :func:`at_least_k` call built: "at least ``k`` of ``lits``"
-    as ``clauses``, with one register variable per entry of ``registers``,
-    numbered on from ``first_var``. A register's ``(i, j)`` means "at least
-    j of the first i inputs are true"."""
+    """What one :func:`at_least_k` call built: "at least ``k`` of ``lits``",
+    with one register variable per entry of ``registers``, numbered on from
+    ``first_var``. A register's ``(i, j)`` means "at least j of the first i
+    inputs are true"."""
 
     lits: tuple[int, ...]
     k: int
     first_var: int
     registers: tuple[tuple[int, int], ...]
-    clauses: tuple[tuple[int, ...], ...]
 
-    def registers_under(self, is_true: Sequence[bool]) -> list[bool]:
-        """Each register's value, in id order, when each input ``x`` has the
-        value ``is_true[x]``: (i, j) holds iff at least j of the first i
-        inputs are true."""
+    def registers_under(self, inputs: Sequence[bool]) -> list[bool]:
+        """Each register's value, in id order, when the inputs have the
+        values ``inputs``, in the order of ``lits``: (i, j) holds iff at
+        least j of the first i inputs are true."""
         at_least = [0]
-        for x in self.lits:
-            at_least.append(at_least[-1] + is_true[x])
+        for value in inputs:
+            at_least.append(at_least[-1] + value)
         return [at_least[i] >= j for i, j in self.registers]
 
 
 @dataclass(frozen=True, eq=False)
 class StepChain:
-    """A formula's transition steps 0..h, which :func:`dpll_solve` searches
-    through ``choices`` instead of through their clauses.
+    """A formula's transition steps 0..``horizon``, which :func:`dpll_solve`
+    searches through ``choices`` instead of through their clauses.
 
     The record describes one formula exactly (:meth:`describes`):
     ``var_count`` variables, the chain's clauses ``source[:size]``, then
-    ``tail``, the goal counter's clauses and the start units. Per step,
-    ``ranges`` holds its decision variables, in id order: the initial hand
-    at step 0, and later the step's shot. Step 0's outputs are the start
-    grid, and a later step's are its wall fall and the state it reaches;
-    the rest of the chain's variables are auxiliary.
+    ``tail``, the formula's other clauses.
 
     ``choices(t, state)`` lists step t + 1's options once step t has
     reached ``state``; ``choices(-1, None)`` lists step 0's. An option is
@@ -188,31 +183,27 @@ class StepChain:
     then reaches, opaque to the solver. The options are the assignments of
     step t + 1's decision variables that satisfy the formula's clauses over
     decision variables alone, in the order lowest-index branching over
-    those clauses meets them, less only assignments that no model extends
-    (those of the last step that leave the goal unmet among them).
-    ``outputs(t, state)`` gives a literal of every output variable of step
-    t in that state; the solver calls it only for a model. Both depend on
-    their arguments alone and keep no state of their own: one formula may
-    be solved more than once, from more than one thread. Every auxiliary
-    variable is a function of lower-index decision and output variables,
-    and reading the chain's clauses once, in order, setting each clause's
-    last unset literal when the others are false, sets it.
-
-    ``goal`` is the :func:`at_least_k` whose clauses start the tail and
-    whose registers are the formula's last variables, or None. Its inputs
-    are outputs of the last step, which ``choices`` leaves out wherever
-    they leave it unmet, so that the search needs neither its clauses nor
-    its registers.
+    those clauses meets them, less only assignments that no model extends.
+    ``outputs(t, option)`` gives a literal of every variable of step t that
+    is not auxiliary, once step t has taken ``option``: its decision
+    variables as the option sets them, and every other one with the value
+    it has in the first model, in brute-force order, that extends the
+    options taken; the last step's include the variables after the chain's.
+    The solver calls it only for a model. Both depend on their arguments
+    alone and keep no state of their own: one formula may be solved more
+    than once, from more than one thread. Every auxiliary variable is a
+    function of lower-index variables that are not auxiliary, and reading
+    the chain's clauses once, in order, setting each clause's last unset
+    literal when the others are false, sets it.
     """
 
     source: list[tuple[int, ...]]
     size: int
     tail: list[tuple[int, ...]]
     var_count: int
-    ranges: tuple[range, ...]
-    goal: Optional[AtLeastK]
+    horizon: int
     choices: Callable[[int, Any], Sequence[tuple[Sequence[int], Any]]]
-    outputs: Callable[[int, Any], Sequence[int]]
+    outputs: Callable[[int, tuple[Sequence[int], Any]], Sequence[int]]
 
     def describes(self, formula: CnfFormula) -> bool:
         """Whether ``formula`` has ``var_count`` variables and its clauses
@@ -283,7 +274,7 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> Optional[AtL
     if bad:
         raise ValueError(f"literal {bad[0]} outside allocated variables")
     clauses = formula.clauses
-    first_var, first_clause = formula.var_count + 1, len(clauses)
+    first_var = formula.var_count + 1
     registers: list[tuple[int, int]] = []
     row = {1: lits[0]}  # row[j]: at least j of the inputs so far
     for i, x in enumerate(lits[1:], 2):
@@ -297,9 +288,7 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> Optional[AtL
             if j > 1:
                 clauses.append((-z, *without, below[j - 1]))
     clauses.append((row[k],))
-    return AtLeastK(
-        tuple(lits), k, first_var, tuple(registers), tuple(clauses[first_clause:])
-    )
+    return AtLeastK(tuple(lits), k, first_var, tuple(registers))
 
 
 def write_dimacs(formula: CnfFormula, sink: IO[str]) -> None:
@@ -346,22 +335,18 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
     enumerated with variable 1 most significant and true before false, and
     the outcome is unsat exactly when no assignment satisfies the formula.
     That holds because the start grid's variables come before the hand's
-    and every model sets them by unit, and every later output and auxiliary
-    variable is a function of lower-index variables.
+    and every model sets them by unit, every auxiliary variable is a
+    function of lower-index variables, and ``outputs`` gives each other
+    variable its value in the first model that extends the options taken.
 
     ``timeout`` seconds, counted from entry, bound the search: the deadline
     is checked before each option, and once it has passed the outcome is
-    unknown with reason ``"timeout"``. A model sets the chosen options'
-    literals, then every other decision variable false, then each step's
-    outputs from its state with ``outputs``, and its auxiliary variables
-    from one in-order pass over the chain's clauses (see :func:`_fill`);
-    the goal counter's registers get their exact values from
-    :meth:`AtLeastK.registers_under`, which is the first extension in
-    brute-force order, since the registers come last and each may be true
-    only when its count holds. The model is then verified against every
-    clause before it is returned. ``decisions`` counts the options tried
-    and ``assigned`` their literals, then the literals the model sets
-    besides.
+    unknown with reason ``"timeout"``. A model takes every variable that is
+    not auxiliary from ``outputs``, per option taken, and its auxiliary
+    variables from one in-order pass over the chain's clauses (see
+    :func:`_fill`). The model is then verified against every clause before
+    it is returned. ``decisions`` counts the options tried and ``assigned``
+    their literals, then the model's ``var_count``.
 
     The search keeps its state in the call: one formula may be solved
     again, or from two threads at once.
@@ -380,7 +365,7 @@ def _step_search(
 ) -> SatOutcome:
     """Search ``formula`` over the options of ``steps`` (see
     :func:`dpll_solve`)."""
-    choices, last = steps.choices, len(steps.ranges) - 1
+    choices, last = steps.choices, steps.horizon
     tried = assigned = 0
     path: list[tuple[Sequence[int], Any]] = []  # the option taken per step
     left = [iter(choices(-1, None))]  # per step, its options not yet tried
@@ -399,55 +384,38 @@ def _step_search(
         if len(path) <= last:
             left.append(iter(choices(len(path) - 1, option[1])))
             continue
-        goal = steps.goal
-        nvars = formula.var_count if goal is None else goal.first_var - 1
-        is_true = [False] * (2 * nvars + 1)  # by signed literal
-        for lits, _ in path:
-            for lit in lits:
-                is_true[lit] = True
-        for v in chain.from_iterable(steps.ranges):
-            if not is_true[v]:
-                is_true[-v] = True
-                assigned += 1
-        held = [state for _, state in path]
-        assigned += _fill(is_true, steps, held, formula.clauses, nvars)
-        model = is_true[: nvars + 1]
-        if goal is not None:
-            model += goal.registers_under(is_true)
+        model = _fill(steps, path, formula.clauses, formula.var_count)
         if not _verify_model(formula, model):
             raise RuntimeError("internal solver produced a bad model")
+        assigned += formula.var_count
         return SatOutcome("sat", tuple(model), None, tried, assigned)
     return SatOutcome("unsat", None, None, tried, assigned)
 
 
 def _fill(
-    is_true: list[bool],
     steps: StepChain,
-    held: Sequence[object],
+    path: Sequence[tuple[Sequence[int], Any]],
     clauses: list[tuple[int, ...]],
     nvars: int,
-) -> int:
-    """Set the chain's variables, 1..``nvars``, that the search left unset,
-    given its decisions in ``is_true`` and each step's state in ``held``;
-    return how many were set.
+) -> list[bool]:
+    """The model, indexed by var id, of the formula's ``nvars`` variables
+    that the options ``path``, one per step, reach.
 
-    First each step's outputs, step 0's start grid included, from
-    ``steps.outputs``; an output whose variable is already set the other way
-    raises ``RuntimeError``. Then the auxiliary variables, from the chain's
-    clauses, the first ``steps.size`` of ``clauses``: one pass over them in
-    order sets the last unset literal of each clause whose other literals
-    are false. A gate's clauses follow those of its inputs, so the pass
-    sets every auxiliary variable, as unit propagation would; a clause it
-    finds false, or a variable still unset, means the decisions and
-    outputs are no model of the chain, and raises ``RuntimeError``."""
-    set_ = 0
-    for t, state in enumerate(held):
-        for lit in steps.outputs(t, state):
+    First every variable that is not auxiliary, from ``steps.outputs`` per
+    option; one set both ways raises ``RuntimeError``. Then the auxiliary
+    variables, from the chain's clauses, the first ``steps.size`` of
+    ``clauses``: one pass over them in order sets the last unset literal of
+    each clause whose other literals are false. A gate's clauses follow
+    those of its inputs, so the pass sets every auxiliary variable, as unit
+    propagation would; a clause it finds false, or a variable still unset,
+    means the outputs are no model of the chain, and raises
+    ``RuntimeError``."""
+    is_true = [False] * (2 * nvars + 1)  # by signed literal
+    for t, option in enumerate(path):
+        for lit in steps.outputs(t, option):
             if is_true[-lit]:
                 raise RuntimeError("internal solver produced a bad model")
-            if not is_true[lit]:
-                is_true[lit] = True
-                set_ += 1
+            is_true[lit] = True
     for clause in islice(clauses, steps.size):
         free = 0
         for lit in clause:
@@ -461,11 +429,10 @@ def _fill(
             if not free:
                 raise RuntimeError("internal solver produced a bad model")
             is_true[free] = True
-            set_ += 1
     for v in range(1, nvars + 1):
         if not is_true[v] and not is_true[-v]:
             raise RuntimeError("internal solver produced a bad model")
-    return set_
+    return is_true[: nvars + 1]
 
 
 def external_solve(

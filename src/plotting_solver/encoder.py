@@ -38,19 +38,20 @@ Every auxiliary variable of a step is a function of lower-index state and
 action variables, which unit propagation fixes once those are set, and so
 are the step's state and wall fall. The DPLL solver does not propagate a
 step through its clauses: :func:`encode` attaches a
-:class:`plotting_solver.cnf.StepChain` whose callable lists each step's
-options with the engine (:func:`_choices`): the initial hands, and then
+:class:`plotting_solver.cnf.StepChain` whose callables list each step's
+options with the engine and give each option's variables that are not
+auxiliary (:func:`_choices`). The options are the initial hands, and then
 the shots that are no null move, each with the state the engine reaches,
 in the order lowest-index branching over the clauses would meet them. The
 solver searches those options depth first and reads no clause while it
-does; only a model gets the states' variables, from the states, and its
-auxiliary variables from the steps' clauses. The goal counter's registers
-are no such function (see :func:`plotting_solver.cnf.at_least_k`): they
-are implied in one direction only. The goal is the options' too: the last
-step's leave out every shot that leaves more than the goal's blocks, so
-the DPLL solver never reads the counter's clauses, and a model gets the
-registers' exact values from the counter's record. DIMACS output and
-external solvers get every clause.
+does; only a model gets every variable that is not auxiliary from the
+options it took, and its auxiliary variables from the steps' clauses.
+The goal is the options' too: the last step's leave out every shot that
+leaves more than the goal's blocks, so the DPLL solver never reads the
+counter's clauses. The counter's registers are implied in one direction
+only (see :func:`plotting_solver.cnf.at_least_k`), so the last step's
+outputs give them their exact values. DIMACS output and external solvers
+get every clause.
 
 Variable allocation is deterministic: step 0 grid cells (row major, value
 0..K per cell) and the step-0 hand come first. Each step then follows in
@@ -87,10 +88,8 @@ from itertools import product
 from operator import add, itemgetter
 from typing import Callable, Optional, Sequence, Union
 
-from .cnf import CnfFormula, StepChain, and_gate, at_least_k, exactly_one
-from .engine import (
-    Cells, ColShot, Grid, Instance, RowShot, Shot, _wall_fall, build, successors,
-)
+from .cnf import AtLeastK, CnfFormula, StepChain, and_gate, at_least_k, exactly_one
+from .engine import Cells, ColShot, Grid, Instance, RowShot, Shot, build, successors
 from .oracle import CapacityExceededError
 
 PROGRESS_WITNESS = "consumptionWitness"
@@ -457,29 +456,21 @@ def encode(
         clause_count,
         formula.clauses[clause_count:],
         formula.var_count,
-        _step_ranges(varmap),
-        goal,
-        *_choices(varmap, instance, fixed),
+        options.steps,
+        *_choices(varmap, instance, fixed, goal),
     )
     return formula, varmap
 
 
-def _step_ranges(vm: VarMap) -> tuple[range, ...]:
-    """Each step's decision variables (see :class:`StepChain`): the initial
-    hand, then per step its shot."""
-    ranges = [vm.hand_ids(0)]
-    for t in range(1, vm.steps + 1):
-        ranges.append(range(vm.row_shot_var(t, 0), vm.wall_fall_var(t, 0)))
-    return tuple(ranges)
-
-
-def _choices(vm: VarMap, instance: Instance, fixed: Optional[int]) -> tuple[
+def _choices(
+    vm: VarMap, instance: Instance, fixed: Optional[int], counter: Optional[AtLeastK]
+) -> tuple[
     Callable[[int, Optional[_State]], Sequence[tuple[tuple[int, ...], _State]]],
-    Callable[[int, _State], list[int]],
+    Callable[[int, tuple[tuple[int, ...], _State]], list[int]],
 ]:
     """:attr:`StepChain.choices` and :attr:`StepChain.outputs` for the
     horizon ``vm.steps`` of ``instance``, with the initial hand ``fixed``
-    or free.
+    or free and the goal's ``counter`` (None for no counter).
 
     A step's state is ``(rows, hand, wall fall)``, as the engine gives it.
     Step 0's options are the initial hands, 1..K or ``fixed`` alone, each
@@ -488,14 +479,20 @@ def _choices(vm: VarMap, instance: Instance, fixed: Optional[int]) -> tuple[
     tries the fired row's value 0, "no row", true first. Each sets its
     fired row and fired column, one of them to 0, and comes with the state
     the engine reaches: :func:`engine.successors` walks each travel once,
-    and :func:`engine.build` and the engine's wall fall take its stop.
-    Left out are the shots that have no model: a null move, which the
-    successor clauses refute, and at the last step a shot that leaves more
-    than the goal's blocks, which the goal counter refutes. The solver
-    reads neither the counter's clauses nor its registers, so this is where
-    it meets the goal. The outputs are a literal of every variable of the
-    step's wall fall, grid and hand; at step 0, of the grid alone. Both
-    functions read only their arguments and the tables fixed here."""
+    and :func:`engine.build` takes its stop. Left out are the shots that
+    have no model: a null move, which the successor clauses refute, and at
+    the last step a shot that leaves more than the goal's blocks, which the
+    goal counter refutes. The solver reads neither the counter's clauses
+    nor its registers, so this is where it meets the goal.
+
+    The outputs are a literal of every variable that is not auxiliary: at
+    step 0 the start grid and the hand; later the option's fired row and
+    fired column, then the wall fall, grid and hand, one block from
+    ``row_shot_var(t, 0)``; at the last step also the counter's registers,
+    with the values :meth:`AtLeastK.registers_under` gives them from the
+    last grid's empty cells, each true exactly when its count holds, as in
+    the first model in brute-force order. Both functions read only their
+    arguments and the tables fixed here."""
     H, W, K = vm.height, vm.width, vm.colours
     last, cells, grid_size = vm.steps, H * W, H * W * (K + 1)
     start, goal = instance.grid.cells, instance.goal
@@ -508,14 +505,10 @@ def _choices(vm: VarMap, instance: Instance, fixed: Optional[int]) -> tuple[
         + [(vm.row_shot_var(t, 0), vm.col_shot_var(t, c)) for c in range(1, W + 1)]
         for t in range(1, last + 1)
     ]
-    # by step, the first variable of its wall fall (at step 0, where it
-    # would lie)
-    fall0 = [base - (H + 1) for base in vm.state_bases]
-    # each output's offset from the wall fall's first variable: per cell its
-    # value 0, then the hand's colour 1
-    size = H + 1 + grid_size + K
-    cell_at = range(H + 1, H + 1 + grid_size, K + 1)
-    hand_at = H + grid_size
+    # by step, the first of its outputs and the grid's offset from it:
+    # step 0's start with its grid, and a later step's with its fired row
+    first = [(vm.state_bases[0], 0)]
+    first += [(vm.row_shot_var(t, 0), vm._shot_block) for t in range(1, last + 1)]
 
     def choices(
         t: int, state: Optional[_State]
@@ -534,21 +527,31 @@ def _choices(vm: VarMap, instance: Instance, fixed: Optional[int]) -> tuple[
                 continue
             after = build(grid, hand, shot, stop)
             if type(shot) is RowShot:
-                r0 = shot.row - 1
-                fall = _wall_fall(grid, hand, r0) if stop >= W else 0
-                rows.append((lits[r0], (*after, fall)))
+                rows.append((lits[shot.row - 1], after))
             else:
-                cols.append((lits[H + shot.col - 1], (*after, 0)))
+                cols.append((lits[H + shot.col - 1], after))
         return cols + rows
 
-    def outputs(t: int, state: _State) -> list[int]:
-        grid, hand, fall = state
-        first = fall0[t]
-        lits = list(range(-first, -first - size, -1))
+    def outputs(t: int, option: tuple[tuple[int, ...], _State]) -> list[int]:
+        decided, (grid, hand, fall) = option
+        base, at = first[t]
+        # by offset from ``base``: each variable false, then the true ones
+        lits = list(range(-base, -base - at - grid_size - K, -1))
         flat = [v for row in grid for v in row]
-        for p in (fall, hand_at + hand, *map(add, cell_at, flat)):
-            lits[p] = -lits[p]
-        return lits if t else lits[H + 1 : hand_at + 1]
+        true = [x - base for x in decided]
+        true += map(add, range(at, at + grid_size, K + 1), flat)
+        true.append(at + grid_size + hand - 1)
+        if t:
+            true.append(at - (H + 1) + fall)
+        for p in true:
+            lits[p] = base + p
+        if t == last and counter is not None:
+            # the counter's inputs are the last grid's cells' value 0, row
+            # major, and its registers the formula's last variables
+            values = counter.registers_under([v == EMPTY for v in flat])
+            registers = enumerate(values, counter.first_var)
+            lits += [x if value else -x for x, value in registers]
+        return lits
 
     return choices, outputs
 

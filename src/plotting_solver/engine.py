@@ -188,10 +188,12 @@ def wall_fall(grid: Grid, hand: int, row: int) -> int:
     Nonzero only when ``row`` >= 2, the whole fired row is empty or
     hand-coloured, the last-column cell just above the fired row is occupied,
     and the last column holds a run of hand-coloured cells starting at the
-    fired row. The returned value is the length of that run.
+    fired row. The returned value is the length of that run. Raises
+    :class:`OutOfRangeError` if ``row`` is outside the grid, as
+    :func:`apply_shot` does.
     """
-    if row < 2:
-        return 0
+    if not 1 <= row <= grid.height:
+        raise OutOfRangeError(f"row {row} outside 1..{grid.height}")
     travel = _row_travel(grid.cells, hand, row - 1)
     if travel is None or travel[1] < grid.width:
         return 0
@@ -217,10 +219,7 @@ def apply_shot(grid: Grid, hand: int, shot: Shot) -> TransitionOutcome:
     if out is None:
         raise NullMoveError(f"{kind} shot {index} consumes nothing")
     consumed, stop = out
-    next_cells, next_hand = build(cells, hand, shot, stop)
-    fall = 0
-    if kind == "row" and stop >= grid.width:
-        fall = _wall_fall(cells, hand, index - 1)
+    next_cells, next_hand, fall = build(cells, hand, shot, stop)
     return TransitionOutcome(Grid(next_cells), next_hand, fall, consumed, next_hand != hand)
 
 
@@ -240,9 +239,10 @@ def successors(cells: Cells, hand: int) -> Iterator[tuple[Shot, Travel]]:
             yield shots[height + c0], travel
 
 
-def build(cells: Cells, hand: int, shot: Shot, stop: int) -> tuple[Cells, int]:
-    """``(next_cells, next_hand)`` after a legal ``shot`` whose travel from
-    this state stops at path index ``stop``."""
+def build(cells: Cells, hand: int, shot: Shot, stop: int) -> tuple[Cells, int, int]:
+    """``(next_cells, next_hand, wall_fall)`` after a legal ``shot`` whose
+    travel from this state stops at path index ``stop``; the wall fall is
+    0 for a column shot."""
     if isinstance(shot, RowShot):
         return _row_build(cells, hand, shot.row - 1, stop)
     return _col_build(cells, hand, shot.col - 1, stop)
@@ -262,10 +262,10 @@ def _shots(height: int, width: int) -> tuple[Shot, ...]:
 # returns ``(consumed, stop)``, or None for a null move, where ``stop`` is
 # the path index of the cell the hand swaps with, or the path's length when
 # the shot rebounds. The build functions turn a stop into ``(next_cells,
-# next_hand)``: every block on the path before the stop is of the hand's
-# colour and consumed. A row the shot leaves unchanged is the parent's own
-# tuple: ``rows`` starts as the parent's rows, and ``tuple`` returns a
-# tuple argument unchanged.
+# next_hand, wall_fall)``: every block on the path before the stop is of
+# the hand's colour and consumed. A row the shot leaves unchanged is the
+# parent's own tuple: ``rows`` starts as the parent's rows, and ``tuple``
+# returns a tuple argument unchanged.
 
 
 def _row_travel(cells: Cells, hand: int, r0: int) -> Optional[Travel]:
@@ -300,7 +300,7 @@ def _wall_fall(cells: Cells, hand: int, r0: int) -> int:
     return fall
 
 
-def _row_build(cells: Cells, hand: int, r0: int, stop: int) -> tuple[Cells, int]:
+def _row_build(cells: Cells, hand: int, r0: int, stop: int) -> tuple[Cells, int, int]:
     fired = cells[r0]
     last = len(fired) - 1
     eaten = []  # columns consumed along the fired row
@@ -333,13 +333,14 @@ def _row_build(cells: Cells, hand: int, r0: int, stop: int) -> tuple[Cells, int]
         if sr > r0:
             rows[sr] = list(cells[sr])
         rows[sr][sc] = hand
+    fall = 0
     if eaten and eaten[-1] == last:
         # After a wall hit the last column falls ``fall`` cells, not one;
         # the shift overwrites the blanks the drop left.
         fall = _wall_fall(cells, hand, r0)
         for i in range(r0 + fall):
             rows[i][last] = cells[i - fall][last] if i >= fall else EMPTY
-    return tuple(map(tuple, rows)), next_hand
+    return tuple(map(tuple, rows)), next_hand, fall
 
 
 def _col_travel(cells: Cells, hand: int, c0: int) -> Optional[Travel]:
@@ -353,7 +354,7 @@ def _col_travel(cells: Cells, hand: int, c0: int) -> Optional[Travel]:
     return (consumed, len(cells)) if consumed else None
 
 
-def _col_build(cells: Cells, hand: int, c0: int, stop: int) -> tuple[Cells, int]:
+def _col_build(cells: Cells, hand: int, c0: int, stop: int) -> tuple[Cells, int, int]:
     rows: list = list(cells)
     for r in range(stop):
         if cells[r][c0] != EMPTY:
@@ -365,7 +366,7 @@ def _col_build(cells: Cells, hand: int, c0: int, stop: int) -> tuple[Cells, int]
         row = rows[stop] = list(cells[stop])
         row[c0] = hand
     # No gravity: only empty cells can sit above the consumed run.
-    return tuple(map(tuple, rows)), next_hand
+    return tuple(map(tuple, rows)), next_hand, 0
 
 
 def legal_shots(grid: Grid, hand: int) -> list[Shot]:

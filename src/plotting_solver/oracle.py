@@ -513,9 +513,11 @@ def _bfs_from(
         for parent, shot, stop, blocks in zip(unbuilt, unbuilt, unbuilt, unbuilt):
             if parent is None:
                 state = start
+                cells, hand = start
             else:
                 cells, hand = parent
-                state = engine.build(cells, hand, shot, stop)
+                cells, hand, _ = engine.build(cells, hand, shot, stop)
+                state = cells, hand
                 link = (parent, shot)
                 # one hash of the grid per built successor: a tuple caches none
                 if parents.setdefault(state, link) is not link:
@@ -524,7 +526,6 @@ def _bfs_from(
                     raise CapacityExceededError(
                         f"breadth-first search exceeded {state_cap} states"
                     )
-            cells, hand = state
             for shot, (consumed, stop) in engine.successors(cells, hand):
                 left = blocks - consumed
                 # a repeated state has its first visit's block count, so the

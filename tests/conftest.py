@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from plotting_solver.cnf import CnfFormula, write_dimacs
+from plotting_solver.cnf import CnfFormula, at_least_k, write_dimacs
 from plotting_solver.engine import Grid, apply_shot, legal_shots
 
 SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
@@ -22,6 +22,30 @@ def dimacs_text(formula: CnfFormula) -> str:
     buf = io.StringIO()
     write_dimacs(formula, buf)
     return buf.getvalue()
+
+
+def goal_counter(instance, formula, varmap):
+    """The goal counter of ``formula``, which ``encode`` built for
+    ``instance`` with ``varmap``, rebuilt from the instance: "at least k of
+    the last grid's cells are empty", k being the blocks the goal removes,
+    with its registers the formula's last variables. Returns the
+    counter's ``AtLeastK`` and its clauses, which follow the chain's."""
+    height, width = instance.grid.height, instance.grid.width
+    lits = [
+        varmap.grid_var(varmap.steps, r, c, 0)
+        for r in range(1, height + 1)
+        for c in range(1, width + 1)
+    ]
+    k = height * width - instance.goal
+    probe = CnfFormula()
+    probe.var_count = formula.var_count
+    registers = len(at_least_k(probe, lits, k).registers)
+    rebuilt = CnfFormula()
+    rebuilt.var_count = formula.var_count - registers
+    counter = at_least_k(rebuilt, lits, k)
+    size = formula.steps.size
+    assert formula.clauses[size : size + len(rebuilt.clauses)] == rebuilt.clauses
+    return counter, rebuilt.clauses
 
 
 def random_full_grid(rng: random.Random, height: int, width: int, colours: int) -> Grid:

@@ -196,10 +196,10 @@ class TestAtLeastK:
             assert out.is_sat == (sum(bits) >= k)
 
 
-def signed(model):
-    """``model`` indexed by signed literal, as ``AtLeastK.registers_under``
-    reads it."""
-    return [False, *model[1:], *(not value for value in reversed(model[1:]))]
+def input_values(record, model):
+    """The value in ``model`` of each input of ``record``, in order, as
+    ``AtLeastK.registers_under`` reads them."""
+    return [model[x] if x > 0 else not model[-x] for x in record.lits]
 
 
 class TestNativeCount:
@@ -222,7 +222,8 @@ class TestNativeCount:
                 assert out.is_sat == (values.count(False) <= n - k), (k, values)
                 if out.is_sat and record is not None:
                     registers = list(out.model[n + 1 :])
-                    assert registers == record.registers_under(signed(out.model))
+                    values = input_values(record, out.model)
+                    assert registers == record.registers_under(values)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_propagates_without_a_decision(self, n):
@@ -268,7 +269,8 @@ class TestNativeCount:
         )
         assert out.is_sat == want
         if out.is_sat and record is not None:
-            assert list(out.model[5:]) == record.registers_under(signed(out.model))
+            values = input_values(record, out.model)
+            assert list(out.model[5:]) == record.registers_under(values)
 
 
 def parse_dimacs(text):

@@ -49,7 +49,7 @@ from plotting_solver.oracle import (
 )
 
 import clause_dpll
-from conftest import dimacs_text, random_full_grid
+from conftest import dimacs_text, goal_counter, random_full_grid
 
 
 def g(rows):
@@ -1101,9 +1101,9 @@ class TestExactLengthEquivalence:
 
 class TestNativeGoalCount:
     """The step search leaves the goal's "at least k cells empty"
-    (``cnf.AtLeastK``) to the successor and fills its registers from the
-    record; the outcome and the model must be those of the formula's
-    clauses, solved by the clause DPLL."""
+    (``cnf.AtLeastK``) to the last step's options, and takes its registers
+    from the last step's outputs; the outcome and the model must be those
+    of the formula's clauses, solved by the clause DPLL."""
 
     def test_matches_the_clauses_on_random_instances(self):
         rng = random.Random(57)
@@ -1115,8 +1115,8 @@ class TestNativeGoalCount:
             inst = Instance(grid, rng.randrange(height * width))
             for mode, steps in itertools.product(PROGRESS_MODES, (1, 2, 3)):
                 opts = EncodeOptions(steps=steps, progress_encoding=mode)
-                f, _ = encode(inst, opts)
-                goal = f.steps.goal
+                f, vm = encode(inst, opts)
+                goal, _ = goal_counter(inst, f, vm)
                 assert f.steps.describes(f) and goal.k == height * width - inst.goal
                 native, plain = dpll_solve(f), clause_dpll.solve(f)
                 assert (native.status, native.model) == (
@@ -1144,8 +1144,8 @@ class TestNativeGoalCount:
             for _ in range(3):
                 inst = Instance(random_full_grid(rng, 3, 3, 2), rng.randrange(9))
                 opts = EncodeOptions(steps=steps, progress_encoding=mode)
-                f, _ = encode(inst, opts)
-                goal, first = f.steps.goal, dpll_solve(f)
+                f, vm = encode(inst, opts)
+                (goal, counted), first = goal_counter(inst, f, vm), dpll_solve(f)
                 if change == "register-clause":
                     # rule out the lowest register the first model sets true
                     registers = range(goal.first_var, f.var_count + 1)
@@ -1155,7 +1155,7 @@ class TestNativeGoalCount:
                     f.new_var()  # free, so true in the first model
                 else:
                     # the goal's top unit, so that the goal no longer binds
-                    del f.clauses[f.steps.size + len(goal.clauses) - 1]
+                    del f.clauses[f.steps.size + len(counted) - 1]
                 assert not f.steps.describes(f)
                 with pytest.raises(ValueError, match="does not describe"):
                     dpll_solve(f)
@@ -1181,8 +1181,8 @@ class TestNativeGoalCount:
         for mode, steps in itertools.product(PROGRESS_MODES, (1, 2, 3)):
             inst = Instance(random_full_grid(rng, 3, 3, 2), rng.randrange(9))
             opts = EncodeOptions(steps=steps, progress_encoding=mode)
-            f, _ = encode(inst, opts)
-            goal, first = f.steps.goal, dpll_solve(f)
+            f, vm = encode(inst, opts)
+            (goal, _), first = goal_counter(inst, f, vm), dpll_solve(f)
             k = min(goal.k + 1, len(goal.lits))
             at_least_k(f, goal.lits[::-1], k)
             assert not f.steps.describes(f)

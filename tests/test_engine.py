@@ -156,6 +156,15 @@ class TestWallFall:
         assert wall_fall(g([[1, 1], [2, 2]]), 1, 1) == 0
         assert wall_fall(g([[1, 1], [1, 1]]), 1, 1) == 0
 
+    def test_a_row_outside_the_grid_is_refused(self):
+        # as apply_shot refuses a row shot there
+        grid = g([[2, 2], [1, 1], [1, 2]])
+        for row in (-1, 0, 4):
+            with pytest.raises(OutOfRangeError):
+                wall_fall(grid, 1, row)
+            with pytest.raises(OutOfRangeError):
+                apply_shot(grid, 1, RowShot(row))
+
     def test_agrees_with_scanning_on_random_grids(self):
         rng = random.Random(4)
         for _ in range(300):

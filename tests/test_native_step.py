@@ -28,6 +28,7 @@ from plotting_solver.engine import Instance
 from plotting_solver.generator import GeneratorSpec, enumerate_instances, random_instance
 
 import clause_dpll
+from conftest import goal_counter
 
 
 def planner_formula(shape, seed, goal, steps, mode):
@@ -51,11 +52,11 @@ class TestPinnedWork:
     the shots that meet the goal), each with the state the engine reaches.
     ``decisions`` counts the options tried, the last open one at a state
     included, which propagation would have set from the clauses, and
-    ``assigned`` their literals (one per hand, two per shot) and then a
-    model's other decision variables, its states' variables and its
-    auxiliary variables, each once. From the clauses a sat formula takes
-    more decisions: the clause DPLL decides each register that the
-    counter's top unit leaves free."""
+    ``assigned`` their literals (one per hand, two per shot) and then, for
+    a model, the formula's variable count: the model sets every variable
+    once, the chosen options' own among them. From the clauses a sat
+    formula takes more decisions: the clause DPLL decides each register
+    that the counter's top unit leaves free."""
 
     # (shape, generator seed, goal, horizon) -> status, then per progress
     # mode (decisions, literals set) with the record and from the clauses
@@ -67,8 +68,8 @@ class TestPinnedWork:
         ),
         ((3, 3, 2), 1, 3, 3): (
             "sat",
-            {PROGRESS_WITNESS: ((17, 285), (23, 1404)),
-             PROGRESS_CARDINALITY: ((17, 517), (23, 2383))},
+            {PROGRESS_WITNESS: ((17, 315), (23, 1404)),
+             PROGRESS_CARDINALITY: ((17, 547), (23, 2383))},
         ),
         ((4, 4, 3), 1, 10, 3): (
             "unsat",
@@ -77,8 +78,8 @@ class TestPinnedWork:
         ),
         ((4, 4, 3), 1, 10, 4): (
             "sat",
-            {PROGRESS_WITNESS: ((5, 667), (49, 732)),
-             PROGRESS_CARDINALITY: ((5, 1707), (49, 1772))},
+            {PROGRESS_WITNESS: ((5, 741), (49, 732)),
+             PROGRESS_CARDINALITY: ((5, 1781), (49, 1772))},
         ),
         ((5, 5, 3), 3, 19, 2): (
             "unsat",
@@ -87,8 +88,8 @@ class TestPinnedWork:
         ),
         ((5, 5, 3), 3, 19, 3): (
             "sat",
-            {PROGRESS_WITNESS: ((45, 876), (132, 9696)),
-             PROGRESS_CARDINALITY: ((45, 2392), (132, 23425))},
+            {PROGRESS_WITNESS: ((45, 1002), (132, 9696)),
+             PROGRESS_CARDINALITY: ((45, 2518), (132, 23425))},
         ),
     }
 
@@ -219,26 +220,27 @@ class TestStepRecord:
         opts = EncodeOptions(steps, fixed_initial_hand=hand, progress_encoding=mode)
         f, vm = encode(Instance(grid, max(0, height * width - slack)), opts)
         record = f.steps
-        assert record.describes(f)
-        decided = list(vm.hand_ids(0))
+        assert record.describes(f) and record.horizon == steps
+        # each step's decision variables, in id order: the initial hand,
+        # then per step its fired row and fired column
+        decided = [list(vm.hand_ids(0))]
         for t in range(1, steps + 1):
-            decided += range(vm.row_shot_var(t, 0), vm.row_shot_var(t, height) + 1)
-            decided += range(vm.col_shot_var(t, 0), vm.col_shot_var(t, width) + 1)
-        # one range per step, in id order, covering exactly those variables
-        assert len(record.ranges) == steps + 1
-        assert [v for r in record.ranges for v in r] == decided
+            decided.append([
+                *range(vm.row_shot_var(t, 0), vm.row_shot_var(t, height) + 1),
+                *range(vm.col_shot_var(t, 0), vm.col_shot_var(t, width) + 1),
+            ])
         # the clauses over decision variables alone each read one step's,
         # so each step's admitted assignments, in brute-force order (lowest
         # id first, true before false), are the same at every state
-        step_of = {v: t for t, ids in enumerate(record.ranges) for v in ids}
-        own = [[] for _ in record.ranges]
+        step_of = {v: t for t, ids in enumerate(decided) for v in ids}
+        own = [[] for _ in decided]
         for c in f.clauses:
             read = {step_of.get(abs(x)) for x in c}
             if None not in read:
                 assert len(read) == 1, c
                 own[read.pop()].append(c)
         admitted = []
-        for t, ids in enumerate(record.ranges):
+        for t, ids in enumerate(decided):
             assert {abs(x) for c in own[t] for x in c} == set(ids)
             admitted.append([])
             for values in itertools.product((True, False), repeat=len(ids)):
@@ -248,7 +250,7 @@ class TestStepRecord:
 
         def assignment(t, lits):
             """Every decision variable of step ``t`` as a literal."""
-            return [v if v in lits else -v for v in record.ranges[t]]
+            return [v if v in lits else -v for v in decided[t]]
 
         # (decisions of steps 0..t, whether a model extends them)
         expected = []
@@ -276,6 +278,50 @@ class TestStepRecord:
             g = CnfFormula()
             g.var_count, g.clauses = f.var_count, f.clauses + [(x,) for x in units]
             assert clause_dpll.solve(g).is_sat == sat, units
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+        slack=st.integers(0, 6),
+        steps=st.integers(1, 3),
+        mode=st.sampled_from(PROGRESS_MODES),
+    )
+    def test_the_outputs_are_every_variable_that_is_not_auxiliary(
+        self, shape, seed, slack, steps, mode
+    ):
+        # at every option reachable, a literal of each of the step's
+        # variables that are not auxiliary, once, the option's decisions
+        # as it sets them: at step 0 the start grid and the hand, later the
+        # fired row, fired column, wall fall, grid and hand, and at the last
+        # step the goal counter's registers too
+        height, width, colours = shape
+        colours = min(colours, height * width)
+        grid = random_instance(GeneratorSpec(height, width, colours, seed=seed)).grid
+        instance = Instance(grid, max(0, height * width - slack))
+        opts = EncodeOptions(steps, progress_encoding=mode)
+        f, vm = encode(instance, opts)
+        record = f.steps
+        registers = []
+        if instance.goal < height * width:
+            registers = range(goal_counter(instance, f, vm)[0].first_var, f.var_count + 1)
+        own = [range(1, vm.hand_var(0, colours) + 1)]
+        own += [
+            range(vm.row_shot_var(t, 0), vm.hand_var(t, colours) + 1)
+            for t in range(1, steps + 1)
+        ]
+        def visit(t, state):
+            for option in record.choices(t, state):
+                out = record.outputs(t + 1, option)
+                want = [*own[t + 1], *(registers if t + 1 == steps else ())]
+                assert sorted(abs(x) for x in out) == want, (t + 1, option)
+                decided = {abs(x) for x in option[0]}
+                assert {x for x in out if abs(x) in decided} == set(option[0])
+                if t + 1 < steps:
+                    visit(t + 1, option[1])
+
+        visit(-1, None)
 
 
 class TestFallback:
