@@ -9,11 +9,11 @@ callable lists each step's options, the initial hands and then the shots
 that have a model, each with the state it reaches, so no clause is read
 during the search. A found model takes every variable that is not
 auxiliary from the options chosen, through the record, and its auxiliary
-variables from the steps' clauses (see :func:`dpll_solve`). It refuses
-any other formula, one with no record or one that its record does not
-describe, with ``ValueError``; the clause DPLL that solves such formulas
-is the tests' reference (``tests/clause_dpll.py``), not part of the
-package.
+variables from the clauses that define them (see :func:`dpll_solve`). It
+refuses any other formula, one with no record or one that its record does
+not describe, with ``ValueError``; the clause DPLL that solves such
+formulas is the tests' reference (``tests/clause_dpll.py``), not part of
+the package.
 :func:`external_solve` runs any solver, given as an argv, that takes a
 DIMACS path argument and prints SAT-competition style ``s``/``v`` lines.
 Both take a ``timeout`` in seconds and report an unknown outcome with
@@ -26,7 +26,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Optional, Sequence
 
@@ -174,7 +174,9 @@ class StepChain:
 
     The record describes one formula exactly (:meth:`describes`):
     ``var_count`` variables, the chain's clauses ``source[:size]``, then
-    ``tail``, the formula's other clauses.
+    ``tail``, the formula's other clauses. ``gates`` lists index ranges
+    ``(start, stop)`` of the chain's clauses, increasing and disjoint: the
+    clauses that define the auxiliary variables.
 
     ``choices(t, state)`` lists step t + 1's options once step t has
     reached ``state``; ``choices(-1, None)`` lists step 0's. An option is
@@ -193,12 +195,13 @@ class StepChain:
     alone and keep no state of their own: one formula may be solved more
     than once, from more than one thread. Every auxiliary variable is a
     function of lower-index variables that are not auxiliary, and reading
-    the chain's clauses once, in order, setting each clause's last unset
-    literal when the others are false, sets it.
+    the clauses of ``gates`` once, range by range and in order, setting
+    each clause's last unset literal when the others are false, sets it.
     """
 
     source: list[tuple[int, ...]]
     size: int
+    gates: tuple[tuple[int, int], ...]
     tail: list[tuple[int, ...]]
     var_count: int
     horizon: int
@@ -343,10 +346,11 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
     is checked before each option, and once it has passed the outcome is
     unknown with reason ``"timeout"``. A model takes every variable that is
     not auxiliary from ``outputs``, per option taken, and its auxiliary
-    variables from one in-order pass over the chain's clauses (see
-    :func:`_fill`). The model is then verified against every clause before
-    it is returned. ``decisions`` counts the options tried and ``assigned``
-    their literals, then the model's ``var_count``.
+    variables from one in-order pass over the clauses that define them, the
+    record's ``gates`` (see :func:`_fill`). The model is then verified
+    against every clause before it is returned. ``decisions`` counts the
+    options tried and ``assigned`` their literals, then the model's
+    ``var_count``.
 
     The search keeps its state in the call: one formula may be solved
     again, or from two threads at once.
@@ -403,32 +407,34 @@ def _fill(
 
     First every variable that is not auxiliary, from ``steps.outputs`` per
     option; one set both ways raises ``RuntimeError``. Then the auxiliary
-    variables, from the chain's clauses, the first ``steps.size`` of
-    ``clauses``: one pass over them in order sets the last unset literal of
-    each clause whose other literals are false. A gate's clauses follow
-    those of its inputs, so the pass sets every auxiliary variable, as unit
-    propagation would; a clause it finds false, or a variable still unset,
-    means the outputs are no model of the chain, and raises
-    ``RuntimeError``."""
+    variables, from the clauses that define them, the ranges
+    ``steps.gates`` of ``clauses``: one pass over them in order sets the
+    last unset literal of each clause whose other literals are false. A
+    gate's clauses follow those of its inputs, so the pass sets every
+    auxiliary variable, as unit propagation would, and reads no other
+    clause; a clause it finds false, or a variable still unset, means the
+    outputs are no model of the chain, and raises ``RuntimeError``. The
+    other clauses are left to the model check that follows."""
     is_true = [False] * (2 * nvars + 1)  # by signed literal
     for t, option in enumerate(path):
         for lit in steps.outputs(t, option):
             if is_true[-lit]:
                 raise RuntimeError("internal solver produced a bad model")
             is_true[lit] = True
-    for clause in islice(clauses, steps.size):
-        free = 0
-        for lit in clause:
-            if is_true[lit]:
-                break
-            if not is_true[-lit]:
-                if free:
-                    break  # two unset literals force nothing
-                free = lit
-        else:
-            if not free:
-                raise RuntimeError("internal solver produced a bad model")
-            is_true[free] = True
+    for start, stop in steps.gates:
+        for clause in clauses[start:stop]:
+            free = 0
+            for lit in clause:
+                if is_true[lit]:
+                    break
+                if not is_true[-lit]:
+                    if free:
+                        break  # two unset literals force nothing
+                    free = lit
+            else:
+                if not free:
+                    raise RuntimeError("internal solver produced a bad model")
+                is_true[free] = True
     for v in range(1, nvars + 1):
         if not is_true[v] and not is_true[-v]:
             raise RuntimeError("internal solver produced a bad model")

@@ -45,7 +45,8 @@ the shots that are no null move, each with the state the engine reaches,
 in the order lowest-index branching over the clauses would meet them. The
 solver searches those options depth first and reads no clause while it
 does; only a model gets every variable that is not auxiliary from the
-options it took, and its auxiliary variables from the steps' clauses.
+options it took, and its auxiliary variables from the clauses that define
+them, whose index ranges the builder records per step.
 The goal is the options' too: the last step's leave out every shot that
 leaves more than the goal's blocks, so the DPLL solver never reads the
 counter's clauses. The counter's registers are implied in one direction
@@ -67,7 +68,10 @@ and options.
 encoder emits an ``exactly_one`` over each and :func:`decode` reads each
 back. The steps depend only on the grid's shape and the progress style, so
 each is emitted once per shape and shared by every horizon (see
-:class:`_Chain`); one module lock guards that sharing. Each step's implied
+:class:`_Chain`). The goal counter depends only on the horizon and the
+number of blocks the plan must remove, so the chain keeps one per horizon,
+built once and replaced when that number changes, and each formula copies
+its clauses. One module lock guards that sharing. Each step's implied
 keep clauses come last in it, and horizon h ends before step h's: they
 fix cells for a shot that horizon h does not have, so horizon h + 1 is the
 first to hold them. The builder emits step 1 (and step 2 of
@@ -254,12 +258,16 @@ class _Builder:
 
     ``conj`` builds AND gates, memoised in ``gates`` by their sorted inputs,
     and ``disj`` the negation of the AND over its negated terms. ``same``
-    builds a one-hot equality literal. ``require_any``, ``copy`` and
-    ``copy_under`` emit clauses and no variable. ``paths`` lists, per
-    shot, the cells it crosses; :meth:`begin_step` builds what a step
-    reads of the state before it: ``hand_eq`` (a cell holds the hand's
-    colour) and ``prefix``, where ``prefix[shot][k]`` holds when the first
-    ``k`` cells of the shot's path are each empty or of the hand's colour. ``sums[t]`` is step ``t``'s
+    builds a one-hot equality literal. Each gate's clauses define it from
+    lower-index variables, and ``defining`` lists the index ranges
+    ``(start, stop)`` of those clauses, adjacent ones merged, for
+    :attr:`plotting_solver.cnf.StepChain.gates` (see :meth:`define`).
+    ``require_any``, ``copy`` and ``copy_under`` emit clauses and no
+    variable. ``paths`` lists, per shot, the cells it crosses;
+    :meth:`begin_step` builds what a step reads of the state before it:
+    ``hand_eq`` (a cell holds the hand's colour) and ``prefix``, where
+    ``prefix[shot][k]`` holds when the first ``k`` cells of the shot's path
+    are each empty or of the hand's colour. ``sums[t]`` is step ``t``'s
     colour sum, which step ``t + 1`` reads. Clauses go straight onto the
     formula's list; :meth:`_Chain.grow` checks each step's literals at once.
     """
@@ -272,6 +280,7 @@ class _Builder:
         self.hand_eq: dict[tuple[int, int], int] = {}
         self.prefix: dict[tuple[int, int], list[Expr]] = {}
         self.sums: list[Sequence[int]] = []
+        self.defining: list[tuple[int, int]] = []
         # every shot as (fired row, fired column), 0 on the axis not fired,
         # as in engine.shot_axes (columns first, then rows), with the cells
         # it crosses in order: down its column, or along its row and then
@@ -309,11 +318,22 @@ class _Builder:
         inputs = tuple(sorted(lits))
         z = self.gates.get(inputs)
         if z is None:
+            start = len(self.clauses)
             z = self.gates[inputs] = and_gate(self.f, inputs)
+            self.define(start)
         return z
 
     def disj(self, terms: Sequence[Expr]) -> Expr:
         return self.neg(self.conj([self.neg(t) for t in terms]))
+
+    def define(self, start: int) -> None:
+        """Record that the clauses from index ``start`` on define a gate,
+        merged into the last range of ``defining`` when they follow it."""
+        stop, ranges = len(self.clauses), self.defining
+        if ranges and ranges[-1][1] == start:
+            ranges[-1] = (ranges[-1][0], stop)
+        else:
+            ranges.append((start, stop))
 
     def clause(self, terms: Sequence[Expr]) -> Optional[tuple[int, ...]]:
         """``terms`` as one clause's literals, first occurrences in order
@@ -371,8 +391,10 @@ class _Builder:
         known ``e`` and ``y_v`` fix ``x_v``.
         """
         e = self.f.new_var()
+        start = len(self.clauses)
         for x, y in zip(xs, ys):
             self.clauses += ((-x, -y, e), (-e, -x, y), (-e, x, -y))
+        self.define(start)
         return e
 
     def begin_step(self, s: int) -> None:
@@ -425,24 +447,18 @@ def encode(
     with _chain_lock:
         try:
             chain = _chain(height, width, colours, options.progress_encoding)
-            var_count, clause_count, varmap = chain.grow(options.steps)
-            source = chain.formula.clauses
+            _, clause_count, varmap = chain.grow(options.steps)
+            source, gates = chain.formula.clauses, chain.gates[options.steps]
             clauses = source[:clause_count]
         except BaseException:
             _chain.cache_clear()  # a half-grown chain must never be reused
             raise
+        k = max(0, instance.block_total - instance.goal)
+        counted, goal = chain.counter(options.steps, k)
     formula = CnfFormula()
-    formula.var_count, formula.clauses = var_count, clauses
-    goal = at_least_k(
-        formula,
-        [
-            varmap.grid_var(options.steps, r, c, EMPTY)
-            for r in range(1, height + 1)
-            for c in range(1, width + 1)
-        ],
-        max(0, instance.block_total - instance.goal),
-    )
-    units = len(formula.clauses)
+    formula.var_count, formula.clauses = counted.var_count, clauses
+    clauses += counted.clauses
+    units = len(clauses)
     formula.clauses += [
         (varmap.grid_var(0, r, c, instance.grid.at(r, c)),)
         for r in range(1, height + 1)
@@ -454,6 +470,7 @@ def encode(
     formula.steps = StepChain(
         source,
         clause_count,
+        gates,
         formula.clauses[clause_count:],
         formula.var_count,
         options.steps,
@@ -571,16 +588,20 @@ class _Chain:
     to read; at horizon ``s`` no shot follows and the goal counter reads only
     the cells' emptiness. They are implied by the rest, so leaving them out
     changes no model, and horizon ``s + 1`` takes them in as part of what
-    it shares with horizon ``s``.
+    it shares with horizon ``s``. ``gates[s]`` lists the index ranges of
+    the clauses that define the auxiliary variables of steps 1..``s``, all
+    before step ``s``'s keep clauses, and ``counters`` holds one goal
+    counter per horizon (:meth:`counter`), so never more than ``ends``.
 
     Steps before ``first_copy`` go through the builder. Every later step
     is the block of the step before it, renumbered (:meth:`_renumber`):
     step ``s - 1`` reads only state ``s - 2``, its own variables and, in
     cardinalityCompare, step ``s - 2``'s colour sum, and step ``s`` reads
-    their images one step on. Every step's clauses are checked in bulk
+    their images one step on, so its gates' ranges are step ``s - 1``'s
+    moved by as many clauses. Every step's clauses are checked in bulk
     before its end is recorded, and a literal out of range raises
     ``ValueError``. A chain is only read or grown under ``_chain_lock``,
-    which ``encode`` holds from the lookup to the slice.
+    which ``encode`` holds from the lookup to the goal counter.
     """
 
     def __init__(self, height: int, width: int, colours: int, progress: str):
@@ -592,6 +613,8 @@ class _Chain:
         # so there step 2 is the first that step 3 can copy
         self.first_copy = 2 if progress == PROGRESS_WITNESS else 3
         self.ends: list[tuple[int, range, VarMap]] = []
+        self.gates: list[tuple[tuple[int, int], ...]] = []
+        self.counters: dict[int, tuple[int, CnfFormula, Optional[AtLeastK]]] = {}
 
     def grow(self, steps: int) -> tuple[int, int, VarMap]:
         """Append steps up to ``steps``; return the variable count, the
@@ -600,16 +623,40 @@ class _Chain:
         while len(self.ends) <= steps:
             s, start = len(self.ends), len(f.clauses)
             if s < self.first_copy:
-                vm, keep = self._build(s)
+                vm, keep, gates = self._build(s)
             else:
-                vm, keep = self._renumber(s)
+                vm, keep, gates = self._renumber(s)
             f.check_clauses(start)
+            self.gates.append(self.gates[-1] + gates if s else gates)
             self.ends.append((f.var_count, keep, vm))
         var_count, keep, vm = self.ends[steps]
         return var_count, keep.start, vm
 
-    def _build(self, s: int) -> tuple[VarMap, range]:
-        """Append step ``s`` through the builder."""
+    def counter(self, steps: int, k: int) -> tuple[CnfFormula, Optional[AtLeastK]]:
+        """The goal counter of horizon ``steps``, grown already: "at least
+        ``k`` of the last grid's cells are empty". Returns a formula of the
+        counter's clauses alone, with the horizon's variables and the
+        registers, and what :func:`plotting_solver.cnf.at_least_k` built.
+        Kept per horizon until another ``k`` replaces it; a ``k`` that
+        ``at_least_k`` refuses stores nothing."""
+        kept = self.counters.get(steps)
+        if kept is not None and kept[0] == k:
+            return kept[1:]
+        var_count, _, vm = self.ends[steps]
+        counted = CnfFormula()
+        counted.var_count = var_count
+        lits = [
+            vm.grid_var(steps, r, c, EMPTY)
+            for r in range(1, vm.height + 1)
+            for c in range(1, vm.width + 1)
+        ]
+        goal = at_least_k(counted, lits, k)
+        self.counters[steps] = (k, counted, goal)
+        return counted, goal
+
+    def _build(self, s: int) -> tuple[VarMap, range, tuple[tuple[int, int], ...]]:
+        """Append step ``s`` through the builder; return its VarMap, its
+        keep clauses and its gates' clause ranges."""
         f, b = self.formula, self.builder
         vm = b.vm
         if s > 0:
@@ -618,10 +665,11 @@ class _Chain:
         b.vm = vm = replace(vm, state_bases=vm.state_bases + (base,))
         for _, ids in vm.groups(s):
             exactly_one(f, ids)
+        b.defining = []
         first_keep = _emit_step(b, s, self.progress) if s > 0 else len(f.clauses)
-        return vm, range(first_keep, len(f.clauses))
+        return vm, range(first_keep, len(f.clauses)), tuple(b.defining)
 
-    def _renumber(self, s: int) -> tuple[VarMap, range]:
+    def _renumber(self, s: int) -> tuple[VarMap, range, tuple[tuple[int, int], ...]]:
         """Append step ``s`` as step ``s - 1``'s block with its variables
         moved on: state ``s - 2`` to state ``s - 1``, step ``s - 1``'s own
         variables to step ``s``'s and, in cardinalityCompare, the colour sum
@@ -657,7 +705,12 @@ class _Chain:
         f.alloc_block(size)
         vm = replace(vm, state_bases=bases + (bases[-1] + size,))
         by = start - before.stop
-        return vm, range(keep.start + by, keep.stop + by)
+        gates = self.gates[s - 1][len(self.gates[s - 2]) :]
+        return (
+            vm,
+            range(keep.start + by, keep.stop + by),
+            tuple((x + by, y + by) for x, y in gates),
+        )
 
 
 # Only the latest shape's chain is kept: a solve probes its horizons in order
@@ -874,11 +927,13 @@ def _colour_sum(b: _Builder, t: int) -> Sequence[int]:
         # ¬x_{i+1} ∧ ¬y_{j+1} → ¬z_{i+j+1}, an x or y out of range dropped
         up_x, up_y = [()] + [(-x,) for x in xs], [()] + [(-y,) for y in ys]
         down_x, down_y = [(x,) for x in xs] + [()], [(y,) for y in ys] + [()]
+        start = len(b.clauses)
         for i, j in product(range(len(xs) + 1), range(len(ys) + 1)):
             if i + j:
                 b.clauses.append(up_x[i] + up_y[j] + (zs[i + j - 1],))
             if i + j < len(zs):
                 b.clauses.append(down_x[i] + down_y[j] + (-zs[i + j],))
+        b.define(start)
         counts.append(zs)
     return counts[0]
 

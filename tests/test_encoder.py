@@ -507,6 +507,54 @@ class TestSharedSteps:
         formula.add_clause((1,))
         assert dimacs_text(encode(inst, EncodeOptions(steps=2))[0]) == before
 
+    @pytest.mark.parametrize("mode", PROGRESS_MODES)
+    def test_goal_counters_are_kept_per_horizon(self, mode, monkeypatch):
+        # goals of 5 and 2 blocks to remove, alternated on each horizon: each
+        # formula is the one a cold chain encodes, and the chain keeps one
+        # counter per horizon at most
+        five, two = Instance(self.GRID, 1), Instance(self.GRID, 4)
+        goals = [five, two, five]
+
+        def text(instance, steps):
+            opts = EncodeOptions(steps=steps, progress_encoding=mode)
+            return dimacs_text(encode(instance, opts)[0])
+
+        cold = {}
+        for steps, instance in itertools.product(range(1, 5), (five, two)):
+            encoder._chain.cache_clear()
+            cold[instance.goal, steps] = text(instance, steps)
+        encoder._chain.cache_clear()
+        for steps, instance in itertools.product(range(1, 5), goals):
+            assert text(instance, steps) == cold[instance.goal, steps]
+        chain = encoder._chain(2, 3, 2, mode)
+        assert 0 < len(chain.counters) <= len(chain.ends)
+        assert {k for k, _, _ in chain.counters.values()} == {5}
+
+        # a counter whose build raises is not stored, and the next encode
+        # builds it as a cold chain does
+        three = Instance(self.GRID, 3)
+        encoder._chain.cache_clear()
+        want = text(three, 2)
+        encoder._chain.cache_clear()
+        text(five, 2)
+        chain = encoder._chain(2, 3, 2, mode)
+        stored = dict(chain.counters)
+        calls = []
+
+        def refused_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return at_least_k(*args)
+
+        monkeypatch.setattr(encoder, "at_least_k", refused_once)
+        with pytest.raises(KeyboardInterrupt):
+            text(three, 2)
+        assert encoder._chain(2, 3, 2, mode) is chain
+        assert chain.counters == stored
+        assert text(three, 2) == want
+        assert len(calls) == 2
+
     # the last step each mode's builder emits; later steps are renumbered
     BUILT = [(PROGRESS_WITNESS, 1), (PROGRESS_CARDINALITY, 2)]
 
@@ -624,6 +672,7 @@ class TestSharedSteps:
             assert copied.formula.var_count == built.formula.var_count, shape
             assert copied.formula.clauses == built.formula.clauses, shape
             assert copied.ends == built.ends, shape
+            assert copied.gates == built.gates, shape
             shapes += 1
         assert shapes == 44
 
