@@ -8,12 +8,12 @@ deadline passes. It searches depth first over the steps' options: a
 callable lists each step's options, the initial hands and then the shots
 that have a model, each with the state it reaches, so no clause is read
 during the search. A found model takes every variable that is not
-auxiliary from the options chosen, through the record, and its auxiliary
-variables from the clauses that define them (see :func:`dpll_solve`). It
-refuses any other formula, one with no record or one that its record does
-not describe, with ``ValueError``; the clause DPLL that solves such
-formulas is the tests' reference (``tests/clause_dpll.py``), not part of
-the package.
+auxiliary from the options chosen, through the record; one pass over
+every clause then checks it and sets each auxiliary variable that a clause
+forces (see :func:`dpll_solve`). It refuses any other formula, one with
+no record or one that its record does not describe, with ``ValueError``;
+the clause DPLL that solves such formulas is the tests' reference
+(``tests/clause_dpll.py``), not part of the package.
 :func:`external_solve` runs any solver, given as an argv, that takes a
 DIMACS path argument and prints SAT-competition style ``s``/``v`` lines.
 Both take a ``timeout`` in seconds and report an unknown outcome with
@@ -174,9 +174,7 @@ class StepChain:
 
     The record describes one formula exactly (:meth:`describes`):
     ``var_count`` variables, the chain's clauses ``source[:size]``, then
-    ``tail``, the formula's other clauses. ``gates`` lists index ranges
-    ``(start, stop)`` of the chain's clauses, increasing and disjoint: the
-    clauses that define the auxiliary variables.
+    ``tail``, the formula's other clauses.
 
     ``choices(t, state)`` lists step t + 1's options once step t has
     reached ``state``; ``choices(-1, None)`` lists step 0's. An option is
@@ -194,14 +192,14 @@ class StepChain:
     The solver calls it only for a model. Both depend on their arguments
     alone and keep no state of their own: one formula may be solved more
     than once, from more than one thread. Every auxiliary variable is a
-    function of lower-index variables that are not auxiliary, and reading
-    the clauses of ``gates`` once, range by range and in order, setting
-    each clause's last unset literal when the others are false, sets it.
+    function of lower-index variables that are not auxiliary, and the
+    formula's clauses, read once in order from the outputs alone, set it:
+    each clause, when the pass reaches it, has a true literal or at most
+    one unset literal (see :func:`_propagate`).
     """
 
     source: list[tuple[int, ...]]
     size: int
-    gates: tuple[tuple[int, int], ...]
     tail: list[tuple[int, ...]]
     var_count: int
     horizon: int
@@ -302,20 +300,36 @@ def write_dimacs(formula: CnfFormula, sink: IO[str]) -> None:
         sink.write(" 0\n")
 
 
+def _propagate(clauses: Iterable[tuple[int, ...]], is_true: list[bool]) -> bool:
+    """One pass over ``clauses``, in order, under the table ``is_true``
+    indexed by signed literal, a variable being unset while neither of its
+    literals is true. A clause with a true literal holds; one with no true
+    literal and exactly one unset literal sets that literal; any other is
+    rejected, and the pass returns False at once. A set literal is never
+    changed, so when the pass returns True the table satisfies every
+    clause (unit propagation, Davis, Logemann & Loveland, CACM 1962, in a
+    single pass)."""
+    for clause in clauses:
+        for lit in clause:
+            if is_true[lit]:
+                break
+        else:
+            unset = [lit for lit in clause if not is_true[-lit]]
+            if len(unset) != 1:
+                return False
+            is_true[unset[0]] = True
+    return True
+
+
 def _verify_model(formula: CnfFormula, model: Sequence[bool]) -> bool:
-    """Whether ``model`` (indexed by var id) satisfies every clause."""
+    """Whether ``model`` (indexed by var id) satisfies every clause: the
+    :func:`_propagate` pass over a total table, which sets nothing."""
     n = formula.var_count
     # truth[lit] for signed lit: -v wraps to index 2n + 1 - v
     truth = [False]
     truth += model[1 : n + 1]
     truth += [not model[v] for v in range(n, 0, -1)]
-    for clause in formula.clauses:
-        for lit in clause:
-            if truth[lit]:
-                break
-        else:
-            return False
-    return True
+    return _propagate(formula.clauses, truth)
 
 
 def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutcome:
@@ -345,12 +359,11 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
     ``timeout`` seconds, counted from entry, bound the search: the deadline
     is checked before each option, and once it has passed the outcome is
     unknown with reason ``"timeout"``. A model takes every variable that is
-    not auxiliary from ``outputs``, per option taken, and its auxiliary
-    variables from one in-order pass over the clauses that define them, the
-    record's ``gates`` (see :func:`_fill`). The model is then verified
-    against every clause before it is returned. ``decisions`` counts the
-    options tried and ``assigned`` their literals, then the model's
-    ``var_count``.
+    not auxiliary from ``outputs``, per option taken; one in-order pass
+    over every clause then checks it and sets each auxiliary variable that
+    a clause forces (see :func:`_fill`), so no model is returned that
+    leaves a clause false. ``decisions`` counts the options tried and
+    ``assigned`` their literals, then the model's ``var_count``.
 
     The search keeps its state in the call: one formula may be solved
     again, or from two threads at once.
@@ -388,53 +401,35 @@ def _step_search(
         if len(path) <= last:
             left.append(iter(choices(len(path) - 1, option[1])))
             continue
-        model = _fill(steps, path, formula.clauses, formula.var_count)
-        if not _verify_model(formula, model):
-            raise RuntimeError("internal solver produced a bad model")
+        model = _fill(formula, steps, path)
         assigned += formula.var_count
         return SatOutcome("sat", tuple(model), None, tried, assigned)
     return SatOutcome("unsat", None, None, tried, assigned)
 
 
 def _fill(
-    steps: StepChain,
-    path: Sequence[tuple[Sequence[int], Any]],
-    clauses: list[tuple[int, ...]],
-    nvars: int,
+    formula: CnfFormula, steps: StepChain, path: Sequence[tuple[Sequence[int], Any]]
 ) -> list[bool]:
-    """The model, indexed by var id, of the formula's ``nvars`` variables
-    that the options ``path``, one per step, reach.
+    """The model, indexed by var id, of ``formula`` that the options
+    ``path``, one per step, reach.
 
     First every variable that is not auxiliary, from ``steps.outputs`` per
-    option; one set both ways raises ``RuntimeError``. Then the auxiliary
-    variables, from the clauses that define them, the ranges
-    ``steps.gates`` of ``clauses``: one pass over them in order sets the
-    last unset literal of each clause whose other literals are false. A
-    gate's clauses follow those of its inputs, so the pass sets every
-    auxiliary variable, as unit propagation would, and reads no other
-    clause; a clause it finds false, or a variable still unset, means the
-    outputs are no model of the chain, and raises ``RuntimeError``. The
-    other clauses are left to the model check that follows."""
+    option; one set both ways raises ``RuntimeError``. Then one
+    :func:`_propagate` pass over every clause, in order, checks each and
+    sets each auxiliary variable where a clause forces it: a gate's
+    defining clauses come before any clause that reads it, so each clause
+    has at most one unset literal when the pass reaches it. A rejected
+    clause, or a variable still unset, means the outputs are no model of
+    the formula, and raises ``RuntimeError``."""
+    nvars = formula.var_count
     is_true = [False] * (2 * nvars + 1)  # by signed literal
     for t, option in enumerate(path):
         for lit in steps.outputs(t, option):
             if is_true[-lit]:
                 raise RuntimeError("internal solver produced a bad model")
             is_true[lit] = True
-    for start, stop in steps.gates:
-        for clause in clauses[start:stop]:
-            free = 0
-            for lit in clause:
-                if is_true[lit]:
-                    break
-                if not is_true[-lit]:
-                    if free:
-                        break  # two unset literals force nothing
-                    free = lit
-            else:
-                if not free:
-                    raise RuntimeError("internal solver produced a bad model")
-                is_true[free] = True
+    if not _propagate(formula.clauses, is_true):
+        raise RuntimeError("internal solver produced a bad model")
     for v in range(1, nvars + 1):
         if not is_true[v] and not is_true[-v]:
             raise RuntimeError("internal solver produced a bad model")

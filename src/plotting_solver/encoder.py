@@ -45,13 +45,13 @@ the shots that are no null move, each with the state the engine reaches,
 in the order lowest-index branching over the clauses would meet them. The
 solver searches those options depth first and reads no clause while it
 does; only a model gets every variable that is not auxiliary from the
-options it took, and its auxiliary variables from the clauses that define
-them, whose index ranges the builder records per step.
-The goal is the options' too: the last step's leave out every shot that
-leaves more than the goal's blocks, so the DPLL solver never reads the
-counter's clauses. The counter's registers are implied in one direction
-only (see :func:`plotting_solver.cnf.at_least_k`), so the last step's
-outputs give them their exact values. DIMACS output and external solvers
+options it took, and its auxiliary variables from one in-order pass over
+every clause, as each gate's defining clauses come before any clause that
+reads it. The goal is the options' too: the last step's leave out every
+shot that leaves more than the goal's blocks, so the search never reads
+the counter's clauses. The counter's registers are implied in one
+direction only (see :func:`plotting_solver.cnf.at_least_k`), so the last
+step's outputs give them their exact values. DIMACS output and external solvers
 get every clause.
 
 Variable allocation is deterministic: step 0 grid cells (row major, value
@@ -259,9 +259,7 @@ class _Builder:
     ``conj`` builds AND gates, memoised in ``gates`` by their sorted inputs,
     and ``disj`` the negation of the AND over its negated terms. ``same``
     builds a one-hot equality literal. Each gate's clauses define it from
-    lower-index variables, and ``defining`` lists the index ranges
-    ``(start, stop)`` of those clauses, adjacent ones merged, for
-    :attr:`plotting_solver.cnf.StepChain.gates` (see :meth:`define`).
+    lower-index variables and come before any clause that reads it.
     ``require_any``, ``copy`` and ``copy_under`` emit clauses and no
     variable. ``paths`` lists, per shot, the cells it crosses;
     :meth:`begin_step` builds what a step reads of the state before it:
@@ -280,7 +278,6 @@ class _Builder:
         self.hand_eq: dict[tuple[int, int], int] = {}
         self.prefix: dict[tuple[int, int], list[Expr]] = {}
         self.sums: list[Sequence[int]] = []
-        self.defining: list[tuple[int, int]] = []
         # every shot as (fired row, fired column), 0 on the axis not fired,
         # as in engine.shot_axes (columns first, then rows), with the cells
         # it crosses in order: down its column, or along its row and then
@@ -318,22 +315,11 @@ class _Builder:
         inputs = tuple(sorted(lits))
         z = self.gates.get(inputs)
         if z is None:
-            start = len(self.clauses)
             z = self.gates[inputs] = and_gate(self.f, inputs)
-            self.define(start)
         return z
 
     def disj(self, terms: Sequence[Expr]) -> Expr:
         return self.neg(self.conj([self.neg(t) for t in terms]))
-
-    def define(self, start: int) -> None:
-        """Record that the clauses from index ``start`` on define a gate,
-        merged into the last range of ``defining`` when they follow it."""
-        stop, ranges = len(self.clauses), self.defining
-        if ranges and ranges[-1][1] == start:
-            ranges[-1] = (ranges[-1][0], stop)
-        else:
-            ranges.append((start, stop))
 
     def clause(self, terms: Sequence[Expr]) -> Optional[tuple[int, ...]]:
         """``terms`` as one clause's literals, first occurrences in order
@@ -391,10 +377,8 @@ class _Builder:
         known ``e`` and ``y_v`` fix ``x_v``.
         """
         e = self.f.new_var()
-        start = len(self.clauses)
         for x, y in zip(xs, ys):
             self.clauses += ((-x, -y, e), (-e, -x, y), (-e, x, -y))
-        self.define(start)
         return e
 
     def begin_step(self, s: int) -> None:
@@ -448,7 +432,7 @@ def encode(
         try:
             chain = _chain(height, width, colours, options.progress_encoding)
             _, clause_count, varmap = chain.grow(options.steps)
-            source, gates = chain.formula.clauses, chain.gates[options.steps]
+            source = chain.formula.clauses
             clauses = source[:clause_count]
         except BaseException:
             _chain.cache_clear()  # a half-grown chain must never be reused
@@ -470,7 +454,6 @@ def encode(
     formula.steps = StepChain(
         source,
         clause_count,
-        gates,
         formula.clauses[clause_count:],
         formula.var_count,
         options.steps,
@@ -588,20 +571,19 @@ class _Chain:
     to read; at horizon ``s`` no shot follows and the goal counter reads only
     the cells' emptiness. They are implied by the rest, so leaving them out
     changes no model, and horizon ``s + 1`` takes them in as part of what
-    it shares with horizon ``s``. ``gates[s]`` lists the index ranges of
-    the clauses that define the auxiliary variables of steps 1..``s``, all
-    before step ``s``'s keep clauses, and ``counters`` holds one goal
-    counter per horizon (:meth:`counter`), so never more than ``ends``.
+    it shares with horizon ``s``. ``counters`` holds one goal counter per
+    horizon (:meth:`counter`), so never more than ``ends``.
 
     Steps before ``first_copy`` go through the builder. Every later step
     is the block of the step before it, renumbered (:meth:`_renumber`):
     step ``s - 1`` reads only state ``s - 2``, its own variables and, in
     cardinalityCompare, step ``s - 2``'s colour sum, and step ``s`` reads
-    their images one step on, so its gates' ranges are step ``s - 1``'s
-    moved by as many clauses. Every step's clauses are checked in bulk
-    before its end is recorded, and a literal out of range raises
-    ``ValueError``. A chain is only read or grown under ``_chain_lock``,
-    which ``encode`` holds from the lookup to the goal counter.
+    their images one step on, clause for clause in the same order, so a
+    gate's defining clauses still come before any clause that reads it.
+    Every step's clauses are checked in bulk before its end is recorded,
+    and a literal out of range raises ``ValueError``. A chain is only read
+    or grown under ``_chain_lock``, which ``encode`` holds from the lookup
+    to the goal counter.
     """
 
     def __init__(self, height: int, width: int, colours: int, progress: str):
@@ -613,7 +595,6 @@ class _Chain:
         # so there step 2 is the first that step 3 can copy
         self.first_copy = 2 if progress == PROGRESS_WITNESS else 3
         self.ends: list[tuple[int, range, VarMap]] = []
-        self.gates: list[tuple[tuple[int, int], ...]] = []
         self.counters: dict[int, tuple[int, CnfFormula, Optional[AtLeastK]]] = {}
 
     def grow(self, steps: int) -> tuple[int, int, VarMap]:
@@ -622,12 +603,8 @@ class _Chain:
         f = self.formula
         while len(self.ends) <= steps:
             s, start = len(self.ends), len(f.clauses)
-            if s < self.first_copy:
-                vm, keep, gates = self._build(s)
-            else:
-                vm, keep, gates = self._renumber(s)
+            vm, keep = self._build(s) if s < self.first_copy else self._renumber(s)
             f.check_clauses(start)
-            self.gates.append(self.gates[-1] + gates if s else gates)
             self.ends.append((f.var_count, keep, vm))
         var_count, keep, vm = self.ends[steps]
         return var_count, keep.start, vm
@@ -654,9 +631,9 @@ class _Chain:
         self.counters[steps] = (k, counted, goal)
         return counted, goal
 
-    def _build(self, s: int) -> tuple[VarMap, range, tuple[tuple[int, int], ...]]:
-        """Append step ``s`` through the builder; return its VarMap, its
-        keep clauses and its gates' clause ranges."""
+    def _build(self, s: int) -> tuple[VarMap, range]:
+        """Append step ``s`` through the builder; return its VarMap and its
+        keep clauses."""
         f, b = self.formula, self.builder
         vm = b.vm
         if s > 0:
@@ -665,11 +642,10 @@ class _Chain:
         b.vm = vm = replace(vm, state_bases=vm.state_bases + (base,))
         for _, ids in vm.groups(s):
             exactly_one(f, ids)
-        b.defining = []
         first_keep = _emit_step(b, s, self.progress) if s > 0 else len(f.clauses)
-        return vm, range(first_keep, len(f.clauses)), tuple(b.defining)
+        return vm, range(first_keep, len(f.clauses))
 
-    def _renumber(self, s: int) -> tuple[VarMap, range, tuple[tuple[int, int], ...]]:
+    def _renumber(self, s: int) -> tuple[VarMap, range]:
         """Append step ``s`` as step ``s - 1``'s block with its variables
         moved on: state ``s - 2`` to state ``s - 1``, step ``s - 1``'s own
         variables to step ``s``'s and, in cardinalityCompare, the colour sum
@@ -705,12 +681,7 @@ class _Chain:
         f.alloc_block(size)
         vm = replace(vm, state_bases=bases + (bases[-1] + size,))
         by = start - before.stop
-        gates = self.gates[s - 1][len(self.gates[s - 2]) :]
-        return (
-            vm,
-            range(keep.start + by, keep.stop + by),
-            tuple((x + by, y + by) for x, y in gates),
-        )
+        return vm, range(keep.start + by, keep.stop + by)
 
 
 # Only the latest shape's chain is kept: a solve probes its horizons in order
@@ -927,13 +898,11 @@ def _colour_sum(b: _Builder, t: int) -> Sequence[int]:
         # ¬x_{i+1} ∧ ¬y_{j+1} → ¬z_{i+j+1}, an x or y out of range dropped
         up_x, up_y = [()] + [(-x,) for x in xs], [()] + [(-y,) for y in ys]
         down_x, down_y = [(x,) for x in xs] + [()], [(y,) for y in ys] + [()]
-        start = len(b.clauses)
         for i, j in product(range(len(xs) + 1), range(len(ys) + 1)):
             if i + j:
                 b.clauses.append(up_x[i] + up_y[j] + (zs[i + j - 1],))
             if i + j < len(zs):
                 b.clauses.append(down_x[i] + down_y[j] + (-zs[i + j],))
-        b.define(start)
         counts.append(zs)
     return counts[0]
 

@@ -12,6 +12,7 @@ from plotting_solver.cnf import (
     InfeasibleBoundError,
     ParseFailureError,
     SpawnFailureError,
+    _propagate,
     _verify_model,
     and_gate,
     at_least_k,
@@ -499,6 +500,70 @@ class TestVerifyModel:
         want = satisfies(clauses, bits)
         assert _verify_model(f, [False] + bits) == want
         assert _verify_model(f, (False,) + tuple(bits)) == want
+
+
+class TestPropagate:
+    """The one pass over the clauses that checks a model and fills in what
+    the clauses force: a clause with a true literal holds, one with no true
+    literal and exactly one unset literal sets it, and any other is
+    rejected."""
+
+    @staticmethod
+    def table(n, values):
+        """A table by signed literal over ``n`` variables, ``values[v]``
+        True, False or None (unset) for each variable v given."""
+        is_true = [False] * (2 * n + 1)
+        for v, value in values.items():
+            if value is not None:
+                is_true[v if value else -v] = True
+        return is_true
+
+    @pytest.mark.parametrize("a, b", itertools.product((True, False), repeat=2))
+    def test_an_and_gate_output_is_set_both_ways(self, a, b):
+        f = CnfFormula()
+        f.alloc_block(2)
+        z = and_gate(f, [1, 2])
+        is_true = self.table(3, {1: a, 2: b})
+        assert _propagate(f.clauses, is_true)
+        assert (is_true[z], is_true[-z]) == (a and b, not (a and b))
+
+    def test_a_clause_with_two_unset_literals_is_rejected(self):
+        is_true = self.table(3, {3: False})
+        assert not _propagate([(1, 2, 3)], is_true)
+        assert is_true == self.table(3, {3: False})
+
+    def test_two_unset_literals_beside_a_true_one_hold(self):
+        is_true = self.table(3, {3: True})
+        assert _propagate([(1, 2, 3)], is_true)
+        assert is_true == self.table(3, {3: True})
+
+    def test_a_clause_with_every_literal_false_is_rejected(self):
+        is_true = self.table(2, {1: False, 2: True})
+        assert not _propagate([(1, -2)], is_true)
+        # and after a clause that holds
+        assert not _propagate([(2,), (1, -2)], is_true)
+
+    def test_a_set_literal_is_never_flipped(self):
+        # the first clause sets 1, the second then sets 2; the third would
+        # need 2 false, and the pass rejects it instead of flipping 2
+        is_true = self.table(2, {})
+        assert not _propagate([(1,), (-1, 2), (-2,)], is_true)
+        assert is_true == self.table(2, {1: True, 2: True})
+
+    @settings(max_examples=300, deadline=None)
+    @given(cnf=random_cnf, data=st.data())
+    def test_an_accepted_table_satisfies_every_clause(self, cnf, data):
+        n, clauses = cnf
+        given_values = data.draw(
+            st.lists(st.sampled_from([True, False, None]), min_size=n, max_size=n)
+        )
+        before = dict(enumerate(given_values, 1))
+        is_true = self.table(n, before)
+        if _propagate(clauses, is_true):
+            assert all(any(is_true[lit] for lit in c) for c in clauses)
+            for v, value in before.items():
+                if value is not None:
+                    assert is_true[v] == value and is_true[-v] != value
 
 
 class TestExternalSolve:

@@ -199,8 +199,9 @@ class TestStateIsolation:
 class TestStepRecord:
     """The record describes its formula exactly, and its options at each
     reachable state are the decision assignments the formula admits there,
-    in the order lowest-index branching meets them; its gate ranges hold
-    the clauses that define every auxiliary variable."""
+    in the order lowest-index branching meets them; its outputs, on every
+    path of options to the last step, give every variable that is not
+    auxiliary, and one in-order pass over the clauses sets every other."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -329,37 +330,34 @@ class TestStepRecord:
         shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
         seed=st.integers(0, 2**32 - 1),
         slack=st.integers(0, 6),
-        steps=st.integers(1, 4),
+        steps=st.integers(1, 3),
         mode=st.sampled_from(PROGRESS_MODES),
+        hand=st.sampled_from([None, 1, 2, 3]),
     )
-    def test_the_gate_ranges_define_every_auxiliary_variable(
-        self, shape, seed, slack, steps, mode
+    def test_every_option_path_fills_a_model_in_one_pass(
+        self, shape, seed, slack, steps, mode, hand
     ):
-        # the clause ranges a model's auxiliary variables are read from:
-        # increasing, disjoint and inside the chain, holding a clause on
-        # every variable that the outputs leave out, and a model read from
-        # them alone satisfies every clause (dpll_solve raises otherwise)
+        # for every complete path of options, not just the first model's,
+        # the outputs alone and one in-order pass over the clauses set every
+        # variable (_fill raises otherwise), and the model satisfies every
+        # clause
         height, width, colours = shape
         colours = min(colours, height * width)
         grid = random_instance(GeneratorSpec(height, width, colours, seed=seed)).grid
-        instance = Instance(grid, max(0, height * width - slack))
-        f, vm = encode(instance, EncodeOptions(steps, progress_encoding=mode))
-        gates = f.steps.gates
-        assert all(a < b for a, b in gates)
-        assert all(b <= c for (_, b), (c, _) in zip(gates, gates[1:]))
-        assert 0 <= gates[0][0] and gates[-1][1] <= f.steps.size
-        outputs = set(range(1, vm.hand_var(0, colours) + 1))
-        for t in range(1, steps + 1):
-            outputs.update(range(vm.row_shot_var(t, 0), vm.hand_var(t, colours) + 1))
-        if instance.goal < height * width:
-            outputs.update(
-                range(goal_counter(instance, f, vm)[0].first_var, f.var_count + 1)
-            )
-        auxiliary = set(range(1, f.var_count + 1)) - outputs
-        assert auxiliary
-        read = {abs(x) for a, b in gates for clause in f.clauses[a:b] for x in clause}
-        assert auxiliary <= read
-        dpll_solve(f)
+        hand = None if hand is None or hand > colours else hand
+        opts = EncodeOptions(steps, fixed_initial_hand=hand, progress_encoding=mode)
+        f, _ = encode(Instance(grid, max(0, height * width - slack)), opts)
+        record = f.steps
+
+        def visit(t, state, path):
+            for option in record.choices(t, state):
+                if t + 1 < steps:
+                    visit(t + 1, option[1], path + [option])
+                else:
+                    model = cnf._fill(f, record, path + [option])
+                    assert cnf._verify_model(f, model)
+
+        visit(-1, None, [])
 
 
 class TestFallback:
