@@ -3,7 +3,8 @@
 Literals are signed integers: variable ids start at 1 and ``-v`` is the
 negation of ``v``, as in DIMACS. The built-in :func:`dpll_solve` solves a
 formula that a chain of transition steps describes exactly (a
-:class:`StepChain` record, which the encoder attaches), complete unless its
+:class:`StepChain` record, which the encoder attaches to a formula whose
+clauses it seals in one tuple, the record's own), complete unless its
 deadline passes. It searches depth first over the steps' options: a
 callable lists each step's options, the initial hands and then the shots
 that have a model, each with the state it reaches, so no clause is read
@@ -61,11 +62,12 @@ class CnfFormula:
     anything, and its other literals are the registers it allocates.
 
     ``steps`` records a chain of transition steps whose options a callable
-    lists (:class:`StepChain`; the encoder sets it). :func:`dpll_solve`
-    solves only a formula that its record describes, and refuses any other.
-    The clauses are the formula all the same: DIMACS output, external
-    solvers and model checks read them alone, and only :func:`dpll_solve`
-    reads the record.
+    lists (:class:`StepChain`; the encoder sets it). An encoded formula's
+    ``clauses`` are a sealed tuple, the record's own, so ``add_clause`` or
+    :func:`at_least_k` on it raises. :func:`dpll_solve` solves only a
+    formula that its record describes, and refuses any other. The clauses
+    are the formula all the same: DIMACS output, external solvers and model
+    checks read them alone, and only :func:`dpll_solve` reads the record.
     """
 
     def __init__(self) -> None:
@@ -172,9 +174,9 @@ class StepChain:
     """A formula's transition steps 0..``horizon``, which :func:`dpll_solve`
     searches through ``choices`` instead of through their clauses.
 
-    The record describes one formula exactly (:meth:`describes`):
-    ``var_count`` variables, the chain's clauses ``source[:size]``, then
-    ``tail``, the formula's other clauses.
+    The record describes one formula exactly (:meth:`describes`): the one
+    with ``var_count`` variables whose clauses are the sealed tuple
+    ``clauses`` itself, which no one can change.
 
     ``choices(t, state)`` lists step t + 1's options once step t has
     reached ``state``; ``choices(-1, None)`` lists step 0's. An option is
@@ -198,23 +200,16 @@ class StepChain:
     one unset literal (see :func:`_propagate`).
     """
 
-    source: list[tuple[int, ...]]
-    size: int
-    tail: list[tuple[int, ...]]
+    clauses: tuple[tuple[int, ...], ...]
     var_count: int
     horizon: int
     choices: Callable[[int, Any], Sequence[tuple[Sequence[int], Any]]]
     outputs: Callable[[int, tuple[Sequence[int], Any]], Sequence[int]]
 
     def describes(self, formula: CnfFormula) -> bool:
-        """Whether ``formula`` has ``var_count`` variables and its clauses
-        are the chain's, then ``tail``, and no others."""
-        size = self.size
-        return (
-            formula.var_count == self.var_count
-            and formula.clauses[:size] == self.source[:size]
-            and formula.clauses[size:] == self.tail
-        )
+        """Whether ``formula``'s clauses are ``clauses``, the same object,
+        and it has ``var_count`` variables; no clause is read."""
+        return formula.clauses is self.clauses and formula.var_count == self.var_count
 
 
 def exactly_one(formula: CnfFormula, lits: Sequence[int]) -> None:
@@ -260,9 +255,10 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> Optional[AtL
     the clauses alone decides it; :meth:`AtLeastK.registers_under` gives
     each register its exact value instead.
 
-    An input of 0 or outside the formula's variables raises ``ValueError``
-    before any variable is allocated or clause appended. The clauses are
-    appended unchecked (see :class:`CnfFormula`).
+    An input of 0 or outside the formula's variables raises ``ValueError``,
+    and sealed clauses ``AttributeError``, before any variable is allocated
+    or clause appended. The clauses are appended unchecked (see
+    :class:`CnfFormula`).
     """
     n = len(lits)
     if k < 0:
@@ -274,7 +270,7 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> Optional[AtL
     bad = [x for x in lits if x == 0 or abs(x) > formula.var_count]
     if bad:
         raise ValueError(f"literal {bad[0]} outside allocated variables")
-    clauses = formula.clauses
+    append = formula.clauses.append
     first_var = formula.var_count + 1
     registers: list[tuple[int, int]] = []
     row = {1: lits[0]}  # row[j]: at least j of the inputs so far
@@ -285,10 +281,10 @@ def at_least_k(formula: CnfFormula, lits: Sequence[int], k: int) -> Optional[AtL
             registers.append((i, j))
             # z -> (at least j of the first i - 1) or (x and at least j - 1)
             without = () if j == i else (below[j],)
-            clauses.append((-z, *without, x))
+            append((-z, *without, x))
             if j > 1:
-                clauses.append((-z, *without, below[j - 1]))
-    clauses.append((row[k],))
+                append((-z, *without, below[j - 1]))
+    append((row[k],))
     return AtLeastK(tuple(lits), k, first_var, tuple(registers))
 
 
@@ -337,8 +333,10 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
     with lowest-index-first branching.
 
     ``formula.steps`` must describe the formula (see
-    :meth:`StepChain.describes`). A formula with no record, or one that its
-    record does not describe, raises ``ValueError`` and is not searched.
+    :meth:`StepChain.describes`): its clauses must be the record's sealed
+    tuple. A formula with no record, or one that its record does not
+    describe (a copy of the clauses included), raises ``ValueError`` and is
+    not searched.
 
     The search steps the chain natively, a theory solver in the sense of
     DPLL(T) (Nieuwenhuis, Oliveras & Tinelli, J. ACM 2006), and reads no

@@ -70,16 +70,16 @@ back. The steps depend only on the grid's shape and the progress style, so
 each is emitted once per shape and shared by every horizon (see
 :class:`_Chain`). The goal counter depends only on the horizon and the
 number of blocks the plan must remove, so the chain keeps one per horizon,
-built once and replaced when that number changes, and each formula copies
-its clauses. One module lock guards that sharing. Each step's implied
-keep clauses come last in it, and horizon h ends before step h's: they
-fix cells for a shot that horizon h does not have, so horizon h + 1 is the
-first to hold them. The builder emits step 1 (and step 2 of
-``cardinalityCompare``, whose step 1 also builds the start's colour sum);
-each later step is the one before with every variable moved one step on,
-since a step reads only its own variables and what the step before it
-made. A step's clauses are appended without a per-clause check and
-checked in bulk, once, before the step is used; so are each formula's
+built once and replaced when that number changes. One module lock guards
+that sharing, and each formula seals its clauses in one tuple, read under
+it. Each step's implied keep clauses come last in it, and horizon h ends
+before step h's: they fix cells for a shot that horizon h does not have,
+so horizon h + 1 is the first to hold them. The builder emits step 1 (and
+step 2 of ``cardinalityCompare``, whose step 1 also builds the start's
+colour sum); each later step is the one before with every variable moved
+one step on, since a step reads only its own variables and what the step
+before it made. A step's clauses are appended without a per-clause check
+and checked in bulk, once, before the step is used; so are each formula's
 start-state unit clauses.
 """
 
@@ -407,9 +407,10 @@ def encode(
 ) -> tuple[CnfFormula, VarMap]:
     """CNF formula satisfiable iff a plan of exactly ``options.steps``
     progressing shots reaches the instance goal, for some initial hand
-    colour (or the pinned one). The formula's ``steps`` record lets
-    :func:`plotting_solver.cnf.dpll_solve` step the engine instead of the
-    transition clauses."""
+    colour (or the pinned one). Its clauses are one tuple: the chain's, the
+    goal counter's, then the start units. The formula's ``steps`` record
+    holds that tuple and lets :func:`plotting_solver.cnf.dpll_solve` step
+    the engine instead of the transition clauses."""
     if options.steps < 1:
         raise InvalidHorizonError(f"horizon {options.steps} is below 1")
     if instance.goal is None:
@@ -432,8 +433,7 @@ def encode(
         try:
             chain = _chain(height, width, colours, options.progress_encoding)
             _, clause_count, varmap = chain.grow(options.steps)
-            source = chain.formula.clauses
-            clauses = source[:clause_count]
+            clauses = chain.formula.clauses[:clause_count]
         except BaseException:
             _chain.cache_clear()  # a half-grown chain must never be reused
             raise
@@ -451,10 +451,9 @@ def encode(
     if fixed is not None:
         formula.clauses.append((varmap.hand_var(0, fixed),))
     formula.check_clauses(units)
+    formula.clauses = tuple(formula.clauses)
     formula.steps = StepChain(
-        source,
-        clause_count,
-        formula.clauses[clause_count:],
+        formula.clauses,
         formula.var_count,
         options.steps,
         *_choices(varmap, instance, fixed, goal),

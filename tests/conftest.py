@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from plotting_solver.cnf import CnfFormula, at_least_k, write_dimacs
+from plotting_solver.cnf import CnfFormula, at_least_k, dpll_solve, write_dimacs
 from plotting_solver.engine import Grid, apply_shot, legal_shots
 
 SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
-MINI_SOLVER_CMD = [sys.executable, str(SCRIPTS_DIR / "mini_solver.py")]
+# -S skips the site import: the script needs the standard library alone
+MINI_SOLVER_CMD = [sys.executable, "-S", str(SCRIPTS_DIR / "mini_solver.py")]
 
 
 @pytest.fixture
@@ -24,12 +25,34 @@ def dimacs_text(formula: CnfFormula) -> str:
     return buf.getvalue()
 
 
+def list_copy(formula: CnfFormula) -> CnfFormula:
+    """``formula`` with its clauses copied into a list, and its record."""
+    copy = CnfFormula()
+    copy.var_count, copy.clauses = formula.var_count, list(formula.clauses)
+    copy.steps = formula.steps
+    return copy
+
+
+def edited_copy(formula: CnfFormula, first, edit) -> CnfFormula:
+    """``list_copy(formula)`` changed by ``edit``. The same edit on the
+    encoded ``formula`` itself must raise, as its clauses are sealed, and
+    leave it a formula its record describes, whose ``dpll_solve`` outcome
+    is still ``first``."""
+    with pytest.raises((AttributeError, TypeError)):
+        edit(formula)
+    assert formula.steps.describes(formula) and dpll_solve(formula) == first
+    copy = list_copy(formula)
+    edit(copy)
+    return copy
+
+
 def goal_counter(instance, formula, varmap):
     """The goal counter of ``formula``, which ``encode`` built for
     ``instance`` with ``varmap``, rebuilt from the instance: "at least k of
     the last grid's cells are empty", k being the blocks the goal removes,
     with its registers the formula's last variables. Returns the
-    counter's ``AtLeastK`` and its clauses, which follow the chain's."""
+    counter's ``AtLeastK`` and its clauses, which come just before the
+    start units: one per cell, and one more when the hand is pinned."""
     height, width = instance.grid.height, instance.grid.width
     lits = [
         varmap.grid_var(varmap.steps, r, c, 0)
@@ -43,8 +66,10 @@ def goal_counter(instance, formula, varmap):
     rebuilt = CnfFormula()
     rebuilt.var_count = formula.var_count - registers
     counter = at_least_k(rebuilt, lits, k)
-    size = formula.steps.size
-    assert formula.clauses[size : size + len(rebuilt.clauses)] == rebuilt.clauses
+    pinned = formula.clauses[-1][0] in varmap.hand_ids(0)
+    end = len(formula.clauses) - height * width - pinned
+    start = end - len(rebuilt.clauses)
+    assert list(formula.clauses[start:end]) == rebuilt.clauses
     return counter, rebuilt.clauses
 
 

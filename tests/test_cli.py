@@ -190,7 +190,7 @@ class TestSolve:
         undecided = tmp_path / "undecided.py"
         undecided.write_text("print('s UNKNOWN')\n")
         inst = write_inst(tmp_path, [[1, 1], [1, 1]])
-        backend = f"external:{sys.executable} {undecided}"
+        backend = f"external:{sys.executable} -S {undecided}"
         code, stdout, err = run(
             ["solve", "--instance", inst, "--goal", "0", "--backend", backend],
             capsys,

@@ -608,7 +608,7 @@ class TestExternalSolve:
         v = f.new_var()
         f.add_clause((v,))
         with pytest.raises(ParseFailureError):
-            external_solve(f, [sys.executable, str(bad)])
+            external_solve(f, [sys.executable, "-S", str(bad)])
 
     def test_lying_solver_is_caught(self, tmp_path):
         liar = tmp_path / "liar.py"
@@ -619,7 +619,7 @@ class TestExternalSolve:
         v = f.new_var()
         f.add_clause((v,))
         with pytest.raises(ParseFailureError):
-            external_solve(f, [sys.executable, str(liar)])
+            external_solve(f, [sys.executable, "-S", str(liar)])
 
     def test_variable_given_both_signs_is_refused(self, tmp_path):
         torn = tmp_path / "torn.py"
@@ -628,7 +628,7 @@ class TestExternalSolve:
         f.alloc_block(2)
         f.add_clause((-1, 2))
         with pytest.raises(ParseFailureError, match="variable 1 given both signs"):
-            external_solve(f, [sys.executable, str(torn)])
+            external_solve(f, [sys.executable, "-S", str(torn)])
 
     def test_no_status_line_is_unknown(self, tmp_path):
         silent = tmp_path / "silent.py"
@@ -636,7 +636,7 @@ class TestExternalSolve:
         f = CnfFormula()
         v = f.new_var()
         f.add_clause((v,))
-        out = external_solve(f, [sys.executable, str(silent)])
+        out = external_solve(f, [sys.executable, "-S", str(silent)])
         assert out.status == "unknown"
 
     def test_timeout_is_unknown(self, tmp_path):
@@ -645,7 +645,7 @@ class TestExternalSolve:
         f = CnfFormula()
         v = f.new_var()
         f.add_clause((v,))
-        out = external_solve(f, [sys.executable, str(sleeper)], timeout=0.3)
+        out = external_solve(f, [sys.executable, "-S", str(sleeper)], timeout=0.3)
         assert out.status == "unknown"
         assert "timeout" in out.reason
 

@@ -49,7 +49,7 @@ from plotting_solver.oracle import (
 )
 
 import clause_dpll
-from conftest import dimacs_text, goal_counter, random_full_grid
+from conftest import dimacs_text, edited_copy, goal_counter, random_full_grid
 
 
 def g(rows):
@@ -504,7 +504,9 @@ class TestSharedSteps:
         encode(inst, EncodeOptions(steps=1, fixed_initial_hand=2))
         encode(self.OTHER, EncodeOptions(steps=2))
         assert dimacs_text(formula) == before
-        formula.add_clause((1,))
+        with pytest.raises(AttributeError):
+            formula.add_clause((1,))
+        assert dimacs_text(formula) == before
         assert dimacs_text(encode(inst, EncodeOptions(steps=2))[0]) == before
 
     @pytest.mark.parametrize("mode", PROGRESS_MODES)
@@ -787,8 +789,9 @@ class TestAuxiliaries:
                     primary = primary_ids(vm)
                     trial = CnfFormula()
                     trial.var_count = f.var_count
-                    trial.clauses = f.clauses + [
-                        (v if out.model[v] else -v,) for v in sorted(primary)
+                    trial.clauses = [
+                        *f.clauses,
+                        *((v if out.model[v] else -v,) for v in sorted(primary)),
                     ]
                     trial.add_clause(
                         [
@@ -1028,7 +1031,7 @@ class TestImpliedKeep:
                 for clause in chain.formula.clauses[keep.start : keep.stop]:
                     trial = CnfFormula()
                     trial.var_count = f.var_count
-                    trial.clauses = f.clauses + [(-x,) for x in clause]
+                    trial.clauses = [*f.clauses, *((-x,) for x in clause)]
                     assert clause_dpll.solve(trial).is_unsat, (
                         grid.cells, steps, clause,
                     )
@@ -1185,7 +1188,9 @@ class TestNativeGoalCount:
     def test_a_formula_the_record_does_not_describe(self, change):
         # each change leaves a formula whose goal registers the record
         # would misread, so dpll_solve refuses it, and the clause DPLL
-        # gives it the answer its clauses admit
+        # gives it the answer its clauses admit; an encoded formula's
+        # clauses are sealed, so a change of a clause is made on a copy
+        # with list clauses and the same record
         rng = random.Random(59)
         sat = 0
         for mode, steps in itertools.product(PROGRESS_MODES, (1, 2, 3)):
@@ -1193,21 +1198,26 @@ class TestNativeGoalCount:
                 inst = Instance(random_full_grid(rng, 3, 3, 2), rng.randrange(9))
                 opts = EncodeOptions(steps=steps, progress_encoding=mode)
                 f, vm = encode(inst, opts)
-                (goal, counted), first = goal_counter(inst, f, vm), dpll_solve(f)
+                (goal, _), first = goal_counter(inst, f, vm), dpll_solve(f)
                 if change == "register-clause":
                     # rule out the lowest register the first model sets true
                     registers = range(goal.first_var, f.var_count + 1)
                     r = next(v for v in registers if not first.model or first.model[v])
-                    f.add_clause((-r,))
+                    g = edited_copy(f, first, lambda h: h.add_clause((-r,)))
                 elif change == "later-variable":
                     f.new_var()  # free, so true in the first model
+                    g = f
                 else:
-                    # the goal's top unit, so that the goal no longer binds
-                    del f.clauses[f.steps.size + len(counted) - 1]
-                assert not f.steps.describes(f)
+                    # the goal's top unit, the counter's last clause before
+                    # the 9 start units, so that the goal no longer binds
+                    def edit(h):
+                        del h.clauses[len(h.clauses) - 9 - 1]
+
+                    g = edited_copy(f, first, edit)
+                assert not g.steps.describes(g)
                 with pytest.raises(ValueError, match="does not describe"):
-                    dpll_solve(f)
-                plain = clause_dpll.solve(f)
+                    dpll_solve(g)
+                plain = clause_dpll.solve(g)
                 # models are compared in brute-force order: the later of
                 # two, as a tuple, is the smaller
                 if change == "register-clause":
@@ -1232,11 +1242,12 @@ class TestNativeGoalCount:
             f, vm = encode(inst, opts)
             (goal, _), first = goal_counter(inst, f, vm), dpll_solve(f)
             k = min(goal.k + 1, len(goal.lits))
-            at_least_k(f, goal.lits[::-1], k)
-            assert not f.steps.describes(f)
+            # on a copy with list clauses, as the formula's are sealed
+            g = edited_copy(f, first, lambda h: at_least_k(h, goal.lits[::-1], k))
+            assert not g.steps.describes(g)
             with pytest.raises(ValueError, match="does not describe"):
-                dpll_solve(f)
-            plain = clause_dpll.solve(f)
+                dpll_solve(g)
+            plain = clause_dpll.solve(g)
             if plain.is_sat:
                 # a model of the goal's formula too, so not before its first
                 assert first.is_sat and plain.model[: len(first.model)] <= first.model

@@ -28,7 +28,7 @@ from plotting_solver.engine import Instance
 from plotting_solver.generator import GeneratorSpec, enumerate_instances, random_instance
 
 import clause_dpll
-from conftest import goal_counter
+from conftest import edited_copy, goal_counter, list_copy
 
 
 def planner_formula(shape, seed, goal, steps, mode):
@@ -278,7 +278,7 @@ class TestStepRecord:
         # option of the last step is a model's
         for units, sat in expected:
             g = CnfFormula()
-            g.var_count, g.clauses = f.var_count, f.clauses + [(x,) for x in units]
+            g.var_count, g.clauses = f.var_count, [*f.clauses, *((x,) for x in units)]
             assert clause_dpll.solve(g).is_sat == sat, units
 
 
@@ -373,31 +373,47 @@ class TestFallback:
             "changed-var-count",
             "start-cell-repeated",
             "start-cell-contradicted",
+            "clauses-copied",
         ],
     )
     def test_a_formula_the_record_does_not_describe(self, change):
+        # an encoded formula's clauses are sealed, so each change of a
+        # clause is made on a copy with list clauses and the same record;
+        # a copy, changed or not, is not the record's formula
         sat = 0
         for mode, steps, seed in itertools.product(PROGRESS_MODES, (1, 2, 3), (1, 2)):
             grid = random_instance(GeneratorSpec(3, 3, 2, seed=seed)).grid
-            f, vm = encode(Instance(grid, 9 - steps - seed % 2), EncodeOptions(steps, progress_encoding=mode))
+            inst = Instance(grid, 9 - steps - seed % 2)
+            f, vm = encode(inst, EncodeOptions(steps, progress_encoding=mode))
             first = dpll_solve(f)
-            if change == "step-clause-dropped":
-                # one of the last step's successor clauses
-                del f.clauses[f.steps.size - 1]
-            elif change == "later-step-clause":
-                # a clause after the chain on a cell of the last state
-                f.add_clause((-vm.grid_var(steps, 1, 1, 0),))
-            elif change == "changed-var-count":
+            # the chain's clauses end before the goal counter's and 9 start units
+            chain_end = len(f.clauses) - len(goal_counter(inst, f, vm)[1]) - 9
+
+            def edit(h):
+                if change == "step-clause-dropped":
+                    # one of the last step's successor clauses
+                    del h.clauses[chain_end - 1]
+                elif change == "later-step-clause":
+                    # a clause after the chain on a cell of the last state
+                    h.add_clause((-vm.grid_var(steps, 1, 1, 0),))
+                else:
+                    # a unit on a start cell, after the start units: the search
+                    # would take the start grid from the instance, not the clauses
+                    start = vm.grid_var(0, 1, 1, grid.at(1, 1))
+                    repeated = change == "start-cell-repeated"
+                    h.add_clause((start if repeated else -start,))
+
+            if change == "changed-var-count":
                 f.new_var()  # free, so true in the first model
+                g = f
+            elif change == "clauses-copied":
+                g = list_copy(f)
             else:
-                # a unit on a start cell, after the start units: the search
-                # would take the start grid from the instance, not the clauses
-                start = vm.grid_var(0, 1, 1, grid.at(1, 1))
-                f.add_clause((start if change == "start-cell-repeated" else -start,))
-            assert not f.steps.describes(f)
+                g = edited_copy(f, first, edit)
+            assert not g.steps.describes(g)
             with pytest.raises(ValueError, match="does not describe"):
-                dpll_solve(f)
-            plain = clause_dpll.solve(f)
+                dpll_solve(g)
+            plain = clause_dpll.solve(g)
             # models are compared in brute-force order: the later of two,
             # as a tuple, is the smaller
             if change == "step-clause-dropped":
@@ -409,7 +425,7 @@ class TestFallback:
             elif change == "changed-var-count":
                 want = first.model and first.model + (True,)
                 assert (plain.status, plain.model) == (first.status, want)
-            elif change == "start-cell-repeated":
+            elif change in ("start-cell-repeated", "clauses-copied"):
                 assert (plain.status, plain.model) == (first.status, first.model)
             else:
                 assert plain.is_unsat

@@ -102,7 +102,7 @@ class TestSolve:
             "if len(open(log).read().splitlines()) == 1:\n"
             "    print('s UNKNOWN')\n"
             "else:\n"
-            f"    sys.argv[0] = {MINI_SOLVER_CMD[1]!r}\n"
+            f"    sys.argv[0] = {MINI_SOLVER_CMD[-1]!r}\n"
             "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
         )
 
@@ -111,7 +111,7 @@ class TestSolve:
 
         monkeypatch.setattr(encoder, "decode", unreachable)
         monkeypatch.setattr(planner, "validate_plan", unreachable)
-        res = solve(Instance(g(rows), 0), backend=[sys.executable, str(script)])
+        res = solve(Instance(g(rows), 0), backend=[sys.executable, "-S", str(script)])
         assert res.status == "unknown"
         assert res.horizon_statuses == ((1, "unknown: solver reported unknown"),)
         assert len(log.read_text().splitlines()) == 1
