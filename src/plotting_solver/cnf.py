@@ -226,13 +226,15 @@ def and_gate(formula: CnfFormula, inputs: Sequence[int]) -> int:
 
     An OR gate is the negation of an AND over the negated inputs, with the
     same clauses, so this is the only gate the encoder needs. The clauses
-    are appended unchecked (see :class:`CnfFormula`).
+    are appended unchecked (see :class:`CnfFormula`); sealed clauses raise
+    ``AttributeError`` before the output is allocated.
     """
     if not inputs:
         raise EmptySelectionError("and_gate over no inputs")
+    append = formula.clauses.append
     z = formula.new_var()
     formula.clauses += [(-z, lit) for lit in inputs]
-    formula.clauses.append((z, *[-lit for lit in inputs]))
+    append((z, *[-lit for lit in inputs]))
     return z
 
 
@@ -360,8 +362,10 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
     not auxiliary from ``outputs``, per option taken; one in-order pass
     over every clause then checks it and sets each auxiliary variable that
     a clause forces (see :func:`_fill`), so no model is returned that
-    leaves a clause false. ``decisions`` counts the options tried and
-    ``assigned`` their literals, then the model's ``var_count``.
+    leaves a clause false. Once the record describes the formula, the
+    search and the model read the record alone. ``decisions`` counts the
+    options tried and ``assigned`` their literals, then the model's
+    ``var_count``.
 
     The search keeps its state in the call: one formula may be solved
     again, or from two threads at once.
@@ -372,14 +376,6 @@ def dpll_solve(formula: CnfFormula, timeout: Optional[float] = None) -> SatOutco
         raise ValueError("dpll_solve: the formula has no step record")
     if not steps.describes(formula):
         raise ValueError("dpll_solve: the formula's step record does not describe it")
-    return _step_search(formula, steps, deadline)
-
-
-def _step_search(
-    formula: CnfFormula, steps: StepChain, deadline: Optional[float]
-) -> SatOutcome:
-    """Search ``formula`` over the options of ``steps`` (see
-    :func:`dpll_solve`)."""
     choices, last = steps.choices, steps.horizon
     tried = assigned = 0
     path: list[tuple[Sequence[int], Any]] = []  # the option taken per step
@@ -399,17 +395,15 @@ def _step_search(
         if len(path) <= last:
             left.append(iter(choices(len(path) - 1, option[1])))
             continue
-        model = _fill(formula, steps, path)
-        assigned += formula.var_count
+        model = _fill(steps, path)
+        assigned += steps.var_count
         return SatOutcome("sat", tuple(model), None, tried, assigned)
     return SatOutcome("unsat", None, None, tried, assigned)
 
 
-def _fill(
-    formula: CnfFormula, steps: StepChain, path: Sequence[tuple[Sequence[int], Any]]
-) -> list[bool]:
-    """The model, indexed by var id, of ``formula`` that the options
-    ``path``, one per step, reach.
+def _fill(steps: StepChain, path: Sequence[tuple[Sequence[int], Any]]) -> list[bool]:
+    """The model, indexed by var id, of the formula that ``steps``
+    describes, reached by the options ``path``, one per step.
 
     First every variable that is not auxiliary, from ``steps.outputs`` per
     option; one set both ways raises ``RuntimeError``. Then one
@@ -419,14 +413,14 @@ def _fill(
     has at most one unset literal when the pass reaches it. A rejected
     clause, or a variable still unset, means the outputs are no model of
     the formula, and raises ``RuntimeError``."""
-    nvars = formula.var_count
+    nvars = steps.var_count
     is_true = [False] * (2 * nvars + 1)  # by signed literal
     for t, option in enumerate(path):
         for lit in steps.outputs(t, option):
             if is_true[-lit]:
                 raise RuntimeError("internal solver produced a bad model")
             is_true[lit] = True
-    if not _propagate(formula.clauses, is_true):
+    if not _propagate(steps.clauses, is_true):
         raise RuntimeError("internal solver produced a bad model")
     for v in range(1, nvars + 1):
         if not is_true[v] and not is_true[-v]:

@@ -109,8 +109,9 @@ EMPTY = 0
 # about 8.5M clauses at step 1.
 MAX_SUM_RANGE = 800
 
-# A step's state as the engine-stepped search holds it (see _choices)
-_State = tuple[Cells, int, int]
+# A step's state as the engine-stepped search holds it: the engine's cells,
+# hand and wall fall, and the blocks left (see _choices)
+_State = tuple[Cells, int, int, int]
 
 
 class InvalidHorizonError(ValueError):
@@ -471,18 +472,20 @@ def _choices(
     horizon ``vm.steps`` of ``instance``, with the initial hand ``fixed``
     or free and the goal's ``counter`` (None for no counter).
 
-    A step's state is ``(rows, hand, wall fall)``, as the engine gives it.
-    Step 0's options are the initial hands, 1..K or ``fixed`` alone, each
-    with the instance's grid and a wall fall of 0. A later step's options
-    are its shots, columns 1..W and then rows 1..H: lowest-index branching
-    tries the fired row's value 0, "no row", true first. Each sets its
-    fired row and fired column, one of them to 0, and comes with the state
-    the engine reaches: :func:`engine.successors` walks each travel once,
-    and :func:`engine.build` takes its stop. Left out are the shots that
-    have no model: a null move, which the successor clauses refute, and at
-    the last step a shot that leaves more than the goal's blocks, which the
-    goal counter refutes. The solver reads neither the counter's clauses
-    nor its registers, so this is where it meets the goal.
+    A step's state is ``(rows, hand, wall fall, blocks)``: the engine's
+    state and its block count. Step 0's options are the initial hands, 1..K
+    or ``fixed`` alone, each with the instance's full grid, a wall fall of
+    0 and ``block_total`` blocks. A later step's options are its shots,
+    columns 1..W and then rows 1..H: lowest-index branching tries the fired
+    row's value 0, "no row", true first. Each sets its fired row and fired
+    column, one of them to 0, and comes with the state the engine reaches:
+    :func:`engine.successors` walks each travel once and counts the blocks
+    it eats, and :func:`engine.build` takes its stop. Left out are the
+    shots that have no model: a null move, which the successor clauses
+    refute, and at the last step a shot that leaves more than the goal's
+    blocks, which the goal counter refutes. The solver reads neither the
+    counter's clauses nor its registers, so this is where it meets the
+    goal.
 
     The outputs are a literal of every variable that is not auxiliary: at
     step 0 the start grid and the hand; later the option's fired row and
@@ -491,49 +494,39 @@ def _choices(
     with the values :meth:`AtLeastK.registers_under` gives them from the
     last grid's empty cells, each true exactly when its count holds, as in
     the first model in brute-force order. Both functions read only their
-    arguments and the tables fixed here."""
+    arguments, ``vm`` and the goal."""
     H, W, K = vm.height, vm.width, vm.colours
-    last, cells, grid_size = vm.steps, H * W, H * W * (K + 1)
-    start, goal = instance.grid.cells, instance.goal
+    last, grid_size = vm.steps, H * W * (K + 1)
+    bases, shot_block, goal = vm.state_bases, vm._shot_block, instance.goal
+    start, blocks = instance.grid.cells, instance.block_total
     hands = range(1, K + 1) if fixed is None else (fixed,)
-    roots = tuple(((vm.hand_var(0, hand),), (start, hand, 0)) for hand in hands)
-    # by step from 1 on, per shot of engine.successors (rows, then
-    # columns): the fired row and fired column it sets
-    fired = [
-        [(vm.row_shot_var(t, r), vm.col_shot_var(t, 0)) for r in range(1, H + 1)]
-        + [(vm.row_shot_var(t, 0), vm.col_shot_var(t, c)) for c in range(1, W + 1)]
-        for t in range(1, last + 1)
-    ]
-    # by step, the first of its outputs and the grid's offset from it:
-    # step 0's start with its grid, and a later step's with its fired row
-    first = [(vm.state_bases[0], 0)]
-    first += [(vm.row_shot_var(t, 0), vm._shot_block) for t in range(1, last + 1)]
+    roots = tuple(((vm.hand_var(0, hand),), (start, hand, 0, blocks)) for hand in hands)
 
     def choices(
         t: int, state: Optional[_State]
     ) -> Sequence[tuple[tuple[int, ...], _State]]:
         if state is None:
             return roots
-        grid, hand, _ = state
-        need = 1
-        if t + 1 == last:
-            empty = sum(row.count(EMPTY) for row in grid)
-            need = max(1, cells - empty - goal)
-        lits = fired[t]
+        grid, hand, _, blocks = state
+        final = t + 1 == last
+        row0 = bases[t + 1] - shot_block  # step t + 1's fired row 0
         rows, cols = [], []
         for shot, (eaten, stop) in successors(grid, hand):
-            if eaten < need:
+            if final and eaten < blocks - goal:
                 continue
-            after = build(grid, hand, shot, stop)
+            after = (*build(grid, hand, shot, stop), blocks - eaten)
             if type(shot) is RowShot:
-                rows.append((lits[shot.row - 1], after))
+                rows.append(((row0 + shot.row, row0 + H + 1), after))
             else:
-                cols.append((lits[H + shot.col - 1], after))
+                cols.append(((row0, row0 + H + 1 + shot.col), after))
         return cols + rows
 
     def outputs(t: int, option: tuple[tuple[int, ...], _State]) -> list[int]:
-        decided, (grid, hand, fall) = option
-        base, at = first[t]
+        decided, (grid, hand, fall, _) = option
+        # the first output and the grid's offset from it: step 0's start
+        # with its grid, and a later step's with its fired row
+        at = shot_block if t else 0
+        base = bases[t] - at
         # by offset from ``base``: each variable false, then the true ones
         lits = list(range(-base, -base - at - grid_size - K, -1))
         flat = [v for row in grid for v in row]

@@ -110,7 +110,7 @@ def validate_plan(
     except ReplayError as exc:
         return ValidationReport(ok=False, failed_step=exc.step, reason=exc.reason)
     blocks = engine.block_count(grid)
-    met = engine.is_goal(grid, instance.goal)
+    met = blocks <= instance.goal
     return ValidationReport(
         ok=met,
         failed_step=None,

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from plotting_solver import encoder
 from plotting_solver.cnf import (
     CnfFormula,
+    and_gate,
     at_least_k,
     dpll_solve,
     exactly_one,
@@ -1252,3 +1253,24 @@ class TestNativeGoalCount:
                 # a model of the goal's formula too, so not before its first
                 assert first.is_sat and plain.model[: len(first.model)] <= first.model
                 assert sum(plain.model[x] for x in goal.lits) >= k
+
+    def test_an_and_gate(self):
+        # an AND gate over two of the goal's inputs, refused on the sealed
+        # formula before its output is allocated, so the record still
+        # describes it; on a copy the gate's output is one variable more,
+        # which the record does not describe, and the clause DPLL gives it
+        # the gate's value in the first model
+        rng = random.Random(63)
+        for mode, steps in itertools.product(PROGRESS_MODES, (1, 2, 3)):
+            inst = Instance(random_full_grid(rng, 3, 3, 2), rng.randrange(9))
+            opts = EncodeOptions(steps=steps, progress_encoding=mode)
+            f, vm = encode(inst, opts)
+            (goal, _), first = goal_counter(inst, f, vm), dpll_solve(f)
+            a, b = goal.lits[:2]
+            g = edited_copy(f, first, lambda h: and_gate(h, [a, b]))
+            assert g.var_count == f.var_count + 1 and not g.steps.describes(g)
+            with pytest.raises(ValueError, match="does not describe"):
+                dpll_solve(g)
+            plain = clause_dpll.solve(g)
+            want = first.model and first.model + (first.model[a] and first.model[b],)
+            assert (plain.status, plain.model) == (first.status, want)

@@ -24,7 +24,7 @@ from plotting_solver.encoder import (
     EncodeOptions,
     encode,
 )
-from plotting_solver.engine import Instance
+from plotting_solver.engine import Grid, Instance, block_count
 from plotting_solver.generator import GeneratorSpec, enumerate_instances, random_instance
 
 import clause_dpll
@@ -201,7 +201,8 @@ class TestStepRecord:
     reachable state are the decision assignments the formula admits there,
     in the order lowest-index branching meets them; its outputs, on every
     path of options to the last step, give every variable that is not
-    auxiliary, and one in-order pass over the clauses sets every other."""
+    auxiliary, and one in-order pass over the clauses sets every other;
+    each option's state carries its grid's block count."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -297,7 +298,8 @@ class TestStepRecord:
         # variables that are not auxiliary, once, the option's decisions
         # as it sets them: at step 0 the start grid and the hand, later the
         # fired row, fired column, wall fall, grid and hand, and at the last
-        # step the goal counter's registers too
+        # step the goal counter's registers too; and the state's carried
+        # block count is its grid's
         height, width, colours = shape
         colours = min(colours, height * width)
         grid = random_instance(GeneratorSpec(height, width, colours, seed=seed)).grid
@@ -320,6 +322,7 @@ class TestStepRecord:
                 assert sorted(abs(x) for x in out) == want, (t + 1, option)
                 decided = {abs(x) for x in option[0]}
                 assert {x for x in out if abs(x) in decided} == set(option[0])
+                assert option[1][3] == block_count(Grid(option[1][0])), (t + 1, option)
                 if t + 1 < steps:
                     visit(t + 1, option[1])
 
@@ -354,7 +357,7 @@ class TestStepRecord:
                 if t + 1 < steps:
                     visit(t + 1, option[1], path + [option])
                 else:
-                    model = cnf._fill(f, record, path + [option])
+                    model = cnf._fill(record, path + [option])
                     assert cnf._verify_model(f, model)
 
         visit(-1, None, [])
