@@ -56,7 +56,8 @@ class CnfFormula:
     adds. :func:`exactly_one`, :func:`and_gate` and the encoder's step
     builder append to ``clauses`` unchecked, for speed; the encoder's step
     chain then checks each step's clauses at once with
-    :meth:`check_clauses`, before any formula reads them. The encoder's
+    :meth:`check_clauses`, or a renumbered step's literals with
+    :meth:`check_literals`, before any formula reads them. The encoder's
     start-state unit clauses are appended the same way and checked at once
     when complete. :func:`at_least_k` checks its inputs before it appends
     anything, and its other literals are the registers it allocates.
@@ -94,18 +95,23 @@ class CnfFormula:
                 raise ValueError(f"literal {lit} outside allocated variables")
         self.clauses.append(clause)
 
-    def check_clauses(self, start: int) -> None:
+    def check_clauses(self, start: int) -> set[int]:
         """Check the clauses from index ``start`` on, all at once, as
-        ``add_clause`` checks one; for callers that append to ``clauses``
-        themselves."""
+        ``add_clause`` checks one, for callers that append to ``clauses``
+        themselves; return the set of their distinct literals."""
         added = self.clauses[start:]
         if not all(added):
             raise ValueError("empty clauses are not representable")
-        lits = set(chain.from_iterable(added))
+        return self.check_literals(set(chain.from_iterable(added)))
+
+    def check_literals(self, lits: set[int]) -> set[int]:
+        """Return ``lits`` if each is a literal of an allocated variable,
+        else raise ``ValueError`` as ``add_clause`` does."""
         n = self.var_count
         if lits and (0 in lits or min(lits) < -n or max(lits) > n):
             bad = next(lit for lit in lits if lit == 0 or abs(lit) > n)
             raise ValueError(f"literal {bad} outside allocated variables")
+        return lits
 
 
 @dataclass(frozen=True)
@@ -306,8 +312,11 @@ def _propagate(clauses: Iterable[tuple[int, ...]], is_true: list[bool]) -> bool:
     rejected, and the pass returns False at once. A set literal is never
     changed, so when the pass returns True the table satisfies every
     clause (unit propagation, Davis, Logemann & Loveland, CACM 1962, in a
-    single pass)."""
+    single pass). No clause may be empty, as :class:`CnfFormula` keeps
+    them; one whose first literal is true is passed without a loop."""
     for clause in clauses:
+        if is_true[clause[0]]:
+            continue
         for lit in clause:
             if is_true[lit]:
                 break

@@ -72,15 +72,14 @@ each is emitted once per shape and shared by every horizon (see
 number of blocks the plan must remove, so the chain keeps one per horizon,
 built once and replaced when that number changes. One module lock guards
 that sharing, and each formula seals its clauses in one tuple, read under
-it. Each step's implied keep clauses come last in it, and horizon h ends
-before step h's: they fix cells for a shot that horizon h does not have,
-so horizon h + 1 is the first to hold them. The builder emits step 1 (and
-step 2 of ``cardinalityCompare``, whose step 1 also builds the start's
-colour sum); each later step is the one before with every variable moved
-one step on, since a step reads only its own variables and what the step
-before it made. A step's clauses are appended without a per-clause check
-and checked in bulk, once, before the step is used; so are each formula's
-start-state unit clauses.
+it. Horizon h holds steps 0..h whole. The builder emits step 1 (and step 2
+of ``cardinalityCompare``, whose step 1 also builds the start's colour
+sum); each later step is the one before with every variable moved one step
+on, since a step reads only its own variables and what the step before it
+made. A step's clauses are appended without a per-clause check and checked
+in bulk, once, before the step is used: a built step's literals, and a
+renumbered step's as the images of the step before's; each formula's
+start-state unit clauses are checked in bulk too.
 """
 
 from __future__ import annotations
@@ -268,7 +267,7 @@ class _Builder:
     ``prefix[shot][k]`` holds when the first ``k`` cells of the shot's path
     are each empty or of the hand's colour. ``sums[t]`` is step ``t``'s
     colour sum, which step ``t + 1`` reads. Clauses go straight onto the
-    formula's list; :meth:`_Chain.grow` checks each step's literals at once.
+    formula's list; :meth:`_Chain._build` checks the step's literals at once.
     """
 
     def __init__(self, formula: CnfFormula, varmap: VarMap) -> None:
@@ -554,17 +553,10 @@ class _Chain:
 
     Each step's block is an ``exactly_one`` over every group of
     :meth:`VarMap.groups`, followed by its transition rules (none at step
-    0), which end with its implied keep clauses. ``ends[s]`` is the
-    ``(var_count, keep, VarMap)`` reached at the end of step ``s``, where
-    ``keep`` is the range of indexes of the step's keep clauses (empty at
-    step 0). The formula for horizon ``s`` starts with that many variables
-    and with every clause before ``keep``. Step ``s``'s keep clauses fix
-    the cells of state ``s`` that no shot can get to, for shot ``s + 1``
-    to read; at horizon ``s`` no shot follows and the goal counter reads only
-    the cells' emptiness. They are implied by the rest, so leaving them out
-    changes no model, and horizon ``s + 1`` takes them in as part of what
-    it shares with horizon ``s``. ``counters`` holds one goal counter per
-    horizon (:meth:`counter`), so never more than ``ends``.
+    0). ``ends[s]`` is the ``(var_count, clause_count, VarMap)`` reached
+    at the end of step ``s``: the formula for horizon ``s`` starts with
+    that many variables and clauses. ``counters`` holds one goal counter
+    per horizon (:meth:`counter`), so never more than ``ends``.
 
     Steps before ``first_copy`` go through the builder. Every later step
     is the block of the step before it, renumbered (:meth:`_renumber`):
@@ -572,10 +564,11 @@ class _Chain:
     cardinalityCompare, step ``s - 2``'s colour sum, and step ``s`` reads
     their images one step on, clause for clause in the same order, so a
     gate's defining clauses still come before any clause that reads it.
-    Every step's clauses are checked in bulk before its end is recorded,
-    and a literal out of range raises ``ValueError``. A chain is only read
-    or grown under ``_chain_lock``, which ``encode`` holds from the lookup
-    to the goal counter.
+    Every step's literals are checked in bulk before its end is recorded,
+    and a literal out of range raises ``ValueError``; ``lits`` is the set
+    of the last step's distinct literals. A chain is only read or grown
+    under ``_chain_lock``, which ``encode`` holds from the lookup to the
+    goal counter.
     """
 
     def __init__(self, height: int, width: int, colours: int, progress: str):
@@ -586,20 +579,18 @@ class _Chain:
         # step 1 of cardinalityCompare also builds the start's colour sum,
         # so there step 2 is the first that step 3 can copy
         self.first_copy = 2 if progress == PROGRESS_WITNESS else 3
-        self.ends: list[tuple[int, range, VarMap]] = []
+        self.ends: list[tuple[int, int, VarMap]] = []
+        self.lits: set[int] = set()
         self.counters: dict[int, tuple[int, CnfFormula, Optional[AtLeastK]]] = {}
 
     def grow(self, steps: int) -> tuple[int, int, VarMap]:
-        """Append steps up to ``steps``; return the variable count, the
-        clause count and the VarMap of horizon ``steps``."""
+        """Append steps up to ``steps``; return ``ends[steps]``."""
         f = self.formula
         while len(self.ends) <= steps:
-            s, start = len(self.ends), len(f.clauses)
-            vm, keep = self._build(s) if s < self.first_copy else self._renumber(s)
-            f.check_clauses(start)
-            self.ends.append((f.var_count, keep, vm))
-        var_count, keep, vm = self.ends[steps]
-        return var_count, keep.start, vm
+            s = len(self.ends)
+            vm = self._build(s) if s < self.first_copy else self._renumber(s)
+            self.ends.append((f.var_count, len(f.clauses), vm))
+        return self.ends[steps]
 
     def counter(self, steps: int, k: int) -> tuple[CnfFormula, Optional[AtLeastK]]:
         """The goal counter of horizon ``steps``, grown already: "at least
@@ -623,33 +614,36 @@ class _Chain:
         self.counters[steps] = (k, counted, goal)
         return counted, goal
 
-    def _build(self, s: int) -> tuple[VarMap, range]:
-        """Append step ``s`` through the builder; return its VarMap and its
-        keep clauses."""
+    def _build(self, s: int) -> VarMap:
+        """Append step ``s`` through the builder, check its clauses and
+        keep their literals; return its VarMap."""
         f, b = self.formula, self.builder
-        vm = b.vm
+        vm, start = b.vm, len(f.clauses)
         if s > 0:
             f.alloc_block(vm._shot_block)
         base = f.alloc_block(vm._state_block)
         b.vm = vm = replace(vm, state_bases=vm.state_bases + (base,))
         for _, ids in vm.groups(s):
             exactly_one(f, ids)
-        first_keep = _emit_step(b, s, self.progress) if s > 0 else len(f.clauses)
-        return vm, range(first_keep, len(f.clauses))
+        if s > 0:
+            _emit_step(b, s, self.progress)
+        self.lits = f.check_clauses(start)
+        return vm
 
-    def _renumber(self, s: int) -> tuple[VarMap, range]:
+    def _renumber(self, s: int) -> VarMap:
         """Append step ``s`` as step ``s - 1``'s block with its variables
         moved on: state ``s - 2`` to state ``s - 1``, step ``s - 1``'s own
         variables to step ``s``'s and, in cardinalityCompare, the colour sum
         step ``s - 1`` read to the one step ``s`` reads. The builder's
         output depends on variable ids only through their order and
         equality (``conj`` sorts its inputs), and the move keeps both, so
-        this is the block the builder would emit. The move sends any other
-        literal to 0, which ``check_clauses`` refuses. The move is one list
+        this is the block the builder would emit. The move is one list
         indexed by signed literal, and ``operator.itemgetter`` gathers each
-        clause's images from it in one call."""
+        clause's images from it in one call. Step ``s``'s literals are the
+        images of step ``s - 1``'s, ``lits``; the move sends any literal it
+        does not move to 0, so checking those images checks the step."""
         f, sums = self.formula, self.builder.sums
-        (first_own, before, _), (top, keep, vm) = self.ends[s - 2 : s]
+        (first_own, before, _), (top, start, vm) = self.ends[s - 2 : s]
         size, n = top - first_own, 2 * top + 1
         move = [0] * n  # by signed literal: -v at n - v
 
@@ -664,16 +658,14 @@ class _Chain:
             for x, y in zip(sums[s - 2], sums[s - 1]):
                 move[x], move[-x] = y, -y
             sums.append([move[x] for x in sums[s - 1]])
-        start = len(f.clauses)
         # one C call gathers a clause; itemgetter of one item is a bare int
         f.clauses += [
             itemgetter(*c)(move) if len(c) > 1 else (move[c[0]],)
-            for c in f.clauses[before.stop : start]
+            for c in f.clauses[before:start]
         ]
         f.alloc_block(size)
-        vm = replace(vm, state_bases=bases + (bases[-1] + size,))
-        by = start - before.stop
-        return vm, range(keep.start + by, keep.stop + by)
+        self.lits = f.check_literals(set(map(move.__getitem__, self.lits)))
+        return replace(vm, state_bases=bases + (bases[-1] + size,))
 
 
 # Only the latest shape's chain is kept: a solve probes its horizons in order
@@ -684,9 +676,8 @@ _chain = lru_cache(maxsize=1)(_Chain)
 _chain_lock = threading.Lock()
 
 
-def _emit_step(b: _Builder, s: int, progress: str) -> int:
-    """Step ``s``'s transition rules, its implied keep clauses last;
-    return the index of the first keep clause."""
+def _emit_step(b: _Builder, s: int, progress: str) -> None:
+    """Step ``s``'s transition rules."""
     vm = b.vm
     b.begin_step(s)
 
@@ -697,20 +688,14 @@ def _emit_step(b: _Builder, s: int, progress: str) -> int:
     # the no-null-move clauses (a stop or a rebound needs a block on the
     # path) imply consumption; cardinalityCompare adds a second, independent
     # progress constraint to test against
-    keep = _emit_successors(b, s)
+    _emit_successors(b, s)
     if progress == PROGRESS_CARDINALITY:
         _emit_sum_decrease(b, s)
-    first_keep = len(b.clauses)
-    for reach, src, dst in keep:
-        b.copy(reach, src, dst)
-    return first_keep
 
 
-def _emit_successors(b: _Builder, s: int) -> list[tuple[list[Expr], range, range]]:
+def _emit_successors(b: _Builder, s: int) -> None:
     """The state after step ``s``'s shot, as successor clauses, and the
-    implied clauses over the state before it, but for the implied keep
-    clauses: those are returned as ``copy`` arguments, for
-    :func:`_emit_step` to emit last.
+    implied clauses over the state before it.
 
     A successor clause reads "if this shot is fired and its guards are
     false, this cell (or the hand) takes that source's value"; its guards
@@ -816,7 +801,6 @@ def _emit_successors(b: _Builder, s: int) -> list[tuple[list[Expr], range, range
     # implied: the hand keeps its colour only if some shot can rebound
     for x, y in zip(hand_before, hand_after):
         b.require_any([-x, -y, *rebounds])
-    keep = []
     for r in range(1, H + 1):
         for c in range(1, W + 1):
             # implied: a cell keeps its value unless some shot can get to
@@ -832,7 +816,7 @@ def _emit_successors(b: _Builder, s: int) -> list[tuple[list[Expr], range, range
                 for rv in range(1, r + 1):
                     reach.append(prefix[rv, 0][W + r - rv - 1])
                 reach += [g for (rv, _), g in falls.items() if rv > r]
-            keep.append((reach, before[r, c], after[r, c]))
+            b.copy(reach, before[r, c], after[r, c])
 
             # implied: a cell becomes empty only in one of these ways, each
             # over the previous state; first, the shot down its column gets
@@ -855,7 +839,6 @@ def _emit_successors(b: _Builder, s: int) -> list[tuple[list[Expr], range, range
             for j in range(1, r + 1):
                 covering = [g for (rv, w), g in falls.items() if w >= j and rv + w > r]
                 b.require_any(ways + [empty[r - j + 1, c], *covering])
-    return keep
 
 
 def _emit_sum_decrease(b: _Builder, s: int) -> None:

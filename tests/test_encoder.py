@@ -40,6 +40,7 @@ from plotting_solver.engine import (
     NullMoveError,
     RowShot,
     apply_shot,
+    block_count,
     is_goal,
     legal_shots,
 )
@@ -50,7 +51,13 @@ from plotting_solver.oracle import (
 )
 
 import clause_dpll
-from conftest import dimacs_text, edited_copy, goal_counter, random_full_grid
+from conftest import (
+    dimacs_text,
+    edited_copy,
+    goal_counter,
+    random_full_grid,
+    random_walk,
+)
 
 
 def g(rows):
@@ -311,64 +318,64 @@ class TestEncodeExamples:
     # formulas on purpose records new digests and says so in CHANGES.md; one
     # that only renames or reorders keeps every size.
     RECORDED = [
-        ([[1, 1], [1, 1]], 1, 1, PROGRESS_WITNESS, None, (46, 173), "65a53ea592e59e38"),
+        ([[1, 1], [1, 1]], 1, 1, PROGRESS_WITNESS, None, (46, 175), "af63bca8a0366780"),
         (
             [[1, 2], [2, 1]],
-            1, 2, PROGRESS_CARDINALITY, 2, (141, 708),
-            "289b406965479e29",
+            1, 2, PROGRESS_CARDINALITY, 2, (141, 711),
+            "2bc11fd6a80a2ab7",
         ),
         (
             [[1, 2, 3], [3, 1, 2]],
-            2, 3, PROGRESS_WITNESS, None, (212, 1247),
-            "b93672475a766693",
+            2, 3, PROGRESS_WITNESS, None, (212, 1255),
+            "c03a0f9f3b2c1b04",
         ),
         (
             [[2, 1, 1], [1, 2, 2], [1, 1, 2]],
-            4, 2, PROGRESS_CARDINALITY, None, (381, 2372),
-            "1883294c1d4cbda4",
+            4, 2, PROGRESS_CARDINALITY, None, (381, 2384),
+            "c36b1333b8584a10",
         ),
         (
             [[1, 2, 3], [2, 3, 1], [3, 1, 2]],
-            3, 3, PROGRESS_WITNESS, 1, (323, 2124),
-            "c02a097c6d7d8556",
+            3, 3, PROGRESS_WITNESS, 1, (323, 2140),
+            "5f1b5d42842c443a",
         ),
         (
             [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]],
-            6, 3, PROGRESS_CARDINALITY, 1, (497, 2477),
-            "2ece35f5d64b3383",
+            6, 3, PROGRESS_CARDINALITY, 1, (497, 2489),
+            "0bebe9a8beff8566",
         ),
         (
             [[1, 2, 1, 2], [2, 1, 2, 1], [1, 2, 1, 2], [2, 2, 1, 1]],
-            8, 2, PROGRESS_WITNESS, 2, (387, 2201),
-            "13ef1cfaca43c00d",
+            8, 2, PROGRESS_WITNESS, 2, (387, 2228),
+            "a79ce34c12d262ef",
         ),
         (
             [[1, 2, 3, 1], [2, 3, 1, 2], [3, 1, 2, 3], [1, 2, 3, 1]],
-            10, 1, PROGRESS_CARDINALITY, None, (698, 6745),
-            "66eb73cdb7e42817",
+            10, 1, PROGRESS_CARDINALITY, None, (698, 6781),
+            "81fbf0eb87cc3c6a",
         ),
         (
             [[1, 2], [2, 3], [3, 1], [1, 2], [2, 3]],
-            4, 3, PROGRESS_WITNESS, None, (405, 3291),
-            "0174a0e1f8e01b14",
+            4, 3, PROGRESS_WITNESS, None, (405, 3307),
+            "4487769a3e51e2e0",
         ),
         (
             [[1, 2, 3, 1, 2], [2, 3, 1, 2, 3], [3, 1, 2, 3, 1], [1, 2, 3, 1, 2],
              [2, 3, 1, 2, 3]],
-            15, 3, PROGRESS_WITNESS, None, (955, 6951),
-            "f3f2bb5decfb6af5",
+            15, 3, PROGRESS_WITNESS, None, (955, 7015),
+            "d596f51ed90627c3",
         ),
         (
             [[3, 1, 2, 2, 1], [1, 1, 3, 2, 2], [2, 3, 3, 1, 1], [1, 2, 1, 3, 2],
              [3, 3, 2, 1, 1]],
-            10, 2, PROGRESS_WITNESS, 3, (729, 4798),
-            "8569b5e890aab9c6",
+            10, 2, PROGRESS_WITNESS, 3, (729, 4862),
+            "fa67b36303ca5466",
         ),
         (
             [[3, 1, 2, 2, 1], [1, 1, 3, 2, 2], [2, 3, 3, 1, 1], [1, 2, 1, 3, 2],
              [3, 3, 2, 1, 1]],
-            20, 1, PROGRESS_CARDINALITY, 2, (1196, 14941),
-            "65886b86b01a3210",
+            20, 1, PROGRESS_CARDINALITY, 2, (1196, 15005),
+            "20e37ca0d132b418",
         ),
         ([[1], [2], [1]], 1, 2, PROGRESS_WITNESS, None, (80, 459), "ef7368fc5e812a15"),
         (
@@ -382,23 +389,23 @@ class TestEncodeExamples:
         # step is its predecessor renumbered; these pin such steps
         (
             [[2, 1, 1], [1, 2, 2], [1, 1, 2]],
-            4, 4, PROGRESS_WITNESS, None, (361, 2164),
-            "63ce456310ecf33e",
+            4, 4, PROGRESS_WITNESS, None, (361, 2176),
+            "d8a3a7797090789f",
         ),
         (
             [[2, 1, 1], [1, 2, 2], [1, 1, 2]],
-            3, 5, PROGRESS_CARDINALITY, 2, (785, 5204),
-            "72fccd8321c4428f",
+            3, 5, PROGRESS_CARDINALITY, 2, (785, 5216),
+            "5d3998283f203d2c",
         ),
         (
             [[1, 2, 3], [3, 1, 2]],
-            1, 5, PROGRESS_WITNESS, None, (326, 2032),
-            "c1cc70d375c0e834",
+            1, 5, PROGRESS_WITNESS, None, (326, 2040),
+            "857044fcaaa538cc",
         ),
         (
             [[1, 2, 3], [3, 1, 2]],
-            2, 4, PROGRESS_CARDINALITY, 1, (540, 3638),
-            "05034b8fda3916ad",
+            2, 4, PROGRESS_CARDINALITY, 1, (540, 3646),
+            "55a2a1709428784e",
         ),
         (
             [[1], [2], [1]],
@@ -572,10 +579,9 @@ class TestSharedSteps:
 
             def interrupted(b, s, progress):
                 # the step's clauses are in, and its end is not yet recorded
-                first_keep = emit_step(b, s, progress)
+                emit_step(b, s, progress)
                 if s == built:
                     raise KeyboardInterrupt
-                return first_keep
 
             monkeypatch.setattr(encoder, "_emit_step", interrupted)
             with pytest.raises(KeyboardInterrupt):
@@ -618,11 +624,10 @@ class TestSharedSteps:
             bad = []
 
             def corrupted(b, s, progress):
-                first_keep = emit_step(b, s, progress)
+                emit_step(b, s, progress)
                 if s == built:
                     bad.append(b.f.var_count + 1)
                     b.clauses.append((1, -bad[0]))
-                return first_keep
 
             monkeypatch.setattr(encoder, "_emit_step", corrupted)
             with pytest.raises(ValueError) as refused:
@@ -644,16 +649,35 @@ class TestSharedSteps:
         emit_step = encoder._emit_step
 
         def corrupted(b, s, progress):
-            first_keep = emit_step(b, s, progress)
+            emit_step(b, s, progress)
             if s == 2:
                 b.clauses.append((1, b.f.var_count))
-            return first_keep
 
         monkeypatch.setattr(encoder, "_emit_step", corrupted)
         encode(inst, EncodeOptions(steps=2, progress_encoding=PROGRESS_CARDINALITY))
         with pytest.raises(ValueError, match="^literal 0 outside allocated variables$"):
             encode(inst, opts)
         monkeypatch.setattr(encoder, "_emit_step", emit_step)
+        assert dimacs_text(encode(inst, opts)[0]) == cold
+
+    def test_an_image_past_the_variables_is_refused(self):
+        # step 3 of cardinalityCompare moves step 2's reading of step 1's
+        # colour sum onto step 2's sum; a sum entry one past the variables
+        # step 3 ends with sends a step-2 literal there, which is no 0
+        inst = Instance(self.GRID, 1)
+        opts = EncodeOptions(steps=3, progress_encoding=PROGRESS_CARDINALITY)
+        encoder._chain.cache_clear()
+        cold = dimacs_text(encode(inst, opts)[0])
+        encoder._chain.cache_clear()
+        encode(inst, EncodeOptions(steps=2, progress_encoding=PROGRESS_CARDINALITY))
+        chain = encoder._chain(2, 3, 2, PROGRESS_CARDINALITY)
+        (first_own, _, _), (top, _, _) = chain.ends[1:3]
+        past = 2 * top - first_own + 1
+        sums = chain.builder.sums
+        sums[2] = [past, *sums[2][1:]]
+        with pytest.raises(ValueError, match=f"^literal {past} outside allocated"):
+            encode(inst, opts)
+        assert encoder._chain(2, 3, 2, PROGRESS_CARDINALITY) is not chain
         assert dimacs_text(encode(inst, opts)[0]) == cold
 
     @pytest.mark.parametrize("mode", PROGRESS_MODES)
@@ -675,12 +699,15 @@ class TestSharedSteps:
             assert copied.formula.var_count == built.formula.var_count, shape
             assert copied.formula.clauses == built.formula.clauses, shape
             assert copied.ends == built.ends, shape
+            # the renumbered last step's literals, kept as its checked images
+            last = copied.formula.clauses[copied.ends[4][1] :]
+            assert copied.lits == set(itertools.chain.from_iterable(last)), shape
             shapes += 1
         assert shapes == 44
 
     # one sha256 over every chain below, grown to step 3: the 75 witness
     # shapes sat-shapes draws and the 27 cardinalityCompare ones up to 5x5
-    SHAPES_DIGEST = "4dc3d97143da61dc6d6356b157c0c59aedf66239be578803af6a4571a4c680b8"
+    SHAPES_DIGEST = "5b08ceac90e9ff94658bec62c007e0a10402ad8d8fa59b22beab642ca4a16069"
 
     def test_chains_match_the_recorded_shape_digest(self):
         # the renumbered-vs-built test cannot see a builder change, as both
@@ -691,10 +718,7 @@ class TestSharedSteps:
             for height, width, colours in itertools.product(sides, sides, range(2, 5)):
                 chain = encoder._Chain(height, width, colours, mode)
                 chain.grow(3)
-                ends = [
-                    (n, keep.start, keep.stop, vm.state_bases)
-                    for n, keep, vm in chain.ends
-                ]
+                ends = [(n, m, vm.state_bases) for n, m, vm in chain.ends]
                 digest.update(repr((chain.formula.clauses, ends)).encode())
         assert digest.hexdigest() == self.SHAPES_DIGEST
 
@@ -879,14 +903,11 @@ class TestSuccessorPropagation:
     the solver nothing to decide once the state and the shot are known."""
 
     @staticmethod
-    def _step(grid, hand, colours, mode, keep=False):
-        """Step 1's clauses as horizon 1 holds them or, with ``keep``, as
-        horizon 2 does, its implied keep clauses included; its VarMap; and
-        the start state as units."""
+    def _step(grid, hand, colours, mode):
+        """Step 1's clauses as horizon 1 holds them; its VarMap; and the
+        start state as units."""
         chain = encoder._Chain(grid.height, grid.width, colours, mode)
         _, clause_count, vm = chain.grow(1)
-        if keep:
-            clause_count = chain.ends[1][1].stop
         units = [vm.hand_var(0, hand)] + [
             vm.grid_var(0, r, c, grid.at(r, c))
             for r in range(1, grid.height + 1)
@@ -929,7 +950,7 @@ class TestSuccessorPropagation:
                     )
         assert falls >= 20 and nulls >= 100
 
-    def _open_shot(self, seed, keep=False):
+    def _open_shot(self, seed):
         """Per state with a legal shot: the VarMap, what unit propagation
         sets with only the state pinned, and every legal successor."""
         rng = random.Random(seed)
@@ -937,7 +958,7 @@ class TestSuccessorPropagation:
             shots = legal_shots(grid, hand)
             if not shots:
                 continue
-            clauses, vm, units = self._step(grid, hand, colours, PROGRESS_WITNESS, keep)
+            clauses, vm, units = self._step(grid, hand, colours, PROGRESS_WITNESS)
             true = unit_propagate(clauses, units)
             assert true is not None
             yield grid, hand, vm, true, [apply_shot(grid, hand, s) for s in shots]
@@ -957,11 +978,9 @@ class TestSuccessorPropagation:
 
     def test_open_shot_fixes_only_what_every_shot_agrees_on(self):
         # the implied keep and hand clauses fix cells no shot can get to,
-        # and a hand no shot can keep, before the shot is chosen; step 1's
-        # keep clauses are read as horizon 2 holds them, since horizon 1
-        # ends before them
+        # and a hand no shot can keep, before the shot is chosen
         kept = changed = 0
-        for grid, hand, vm, true, outs in self._open_shot(71, keep=True):
+        for grid, hand, vm, true, outs in self._open_shot(71):
             for r in range(1, grid.height + 1):
                 for c in range(1, grid.width + 1):
                     for v in range(vm.colours + 1):
@@ -997,47 +1016,55 @@ def keep_pattern(clauses, vm, step):
 
 
 class TestImpliedKeep:
-    """Each step's implied keep clauses end its block. Horizon h ends before
-    step h's, which no shot reads, and horizon h + 1 holds them."""
+    """Each step's implied keep clauses are emitted with the rest of its
+    block, so horizon h holds those of every step 1..h, the last one's
+    included, though no shot reads them there. They are implied by the
+    rest of the formula, so they change none of its models."""
 
     @pytest.mark.parametrize("mode", PROGRESS_MODES)
-    def test_only_the_next_horizon_holds_a_steps_keep_clauses(self, mode):
+    def test_a_horizon_holds_the_keep_clauses_of_each_of_its_steps(self, mode):
+        # a shot always gets to a cell of the top row or the first column,
+        # so those fold their keep clauses away: 2x2 cells of 3 values
         inst = Instance(g([[1, 2, 1], [2, 1, 2], [1, 1, 2]]), 3)
+        held = []
         for steps in range(1, 5):
-            this, _ = encode(inst, EncodeOptions(steps, progress_encoding=mode))
-            longer, vm = encode(inst, EncodeOptions(steps + 1, progress_encoding=mode))
-            chain = encoder._chain(3, 3, 2, mode)
-            keep = chain.ends[steps][1]
-            kept = chain.formula.clauses[keep.start : keep.stop]
-            assert keep_pattern(this.clauses, vm, steps) == []
-            assert keep_pattern(longer.clauses, vm, steps) == kept
-            assert len(kept) == len(keep_pattern(longer.clauses, vm, 1)) > 0
+            f, vm = encode(inst, EncodeOptions(steps, progress_encoding=mode))
+            keeps = [keep_pattern(f.clauses, vm, t) for t in range(1, steps + 1)]
+            assert [len(k) for k in keeps] == [2 * 2 * 3] * steps, steps
+            # and the longer horizon holds the same ones for the steps before
+            assert keeps[:-1] == held, steps
+            held = keeps
 
     @pytest.mark.parametrize("mode", PROGRESS_MODES)
-    def test_the_last_steps_keep_clauses_are_entailed(self, mode):
-        # leaving them out of a horizon changes none of its models: the
-        # formula and the negation of any one of them is unsat
-        rng = random.Random(73)
-        checked = sat = 0
-        for _ in range(80):
-            height, width = rng.randint(1, 3), rng.randint(1, 3)
-            colours = rng.randint(1, min(3, height * width))
-            grid = random_full_grid(rng, height, width, colours)
-            for steps in (1, 2, 3):
-                inst = Instance(grid, max(0, height * width - steps))
-                f, _ = encode(inst, EncodeOptions(steps, progress_encoding=mode))
-                chain = encoder._chain(height, width, colours, mode)
-                keep = chain.ends[steps][1]
-                sat += dpll_solve(f).is_sat
-                for clause in chain.formula.clauses[keep.start : keep.stop]:
-                    trial = CnfFormula()
-                    trial.var_count = f.var_count
-                    trial.clauses = [*f.clauses, *((-x,) for x in clause)]
-                    assert clause_dpll.solve(trial).is_unsat, (
-                        grid.cells, steps, clause,
-                    )
-                    checked += 1
-        assert checked >= 700 and sat >= 150
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 3),
+    )
+    @example(shape=(3, 3, 2), seed=73, steps=3)
+    @example(shape=(3, 3, 3), seed=74, steps=2)
+    def test_the_last_steps_keep_clauses_are_entailed(self, mode, shape, seed, steps):
+        # the goal is the blocks a random walk from the first cell's hand
+        # leaves, so the formula has a model; the formula without any
+        # step's keep clauses and the negation of any one of them has none
+        height, width, colours = shape
+        colours = min(colours, height * width)
+        rng = random.Random(seed)
+        grid = random_full_grid(rng, height, width, colours)
+        walk = list(random_walk(rng, grid, grid.at(1, 1), steps))
+        steps, goal = len(walk), block_count(walk[-1][3].next_grid)
+        f, vm = encode(Instance(grid, goal), EncodeOptions(steps, progress_encoding=mode))
+        assert dpll_solve(f).is_sat
+        keeps = [keep_pattern(f.clauses, vm, t) for t in range(1, steps + 1)]
+        assert len(keeps[-1]) == (height - 1) * (width - 1) * (colours + 1)
+        kept = set().union(*keeps)
+        rest = [clause for clause in f.clauses if clause not in kept]
+        for clause in kept:
+            trial = CnfFormula()
+            trial.var_count = f.var_count
+            trial.clauses = [*rest, *((-x,) for x in clause)]
+            assert clause_dpll.solve(trial).is_unsat, (grid.cells, steps, clause)
 
 
 class TestDecode:

@@ -63,18 +63,18 @@ class TestPinnedWork:
     PINS = {
         ((3, 3, 2), 1, 0, 5): (
             "unsat",
-            {PROGRESS_WITNESS: ((148, 294), (78, 7568)),
-             PROGRESS_CARDINALITY: ((148, 294), (78, 11303))},
+            {PROGRESS_WITNESS: ((148, 294), (78, 7577)),
+             PROGRESS_CARDINALITY: ((148, 294), (78, 11381))},
         ),
         ((3, 3, 2), 1, 3, 3): (
             "sat",
-            {PROGRESS_WITNESS: ((17, 315), (23, 1404)),
-             PROGRESS_CARDINALITY: ((17, 547), (23, 2383))},
+            {PROGRESS_WITNESS: ((17, 315), (23, 1406)),
+             PROGRESS_CARDINALITY: ((17, 547), (23, 2389))},
         ),
         ((4, 4, 3), 1, 10, 3): (
             "unsat",
-            {PROGRESS_WITNESS: ((30, 57), (22, 4558)),
-             PROGRESS_CARDINALITY: ((30, 57), (22, 9429))},
+            {PROGRESS_WITNESS: ((30, 57), (22, 4704)),
+             PROGRESS_CARDINALITY: ((30, 57), (22, 9870))},
         ),
         ((4, 4, 3), 1, 10, 4): (
             "sat",
@@ -83,13 +83,13 @@ class TestPinnedWork:
         ),
         ((5, 5, 3), 3, 19, 2): (
             "unsat",
-            {PROGRESS_WITNESS: ((13, 23), (9, 2535)),
-             PROGRESS_CARDINALITY: ((13, 23), (9, 5676))},
+            {PROGRESS_WITNESS: ((13, 23), (9, 2635)),
+             PROGRESS_CARDINALITY: ((13, 23), (9, 6179))},
         ),
         ((5, 5, 3), 3, 19, 3): (
             "sat",
-            {PROGRESS_WITNESS: ((45, 1002), (132, 9696)),
-             PROGRESS_CARDINALITY: ((45, 2518), (132, 23425))},
+            {PROGRESS_WITNESS: ((45, 1002), (132, 9912)),
+             PROGRESS_CARDINALITY: ((45, 2518), (132, 24313))},
         ),
     }
 
